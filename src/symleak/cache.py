@@ -1,20 +1,18 @@
 """Cache geometry and symbolic hit/miss constraints.
 
-An access hits when some earlier access brought the same memory block
-into the cache and nothing evicted it in between.  For a direct-mapped
-cache the in-between condition is simply that no intermediate access
-touched the victim's line.  For a W-way LRU cache the block survives as
-long as fewer than W distinct other blocks mapped to its set were
-touched since it was last loaded; that count is encoded with per-pair
-equality indicators and a small bitvector sum.
+A direct-mapped set holds one block, so an access hits exactly when the
+most recent earlier access to its set touched its block.  That is a
+chain of if-then-else terms, one per predecessor, linear in the trace
+length.  For a W-way LRU cache the block survives as long as fewer than
+W distinct other blocks mapped to its set were touched since it was last
+loaded; that count is encoded with per-pair equality indicators and a
+small bitvector sum.
 
-The module also hosts the constraint reductions.  They are switchable
-because each is an engineering shortcut layered over the plain
-encoding: rewriting input-independent addresses to constants, pruning
-hit clauses between provably distinct blocks, and dropping intermediate
-accesses that the address layout keeps out of the victim's set.  All
-interval reasoning lives here, not in the expression folders, so the
-unreduced encodings stay faithful to their definitions.
+The one switchable reduction, ``ReduceOptions.tables``, prunes both
+encodings with interval reasoning over address ranges.  Every pruning
+it does is exact: it drops only terms whose value the intervals already
+decide.  All interval reasoning lives here, not in the expression
+folders, so the unreduced encodings stay faithful to their definitions.
 """
 
 from __future__ import annotations
@@ -94,13 +92,11 @@ Trace = tuple[AccessRecord, ...]
 
 @dataclass(frozen=True)
 class ReduceOptions:
-    concretize: bool = True
     tables: bool = True
-    layout: bool = True
 
     @classmethod
     def none(cls) -> "ReduceOptions":
-        return cls(False, False, False)
+        return cls(False)
 
 
 def probe_window(cfg: CacheConfig) -> int:
@@ -245,84 +241,42 @@ def _can_evict(mid: Expr, victim: Expr, cfg: CacheConfig) -> bool:
 # ---------------------------------------------------------------------------
 # Hit constraints
 
-def prune_distinct_table_pairs(tr: Trace, i: int, j: int,
-                               layout: dict[str, tuple[int, int] | None]) -> bool:
-    """True when accesses i and j target declarations whose fixed address
-    ranges cover disjoint block sets, so a hit clause between them is
-    impossible.  Symbolic-base declarations are never pruned."""
-    bi = layout.get(tr[i].decl)
-    bj = layout.get(tr[j].decl)
-    if bi is None or bj is None:
-        return False
-    return bi[1] < bj[0] or bj[1] < bi[0]
-
-
-def layout_reduce(tr: Trace, i: int, j: int, cfg: CacheConfig) -> tuple[tuple[int, ...], bool]:
-    """Intermediate accesses between j and i that could evict access i's
-    line, judged by address intervals.  The flag reports whether anything
-    was dropped; callers treat a reduced hit as provisional and re-check
-    against the unreduced constraint before acting on it."""
-    victim = tr[i].addr
-    kept = tuple(l for l in range(j + 1, i) if _can_evict(tr[l].addr, victim, cfg))
-    return kept, len(kept) < i - j - 1
-
-
-def concretize_addresses(tr: Trace) -> Trace:
-    """Rewrite every input-independent address to a literal constant."""
-    out = []
-    changed = False
-    for rec in tr:
-        if not rec.addr.is_const and not ex.free_vars(rec.addr):
-            addr = ex.const(ex.evaluate(rec.addr, {}), rec.addr.width)
-            rec = AccessRecord(rec.index, rec.tid, rec.kind, addr, rec.pcon,
-                               rec.site, rec.decl, rec.value)
-            changed = True
-        out.append(rec)
-    return tuple(out) if changed else tr
-
-
-def _hit_clause_sources(tr: Trace, i: int, cfg: CacheConfig,
-                        reductions: ReduceOptions | None) -> list[int]:
-    """Candidate predecessors j whose block could equal access i's, most
-    recent first."""
-    out = []
-    for j in range(i - 1, -1, -1):
-        if reductions is not None and reductions.tables \
-                and blocks_disjoint(tr[j].addr, tr[i].addr, cfg):
-            continue
-        out.append(j)
-    return out
-
-
 def hit_constraint(tr: Trace, i: int, cfg: CacheConfig,
                    reductions: ReduceOptions | None = None) -> Expr:
     """Direct-mapped hit condition for access i over the trace prefix.
 
-    The access hits when some earlier access j touched the same block
-    and no access in between touched the same line.  Predecessors are
-    scanned most recent first; once a predecessor's block equality is
-    literally true, older ones cannot add satisfying assignments and the
-    disjunction stops there.  The first access of a trace always yields
-    the constant false: the cache starts empty.
+    The chain ``h = ite(line_j == line_i, tag_j == tag_i, h)`` is folded
+    from the oldest predecessor j to the newest, starting from false:
+    the cache starts empty.  Predecessors are scanned most recent first
+    and the scan stops at the first whose set equality is literally
+    true, since nothing older can reach access i.  With
+    ``reductions.tables`` a predecessor that can never share the set is
+    skipped, and one that provably touches another block gets a false
+    block equality.
     """
-    rec = tr[i]
-    t_i = tag(rec.addr, cfg)
-    l_i = line(rec.addr, cfg)
-    disjuncts: list[Expr] = []
-    for j in _hit_clause_sources(tr, i, cfg, reductions):
-        tag_eq = ex.eq(tag(tr[j].addr, cfg), t_i)
-        if tag_eq is ex.FALSE:
+    addr = tr[i].addr
+    t_i = tag(addr, cfg)
+    l_i = line(addr, cfg)
+    prune = reductions is not None and reductions.tables
+    links: list[tuple[Expr, Expr]] = []
+    for j in range(i - 1, -1, -1):
+        a = tr[j].addr
+        if prune and not blocks_may_alias(a, addr, cfg):
             continue
-        mids = range(j + 1, i)
-        if reductions is not None and reductions.layout:
-            mids, _ = layout_reduce(tr, i, j, cfg)
-        terms = [tag_eq]
-        for l in mids:
-            terms.append(ex.ne(line(tr[l].addr, cfg), l_i))
-        disjuncts.append(ex.conj(terms))
-        if tag_eq is ex.TRUE:
+        same_set = ex.eq(line(a, cfg), l_i)
+        if same_set is ex.FALSE:
+            continue
+        if prune and blocks_disjoint(a, addr, cfg):
+            same_block = ex.FALSE
+        else:
+            same_block = ex.eq(tag(a, cfg), t_i)
+        links.append((same_set, same_block))
+        if same_set is ex.TRUE:
             break
-    return ex.disj(disjuncts)
+    h = ex.FALSE
+    for same_set, same_block in reversed(links):
+        h = ex.ite(same_set, same_block, h)
+    return h
 
 
 def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig, window: int = 64,
@@ -336,26 +290,31 @@ def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig, window: int = 64,
     sum of indicator bits compared against W.  With assoc=1 the result
     is logically equivalent to hit_constraint.
 
+    With ``reductions.tables`` a predecessor that provably touches
+    another block is skipped, and so is every intermediate access that
+    can never put a different block into access i's set.
+
     Traces containing symbolic addresses are refused beyond ``window``
     accesses; the quadratic indicator encoding is only meant for short
     prefixes.
     """
-    rec = tr[i]
+    addr = tr[i].addr
     if i > window and any(not r.addr.is_const for r in tr[:i + 1]):
         raise ConstraintWindowError(
             f"access {i} exceeds the {window}-access window for symbolic traces")
     w = cfg.assoc
-    t_i = tag(rec.addr, cfg)
-    s_i = line(rec.addr, cfg)
+    t_i = tag(addr, cfg)
+    s_i = line(addr, cfg)
+    prune = reductions is not None and reductions.tables
     disjuncts: list[Expr] = []
-    for j in _hit_clause_sources(tr, i, cfg, reductions):
+    for j in range(i - 1, -1, -1):
+        if prune and blocks_disjoint(tr[j].addr, addr, cfg):
+            continue
         tag_eq = ex.eq(tag(tr[j].addr, cfg), t_i)
         if tag_eq is ex.FALSE:
             continue
-        mids = list(range(j + 1, i))
-        if reductions is not None and reductions.layout:
-            kept, _ = layout_reduce(tr, i, j, cfg)
-            mids = list(kept)
+        mids = [l for l in range(j + 1, i)
+                if not prune or _can_evict(tr[l].addr, addr, cfg)]
         if len(mids) < w:
             disjuncts.append(tag_eq)
         else:

@@ -6,8 +6,9 @@ exhausts small key spaces, ``print-ir`` shows a program after loop
 unrolling.
 
 Exit codes for analyze: 0 no leaks, 1 leaks found, 2 error, 3 search
-incomplete (a bound or an undecided solver query).  A leak that fails
-replay confirmation is an internal inconsistency and exits 2.
+incomplete (a bound or an undecided solver query), 4 internal error (an
+unexpected exception, traceback on stderr).  A leak that fails replay
+confirmation is an internal inconsistency and exits 2.
 """
 
 from __future__ import annotations
@@ -222,9 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--mode", choices=("precise", "two-step"), default="precise")
     an.add_argument("--adversary", choices=("fixed", "synthesize", "none"),
                     default="fixed")
-    an.add_argument("--no-reduce-concretize", action="store_true")
-    an.add_argument("--no-reduce-tables", action="store_true")
-    an.add_argument("--no-reduce-layout", action="store_true")
+    an.add_argument("--no-reduce-tables", action="store_true",
+                    help="build the hit constraints without interval pruning")
     an.add_argument("--max-interleavings", type=int, default=None)
     an.add_argument("--timeout-ms", type=int, default=30000)
     an.add_argument("--solver", default=None,
@@ -257,11 +257,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         cache=_cache_from(args),
         mode=args.mode,
         adversary=args.adversary,
-        reductions=ReduceOptions(
-            concretize=not args.no_reduce_concretize,
-            tables=not args.no_reduce_tables,
-            layout=not args.no_reduce_layout,
-        ),
+        reductions=ReduceOptions(tables=not args.no_reduce_tables),
         max_interleavings=args.max_interleavings,
         timeout_ms=args.timeout_ms,
         solver=args.solver,
@@ -313,6 +309,10 @@ def main(argv: list[str] | None = None) -> int:
     except (SymleakError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # only a crash pays for loading it
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -19,11 +19,10 @@ which branch arms they took.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .cache import (AccessRecord, CacheConfig, ReduceOptions, Trace,
-                    concretize_addresses, hit_constraint, hit_constraint_assoc,
-                    may_same_line)
+                    hit_constraint, hit_constraint_assoc, may_same_line)
 from .detector import (LeakReport, VarClasses, classify, solve_precise,
                        solve_two_step, verdicts)
 from .engine import (AccessEvent, SymbolicState, branch_events, enabled_events,
@@ -35,7 +34,7 @@ from .solver import SolverBackend
 @dataclass(frozen=True)
 class ExploreOptions:
     mode: str = "precise"  # "precise" | "two_step"
-    reductions: ReduceOptions = ReduceOptions.none()
+    reductions: ReduceOptions = ReduceOptions()
     max_interleavings: int | None = None
     wall_clock_ms: int | None = None
     check_sequential: bool = True
@@ -88,25 +87,14 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
     """Build the hit constraint for ``ev`` over the trace so far and ask
     whether two secret valuations can disagree on it.
 
-    With the layout reduction enabled the constraint may omit conjuncts,
-    so a witness is re-validated against the unreduced constraint and
-    the query is re-run exactly when the shortcut misled it.
+    The reductions in ``opts`` only drop terms that interval reasoning
+    already decides, so the constraint is exact and one query answers.
     """
     i = len(st.trace)
     tr = st.trace + (_record(st, ev),)
-    red = opts.reductions
-    if red.concretize:
-        tr = concretize_addresses(tr)
     classes = classify(p, st)
-    tau = _tau(tr, i, cfg, opts, red)
+    tau = _tau(tr, i, cfg, opts)
     res = _solve(backend, tau, st.pcon, classes, opts)
-    if res.status == "sat" and red.layout:
-        exact = _tau(tr, i, cfg, opts, replace(red, layout=False))
-        if exact is not tau:
-            v1, v2 = verdicts(exact, st.pcon, res)
-            if v1 == v2:
-                res = _solve(backend, exact, st.pcon, classes, opts)
-            tau = exact
     if res.status == "unknown":
         if stats is not None:
             stats.indeterminate += 1
@@ -221,11 +209,10 @@ def _has_dependent_pair(st: SymbolicState, evs, cfg: CacheConfig,
     return False
 
 
-def _tau(tr: Trace, i: int, cfg: CacheConfig, opts: ExploreOptions,
-         red: ReduceOptions):
+def _tau(tr: Trace, i: int, cfg: CacheConfig, opts: ExploreOptions):
     if cfg.assoc == 1:
-        return hit_constraint(tr, i, cfg, red)
-    return hit_constraint_assoc(tr, i, cfg, opts.assoc_window, red)
+        return hit_constraint(tr, i, cfg, opts.reductions)
+    return hit_constraint_assoc(tr, i, cfg, opts.assoc_window, opts.reductions)
 
 
 def _solve(backend: SolverBackend, tau, pcon, classes: VarClasses,

@@ -200,16 +200,17 @@ def _random_probe_sweep(total):
                    for i, addr in enumerate(addrs))
         pos = rng.randrange(1, n)
         kval = rng.randrange(256)
-        if cfg.assoc == 1:
-            tau = hit_constraint(tr, pos, cfg)
-        else:
-            tau = hit_constraint_assoc(tr, pos, cfg)
-        symbolic = bool(ex.evaluate(tau, {"k": kval}))
         st = empty_cache(cfg)
         verdict = ""
         for addr in addrs[:pos + 1]:
             st, verdict = simulate_access(st, ex.evaluate(addr, {"k": kval}), cfg)
-        assert symbolic == (verdict == "hit"), (geoms.index(cfg), addrs, pos, kval)
+        for red in (None, ReduceOptions()):
+            if cfg.assoc == 1:
+                tau = hit_constraint(tr, pos, cfg, red)
+            else:
+                tau = hit_constraint_assoc(tr, pos, cfg, reductions=red)
+            symbolic = bool(ex.evaluate(tau, {"k": kval}))
+            assert symbolic == (verdict == "hit"), (geoms.index(cfg), addrs, pos, kval, red)
 
 
 def test_exhaustive_oracle_agrees_with_explorer():

@@ -12,8 +12,7 @@ import pytest
 from symleak import CacheConfig, ReduceOptions
 from symleak import expr as ex
 from symleak.cache import (AccessRecord, Site, blocks_disjoint, blocks_may_alias,
-                           concretize_addresses, hit_constraint,
-                           hit_constraint_assoc, layout_reduce, line,
+                           hit_constraint, hit_constraint_assoc, line,
                            may_same_line, probe_window, tag)
 from symleak.errors import ConstraintWindowError
 from symleak.oracle import empty_cache, simulate_access
@@ -28,6 +27,17 @@ def _rec(i, addr, decl="m", tid=1, pcon=ex.TRUE):
 
 def _trace(*addrs):
     return tuple(_rec(i, a) for i, a in enumerate(addrs))
+
+
+def _dag_size(e):
+    seen = {id(e)}
+    stack = [e]
+    while stack:
+        for a in stack.pop().args:
+            if id(a) not in seen:
+                seen.add(id(a))
+                stack.append(a)
+    return len(seen)
 
 
 def test_geometry_validation_and_derived_sizes():
@@ -149,24 +159,20 @@ def test_tables_reduction_drops_unreachable_predecessors():
     assert EnumerativeBackend().check(plain).status == "unsat"
 
 
-def test_layout_reduction_drops_non_evicting_middles():
-    cfg = CacheConfig(cache_size=512, line_size=64, assoc=1)
-    # Block 1 sits in set 1 and can never evict set 0.
-    kept, dropped = layout_reduce(_trace(0, 64, 0), 2, 0, cfg)
-    assert kept == () and dropped
-    # Block 8 wraps onto set 0 and must be kept.
-    kept2, dropped2 = layout_reduce(_trace(0, 512, 0), 2, 0, cfg)
-    assert kept2 == (1,) and not dropped2
-
-
-def test_concretize_rewrites_variable_free_addresses():
-    expr_addr = ex.add(ex.const(100, 32), ex.zext(ex.eq(ex.const(1, 8), ex.const(1, 8)), 32))
-    tr = (_rec(0, expr_addr),)
-    assert not tr[0].addr.is_const or tr[0].addr.value == 101
-    out = concretize_addresses(tr)
-    assert out[0].addr is ex.const(101, 32)
-    same = _trace(5, 6)
-    assert concretize_addresses(same) is same
+def test_direct_mapped_encoding_is_linear_in_the_trace():
+    # Symbolic table lookups interleaved with a constant access: every
+    # predecessor may share the final access's set, so none is skipped
+    # and the constraint holds one if-then-else link per access.
+    cfg = CacheConfig(512, 1, 1)
+    k = ex.zext(ex.var("k", 8), 32)
+    addrs = []
+    for i in range(64):
+        low = ex.and_(ex.xor(k, ex.const(i, 32)), ex.const(15, 32))
+        addrs += [ex.add(ex.const(100, 32), low), 300]
+    addrs.append(ex.add(ex.const(100, 32), k))
+    tr = _trace(*addrs)
+    assert len(tr) == 129
+    assert _dag_size(hit_constraint(tr, 128, cfg)) <= 8 * len(tr)
 
 
 def test_may_same_line_paths():
@@ -190,16 +196,26 @@ def test_hit_constraints_match_simulator_on_random_traces():
     rng = random.Random(31)
     geometries = [CacheConfig(16, 1, 1), CacheConfig(64, 4, 2),
                   CacheConfig(256, 16, 4), CacheConfig(32, 1, 4)]
-    for cfg in geometries:
+    # Addresses spread over twice the cache seldom revisit a block that
+    # was evicted in between.  A pool of assoc+1 blocks in one set makes
+    # such evictions common.
+    cases = [(cfg, None) for cfg in geometries]
+    cases += [(cfg, [m * cfg.num_sets * cfg.line_size for m in range(cfg.assoc + 1)])
+              for cfg in geometries]
+    for cfg, pool in cases:
         for _ in range(60):
             n = rng.randrange(2, 12)
-            addrs = [rng.randrange(0, 2 * cfg.cache_size) for _ in range(n)]
+            if pool is None:
+                addrs = [rng.randrange(0, 2 * cfg.cache_size) for _ in range(n)]
+            else:
+                addrs = [rng.choice(pool) for _ in range(n)]
             tr = _trace(*addrs)
             st = empty_cache(cfg)
             for i, a in enumerate(addrs):
                 st, verdict = simulate_access(st, a, cfg)
-                tau = hit_constraint_assoc(tr, i, cfg)
-                assert tau.is_const
-                assert bool(tau.value) == (verdict == "hit"), (cfg, addrs, i)
-                if cfg.assoc == 1:
-                    assert hit_constraint(tr, i, cfg) is tau
+                for red in (None, ReduceOptions()):
+                    tau = hit_constraint_assoc(tr, i, cfg, reductions=red)
+                    assert tau.is_const
+                    assert bool(tau.value) == (verdict == "hit"), (cfg, addrs, i, red)
+                    if cfg.assoc == 1:
+                        assert hit_constraint(tr, i, cfg, red) is tau

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from symleak.cache import CacheConfig
-from symleak.cli import confirm_report, main
+import symleak.cli
+from symleak.cache import CacheConfig, ReduceOptions
+from symleak.cli import RunConfig, confirm_report, main
 from symleak.detector import LeakReport
+from symleak.explorer import ExploreOptions
 
 from conftest import CORPUS_DIR, ROOT
 
@@ -61,6 +63,19 @@ def test_analyze_unreadable_file_exits_2(capsys):
     code, out, err = run_cli(capsys, "analyze", "/nonexistent.ir")
     assert code == 2 and out == ""
     assert err == "error: [Errno 2] No such file or directory: '/nonexistent.ir'\n"
+
+
+def test_analyze_internal_error_exits_4(capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(symleak.cli, "explore", crash)
+    code, out, err = run_cli(capsys, "analyze", SEQ, *FIG3)
+    assert code == 4 and out == ""
+    assert "RecursionError" in err
+
+
+def test_library_and_cli_share_one_reductions_default():
+    assert ExploreOptions().reductions == RunConfig("p").reductions == ReduceOptions()
 
 
 def test_analyze_budget_exhaustion_exits_3(capsys):

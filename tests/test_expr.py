@@ -28,6 +28,8 @@ def test_constant_masking_and_folding():
     assert ex.add(ex.const(200, 8), ex.const(100, 8)).value == 44
     assert ex.sub(ex.const(0, 8), ex.const(1, 8)).value == 255
     assert ex.mulc(ex.const(7, 8), 40).value == 24
+    one = ex.eq(ex.const(1, 8), ex.const(1, 8))
+    assert ex.add(ex.const(100, 32), ex.zext(one, 32)) is ex.const(101, 32)
 
 
 def test_identity_folds():
