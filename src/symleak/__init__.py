@@ -9,9 +9,9 @@ concrete LRU oracle replays every witness before it is reported.
 
 from .cache import CacheConfig, ReduceOptions, Site, hit_constraint, hit_constraint_assoc
 from .detector import LeakReport
-from .errors import (AdversaryError, BruteForceCapError, ConstraintWindowError,
-                     EnumerativeCapError, ParseError, ReplayError,
-                     SolverProcessError, SymleakError, UnrollError)
+from .errors import (AdversaryError, BruteForceCapError, EnumerativeCapError,
+                     ParseError, ReplayError, SolverProcessError, SymleakError,
+                     UnrollError)
 from .explorer import ExploreOptions, ExploreStats, explore
 from .ir import Program, pretty
 from .oracle import (ConcreteCacheState, brute_force_leaks, empty_cache,
@@ -27,7 +27,6 @@ __all__ = [
     "BruteForceCapError",
     "CacheConfig",
     "ConcreteCacheState",
-    "ConstraintWindowError",
     "EnumerativeBackend",
     "EnumerativeCapError",
     "ExploreOptions",

@@ -5,8 +5,10 @@ most recent earlier access to its set touched its block.  That is a
 chain of if-then-else terms, one per predecessor, linear in the trace
 length.  For a W-way LRU cache the block survives as long as fewer than
 W distinct other blocks mapped to its set were touched since it was last
-loaded; that count is encoded with per-pair equality indicators and a
-small bitvector sum.
+loaded.  One scan from the newest predecessor to the oldest keeps that
+count as a bitvector sum, counting each other block at its last access
+before the probed one, so the constraint is quadratic in the trace
+length and needs no bound on it.
 
 The one switchable reduction, ``ReduceOptions.tables``, prunes both
 encodings with interval reasoning over address ranges.  Every pruning
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import expr as ex
-from .errors import ConstraintWindowError
 from .expr import Expr
 
 ADDR_WIDTH = 32
@@ -279,56 +280,50 @@ def hit_constraint(tr: Trace, i: int, cfg: CacheConfig,
     return h
 
 
-def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig, window: int = 64,
+def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig,
                          reductions: ReduceOptions | None = None) -> Expr:
     """W-way LRU hit condition for access i.
 
-    Access i hits when some earlier access j brought its block in and
-    fewer than W distinct other blocks mapped to the same set were
-    touched after j.  Distinctness is encoded by counting only the first
-    occurrence of each intermediate block, and the count is a bitvector
-    sum of indicator bits compared against W.  With assoc=1 the result
-    is logically equivalent to hit_constraint.
+    Access i hits when some earlier access j touched its block and fewer
+    than W distinct other blocks of its set were touched in (j, i).  One
+    scan from the newest predecessor to the oldest keeps that count for
+    the current j.  Each intermediate block is counted at its last
+    access before i: access l counts when it maps to access i's set,
+    touches another block, and no later kept intermediate touches the
+    same block.  That indicator does not depend on j, so every access
+    adds one term to a single running sum and the constraint is
+    quadratic in the trace length.  The scan stops at the first j whose
+    block equality is literally true.  With assoc=1 the result is
+    logically equivalent to hit_constraint.
 
     With ``reductions.tables`` a predecessor that provably touches
-    another block is skipped, and so is every intermediate access that
-    can never put a different block into access i's set.
-
-    Traces containing symbolic addresses are refused beyond ``window``
-    accesses; the quadratic indicator encoding is only meant for short
-    prefixes.
+    another block is no candidate for j, and an access that can never
+    put a different block into access i's set is no intermediate.
     """
     addr = tr[i].addr
-    if i > window and any(not r.addr.is_const for r in tr[:i + 1]):
-        raise ConstraintWindowError(
-            f"access {i} exceeds the {window}-access window for symbolic traces")
     w = cfg.assoc
     t_i = tag(addr, cfg)
     s_i = line(addr, cfg)
     prune = reductions is not None and reductions.tables
+    cw = max(i, w).bit_length() + 1
+    count = ex.const(0, cw)
+    kept: list[Expr] = []
     disjuncts: list[Expr] = []
     for j in range(i - 1, -1, -1):
-        if prune and blocks_disjoint(tr[j].addr, addr, cfg):
-            continue
-        tag_eq = ex.eq(tag(tr[j].addr, cfg), t_i)
-        if tag_eq is ex.FALSE:
-            continue
-        mids = [l for l in range(j + 1, i)
-                if not prune or _can_evict(tr[l].addr, addr, cfg)]
-        if len(mids) < w:
-            disjuncts.append(tag_eq)
-        else:
-            tags = {l: tag(tr[l].addr, cfg) for l in mids}
-            cw = (len(mids) + 1).bit_length()
-            count = ex.const(0, cw)
-            for pos, l in enumerate(mids):
-                ind_terms = [ex.eq(line(tr[l].addr, cfg), s_i), ex.ne(tags[l], t_i)]
-                for l2 in mids[:pos]:
-                    ind_terms.append(ex.ne(tags[l2], tags[l]))
-                count = ex.add(count, ex.zext(ex.conj(ind_terms), cw))
-            disjuncts.append(ex.and_(tag_eq, ex.ult(count, ex.const(w, cw))))
+        a = tr[j].addr
+        t_j = tag(a, cfg)
+        tag_eq = ex.FALSE if prune and blocks_disjoint(a, addr, cfg) else ex.eq(t_j, t_i)
+        if tag_eq is not ex.FALSE:
+            disjuncts.append(tag_eq if len(kept) < w
+                             else ex.and_(tag_eq, ex.ult(count, ex.const(w, cw))))
         if tag_eq is ex.TRUE:
             break
+        if prune and not _can_evict(a, addr, cfg):
+            continue
+        last = [ex.eq(line(a, cfg), s_i), ex.ne(t_j, t_i)]
+        last += [ex.ne(t, t_j) for t in kept]
+        count = ex.add(count, ex.zext(ex.conj(last), cw))
+        kept.append(t_j)
     return ex.disj(disjuncts)
 
 

@@ -7,8 +7,10 @@ unrolling.
 
 Exit codes for analyze: 0 no leaks, 1 leaks found, 2 error, 3 search
 incomplete (a bound or an undecided solver query), 4 internal error (an
-unexpected exception, traceback on stderr).  A leak that fails replay
-confirmation is an internal inconsistency and exits 2.
+unexpected exception, traceback on stderr).  An incomplete search exits
+3 even when it found leaks: the report lists them, but the exit code
+must not pass a truncated run off as a complete one.  A leak that fails
+replay confirmation is an internal inconsistency and exits 2.
 """
 
 from __future__ import annotations
@@ -164,9 +166,9 @@ def run(rc: RunConfig) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if reports:
-        return 1
-    return 0 if complete else 3
+    if not complete:
+        return 3
+    return 1 if reports else 0
 
 
 # ---------------------------------------------------------------------------

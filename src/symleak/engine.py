@@ -405,14 +405,6 @@ def perform_access(st: SymbolicState, ev: AccessEvent) -> SymbolicState:
     return advance_locals(nxt)
 
 
-def feasible(st: SymbolicState, backend, timeout_ms: int | None = None) -> bool:
-    """True unless the backend refutes the path constraint.  Unknown counts
-    as feasible so timeouts never silence a path."""
-    if st.pcon.is_const:
-        return bool(st.pcon.value)
-    return backend.check(st.pcon, timeout_ms=timeout_ms).status != "unsat"
-
-
 def run_schedule(p: Program, cfg: CacheConfig, tids, arms=()) -> SymbolicState:
     """Drive one complete execution: take branch arms from ``arms`` (true
     when exhausted) and accesses in ``tids`` order (lowest enabled tid when

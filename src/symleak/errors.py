@@ -34,10 +34,6 @@ class BruteForceCapError(SymleakError):
     """Exhaustive enumeration would exceed the configured cap."""
 
 
-class ConstraintWindowError(SymleakError):
-    """A symbolic trace is too long for the set-associative encoding window."""
-
-
 class EnumerativeCapError(SymleakError):
     """A query's free variables span too many bits to enumerate."""
 

@@ -18,7 +18,6 @@ which branch arms they took.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .cache import (AccessRecord, CacheConfig, ReduceOptions, Trace,
@@ -36,11 +35,8 @@ class ExploreOptions:
     mode: str = "precise"  # "precise" | "two_step"
     reductions: ReduceOptions = ReduceOptions()
     max_interleavings: int | None = None
-    wall_clock_ms: int | None = None
     check_sequential: bool = True
     early_termination: bool = True
-    assoc_window: int = 64
-    two_step_fallback: bool = True
     solver_timeout_ms: int | None = None
 
 
@@ -123,12 +119,8 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
     seen_keys: set[tuple] = set()
     classes_seen: set[tuple] = set()
     calls_before = backend.calls
-    deadline = (None if opts.wall_clock_ms is None
-                else time.monotonic() + opts.wall_clock_ms / 1000)
 
     def out_of_budget() -> bool:
-        if deadline is not None and time.monotonic() > deadline:
-            return True
         return (opts.max_interleavings is not None
                 and len(classes_seen) >= opts.max_interleavings)
 
@@ -212,14 +204,13 @@ def _has_dependent_pair(st: SymbolicState, evs, cfg: CacheConfig,
 def _tau(tr: Trace, i: int, cfg: CacheConfig, opts: ExploreOptions):
     if cfg.assoc == 1:
         return hit_constraint(tr, i, cfg, opts.reductions)
-    return hit_constraint_assoc(tr, i, cfg, opts.assoc_window, opts.reductions)
+    return hit_constraint_assoc(tr, i, cfg, opts.reductions)
 
 
 def _solve(backend: SolverBackend, tau, pcon, classes: VarClasses,
            opts: ExploreOptions):
     if opts.mode == "two_step":
-        return solve_two_step(backend, tau, pcon, classes,
-                              opts.solver_timeout_ms, opts.two_step_fallback)
+        return solve_two_step(backend, tau, pcon, classes, opts.solver_timeout_ms)
     return solve_precise(backend, tau, pcon, classes, opts.solver_timeout_ms)
 
 

@@ -177,19 +177,35 @@ def _gamma_count(p):
     return sum(walk(t.body) for t in p.threads)
 
 
-def _random_probe_sweep(total):
+def _random_probe_sweep(total, same_set):
+    """Compare every encoding with the simulator on random traces.
+
+    The first ``total`` cases spread addresses over the probe window,
+    where a block seldom comes back after an eviction.  The next
+    ``same_set`` cases draw every address from assoc+2 blocks of one
+    set, directly or through the key, so evictions and misses on
+    reused blocks are common.
+    """
     rng = random.Random(0x5EED)
     geoms = [CacheConfig(512, 1, 1), CacheConfig(64, 4, 2),
              CacheConfig(2048, 1, 4), CacheConfig(256, 16, 1),
              CacheConfig(64, 4, 4)]
     k8 = ex.zext(ex.var("k", 8), 32)
-    for _ in range(total):
+    k_set = ex.and_(k8, ex.const(3, 32))
+    for case in range(total + same_set):
         cfg = rng.choice(geoms)
         window = probe_window(cfg)
+        stride = cfg.num_sets * cfg.line_size
         n = rng.randrange(2, 9)
         addrs = []
         for _i in range(n):
-            if rng.random() < 0.5:
+            if case >= total:
+                base = ex.const(rng.randrange(cfg.assoc + 2) * stride, 32)
+                if rng.random() < 0.5:
+                    addrs.append(base)
+                else:
+                    addrs.append(ex.add(base, ex.mulc(k_set, stride)))
+            elif rng.random() < 0.5:
                 addrs.append(ex.const(rng.randrange(window), 32))
             else:
                 base = rng.randrange(window // 2)
@@ -229,7 +245,7 @@ def test_exhaustive_oracle_agrees_with_explorer():
             assert brute_sites == sites, (name, geom)
             checked += 1
         assert checked >= 9  # only the 16-bit and 34-bit keys are exempt
-        _random_probe_sweep(10000)
+        _random_probe_sweep(10000, 2000)
 
 
 def test_four_way_cache_agrees_with_concrete_oracle():

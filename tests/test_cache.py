@@ -14,7 +14,6 @@ from symleak import expr as ex
 from symleak.cache import (AccessRecord, Site, blocks_disjoint, blocks_may_alias,
                            hit_constraint, hit_constraint_assoc, line,
                            may_same_line, probe_window, tag)
-from symleak.errors import ConstraintWindowError
 from symleak.oracle import empty_cache, simulate_access
 from symleak.solver import EnumerativeBackend
 
@@ -124,17 +123,6 @@ def test_associative_reuse_distance():
     assert hit_constraint_assoc(_trace(0, 4, 4, 4, 0), 4, cfg) is ex.TRUE
 
 
-def test_associative_window_guard():
-    cfg = CacheConfig(cache_size=8, line_size=1, assoc=2)
-    k = ex.zext(ex.var("k", 8), 32)
-    tr = tuple(_rec(i, k if i == 0 else i) for i in range(6))
-    with pytest.raises(ConstraintWindowError):
-        hit_constraint_assoc(tr, 5, cfg, window=4)
-    # Fully concrete traces are exempt from the window.
-    conc = _trace(*range(6))
-    assert hit_constraint_assoc(conc, 5, cfg, window=4) is ex.FALSE
-
-
 def test_interval_reasoning_helpers():
     cfg = CacheConfig(cache_size=512, line_size=64, assoc=1)
     k = ex.zext(ex.var("k", 8), 32)
@@ -162,7 +150,10 @@ def test_tables_reduction_drops_unreachable_predecessors():
 def test_direct_mapped_encoding_is_linear_in_the_trace():
     # Symbolic table lookups interleaved with a constant access: every
     # predecessor may share the final access's set, so none is skipped
-    # and the constraint holds one if-then-else link per access.
+    # and the constraint holds one if-then-else link per access.  On a
+    # 4-way LRU cache every access is also an intermediate whose
+    # last-occurrence indicator compares it with each later one, so
+    # that constraint stays quadratic.
     cfg = CacheConfig(512, 1, 1)
     k = ex.zext(ex.var("k", 8), 32)
     addrs = []
@@ -173,6 +164,8 @@ def test_direct_mapped_encoding_is_linear_in_the_trace():
     tr = _trace(*addrs)
     assert len(tr) == 129
     assert _dag_size(hit_constraint(tr, 128, cfg)) <= 8 * len(tr)
+    lru4 = CacheConfig(512, 1, 4)
+    assert _dag_size(hit_constraint_assoc(tr, 128, lru4)) <= len(tr) ** 2
 
 
 def test_may_same_line_paths():

@@ -84,6 +84,12 @@ def test_analyze_budget_exhaustion_exits_3(capsys):
     assert code == 3
     doc = json.loads(out)
     assert doc["leaks"] == [] and doc["complete"] is False
+    # Truncation outranks found leaks: they are reported, but exit 3.
+    code, out, _ = run_cli(capsys, "analyze", CONC, *FIG3,
+                           "--max-interleavings", "2")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["leaks"] and doc["complete"] is False
 
 
 def test_analyze_two_step_mode_field(capsys):
