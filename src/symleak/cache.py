@@ -19,7 +19,7 @@ folders, so the unreduced encodings stay faithful to their definitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import expr as ex
 from .expr import Expr

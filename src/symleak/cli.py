@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cache import CacheConfig, ReduceOptions, probe_window
 from .detector import LeakReport

@@ -44,7 +44,8 @@ class ExploreOptions:
 class ExploreStats:
     interleavings_explored: int = 0
     leak_checks: int = 0
-    solver_calls: int = 0
+    solver_calls: int = 0  # queries issued, memo hits included
+    solver_memo_hits: int = 0
     states_forked: int = 0
     indeterminate: int = 0
     complete: bool = True
@@ -118,7 +119,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
     reports: list[LeakReport] = []
     seen_keys: set[tuple] = set()
     classes_seen: set[tuple] = set()
-    calls_before = backend.calls
+    calls_before, hits_before = backend.calls, backend.memo_hits
 
     def out_of_budget() -> bool:
         return (opts.max_interleavings is not None
@@ -180,6 +181,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
         stats.complete = False
     stats.interleavings_explored = len(classes_seen)
     stats.solver_calls = backend.calls - calls_before
+    stats.solver_memo_hits = backend.memo_hits - hits_before
     return reports, stats
 
 

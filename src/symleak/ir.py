@@ -10,7 +10,7 @@ which the round-trip tests rely on.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Sensitivity(enum.Enum):

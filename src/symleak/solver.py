@@ -16,6 +16,18 @@ width-1 expressions:
 
 Both report "sat", "unsat" or "unknown"; timeouts surface as "unknown",
 never as an exception, because callers treat unknown conservatively.
+
+Every backend memoizes its answers for its own lifetime.
+``SolverBackend.check`` counts the query, folds constant formulas, looks
+the formula up in a per-instance dict and only then calls the backend's
+``_solve``.  ``Expr`` nodes are hash-consed, so the formula object is
+its structure and a hit returns exactly what solving again would.  Only
+"sat" and "unsat" are stored: "unknown" depends on the deadline, so an
+undecided query is asked again next time.  The enumerative divergence
+query is memoized the same way on its arguments; the generic one needs
+no memo of its own, since it rebuilds the same interned formula and
+``check`` answers it.  Memoized results are shared between callers and
+must be treated as read-only.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ import shlex
 import subprocess
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,16 +60,45 @@ class DivergenceResult:
 
 
 class SolverBackend(ABC):
-    """Satisfiability oracle for width-1 bitvector expressions."""
+    """Satisfiability oracle for width-1 bitvector expressions.
+
+    ``calls`` counts queries issued, including those the memo answered;
+    ``memo_hits`` counts the latter.  Subclasses implement ``_solve``.
+    """
 
     name: str = "backend"
 
     def __init__(self) -> None:
         self.calls = 0
+        self.memo_hits = 0
+        self._memo: dict = {}
+
+    def check(self, formula: Expr, timeout_ms: int | None = None) -> SolveResult:
+        """Decide satisfiability; a sat result carries a witness model.
+
+        The result may be shared with earlier and later callers asking
+        the same formula, so it is read-only.
+        """
+        self.calls += 1
+        if formula.is_const:
+            return SolveResult("sat", {}) if formula.value else SolveResult("unsat")
+        return self._memoized(formula, lambda: self._solve(formula, timeout_ms))
 
     @abstractmethod
-    def check(self, formula: Expr, timeout_ms: int | None = None) -> SolveResult:
-        """Decide satisfiability; a sat result carries a witness model."""
+    def _solve(self, formula: Expr, timeout_ms: int | None) -> SolveResult:
+        """Decide a non-constant formula; called once per decided formula."""
+
+    def _memoized(self, key, solve):
+        """The stored answer for ``key``, else ``solve()``, stored unless
+        it is "unknown"."""
+        res = self._memo.get(key)
+        if res is not None:
+            self.memo_hits += 1
+            return res
+        res = solve()
+        if res.status != "unknown":
+            self._memo[key] = res
+        return res
 
     def check_divergence(self, tau: Expr, pcon: Expr, duplicated: list[str],
                          distinct: list[str],
@@ -67,7 +108,8 @@ class SolverBackend(ABC):
         and drive ``tau`` to opposite values.
 
         The generic implementation instantiates the constraint twice over
-        renamed variable families and solves the combined formula.
+        renamed variable families and solves the combined formula.  The
+        result is read-only, as ``check``'s is.
         """
         widths = ex.var_widths(tau) | ex.var_widths(pcon)
         fam_a = {n: ex.var(f"{n}__1", widths[n]) for n in duplicated}
@@ -204,10 +246,7 @@ class EnumerativeBackend(SolverBackend):
             stride *= len(d)
         return env
 
-    def check(self, formula: Expr, timeout_ms: int | None = None) -> SolveResult:
-        self.calls += 1
-        if formula.is_const:
-            return SolveResult("sat" if formula.value else "unsat", {} if formula.value else None)
+    def _solve(self, formula: Expr, timeout_ms: int | None) -> SolveResult:
         deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000
         names, doms, total = self._plan(ex.var_widths(formula))
         for lo in range(0, total, self.chunk):
@@ -233,11 +272,18 @@ class EnumerativeBackend(SolverBackend):
         ``duplicated`` are enumerated in an outer loop so the two
         returned models agree on them.  Equivalent to the two-family
         formula of the generic implementation, but enumerates the
-        variable space once instead of squaring it.
+        variable space once instead of squaring it.  Answers are
+        memoized on the arguments, as ``check``'s are, and read-only.
         """
         self.calls += 1
         if not distinct:
             return DivergenceResult("unsat")
+        return self._memoized(
+            (tau, pcon, tuple(duplicated), tuple(distinct)),
+            lambda: self._divergence(tau, pcon, duplicated, distinct, timeout_ms))
+
+    def _divergence(self, tau: Expr, pcon: Expr, duplicated: list[str],
+                    distinct: list[str], timeout_ms: int | None) -> DivergenceResult:
         widths = ex.var_widths(tau) | ex.var_widths(pcon)
         missing = [n for n in duplicated if n not in widths]
         deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000
@@ -444,10 +490,7 @@ class SmtProcessBackend(SolverBackend):
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
         self.timeout_ms = timeout_ms
 
-    def check(self, formula: Expr, timeout_ms: int | None = None) -> SolveResult:
-        self.calls += 1
-        if formula.is_const:
-            return SolveResult("sat" if formula.value else "unsat", {} if formula.value else None)
+    def _solve(self, formula: Expr, timeout_ms: int | None) -> SolveResult:
         budget = (timeout_ms or self.timeout_ms) / 1000
         query = emit_query(formula)
         try:

@@ -12,9 +12,9 @@ import symleak.cli
 from symleak.cache import CacheConfig, ReduceOptions
 from symleak.cli import RunConfig, confirm_report, main
 from symleak.detector import LeakReport
-from symleak.explorer import ExploreOptions
+from symleak.explorer import ExploreOptions, explore
 
-from conftest import CORPUS_DIR, ROOT
+from conftest import CORPUS_DIR, ROOT, load_program, make_backend
 
 SEQ = str(CORPUS_DIR / "seq_leaky_reuse.ir")
 REPAIRED = str(CORPUS_DIR / "seq_repaired.ir")
@@ -108,6 +108,37 @@ def test_analyze_byte_determinism_modulo_wall_clock(capsys, tmp_path):
     for doc in docs:
         assert doc["stats"].pop("wall_ms") >= 0
     assert docs[0] == docs[1]
+
+
+def test_no_solver_answer_outlives_its_run(capsys, monkeypatch):
+    # Each run builds its own backend, so a second analyze in the same
+    # process answers from an empty memo, exactly as a fresh process.
+    runs = []
+
+    def recording_explore(p, cfg, opts, backend):
+        reports, stats = explore(p, cfg, opts, backend)
+        runs.append((backend, stats))
+        return reports, stats
+
+    monkeypatch.setattr(symleak.cli, "explore", recording_explore)
+    multi = str(CORPUS_DIR / "conc_multi_probe.ir")
+    assert run_cli(capsys, "analyze", multi, *FIG3)[0] == 1
+    code, out, _ = run_cli(capsys, "analyze", CONC, *FIG3)
+    alone = subprocess.run(
+        [sys.executable, "-c", "import sys; from symleak.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "analyze", CONC, *FIG3],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (code, alone.returncode) == (1, 1)
+    docs = [json.loads(out), json.loads(alone.stdout)]
+    for doc in docs:
+        doc["stats"].pop("wall_ms")
+    assert docs[0] == docs[1]
+    (first, _), (second, stats) = runs
+    assert second is not first and second.calls == stats.solver_calls
+    p, cfg = load_program("conc_tmp_fixed.ir"), CacheConfig(512, 1, 1)
+    _, fresh = explore(p, cfg, ExploreOptions(), make_backend(p, cfg))
+    assert stats.solver_memo_hits == fresh.solver_memo_hits == 5
 
 
 def test_analyze_synthesized_adversary(capsys):

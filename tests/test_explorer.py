@@ -78,7 +78,21 @@ def test_concurrent_program_schedule_classes(fig3_cfg):
     assert stats.interleavings_explored == 4
     assert stats.leak_checks == 3
     assert stats.solver_calls == 11
+    assert stats.solver_memo_hits == 5
     confirm_witness(p, fig3_cfg, r)
+
+
+def test_repeated_queries_are_answered_by_the_memo(fig3_cfg):
+    # Every schedule asks the same may-share-a-set and divergence
+    # questions; the backend decides each distinct one once.
+    p = load_program("conc_multi_probe.ir")
+    be = make_backend(p, fig3_cfg)
+    _, stats = explore(p, fig3_cfg, ALL_REDUCTIONS, be)
+    assert (stats.solver_memo_hits, stats.solver_calls) == (38, 47)
+    assert (be.memo_hits, be.calls) == (38, 47)
+    # Counters are per run, taken as differences on the backend.
+    _, again = explore(p, fig3_cfg, ALL_REDUCTIONS, be)
+    assert (again.solver_memo_hits, again.solver_calls) == (47, 47)
 
 
 def test_two_step_mode_agrees_here(fig3_cfg):

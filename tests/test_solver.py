@@ -13,8 +13,8 @@ import pytest
 
 from symleak import expr as ex
 from symleak.errors import EnumerativeCapError, SolverProcessError
-from symleak.solver import (EnumerativeBackend, SmtProcessBackend, emit_query,
-                            parse_model)
+from symleak.solver import (EnumerativeBackend, SmtProcessBackend, SolveResult,
+                            emit_query, parse_model)
 
 STUB = [sys.executable, str(Path(__file__).resolve().parent / "smtstub.py")]
 
@@ -60,6 +60,60 @@ def test_enumerative_chunked_scan_finds_late_witness():
     be = EnumerativeBackend(chunk=1 << 10)
     res = be.check(f)
     assert res.status == "sat" and res.model == {"k": 0xFFFFF}
+
+
+def _k_formula():
+    k = ex.var("k", 8)
+    return ex.and_(ex.ult(ex.const(100, 8), k), ex.ne(k, ex.const(101, 8)))
+
+
+def test_memo_answers_a_repeated_formula():
+    be = EnumerativeBackend()
+    first = be.check(_k_formula())
+    second = be.check(_k_formula())  # built again, interned to one node
+    assert (second.status, second.model) == (first.status, first.model)
+    assert (be.calls, be.memo_hits) == (2, 1)
+    other = be.check(ex.ult(ex.var("k", 8), ex.const(3, 8)))
+    assert other.status == "sat" and (be.calls, be.memo_hits) == (3, 1)
+    # Constant formulas never reach the memo.
+    assert be.check(ex.TRUE).status == "sat"
+    assert (be.calls, be.memo_hits) == (4, 1)
+    fresh = EnumerativeBackend()  # one memo per instance
+    fresh.check(_k_formula())
+    assert (fresh.calls, fresh.memo_hits) == (1, 0)
+
+
+def test_memo_never_stores_unknown():
+    class LateAnswer(EnumerativeBackend):
+        def __init__(self):
+            super().__init__()
+            self.answers = [SolveResult("unknown"), SolveResult("sat", {"k": 102})]
+
+        def _solve(self, formula, timeout_ms):
+            return self.answers.pop(0)
+
+    be = LateAnswer()
+    assert be.check(_k_formula()).status == "unknown"
+    assert be.check(_k_formula()).status == "sat"
+    assert (be.calls, be.memo_hits) == (2, 0)
+    assert be.check(_k_formula()).model == {"k": 102}
+    assert (be.calls, be.memo_hits) == (3, 1)
+
+
+def test_divergence_memo_keys_on_every_argument():
+    x = ex.var("x", 2)
+    k = ex.var("k", 2)
+    tau = ex.eq(x, ex.const(0, 2))
+    pcon = ex.ule(k, ex.const(2, 2))
+    be = EnumerativeBackend()
+    a = be.check_divergence(tau, pcon, ["x", "k"], ["k"])
+    again = be.check_divergence(tau, pcon, ["x", "k"], ["k"])
+    assert (again.status, again.model_a, again.model_b) == (
+        a.status, a.model_a, a.model_b)
+    assert (be.calls, be.memo_hits) == (2, 1)
+    b = be.check_divergence(tau, pcon, ["x", "k"], ["x", "k"])
+    assert (be.calls, be.memo_hits) == (3, 1)
+    assert b.status == "sat" and b.model_a["x"] != b.model_b["x"]
 
 
 def test_check_divergence_enumerative():
@@ -145,6 +199,16 @@ def test_process_backend_roundtrip():
     assert be.check(ex.and_(f, ex.eq(k, ex.const(5, 8)))).status == "unsat"
 
 
+def test_process_backend_memo_skips_the_second_process():
+    k = ex.var("k", 8)
+    f = ex.and_(ex.ult(ex.const(100, 8), k), ex.ult(k, ex.const(103, 8)))
+    be = _stub()
+    first = be.check(f)
+    second = be.check(f)
+    assert (second.status, second.model) == (first.status, first.model)
+    assert (be.calls, be.memo_hits) == (2, 1)
+
+
 def test_process_backend_handles_every_operator():
     k = ex.var("k", 8)
     j = ex.var("j", 8)
@@ -201,10 +265,15 @@ def test_generic_divergence_through_process_backend():
     k = ex.var("k", 4)
     base = ex.var("base", 4)
     tau = ex.ult(ex.add(k, base), ex.const(8, 4))
-    res = _stub().check_divergence(tau, ex.TRUE, ["k"], ["k"])
+    be = _stub()
+    res = be.check_divergence(tau, ex.TRUE, ["k"], ["k"])
     assert res.status == "sat"
     assert res.model_a["base"] == res.model_b["base"]
     assert ex.evaluate(tau, res.model_a) != ex.evaluate(tau, res.model_b)
+    # The repeat rebuilds the same interned formula; check's memo answers.
+    again = be.check_divergence(tau, ex.TRUE, ["k"], ["k"])
+    assert (again.model_a, again.model_b) == (res.model_a, res.model_b)
+    assert (be.calls, be.memo_hits) == (2, 1)
 
 
 def test_process_backend_failure_modes():
