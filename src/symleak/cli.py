@@ -10,7 +10,7 @@ incomplete (a bound or an undecided solver query), 4 internal error (an
 unexpected exception, traceback on stderr).  An incomplete search exits
 3 even when it found leaks: the report lists them, but the exit code
 must not pass a truncated run off as a complete one.  A leak that fails
-replay confirmation is an internal inconsistency and exits 2.
+replay confirmation is an internal inconsistency and exits 4.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def run(rc: RunConfig) -> int:
         if not confirm_report(p, rc.cache, r):
             print(f"error: witness at {r.site} failed replay confirmation",
                   file=sys.stderr)
-            return 2
+            return 4
     wall_ms = int((time.monotonic() - t0) * 1000)
     complete = stats.complete and stats.indeterminate == 0
     text = write_report(rc, reports, stats, wall_ms, complete)

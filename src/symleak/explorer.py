@@ -1,19 +1,34 @@
 """Depth-first search over paths and thread interleavings.
 
-Branches fork unconditionally (both feasible arms are paths).  Thread
-schedules fork only at states where two enabled accesses could interfere
-in the cache; everywhere else the lowest-numbered thread runs and the
-other orders, being observably equal, are never generated.  Before an
-access from the critical thread runs, if some earlier access from
-another thread may share its cache set, the access is checked for
+Branches fork unconditionally (both feasible arms are paths).  Every
+state with more than one enabled access forks over the enabled threads,
+and sleep sets (Godefroid 1996) prune the orders that only swap
+independent accesses.  Two accesses are dependent when they come from
+one thread, touch the same declaration (memory values), or may share a
+cache set under the current path constraint (cache state); swapping two
+independent ones changes neither memory nor any set's contents, so
+every hit/miss verdict is the same.  A state's sleep set holds accesses
+whose orders a sibling subtree already covered: each child keeps the
+earlier siblings and inherited sleepers that are independent of the
+access it takes, an access that becomes dependent wakes up, and a state
+whose enabled accesses all sleep is abandoned.  A branch changes no
+thread's next access, so both arms inherit the sleep set unchanged.
+Early termination aside, the search therefore runs at least one order
+of every Mazurkiewicz trace (class of orders equal up to swapping
+independent accesses).
+
+Before an access from the critical thread runs, if some earlier access
+from another thread may share its cache set, the access is checked for
 secret-dependent divergence; a confirmed divergence becomes a report
 and, when sibling schedules exist to re-cover the remaining accesses,
-the rest of that interleaving is skipped.
+the rest of that interleaving is skipped and counts as explored.
 
 Interleavings are identified by the sequence of thread choices taken at
-schedule-fork states.  Two executions with the same choice sequence are
-one interleaving for counting and deduplication purposes, no matter
-which branch arms they took.
+states with more than one enabled access.  Two executions with the same
+choice sequence are one interleaving for counting and deduplication
+purposes, no matter which branch arms they took.  The open states live
+on an explicit stack, so trace length is not bounded by Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -24,8 +39,9 @@ from .cache import (AccessRecord, CacheConfig, ReduceOptions, Trace,
                     hit_constraint, hit_constraint_assoc, may_same_line)
 from .detector import (LeakReport, VarClasses, classify, solve_precise,
                        solve_two_step, verdicts)
-from .engine import (AccessEvent, SymbolicState, branch_events, enabled_events,
-                     initial_state, perform_access, take_branch)
+from .engine import (AccessEvent, BranchEvent, SymbolicState, branch_events,
+                     enabled_events, initial_state, perform_access,
+                     take_branch)
 from .ir import Program, SymbolicBase
 from .solver import SolverBackend
 
@@ -53,6 +69,22 @@ class ExploreStats:
 
 class _Bounded(Exception):
     pass
+
+
+@dataclass
+class _Frame:
+    """One open state of the depth-first search.  ``alts`` holds what is
+    left to try there: both arms of ``branch``, or the awake enabled
+    accesses.  ``sleep`` holds the inherited sleepers plus the accesses
+    already taken from this state, whose orders are covered."""
+
+    st: SymbolicState
+    choices: tuple[int, ...]
+    sleep: list[AccessEvent]
+    alts: list
+    branch: BranchEvent | None = None
+    fork: bool = False
+    tried: int = 0
 
 
 def adversarial_access(p: Program, st: SymbolicState, ev: AccessEvent,
@@ -125,58 +157,82 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
         return (opts.max_interleavings is not None
                 and len(classes_seen) >= opts.max_interleavings)
 
-    def dfs(st: SymbolicState, choices: tuple[int, ...]) -> None:
+    def open_frame(st: SymbolicState, choices: tuple[int, ...],
+                   sleep: list[AccessEvent]) -> _Frame | None:
         bes = branch_events(st)
         if bes:
-            ev = bes[0]
-            first = True
-            for arm in (True, False):
-                nxt = take_branch(st, ev, arm)
+            return _Frame(st, choices, sleep, [True, False], bes[0])
+        evs = enabled_events(st)
+        if not evs:
+            classes_seen.add(choices)
+            return None
+        asleep = {u.tid for u in sleep}
+        awake = [ev for ev in evs if ev.tid not in asleep]
+        if not awake:
+            return None  # a sibling subtree covered every order from here
+        stats.states_forked += len(awake) - 1
+        return _Frame(st, choices, list(sleep), awake, fork=len(evs) > 1)
+
+    stack: list[_Frame] = []
+    root = open_frame(initial_state(p, cfg), (), [])
+    if root is not None:
+        stack.append(root)
+    try:
+        while stack:
+            f = stack[-1]
+            if not f.alts:
+                stack.pop()
+                continue
+            alt = f.alts.pop(0)
+            if f.branch is not None:
+                # A branch changes no thread's next access, so both arms
+                # inherit the sleep set as it is.
+                nxt = take_branch(f.st, f.branch, alt)
                 if nxt.pcon.is_const and not nxt.pcon.value:
                     continue
                 if backend.check(nxt.pcon,
                                  timeout_ms=opts.solver_timeout_ms).status == "unsat":
                     continue
-                if not first:
+                if f.tried:
                     stats.states_forked += 1
                     if out_of_budget():
                         raise _Bounded
-                first = False
-                dfs(nxt, choices)
-            return
-        evs = enabled_events(st)
-        if not evs:
-            classes_seen.add(choices)
-            return
-        fork = len(evs) > 1 and _has_dependent_pair(st, evs, cfg, backend, opts)
-        to_run = evs if fork else evs[:1]
-        stats.states_forked += len(to_run) - 1
-        for pos, ev in enumerate(to_run):
-            if pos and out_of_budget():
-                raise _Bounded
-            child = choices + (ev.tid,) if fork else choices
-            if adversarial_access(p, st, ev, cfg, backend,
-                                  opts.check_sequential, opts.solver_timeout_ms):
-                stats.leak_checks += 1
-                report = divergent_cache_behavior(p, st, ev, cfg, opts,
-                                                  backend, stats)
-                if report is not None:
-                    key = (report.site, child)
-                    if key not in seen_keys:
-                        seen_keys.add(key)
-                        reports.append(report)
-                    # Pruning is sound only when a schedule-fork point
-                    # exists: sibling orders then re-execute the skipped
-                    # accesses.  A never-forked path is the sole
-                    # interleaving of its branch arm, so it must run on
-                    # or later leaky sites would go unseen.
-                    if opts.early_termination and (fork or choices):
-                        classes_seen.add(child)
-                        continue
-            dfs(perform_access(st, ev), child)
-
-    try:
-        dfs(initial_state(p, cfg), ())
+                f.tried += 1
+                child = open_frame(nxt, f.choices, f.sleep)
+            else:
+                ev = alt
+                if f.tried and out_of_budget():
+                    raise _Bounded
+                f.tried += 1
+                choices = f.choices + (ev.tid,) if f.fork else f.choices
+                earlier = f.sleep[:]
+                f.sleep.append(ev)  # also when a leak cuts its subtree off
+                if adversarial_access(p, f.st, ev, cfg, backend,
+                                      opts.check_sequential,
+                                      opts.solver_timeout_ms):
+                    stats.leak_checks += 1
+                    report = divergent_cache_behavior(p, f.st, ev, cfg, opts,
+                                                      backend, stats)
+                    if report is not None:
+                        key = (report.site, choices)
+                        if key not in seen_keys:
+                            seen_keys.add(key)
+                            reports.append(report)
+                        # Pruning needs a schedule-fork point, so that
+                        # sibling orders re-execute the skipped accesses.
+                        # A never-forked path is the sole interleaving of
+                        # its branch arm, so it must run on or later leaky
+                        # sites would go unseen.  Even so, a later site
+                        # that leaks only in this order is lost.
+                        if opts.early_termination and (f.fork or f.choices):
+                            classes_seen.add(choices)
+                            continue
+                sleep = [u for u in earlier
+                         if not _has_dependent_pair(f.st, u, ev, cfg, backend,
+                                                    opts)]
+                child = open_frame(perform_access(f.st, ev), choices, sleep)
+            if child is not None:
+                stack.append(child)
     except _Bounded:
         stats.complete = False
     stats.interleavings_explored = len(classes_seen)
@@ -190,17 +246,17 @@ def _record(st: SymbolicState, ev: AccessEvent) -> AccessRecord:
                         ev.site, ev.decl.name, ev.value)
 
 
-def _has_dependent_pair(st: SymbolicState, evs, cfg: CacheConfig,
-                        backend: SolverBackend, opts: ExploreOptions) -> bool:
-    recs = [_record(st, ev) for ev in evs]
-    for a in range(len(recs)):
-        for b in range(a + 1, len(recs)):
-            if recs[a].decl == recs[b].decl:
-                return True
-            if may_same_line(recs[a], recs[b], cfg, backend,
-                             opts.solver_timeout_ms):
-                return True
-    return False
+def _has_dependent_pair(st: SymbolicState, a: AccessEvent, b: AccessEvent,
+                        cfg: CacheConfig, backend: SolverBackend,
+                        opts: ExploreOptions) -> bool:
+    """May the order of two enabled accesses of different threads matter
+    in ``st``?  They are dependent when they touch the same declaration
+    (memory values) or may share a cache set under the current path
+    (cache state)."""
+    if a.decl.name == b.decl.name:
+        return True
+    return may_same_line(_record(st, a), _record(st, b), cfg, backend,
+                         opts.solver_timeout_ms)
 
 
 def _tau(tr: Trace, i: int, cfg: CacheConfig, opts: ExploreOptions):

@@ -74,6 +74,27 @@ def test_analyze_internal_error_exits_4(capsys, monkeypatch):
     assert "RecursionError" in err
 
 
+def test_unconfirmed_witness_exits_4(capsys, monkeypatch):
+    # A witness that replay does not reproduce means the analysis
+    # contradicts itself; the input was fine.
+    monkeypatch.setattr(symleak.cli, "confirm_report", lambda *args: False)
+    code, out, err = run_cli(capsys, "analyze", SEQ, *FIG3)
+    assert code == 4 and out == ""
+    assert err == "error: witness at t1:L11:store:p failed replay confirmation\n"
+
+
+def test_thousand_access_loop_exits_0(capsys, tmp_path):
+    # The search keeps its frames on a heap stack, so trace length is not
+    # bounded by the interpreter's recursion limit.
+    src = tmp_path / "loop.ir"
+    src.write_text("scalar acc elem 1 at 0\ninput k width 8 secret\n"
+                   "thread 1 { for i in 0..1000 { load reg1, acc } }\n")
+    code, out, err = run_cli(capsys, "analyze", str(src))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["complete"] is True and doc["stats"]["leak_checks"] == 1000
+
+
 def test_library_and_cli_share_one_reductions_default():
     assert ExploreOptions().reductions == RunConfig("p").reductions == ReduceOptions()
 

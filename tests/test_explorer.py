@@ -12,7 +12,7 @@ import pytest
 from symleak.cache import CacheConfig, ReduceOptions
 from symleak.explorer import ExploreOptions, explore
 from symleak.ir import SymbolicBase
-from symleak.oracle import replay_trace, schedule_from_lines
+from symleak.oracle import brute_force_leaks, replay_trace, schedule_from_lines
 from symleak.solver import DivergenceResult, EnumerativeBackend
 
 from conftest import load_program, make_backend
@@ -72,10 +72,11 @@ def test_concurrent_program_schedule_classes(fig3_cfg):
     assert lines_of(r) == [6, 9, 13, 11]
     assert (r.k1, r.verdict1) == ({"k": 0}, "hit")
     assert (r.k2, r.verdict2) == ({"k": 1}, "miss")
-    # Four schedule classes: the probe position matters only between the
-    # three dependent placements of the then arm, the else arm is one
-    # class because its accesses never alias the probe.
-    assert stats.interleavings_explored == 4
+    # Three choice sequences: in the then arm the probe runs before the
+    # load of p, between the load and the store, or after the store.  In
+    # the else arm no access aliases the probe, so every order is one
+    # trace, and its choice sequence is the then arm's last one.
+    assert stats.interleavings_explored == 3
     assert stats.leak_checks == 3
     assert stats.solver_calls == 11
     assert stats.solver_memo_hits == 5
@@ -88,11 +89,29 @@ def test_repeated_queries_are_answered_by_the_memo(fig3_cfg):
     p = load_program("conc_multi_probe.ir")
     be = make_backend(p, fig3_cfg)
     _, stats = explore(p, fig3_cfg, ALL_REDUCTIONS, be)
-    assert (stats.solver_memo_hits, stats.solver_calls) == (38, 47)
-    assert (be.memo_hits, be.calls) == (38, 47)
+    assert (stats.solver_memo_hits, stats.solver_calls) == (47, 56)
+    assert (be.memo_hits, be.calls) == (47, 56)
     # Counters are per run, taken as differences on the backend.
     _, again = explore(p, fig3_cfg, ALL_REDUCTIONS, be)
-    assert (again.solver_memo_hits, again.solver_calls) == (47, 47)
+    assert (again.solver_memo_hits, again.solver_calls) == (56, 56)
+
+
+@pytest.mark.parametrize("cfg,site", [
+    (CacheConfig(512, 1, 1), "t1:L12:store:p"),
+    (CacheConfig(65536, 64, 4), "t1:L7:load:q"),
+], ids=["paper-fig3", "default-assoc4"])
+def test_unrelated_probe_does_not_hide_a_later_conflict(cfg, site):
+    # Thread 2 loads ``far``, which shares no set with thread 1, before
+    # ``tmp``.  Forking only where two enabled accesses conflict ran all
+    # of thread 1 first and never put ``tmp`` between its accesses.
+    p = load_program("conc_far_probe.ir")
+    brute = {s for s, _ in brute_force_leaks(p, cfg)}
+    assert brute == {site}
+    reports, stats = explore(p, cfg, ALL_REDUCTIONS, make_backend(p, cfg))
+    assert {r.site for r in reports} == brute
+    assert stats.complete
+    for r in reports:
+        confirm_witness(p, cfg, r)
 
 
 def test_two_step_mode_agrees_here(fig3_cfg):
