@@ -13,15 +13,18 @@ earlier siblings and inherited sleepers that are independent of the
 access it takes, an access that becomes dependent wakes up, and a state
 whose enabled accesses all sleep is abandoned.  A branch changes no
 thread's next access, so both arms inherit the sleep set unchanged.
-Early termination aside, the search therefore runs at least one order
-of every Mazurkiewicz trace (class of orders equal up to swapping
+Without early termination the search therefore runs at least one
+order of every Mazurkiewicz trace (class of orders equal up to swapping
 independent accesses).
 
 Before an access from the critical thread runs, if some earlier access
 from another thread may share its cache set, the access is checked for
-secret-dependent divergence; a confirmed divergence becomes a report
-and, when sibling schedules exist to re-cover the remaining accesses,
-the rest of that interleaving is skipped and counts as explored.
+secret-dependent divergence; a confirmed divergence becomes a report.
+With early termination, when some state on the path has two dependent
+enabled accesses (so another class of orders exists), the rest of that
+interleaving is skipped and counts as explored.  A later site that
+leaks only in the skipped class is then not reported, so only the
+search without early termination covers every class.
 
 Interleavings are identified by the sequence of thread choices taken at
 states with more than one enabled access.  Two executions with the same
@@ -33,7 +36,7 @@ recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cache import (AccessRecord, CacheConfig, ReduceOptions, Trace,
                     hit_constraint, hit_constraint_assoc, may_same_line)
@@ -76,14 +79,17 @@ class _Frame:
     """One open state of the depth-first search.  ``alts`` holds what is
     left to try there: both arms of ``branch``, or the awake enabled
     accesses.  ``sleep`` holds the inherited sleepers plus the accesses
-    already taken from this state, whose orders are covered."""
+    already taken from this state, whose orders are covered.  ``evs``
+    holds every enabled access (asleep ones too) and ``deps`` the
+    dependence of the pairs of them asked about so far, by thread ids."""
 
     st: SymbolicState
     choices: tuple[int, ...]
     sleep: list[AccessEvent]
     alts: list
     branch: BranchEvent | None = None
-    fork: bool = False
+    evs: tuple[AccessEvent, ...] = ()
+    deps: dict[tuple[int, int], bool] = field(default_factory=dict)
     tried: int = 0
 
 
@@ -171,7 +177,17 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
         if not awake:
             return None  # a sibling subtree covered every order from here
         stats.states_forked += len(awake) - 1
-        return _Frame(st, choices, list(sleep), awake, fork=len(evs) > 1)
+        return _Frame(st, choices, list(sleep), awake, evs=tuple(evs))
+
+    def dependent(f: _Frame, a: AccessEvent, b: AccessEvent) -> bool:
+        key = (min(a.tid, b.tid), max(a.tid, b.tid))
+        if key not in f.deps:
+            f.deps[key] = _has_dependent_pair(f.st, a, b, cfg, backend, opts)
+        return f.deps[key]
+
+    def dependent_fork(f: _Frame) -> bool:
+        return any(dependent(f, a, b)
+                   for i, a in enumerate(f.evs) for b in f.evs[i + 1:])
 
     stack: list[_Frame] = []
     root = open_frame(initial_state(p, cfg), (), [])
@@ -204,9 +220,13 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                 if f.tried and out_of_budget():
                     raise _Bounded
                 f.tried += 1
-                choices = f.choices + (ev.tid,) if f.fork else f.choices
+                choices = f.choices + (ev.tid,) if len(f.evs) > 1 else f.choices
                 earlier = f.sleep[:]
-                f.sleep.append(ev)  # also when a leak cuts its subtree off
+                # Also when a leak cuts its subtree off: in every sibling
+                # where it stays asleep it would run after an independent
+                # access, leak on the same hit constraint and be cut again,
+                # as that sibling's path passes this state too.
+                f.sleep.append(ev)
                 if adversarial_access(p, f.st, ev, cfg, backend,
                                       opts.check_sequential,
                                       opts.solver_timeout_ms):
@@ -218,18 +238,19 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                         if key not in seen_keys:
                             seen_keys.add(key)
                             reports.append(report)
-                        # Pruning needs a schedule-fork point, so that
-                        # sibling orders re-execute the skipped accesses.
-                        # A never-forked path is the sole interleaving of
-                        # its branch arm, so it must run on or later leaky
-                        # sites would go unseen.  Even so, a later site
-                        # that leaks only in this order is lost.
-                        if opts.early_termination and (f.fork or f.choices):
+                        # Cut only below a state (this one or an
+                        # ancestor, all on the stack) where two enabled
+                        # accesses are dependent, so that another class of
+                        # orders exists.  A path that forked only over
+                        # independent accesses is the sole class of its
+                        # branch arm and must run on, or later leaky sites
+                        # would go unseen.  Even so, a later site that
+                        # leaks only in this class is lost.
+                        if (opts.early_termination
+                                and any(dependent_fork(g) for g in stack)):
                             classes_seen.add(choices)
                             continue
-                sleep = [u for u in earlier
-                         if not _has_dependent_pair(f.st, u, ev, cfg, backend,
-                                                    opts)]
+                sleep = [u for u in earlier if not dependent(f, u, ev)]
                 child = open_frame(perform_access(f.st, ev), choices, sleep)
             if child is not None:
                 stack.append(child)

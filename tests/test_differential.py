@@ -26,26 +26,37 @@ _cell = st.one_of(_index.map(lambda i: f"t[{i}]"),
                   st.sampled_from(["a[0]", "b[0]"]))
 _access = st.tuples(st.booleans(), _cell).map(
     lambda lc: f"load r1, {lc[1]}" if lc[0] else f"store {lc[1]}, 1")
-# (base of t, offset of a, offset of b, thread bodies); thread 1 is critical.
+# (base of t, offset of a, offset of b, thread bodies, critical tid); a
+# critical tid past the last thread names the last one.
 programs = st.tuples(st.sampled_from([0, 4, 8, 16]), st.integers(0, 40),
                      st.integers(0, 40),
                      st.lists(st.lists(_access, min_size=1, max_size=3),
-                              min_size=1, max_size=3))
+                              min_size=1, max_size=3),
+                     st.integers(1, 3))
 
 # A probe of an unrelated set ahead of the conflicting one: ``b`` shares
 # no set with ``t`` or ``a`` on the direct-mapped cache, ``a`` shares one
 # with ``t[1]``.  The store leaks only when ``a`` runs between the load
 # and the store of ``t[k]``.
 FAR = (0, 1, 20, [["load r1, t[k]", "store t[k], 1"],
-                  ["load r1, b[0]", "load r1, a[0]"]])
+                  ["load r1, b[0]", "load r1, a[0]"]], 1)
+
+# The critical ``t[k]`` leaks (k == 3 hits) whenever thread 1's ``t[3]``
+# runs first, and its ``a`` load leaks (k == 2 evicts ``a``) only when
+# thread 1's ``a`` load runs before ``t[k]`` as well.  ``b`` is
+# independent of thread 1, so forking over it leaves a single class of
+# orders and early termination has no other class to defer to.
+LATE = (0, 2, 20, [["load r1, t[3]", "load r1, a[0]"],
+                   ["load r1, b[0]", "load r1, t[k]", "load r1, a[0]"]], 2)
 
 
 def render(prog) -> str:
-    base, a, b, threads = prog
+    base, a, b, threads, critical = prog
+    critical = min(critical, len(threads))
     lines = [f"array t[16] elem 1 at {base}", f"array a[1] elem 1 at {64 + a}",
              f"array b[1] elem 1 at {128 + b}", "input k width 4 secret"]
     for tid, body in enumerate(threads, 1):
-        lines.append(f"thread {tid}{' critical' if tid == 1 else ''} {{")
+        lines.append(f"thread {tid}{' critical' if tid == critical else ''} {{")
         lines += body
         lines.append("}")
     return "\n".join(lines) + "\n"
@@ -65,10 +76,12 @@ def oracle_sites(p: Program, cfg: CacheConfig) -> set[str]:
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(programs)
 @example(FAR)
+@example(LATE)
 def test_explorer_agrees_with_brute_force(prog):
     p = unroll_loops(parse_program(render(prog)), 16)
     alone = Program(p.decls, p.secret_inputs, p.public_inputs,
-                    p.threads[:1], p.critical_tid)
+                    tuple(t for t in p.threads if t.tid == p.critical_tid),
+                    p.critical_tid)
     for cfg in CACHES:
         brute = oracle_sites(p, cfg)
         full = explored_sites(p, cfg, early_termination=False)

@@ -190,6 +190,23 @@ def test_early_termination_prunes_concurrent_paths(fig3_cfg):
     assert on.solver_calls < off.solver_calls
 
 
+def test_early_termination_needs_a_dependent_fork():
+    # Thread 2 is critical.  Its ``t[k]`` leaks whenever thread 1's
+    # ``t[3]`` runs first, and its ``a`` load leaks only when thread 1's
+    # ``a`` load runs before ``t[k]`` as well.  ``far`` is independent of
+    # thread 1, so the forks there leave a single class of orders;
+    # cutting it at ``t[k]`` would lose ``a``.
+    cfg = CacheConfig(32, 1, 1)
+    p = load_program("conc_independent_forks.ir")
+    brute = {s for s, _ in brute_force_leaks(p, cfg)}
+    assert brute == {"t2:L9:load:t", "t2:L10:load:a"}
+    reports, stats = explore(p, cfg, ALL_REDUCTIONS, make_backend(p, cfg))
+    assert {r.site for r in reports} == brute
+    assert stats.complete
+    for r in reports:
+        confirm_witness(p, cfg, r)
+
+
 def test_schedule_classes_cover_all_order_behaviors(fig3_cfg):
     # Quotient check: for each key, the set of critical behaviors over
     # every raw total order equals the set over the explored classes'
