@@ -9,8 +9,13 @@ Exit codes for analyze: 0 no leaks, 1 leaks found, 2 error, 3 search
 incomplete (a bound or an undecided solver query), 4 internal error (an
 unexpected exception, traceback on stderr).  An incomplete search exits
 3 even when it found leaks: the report lists them, but the exit code
-must not pass a truncated run off as a complete one.  A leak that fails
-replay confirmation is an internal inconsistency and exits 4.
+must not pass a truncated run off as a complete one.  A query too wide
+for the built-in solver's domain cap also exits 3, with the message on
+stderr and no report.  A leak that fails replay confirmation is an
+internal inconsistency and exits 4.
+
+The report has one entry per leaky site, the first witness the search
+found for it, replay-confirmed before it is printed.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 from .cache import CacheConfig, ReduceOptions, probe_window
 from .detector import LeakReport
-from .errors import ReplayError, SymleakError
+from .errors import EnumerativeCapError, ReplayError, SymleakError
 from .explorer import ExploreOptions, ExploreStats, explore
 from .ir import Program, SymbolicBase, pretty
 from .oracle import brute_force_leaks, replay, replay_trace, schedule_from_lines
@@ -125,6 +130,7 @@ def write_report(rc: RunConfig, reports: list[LeakReport],
         entry["verdict1"] = r.verdict1
         entry["verdict2"] = r.verdict2
         entry["replay_confirmed"] = True
+        entry["leaky_schedules"] = r.leaky_schedules
         leaks.append(entry)
     doc = {
         "program": rc.program,
@@ -308,6 +314,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except EnumerativeCapError as e:
+        # A bound of the built-in solver stopped the search; the input is fine.
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     except (SymleakError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -19,8 +19,10 @@ independent accesses).
 
 Before an access from the critical thread runs, if some earlier access
 from another thread may share its cache set, the access is checked for
-secret-dependent divergence; a confirmed divergence becomes a report.
-With early termination, when some state on the path has two dependent
+secret-dependent divergence.  Each leaky site gets one report: the
+first witness the search finds, which is built only then, with the
+number of choice sequences (below) in which the site leaked.  With
+early termination, when some state on the path has two dependent
 enabled accesses (so another class of orders exists), the rest of that
 interleaving is skipped and counts as explored.  A later site that
 leaks only in the skipped class is then not reported, so only the
@@ -28,15 +30,16 @@ search without early termination covers every class.
 
 Interleavings are identified by the sequence of thread choices taken at
 states with more than one enabled access.  Two executions with the same
-choice sequence are one interleaving for counting and deduplication
-purposes, no matter which branch arms they took.  The open states live
+choice sequence count as one interleaving, and as one leaky schedule of
+a site, no matter which branch arms they took.  The open states live
 on an explicit stack, so trace length is not bounded by Python's
 recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 from .cache import (AccessRecord, CacheConfig, ReduceOptions, Trace,
                     hit_constraint, hit_constraint_assoc, may_same_line)
@@ -118,12 +121,15 @@ def adversarial_access(p: Program, st: SymbolicState, ev: AccessEvent,
 def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
                              cfg: CacheConfig, opts: ExploreOptions,
                              backend: SolverBackend,
-                             stats: ExploreStats | None = None) -> LeakReport | None:
+                             stats: ExploreStats | None = None
+                             ) -> Callable[[], LeakReport] | None:
     """Build the hit constraint for ``ev`` over the trace so far and ask
     whether two secret valuations can disagree on it.
 
     The reductions in ``opts`` only drop terms that interval reasoning
     already decides, so the constraint is exact and one query answers.
+    On a divergence the result builds the witness report when called, so
+    a site that already has one costs nothing more.
     """
     i = len(st.trace)
     tr = st.trace + (_record(st, ev),)
@@ -136,26 +142,29 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
         return None
     if res.status != "sat":
         return None
-    v1, v2 = verdicts(tau, st.pcon, res)
-    schedule = tuple((r.tid, str(r.site)) for r in tr)
-    adv = None
-    for d in p.decls:
-        if isinstance(d.placement, SymbolicBase):
-            adv = res.model_a.get(d.placement.var, 0)
-            break
-    return LeakReport(
-        site=str(ev.site), access_index=i, schedule=schedule,
-        k1=_project(res.model_a, classes), k2=_project(res.model_b, classes),
-        adversary_addr=adv, verdict1=v1, verdict2=v2,
-        mode=opts.mode,
-    )
+
+    def report() -> LeakReport:
+        v1, v2 = verdicts(tau, st.pcon, res)
+        adv = None
+        for d in p.decls:
+            if isinstance(d.placement, SymbolicBase):
+                adv = res.model_a.get(d.placement.var, 0)
+                break
+        return LeakReport(
+            site=str(ev.site), access_index=i,
+            schedule=tuple((r.tid, str(r.site)) for r in tr),
+            k1=_project(res.model_a, classes), k2=_project(res.model_b, classes),
+            adversary_addr=adv, verdict1=v1, verdict2=v2,
+            mode=opts.mode,
+        )
+    return report
 
 
 def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
             backend: SolverBackend) -> tuple[list[LeakReport], ExploreStats]:
     stats = ExploreStats()
-    reports: list[LeakReport] = []
-    seen_keys: set[tuple] = set()
+    reports: dict[str, LeakReport] = {}  # per site, its first witness
+    leaky: dict[str, set[tuple[int, ...]]] = {}  # per site, choice sequences
     classes_seen: set[tuple] = set()
     calls_before, hits_before = backend.calls, backend.memo_hits
 
@@ -231,13 +240,13 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                                       opts.check_sequential,
                                       opts.solver_timeout_ms):
                     stats.leak_checks += 1
-                    report = divergent_cache_behavior(p, f.st, ev, cfg, opts,
-                                                      backend, stats)
-                    if report is not None:
-                        key = (report.site, choices)
-                        if key not in seen_keys:
-                            seen_keys.add(key)
-                            reports.append(report)
+                    leak = divergent_cache_behavior(p, f.st, ev, cfg, opts,
+                                                    backend, stats)
+                    if leak is not None:
+                        site = str(ev.site)
+                        if site not in reports:
+                            reports[site] = leak()
+                        leaky.setdefault(site, set()).add(choices)
                         # Cut only below a state (this one or an
                         # ancestor, all on the stack) where two enabled
                         # accesses are dependent, so that another class of
@@ -259,7 +268,8 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
     stats.interleavings_explored = len(classes_seen)
     stats.solver_calls = backend.calls - calls_before
     stats.solver_memo_hits = backend.memo_hits - hits_before
-    return reports, stats
+    return [replace(r, leaky_schedules=len(leaky[site]))
+            for site, r in reports.items()], stats
 
 
 def _record(st: SymbolicState, ev: AccessEvent) -> AccessRecord:

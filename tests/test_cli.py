@@ -40,7 +40,8 @@ def test_analyze_reports_leak_with_exit_1(capsys):
     assert doc["complete"] is True
     leak = doc["leaks"][0]
     assert list(leak) == ["site", "access_index", "schedule", "k1", "k2",
-                          "verdict1", "verdict2", "replay_confirmed"]
+                          "verdict1", "verdict2", "replay_confirmed",
+                          "leaky_schedules"]
     assert leak["site"] == "t1:L11:store:p"
     assert leak["access_index"] == 2
     assert leak["schedule"] == [[1, "t1:L5:load:p"], [1, "t1:L7:load:q"],
@@ -48,6 +49,7 @@ def test_analyze_reports_leak_with_exit_1(capsys):
     assert leak["k1"] == {"k": 1} and leak["verdict1"] == "hit"
     assert leak["k2"] == {"k": 0} and leak["verdict2"] == "miss"
     assert leak["replay_confirmed"] is True
+    assert leak["leaky_schedules"] == 1
     assert doc["stats"]["interleavings"] == 1
     assert doc["stats"]["solver_calls"] == 5
 
@@ -167,12 +169,52 @@ def test_analyze_synthesized_adversary(capsys):
                            "--adversary", "synthesize")
     assert code == 1
     doc = json.loads(out)
-    got = [(l["site"], l["adversary_addr"]) for l in doc["leaks"]]
-    assert got == [("t1:L7:store:sbox", 0), ("t1:L7:store:sbox", 0),
-                   ("t1:L5:load:sbox", 0)]
+    got = [(l["site"], l["adversary_addr"], l["leaky_schedules"])
+           for l in doc["leaks"]]
+    assert got == [("t1:L7:store:sbox", 0, 2), ("t1:L5:load:sbox", 0, 1)]
     assert doc["stats"] == {"interleavings": 4, "leak_checks": 4,
                             "solver_calls": 10,
                             "wall_ms": doc["stats"]["wall_ms"]}
+
+
+def test_one_replayed_report_per_leak_site(capsys, monkeypatch):
+    # The site leaks in ten choice sequences; it is reported, and its
+    # witness replayed, once, while the search itself does as much work.
+    replays = []
+
+    def counting_confirm(*args):
+        replays.append(args[2].site)
+        return confirm_report(*args)
+
+    monkeypatch.setattr(symleak.cli, "confirm_report", counting_confirm)
+    code, out, _ = run_cli(capsys, "analyze",
+                           str(CORPUS_DIR / "conc_multi_probe.ir"), *FIG3)
+    assert code == 1
+    doc = json.loads(out)
+    assert [(l["site"], l["leaky_schedules"]) for l in doc["leaks"]] == [
+        ("t1:L11:store:p", 10)]
+    assert doc["stats"] == {"interleavings": 15, "leak_checks": 18,
+                            "solver_calls": 56,
+                            "wall_ms": doc["stats"]["wall_ms"]}
+    assert replays == ["t1:L11:store:p"]
+
+
+def test_enumerative_domain_cap_exits_3(capsys, tmp_path):
+    # The cap bounds the built-in solver, not the input: hitting it is an
+    # incomplete search, not a bad program.
+    src = tmp_path / "key4.ir"
+    src.write_text(
+        "array sb[256] elem 1 at 0\n"
+        "input k0 width 8 secret\ninput k1 width 8 secret\n"
+        "input k2 width 8 secret\ninput k3 width 8 secret\n"
+        "thread 1 {\n"
+        "  if (k0 & 1) { r0 := 1 }\n  if (k1 & 1) { r1 := 1 }\n"
+        "  if (k2 & 1) { r2 := 1 }\n  if (k3 & 1) { r3 := 1 }\n"
+        "  load reg1, sb[k0]\n  load reg2, sb[k1]\n}\n")
+    code, out, err = run_cli(capsys, "analyze", str(src), *FIG3)
+    assert code == 3 and out == ""
+    assert err == ("error: query spans 32 domain bits over "
+                   "['k0', 'k1', 'k2', 'k3'], cap is 24\n")
 
 
 def test_analyze_synthesize_on_concurrent_program_exits_2(capsys):
