@@ -141,6 +141,8 @@ def write_report(rc: RunConfig, reports: list[LeakReport],
         "stats": {"interleavings": stats.interleavings_explored,
                   "leak_checks": stats.leak_checks,
                   "solver_calls": stats.solver_calls,
+                  "states_forked": stats.states_forked,
+                  "indeterminate": stats.indeterminate,
                   "wall_ms": wall_ms},
         "complete": complete,
     }

@@ -4,10 +4,17 @@ Two interchangeable backends answer satisfiability questions about
 width-1 expressions:
 
 * EnumerativeBackend evaluates the expression over the whole cross
-  product of its free variables' domains, vectorised with numpy in
-  fixed-size chunks.  It is exact, dependency free and fast for the
-  small key spaces this tool targets, but refuses once the combined
-  domain exceeds a configurable bit budget.
+  product of its free variables' domains, a block of assignments at a
+  time, in packed lanes: each node's values over the block are one
+  Python int with one fixed-width lane per assignment, so an operator
+  costs a few big-int operations per block (SIMD within a register).
+  Lanes are 64 bits wide while no node is wider than 32 bits, as in
+  every program the parser accepts, else the next multiple of 64 that
+  is at least twice the widest node.  A domain is any sequence of
+  ints below 2**64; a ``range`` stays lazy.  The backend is exact, needs nothing
+  outside the standard library and is fast for the small key spaces
+  this tool targets, but refuses once the combined domain exceeds a
+  configurable bit budget.
 
 * SmtProcessBackend prints the query as SMT-LIB2 (QF_BV) and pipes it
   through an external solver executable such as ``z3 -in``.  Query text
@@ -33,13 +40,12 @@ must be treated as read-only.
 from __future__ import annotations
 
 import re
-import shlex
-import subprocess
+import sys
 import time
 from abc import ABC, abstractmethod
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import expr as ex
 from .errors import EnumerativeCapError, SolverProcessError
@@ -132,133 +138,367 @@ class SolverBackend(ABC):
 
 
 # ---------------------------------------------------------------------------
-# Vectorised evaluation
+# Packed-lane evaluation
 
-def evaluate_vec(e: Expr, env: dict[str, np.ndarray]) -> np.ndarray:
-    """Evaluate e elementwise over numpy uint64 variable assignments."""
-    memo: dict[Expr, np.ndarray] = {}
-    stack = [e]
+_CONST, _VAR, _ITE, _EQ, _NE = ex.Op.CONST, ex.Op.VAR, ex.Op.ITE, ex.Op.EQ, ex.Op.NE
+_AND, _OR, _XOR, _ADD, _SUB = ex.Op.AND, ex.Op.OR, ex.Op.XOR, ex.Op.ADD, ex.Op.SUB
+_ULT, _ULE, _MULC = ex.Op.ULT, ex.Op.ULE, ex.Op.MULC
+_EXTRACT, _ZEXT, _SHL, _LSHR = ex.Op.EXTRACT, ex.Op.ZEXT, ex.Op.SHL, ex.Op.LSHR
+_CONST_BITS = 1 << 21
+
+
+def _postorder(roots: list[Expr]) -> list[Expr]:
+    """Every node reachable from ``roots``, each after its arguments.
+    A None on the stack closes the node last opened."""
+    order: list[Expr] = []
+    opened: list[Expr] = []
+    seen: set[Expr] = set()
+    stack: list[Expr | None] = list(roots)
     while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        pending = [a for a in node.args if a not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        memo[node] = _vec_node(node, env, memo)
-    return memo[e]
+        node = stack.pop()
+        if node is None:
+            order.append(opened.pop())
+        elif node not in seen:
+            seen.add(node)
+            opened.append(node)
+            stack.append(None)
+            stack.extend(node.args)
+    return order
 
 
-def _vec_node(e: Expr, env: dict[str, np.ndarray], memo: dict[Expr, np.ndarray]) -> np.ndarray:
-    mask = np.uint64((1 << e.width) - 1)
-    op = e.op
-    if op is ex.Op.CONST:
-        return np.uint64(e.value)
-    if op is ex.Op.VAR:
-        return env[e.name] & mask
-    a = memo[e.args[0]]
-    if op is ex.Op.ZEXT:
-        return a
-    if op is ex.Op.EXTRACT:
-        return (a >> np.uint64(e.value)) & mask
-    if op is ex.Op.MULC:
-        return (a * np.uint64(e.value)) & mask
-    if op is ex.Op.ITE:
-        return np.where(a.astype(bool), memo[e.args[1]], memo[e.args[2]])
-    b = memo[e.args[1]]
-    if op is ex.Op.ADD:
-        return (a + b) & mask
-    if op is ex.Op.SUB:
-        return (a - b) & mask
-    if op is ex.Op.AND:
-        return a & b
-    if op is ex.Op.OR:
-        return a | b
-    if op is ex.Op.XOR:
-        return a ^ b
-    if op is ex.Op.SHL:
-        safe = np.minimum(b, np.uint64(63))
-        return np.where(b < e.width, (a << safe) & mask, np.uint64(0))
-    if op is ex.Op.LSHR:
-        safe = np.minimum(b, np.uint64(63))
-        return np.where(b < e.width, (a >> safe) & mask, np.uint64(0))
-    if op is ex.Op.EQ:
-        return (a == b).astype(np.uint64)
-    if op is ex.Op.NE:
-        return (a != b).astype(np.uint64)
-    if op is ex.Op.ULT:
-        return (a < b).astype(np.uint64)
-    if op is ex.Op.ULE:
-        return (a <= b).astype(np.uint64)
-    raise AssertionError(f"unhandled op {op}")
+def _var_widths(order: list[Expr]) -> dict[str, int]:
+    return {e.name: e.width for e in order if e.op is _VAR}
+
+
+def _lane_bits(order: list[Expr]) -> int:
+    """Lane width for evaluating ``order``: 64 bits while no node is
+    wider than 32, else the next multiple of 64 that is at least twice
+    the widest node.  Then a sum, ``x - y + 2**w``, a constant product
+    or a shift by less than ``w`` of ``w``-bit values stays inside its
+    lane, and bit ``w`` is free to act as a comparison's guard bit."""
+    widest = max(e.width for e in order)
+    return 64 if widest <= 32 else -(-2 * widest // 64) * 64
+
+
+class _Lanes:
+    """Words for blocks of ``n`` assignments in lanes of ``bits`` bits.
+
+    A word is one Python int: lane ``i``, its bits ``[i * bits, (i + 1)
+    * bits)``, holds a node's value under the block's ``i``-th
+    assignment.  Every operator then costs one or a few big-int
+    operations per block.  ``ones`` has a 1 in every lane, so
+    ``c * ones`` broadcasts the constant ``c``; width-1 results are 0 or
+    1 per lane.  The constant words of a shape (ones, masks, guard
+    bits, broadcast constants) are built once and kept.
+    """
+
+    def __init__(self, n: int, bits: int):
+        self.n = n
+        self.bits = bits
+        self.ones = int.from_bytes((b"\x01" + bytes(bits // 8 - 1)) * n, "little")
+        self._masks: dict[int, int] = {}
+        self._guards: dict[int, int] = {}
+        self._consts: dict[int, int] = {}
+        self._ramp: int | None = None
+
+    def const(self, value: int) -> int:
+        """``value`` in every lane.  Constant words are kept up to 2 Mbit
+        in all, so many fit for small blocks and a few for large ones."""
+        word = self._consts.get(value)
+        if word is None:
+            word = value * self.ones
+            if len(self._consts) * self.n * self.bits < _CONST_BITS:
+                self._consts[value] = word
+        return word
+
+    def mask(self, width: int) -> int:
+        """``2**width - 1`` in every lane."""
+        word = self._masks.get(width)
+        if word is None:
+            word = self._masks[width] = ((1 << width) - 1) * self.ones
+        return word
+
+    def guard(self, width: int) -> int:
+        """``2**width`` in every lane: the guard bit of ``width``-bit values."""
+        word = self._guards.get(width)
+        if word is None:
+            word = self._guards[width] = self.ones << width
+        return word
+
+    def ramp(self) -> int:
+        """Lane ``i`` holds ``i``."""
+        if self._ramp is None:
+            self._ramp = int.from_bytes(
+                _column_bytes(range(self.n), 1, 0, self.n, self.bits // 8), "little")
+        return self._ramp
+
+    def column(self, dom, stride: int, lo: int) -> int:
+        """The word of a variable over assignments ``lo..lo+n-1`` of a
+        mixed-radix enumeration: lane ``g - lo`` holds
+        ``dom[(g // stride) % len(dom)]``."""
+        n, size = self.n, self.bits // 8
+        at = lo % len(dom)
+        if (stride == 1 and isinstance(dom, range) and at + n <= len(dom)
+                and dom.step > 0 and dom.start >= 0 and dom[-1] >> self.bits == 0):
+            # An arithmetic progression: start + step * (lane index).
+            return dom[at] * self.ones + dom.step * self.ramp()
+        return int.from_bytes(_column_bytes(dom, stride, lo, lo + n, size), "little")
+
+    def differ(self, a: int, b: int, width: int) -> int:
+        """1 in the lanes where the ``width``-bit values of a and b differ:
+        ``(a ^ b) + 2**width - 1`` reaches the guard bit exactly then."""
+        return (((a ^ b) + self.mask(width)) >> width) & self.ones
+
+    def equal(self, a: int, b: int, width: int) -> int:
+        """1 in the lanes where a and b are equal: ``2**width - (a ^ b)``
+        keeps the guard bit exactly then, and never borrows from the
+        next lane."""
+        return ((self.guard(width) - (a ^ b)) >> width) & self.ones
+
+    def at_most(self, a: int, b: int, width: int) -> int:
+        """1 in the lanes where ``a <= b``: ``b + 2**width - a`` keeps the
+        guard bit exactly then, and never borrows."""
+        return ((b + self.guard(width) - a) >> width) & self.ones
+
+    def below(self, a: int, b: int, width: int) -> int:
+        """1 in the lanes where ``a < b``: ``b + 2**width - 1 - a`` reaches
+        the guard bit exactly then."""
+        return ((b + self.mask(width) - a) >> width) & self.ones
+
+    def evaluate(self, order: list[Expr], env: dict[str, int]) -> dict[Expr, int]:
+        """The word of every node of ``order`` (arguments first), given a
+        word per variable."""
+        ones = self.ones
+        mask = self.mask
+        val: dict[Expr, int] = {}
+        for e in order:
+            op = e.op
+            args = e.args
+            if op is _CONST:
+                v = self.const(e.value)
+            elif op is _VAR:
+                v = env[e.name] & mask(e.width)
+            else:
+                a = val[args[0]]
+                if op is _ITE:
+                    f = val[args[2]]
+                    v = f ^ ((val[args[1]] ^ f) & (a * ((1 << e.width) - 1)))
+                elif op is _EQ:
+                    v = self.equal(a, val[args[1]], args[0].width)
+                elif op is _NE:
+                    v = self.differ(a, val[args[1]], args[0].width)
+                elif op is _AND:
+                    v = a & val[args[1]]
+                elif op is _OR:
+                    v = a | val[args[1]]
+                elif op is _XOR:
+                    v = a ^ val[args[1]]
+                elif op is _ULT:
+                    v = self.below(a, val[args[1]], args[0].width)
+                elif op is _ULE:
+                    v = self.at_most(a, val[args[1]], args[0].width)
+                elif op is _ADD:
+                    v = (a + val[args[1]]) & mask(e.width)
+                elif op is _SUB:
+                    v = (a + self.guard(e.width) - val[args[1]]) & mask(e.width)
+                elif op is _EXTRACT:
+                    v = (a >> e.value) & mask(e.width)
+                elif op is _ZEXT:
+                    v = a
+                elif op is _MULC:
+                    v = (a * (e.value & ((1 << e.width) - 1))) & mask(e.width)
+                elif op is _SHL or op is _LSHR:
+                    v = self._shift(op is _SHL, a, args[1], val[args[1]], e.width)
+                else:
+                    raise AssertionError(f"unhandled op {op}")
+            val[e] = v
+        return val
+
+    def _shift(self, left: bool, a: int, amount: Expr, b: int, width: int) -> int:
+        """``a`` shifted by ``amount`` (word ``b``); zero from ``width`` on.
+        A symbolic amount selects, lane by lane, among its ``width``
+        possible shifts."""
+        m = self.mask(width)
+        if amount.op is _CONST:
+            s = amount.value
+            return 0 if s >= width else ((a << s) if left else (a >> s)) & m
+        out = 0
+        for s in range(width):
+            picked = self.equal(b, self.const(s), width)
+            out |= ((a << s) if left else (a >> s)) & (picked * ((1 << width) - 1))
+        return out
+
+
+def _cyclic(dom, start: int, count: int):
+    """``count`` values of ``dom`` from index ``start`` on, wrapping
+    around; a slice that does not wrap stays a lazy range."""
+    if start + count <= len(dom):
+        return dom[start:start + count]
+    head = list(dom[start:])
+    whole, part = divmod(count - len(head), len(dom))
+    return head + list(dom) * whole + list(dom[:part])
+
+
+def _column_bytes(dom, stride: int, lo: int, hi: int, size: int):
+    """Lanes of ``size`` bytes for assignments ``lo..hi-1`` of one
+    variable: lane ``g - lo`` holds ``dom[(g // stride) % len(dom)]``.
+
+    Each domain value, below 2**64, fills a run of ``stride``
+    consecutive lanes.  The lanes are written in C: value by value when
+    runs are long, else with one strided copy of the values per position
+    in a run, so the Python steps number at most the smaller of the two.
+    """
+    first = lo // stride
+    vals = _cyclic(dom, first % len(dom), (hi - 1) // stride - first + 1)
+    if stride > len(vals):
+        out = bytearray()
+        start = lo
+        for i, v in enumerate(vals):
+            end = min(hi, (first + i + 1) * stride)
+            out += v.to_bytes(8, "little").ljust(size, b"\0") * (end - start)
+            start = end
+        return out
+    col = array("Q", vals)
+    if sys.byteorder == "big":
+        col.byteswap()
+    words = size // 8
+    buf = bytearray(len(vals) * stride * size)
+    with memoryview(buf).cast("Q") as view:
+        for t in range(stride):
+            view[t * words::stride * words] = col
+    skip = (lo - first * stride) * size
+    return memoryview(buf)[skip:skip + (hi - lo) * size]
+
+
+class _Plan:
+    """Mixed-radix enumeration of a query's assignments.  ``order`` lists
+    the variables outermost first; assignment ``g`` gives each variable
+    ``dom[(g // stride) % len(dom)]``.  Models list ``names`` in order."""
+
+    def __init__(self, names: list[str], order: list[str], doms: dict):
+        self.names = names
+        self.order = order
+        self.doms = doms
+        self.strides: dict[str, int] = {}
+        total = 1
+        for n in reversed(order):
+            self.strides[n] = total
+            total *= len(doms[n])
+        self.total = total
+
+    def model(self, g: int) -> dict[str, int]:
+        return {n: self.doms[n][(g // self.strides[n]) % len(self.doms[n])]
+                for n in self.names}
+
+    def env(self, lo: int, lanes: _Lanes) -> dict[str, int]:
+        return {n: lanes.column(self.doms[n], self.strides[n], lo)
+                for n in self.order}
+
+
+# Assignments in the first block of a scan; later blocks double up to
+# the backend's chunk, but stop at words of _WORD_BITS bits: a big-int
+# operation on words that fit a core's cache costs half as much per lane.
+_FIRST_BLOCK = 1024
+_WORD_BITS = 1 << 22
+
+
+def _blocks(total: int, first: int, limit: int):
+    """``(lo, hi)`` blocks covering assignments ``0..total-1``: ``first``
+    of them, then twice as many each time up to ``limit``, so a witness
+    early in the enumeration costs a small block and a long scan a few
+    large ones."""
+    lo, step = 0, first
+    while lo < total:
+        yield lo, min(lo + step, total)
+        lo += step
+        step = min(limit, 2 * step)
+
+
+class _Timeout(Exception):
+    pass
 
 
 class EnumerativeBackend(SolverBackend):
-    """Exhaustive chunked enumeration over the free variables.
+    """Exhaustive enumeration of the free variables, in packed lanes.
 
-    ``domains`` optionally restricts named variables to explicit value
-    lists (the symbolic adversary base uses this: a handful of aligned
-    addresses instead of 2**32 candidates).  Total enumerated width is
-    capped; wider queries raise EnumerativeCapError rather than running
-    forever.
+    Assignments are enumerated in mixed radix over the variables in
+    sorted order, the last fastest, and evaluated a block at a time as
+    words of packed lanes (``_Lanes``): one lane per assignment, 64 bits
+    wide while no node is wider than 32 bits, else the next multiple of
+    64 that is at least twice the widest node.  The first block holds
+    1,024 assignments and each next one twice as many, up to ``chunk``
+    and to words of 4 Mbit.  The model of a "sat" is the first
+    satisfying assignment in enumeration order, whatever the blocks.
+    The constant words of each block shape (lane ones, masks, guard
+    bits, broadcast constants) are kept on the instance.
+
+    ``domains`` optionally restricts named variables to explicit values:
+    any sequence of ints in ``[0, 2**64)``, a ``range`` being kept lazy
+    (the symbolic adversary base uses this: the aligned addresses of
+    the probe window instead of 2**32 candidates).  A value is taken
+    modulo ``2**width`` when evaluated and reported as given.  Other
+    variables range over all ``2**width`` values.  Total enumerated
+    width is capped; wider queries raise EnumerativeCapError rather
+    than running forever.
     """
 
     name = "enumerative"
 
-    def __init__(self, domains: dict[str, "np.ndarray | list[int]"] | None = None,
+    def __init__(self, domains: dict[str, Sequence[int]] | None = None,
                  cap_bits: int = 24, chunk: int = 1 << 18):
         super().__init__()
-        self.domains = {n: np.asarray(d, dtype=np.uint64) for n, d in (domains or {}).items()}
+        self.domains = {n: d if isinstance(d, range) else [int(v) for v in d]
+                        for n, d in (domains or {}).items()}
         self.cap_bits = cap_bits
         self.chunk = chunk
+        self._lanes: dict[tuple[int, int], _Lanes] = {}
 
-    def _domain_of(self, name: str, width: int) -> np.ndarray:
+    def _words(self, n: int, bits: int) -> _Lanes:
+        """The constant words for blocks of ``n`` lanes of ``bits`` bits.
+        Block shapes recur from query to query, so they are kept, up to
+        twice a chunk's lanes in all."""
+        lanes = self._lanes.get((n, bits))
+        if lanes is None:
+            if n + sum(k[0] for k in self._lanes) > 2 * self.chunk:
+                self._lanes.clear()
+            lanes = self._lanes[n, bits] = _Lanes(n, bits)
+        return lanes
+
+    def _block_lanes(self, bits: int) -> int:
+        """The most assignments a block of ``bits``-bit lanes holds."""
+        return max(1, min(self.chunk, _WORD_BITS // bits))
+
+    def _domain_of(self, name: str, width: int) -> Sequence[int]:
         dom = self.domains.get(name)
         if dom is not None:
             return dom
         if width > self.cap_bits:
             raise EnumerativeCapError(
                 f"variable {name!r} is {width} bits wide with no explicit domain")
-        return np.arange(1 << width, dtype=np.uint64)
+        return range(1 << width)
 
-    def _plan(self, widths: dict[str, int]) -> tuple[list[str], list[np.ndarray], int]:
+    def _plan(self, widths: dict[str, int], order: list[str] | None = None) -> _Plan:
         names = sorted(widths)
-        doms = [self._domain_of(n, widths[n]) for n in names]
-        bits = sum(max(1, (len(d) - 1).bit_length()) for d in doms)
+        doms = {n: self._domain_of(n, widths[n]) for n in names}
+        bits = sum(max(1, (len(d) - 1).bit_length()) for d in doms.values())
         if bits > self.cap_bits:
             raise EnumerativeCapError(
                 f"query spans {bits} domain bits over {names}, cap is {self.cap_bits}")
-        total = 1
-        for d in doms:
-            total *= len(d)
-        return names, doms, total
-
-    def _env_for(self, names: list[str], doms: list[np.ndarray],
-                 lo: int, hi: int) -> dict[str, np.ndarray]:
-        g = np.arange(lo, hi, dtype=np.uint64)
-        env: dict[str, np.ndarray] = {}
-        stride = 1
-        for n, d in zip(reversed(names), reversed(doms)):
-            env[n] = d[(g // np.uint64(stride)) % np.uint64(len(d))]
-            stride *= len(d)
-        return env
+        return _Plan(names, names if order is None else order, doms)
 
     def _solve(self, formula: Expr, timeout_ms: int | None) -> SolveResult:
         deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000
-        names, doms, total = self._plan(ex.var_widths(formula))
-        for lo in range(0, total, self.chunk):
+        order = _postorder([formula])
+        plan = self._plan(_var_widths(order))
+        bits = _lane_bits(order)
+        limit = self._block_lanes(bits)
+        for lo, hi in _blocks(plan.total, min(limit, _FIRST_BLOCK), limit):
             if deadline is not None and time.monotonic() > deadline:
                 return SolveResult("unknown")
-            hi = min(lo + self.chunk, total)
-            env = self._env_for(names, doms, lo, hi)
-            vals = evaluate_vec(formula, env)
-            nz = np.flatnonzero(vals)
-            if len(nz):
-                pick = int(nz[0])
-                return SolveResult("sat", {n: int(env[n][pick]) for n in names})
+            lanes = self._words(hi - lo, bits)
+            sat = lanes.evaluate(order, plan.env(lo, lanes))[formula]
+            if sat:
+                return SolveResult("sat", plan.model(lo + (sat & -sat).bit_length() // bits))
         return SolveResult("unsat")
 
     def check_divergence(self, tau: Expr, pcon: Expr, duplicated: list[str],
@@ -269,11 +509,13 @@ class EnumerativeBackend(SolverBackend):
         A divergent pair exists exactly when, for some assignment of the
         shared variables, both a satisfying and a falsifying assignment
         of tau survive the path condition.  Variables outside
-        ``duplicated`` are enumerated in an outer loop so the two
-        returned models agree on them.  Equivalent to the two-family
-        formula of the generic implementation, but enumerates the
-        variable space once instead of squaring it.  Answers are
-        memoized on the arguments, as ``check``'s are, and read-only.
+        ``duplicated`` are enumerated outermost, so the assignments
+        sharing their values form one run of lanes (a group) and the two
+        returned models agree on them; see ``_DivergenceScan``.
+        Equivalent to the two-family formula of the generic
+        implementation, but enumerates the variable space once instead
+        of squaring it.  Answers are memoized on the arguments, as
+        ``check``'s are, and read-only.
         """
         self.calls += 1
         if not distinct:
@@ -284,95 +526,168 @@ class EnumerativeBackend(SolverBackend):
 
     def _divergence(self, tau: Expr, pcon: Expr, duplicated: list[str],
                     distinct: list[str], timeout_ms: int | None) -> DivergenceResult:
-        widths = ex.var_widths(tau) | ex.var_widths(pcon)
+        order = _postorder([pcon, tau])
+        widths = _var_widths(order)
         missing = [n for n in duplicated if n not in widths]
         deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000
-        names, doms, total = self._plan(widths)
-        shared_names = [n for n in names if n not in duplicated]
-        fam_names = [n for n in names if n in duplicated]
-        fam_doms = [doms[names.index(n)] for n in fam_names]
-        shared_doms = [doms[names.index(n)] for n in shared_names]
-        keys = [n for n in fam_names if n in distinct]
-        fam_total = 1
-        for d in fam_doms:
-            fam_total *= len(d)
-        shared_total = 1
-        for d in shared_doms:
-            shared_total *= len(d)
-        timed_out = False
-        for s in range(shared_total):
-            shared_env = {}
-            stride = 1
-            for n, d in zip(reversed(shared_names), reversed(shared_doms)):
-                shared_env[n] = d[(s // stride) % len(d)]
-                stride *= len(d)
-            found = self._scan_partition(tau, pcon, names, fam_names, fam_doms,
-                                         fam_total, shared_env, keys, deadline)
-            if found == "timeout":
-                timed_out = True
-                break
-            if found is not None:
-                hit, miss = found
-                for n in missing:
-                    hit.setdefault(n, 0)
-                    miss.setdefault(n, 0)
-                return DivergenceResult("sat", hit, miss)
-        return DivergenceResult("unknown" if timed_out else "unsat")
+        names = sorted(widths)
+        plan = self._plan(widths, [n for n in names if n not in duplicated]
+                          + [n for n in names if n in duplicated])
+        try:
+            found = _DivergenceScan(self, plan, order, tau, pcon, widths,
+                                    duplicated, distinct, deadline).run()
+        except _Timeout:
+            return DivergenceResult("unknown")
+        if found is None:
+            return DivergenceResult("unsat")
+        hit, miss = found
+        for n in missing:
+            hit.setdefault(n, 0)
+            miss.setdefault(n, 0)
+        return DivergenceResult("sat", hit, miss)
 
-    def _scan_partition(self, tau, pcon, names, fam_names, fam_doms, fam_total,
-                        shared_env, keys, deadline):
-        """One shared-variable assignment: find a feasible tau-true and a
-        feasible tau-false model whose ``keys`` projections differ.  A hit
-        and a miss almost always differ on the keys already; when both
-        sides pin the exact same key values (tau is driven by an
-        unconstrained load), a second scan looks for either side at any
-        other key value."""
-        hit = miss = None
-        for lo in range(0, fam_total, self.chunk):
-            if deadline is not None and time.monotonic() > deadline:
-                return "timeout"
-            hi = min(lo + self.chunk, fam_total)
-            env = self._env_for(fam_names, fam_doms, lo, hi)
-            for n, v in shared_env.items():
-                env[n] = np.full(hi - lo, v, dtype=np.uint64)
-            pc = evaluate_vec(pcon, env).astype(bool)
-            tv = evaluate_vec(tau, env).astype(bool)
-            for want_hit, side in ((True, pc & tv), (False, pc & ~tv)):
-                if (hit if want_hit else miss) is None:
-                    cand = np.flatnonzero(side)
-                    if len(cand):
-                        pick = int(cand[0])
-                        model = {n: int(env[n][pick]) for n in names}
-                        if want_hit:
-                            hit = model
-                        else:
-                            miss = model
-            if hit is not None and miss is not None:
-                if any(hit[k] != miss[k] for k in keys):
-                    return hit, miss
-                break
-        if hit is None or miss is None:
+
+class _Block:
+    """One evaluated block of a divergence scan, assignments ``lo..hi-1``:
+    which lanes satisfy the path condition with tau true (hits) and with
+    tau false (misses), unpacked to bytes so a lane is found in C."""
+
+    def __init__(self, lanes: _Lanes, lo: int, env: dict[str, int], pc: int, tv: int):
+        self.lanes = lanes
+        self.lo = lo
+        self.hi = lo + lanes.n
+        self.env = env
+        self.size = lanes.bits // 8
+        self.hits = pc & tv
+        self.misses = pc & ~tv
+        self.hit_lanes = self._bytes(self.hits)
+        self.miss_lanes = self._bytes(self.misses)
+        self._apart: dict[tuple, tuple[bytes, bytes]] = {}
+
+    def _bytes(self, word: int) -> bytes:
+        return word.to_bytes(self.lanes.n * self.size, "little")
+
+    def first(self, lanes: bytes, lo: int, hi: int) -> int:
+        """The first assignment in ``lo..hi-1`` whose lane is 1, or -1.
+        Only a lane's lowest byte can be nonzero."""
+        i = lanes.find(1, (lo - self.lo) * self.size, (hi - self.lo) * self.size)
+        return -1 if i < 0 else self.lo + i // self.size
+
+    def apart(self, pinned: dict[str, int], widths: dict[str, int]) -> tuple[bytes, bytes]:
+        """Hit and miss lanes of the assignments that differ from
+        ``pinned`` on some key."""
+        key = tuple(pinned.items())
+        got = self._apart.get(key)
+        if got is None:
+            lanes = self.lanes
+            differ = 0
+            for k, v in pinned.items():
+                w = widths[k]
+                differ |= lanes.differ(self.env[k] & lanes.mask(w),
+                                       lanes.const(v & ((1 << w) - 1)), w)
+            got = self._apart[key] = (self._bytes(self.hits & differ),
+                                      self._bytes(self.misses & differ))
+        return got
+
+
+class _DivergenceScan:
+    """The enumerative divergence query over one plan whose shared
+    variables are outermost.  A group (the assignments of one shared
+    value) yields a pair when it holds a feasible tau-true and a
+    feasible tau-false assignment whose ``keys`` projections differ.
+
+    Groups are scanned in order.  Within a group, in windows of
+    ``chunk`` assignments: the first hit and the first miss; if they
+    pin the same keys (tau is driven by an unconstrained load), a
+    second pass takes the first window holding either side at other key
+    values, its hit before its miss.  Groups no wider than a chunk are
+    evaluated many to a block, and only those holding a hit are looked
+    at, so a narrow group costs no evaluation of its own.
+    """
+
+    def __init__(self, backend: EnumerativeBackend, plan: _Plan,
+                 order: list[Expr], tau: Expr, pcon: Expr,
+                 widths: dict[str, int], duplicated: list[str],
+                 distinct: list[str], deadline: float | None):
+        self.backend = backend
+        self.plan = plan
+        self.tau = tau
+        self.pcon = pcon
+        self.widths = widths
+        self.keys = [n for n in plan.names if n in duplicated and n in distinct]
+        self.deadline = deadline
+        self.order = order
+        self.bits = _lane_bits(self.order)
+        self.group = 1
+        for n in plan.names:
+            if n in duplicated:
+                self.group *= len(plan.doms[n])
+
+    def block(self, lo: int, hi: int) -> _Block:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _Timeout
+        lanes = self.backend._words(hi - lo, self.bits)
+        env = self.plan.env(lo, lanes)
+        val = lanes.evaluate(self.order, env)
+        return _Block(lanes, lo, env, val[self.pcon], val[self.tau])
+
+    def run(self) -> tuple[dict[str, int], dict[str, int]] | None:
+        total, group, chunk = self.plan.total, self.group, self.backend.chunk
+        if total == 0:
             return None
+        if group > chunk:
+            for lo in range(0, total, group):
+                found = self.pair(lo, lo + group, None)
+                if found is not None:
+                    return found
+            return None
+        limit = group * max(1, self.backend._block_lanes(self.bits) // group)
+        first = min(limit, group * max(1, _FIRST_BLOCK // group))
+        for lo, hi in _blocks(total, first, limit):
+            blk = self.block(lo, hi)
+            at = lo
+            while (h := blk.first(blk.hit_lanes, at, blk.hi)) >= 0:
+                start = h - h % group
+                found = self.pair(start, start + group, (blk,))
+                if found is not None:
+                    return found
+                at = start + group
+        return None
+
+    def windows(self, lo: int, hi: int, cached: tuple[_Block, ...] | None):
+        if cached is not None:
+            return cached
+        chunk = self.backend.chunk
+        return (self.block(w, min(w + chunk, hi)) for w in range(lo, hi, chunk))
+
+    def pair(self, lo: int, hi: int, cached: tuple[_Block, ...] | None):
+        """The pair of the group ``lo..hi-1``, or None."""
+        hit = miss = -1
+        for blk in self.windows(lo, hi, cached):
+            a, b = max(lo, blk.lo), min(hi, blk.hi)
+            if hit < 0:
+                hit = blk.first(blk.hit_lanes, a, b)
+            if miss < 0:
+                miss = blk.first(blk.miss_lanes, a, b)
+            if hit >= 0 and miss >= 0:
+                break
+        else:
+            return None
+        hit_model, miss_model = self.plan.model(hit), self.plan.model(miss)
+        if any(hit_model[k] != miss_model[k] for k in self.keys):
+            return hit_model, miss_model
         # Both sides pinned the exact same key values.  Rescan for either
         # side of the partition under any other key assignment.
-        for lo in range(0, fam_total, self.chunk):
-            if deadline is not None and time.monotonic() > deadline:
-                return "timeout"
-            hi = min(lo + self.chunk, fam_total)
-            env = self._env_for(fam_names, fam_doms, lo, hi)
-            for n, v in shared_env.items():
-                env[n] = np.full(hi - lo, v, dtype=np.uint64)
-            pc = evaluate_vec(pcon, env).astype(bool)
-            tv = evaluate_vec(tau, env).astype(bool)
-            proj = np.zeros(hi - lo, dtype=bool)
-            for k in keys:
-                proj |= env[k] != np.uint64(hit[k])
-            for want_hit, side in ((True, pc & tv), (False, pc & ~tv)):
-                cand = np.flatnonzero(side & proj)
-                if len(cand):
-                    pick = int(cand[0])
-                    model = {n: int(env[n][pick]) for n in names}
-                    return (model, miss) if want_hit else (hit, model)
+        pinned = {k: hit_model[k] for k in self.keys}
+        for blk in self.windows(lo, hi, cached):
+            a, b = max(lo, blk.lo), min(hi, blk.hi)
+            hits, misses = blk.apart(pinned, self.widths)
+            other = blk.first(hits, a, b)
+            if other >= 0:
+                return self.plan.model(other), miss_model
+            other = blk.first(misses, a, b)
+            if other >= 0:
+                return hit_model, self.plan.model(other)
         return None
 
 
@@ -487,10 +802,14 @@ class SmtProcessBackend(SolverBackend):
 
     def __init__(self, command: str | list[str], timeout_ms: int = 30000):
         super().__init__()
-        self.command = shlex.split(command) if isinstance(command, str) else list(command)
+        if isinstance(command, str):
+            import shlex  # only an external solver pays for loading it
+            command = shlex.split(command)
+        self.command = list(command)
         self.timeout_ms = timeout_ms
 
     def _solve(self, formula: Expr, timeout_ms: int | None) -> SolveResult:
+        import subprocess  # only an external solver pays for loading it
         budget = (timeout_ms or self.timeout_ms) / 1000
         query = emit_query(formula)
         try:

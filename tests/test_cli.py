@@ -13,6 +13,7 @@ from symleak.cache import CacheConfig, ReduceOptions
 from symleak.cli import RunConfig, confirm_report, main
 from symleak.detector import LeakReport
 from symleak.explorer import ExploreOptions, explore
+from symleak.solver import DivergenceResult
 
 from conftest import CORPUS_DIR, ROOT, load_program, make_backend
 
@@ -115,6 +116,20 @@ def test_analyze_budget_exhaustion_exits_3(capsys):
     assert doc["leaks"] and doc["complete"] is False
 
 
+def test_undecided_queries_are_counted_and_exit_3(capsys, monkeypatch):
+    class Undecided(symleak.cli.EnumerativeBackend):
+        def _divergence(self, *args):
+            return DivergenceResult("unknown")
+
+    monkeypatch.setattr(symleak.cli, "EnumerativeBackend", Undecided)
+    code, out, _ = run_cli(capsys, "analyze", SEQ, *FIG3)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["leaks"] == [] and doc["complete"] is False
+    # Three of the five leak checks reach the divergence solver.
+    assert (doc["stats"]["indeterminate"], doc["stats"]["leak_checks"]) == (3, 5)
+
+
 def test_analyze_two_step_mode_field(capsys):
     code, out, _ = run_cli(capsys, "analyze", CONC, *FIG3, "--mode", "two-step")
     assert code == 1
@@ -173,7 +188,8 @@ def test_analyze_synthesized_adversary(capsys):
            for l in doc["leaks"]]
     assert got == [("t1:L7:store:sbox", 0, 2), ("t1:L5:load:sbox", 0, 1)]
     assert doc["stats"] == {"interleavings": 4, "leak_checks": 4,
-                            "solver_calls": 10,
+                            "solver_calls": 10, "states_forked": 3,
+                            "indeterminate": 0,
                             "wall_ms": doc["stats"]["wall_ms"]}
 
 
@@ -194,7 +210,8 @@ def test_one_replayed_report_per_leak_site(capsys, monkeypatch):
     assert [(l["site"], l["leaky_schedules"]) for l in doc["leaks"]] == [
         ("t1:L11:store:p", 10)]
     assert doc["stats"] == {"interleavings": 15, "leak_checks": 18,
-                            "solver_calls": 56,
+                            "solver_calls": 56, "states_forked": 19,
+                            "indeterminate": 0,
                             "wall_ms": doc["stats"]["wall_ms"]}
     assert replays == ["t1:L11:store:p"]
 
@@ -325,6 +342,18 @@ def test_confirm_report_rejects_doctored_witness():
         k1=good.k1, k2=good.k1, adversary_addr=None,
         verdict1="hit", verdict2="hit", mode="precise")
     assert not confirm_report(p, cfg, same)
+
+
+def test_cli_import_loads_no_numpy():
+    # The package has no runtime dependencies: importing the command line
+    # in a fresh interpreter loads no numpy.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, symleak.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_entry_point(tmp_path):

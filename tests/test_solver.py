@@ -2,9 +2,13 @@
 
 The process backend is driven through tests/smtstub.py, a minimal
 SMT-LIB2 evaluator, so these tests need no solver installed.  Random
-formulas are checked on both backends and must agree.
+formulas are checked on both backends and must agree.  The enumerative
+backend's packed lanes are checked lane by lane against scalar
+``expr.evaluate``, and its divergence scan against a reference that
+takes one assignment at a time.
 """
 
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -14,7 +18,8 @@ import pytest
 from symleak import expr as ex
 from symleak.errors import EnumerativeCapError, SolverProcessError
 from symleak.solver import (EnumerativeBackend, SmtProcessBackend, SolveResult,
-                            emit_query, parse_model)
+                            _Lanes, _lane_bits, _postorder, emit_query,
+                            parse_model)
 
 STUB = [sys.executable, str(Path(__file__).resolve().parent / "smtstub.py")]
 
@@ -231,21 +236,55 @@ def test_process_backend_handles_every_operator():
     assert ex.evaluate(f, proc_res.model) == 1
 
 
+def _random_expr(rng, leaves, width, depth):
+    """A random expression of ``width`` bits over ``leaves`` (variables
+    by width), built from every operator: SUB that wraps, MULC factors
+    past the width, shifts by constant and by symbolic amounts, and
+    comparisons, ZEXT and EXTRACT between widths."""
+    if depth == 0 or rng.random() < 0.15:
+        if width in leaves and rng.random() < 0.7:
+            return rng.choice(leaves[width])
+        return ex.const(rng.getrandbits(width), width)
+
+    def sub(w=width):
+        return _random_expr(rng, leaves, w, depth - 1)
+
+    def other_width():
+        return rng.choice(sorted(leaves))
+
+    if width == 1 and rng.random() < 0.5:
+        w = other_width()
+        return rng.choice([ex.eq, ex.ne, ex.ult, ex.ule])(sub(w), sub(w))
+    kind = rng.choice(["add", "sub", "and", "or", "xor", "mulc", "shl",
+                       "lshr", "ite", "zext", "extract"])
+    if kind in ("add", "sub", "and", "or", "xor"):
+        return getattr(ex, {"and": "and_", "or": "or_"}.get(kind, kind))(sub(), sub())
+    if kind == "mulc":
+        return ex.mulc(sub(), rng.randrange(1, 1 << (width + 2)))
+    if kind in ("shl", "lshr"):
+        if rng.random() < 0.5:
+            amount = ex.const(rng.randrange(width + 1), width)
+        else:  # symbolic, often but not always below the width
+            amount = ex.and_(sub(), ex.const((1 << max(1, width.bit_length())) - 1, width))
+        return (ex.shl if kind == "shl" else ex.lshr)(sub(), amount)
+    if kind == "ite":
+        return ex.ite(sub(1), sub(), sub())
+    narrower = [w for w in leaves if w < width]
+    if kind == "zext" and narrower:
+        return ex.zext(sub(rng.choice(narrower)), width)
+    wider = [w for w in leaves if w > width]
+    if kind == "extract" and wider:
+        src = rng.choice(wider)
+        return ex.extract(sub(src), rng.randrange(src - width + 1), width)
+    return ex.xor(sub(), sub())
+
+
 def _random_formula(rng):
     a = ex.var("a", 4)
-    b = ex.var("b", 4)
-    atoms = [
-        ex.eq(a, ex.const(rng.randrange(16), 4)),
-        ex.ult(ex.add(a, b), ex.const(rng.randrange(1, 16), 4)),
-        ex.ule(ex.xor(a, b), ex.const(rng.randrange(16), 4)),
-        ex.ne(ex.and_(a, ex.const(rng.randrange(16), 4)), b),
-        ex.eq(ex.lshr(b, ex.const(rng.randrange(5), 4)), ex.const(rng.randrange(4), 4)),
-    ]
-    f = rng.choice(atoms)
-    for _ in range(rng.randrange(3)):
-        g = rng.choice(atoms)
-        f = rng.choice([ex.and_, ex.or_, ex.xor])(f, g)
-    return f
+    b = ex.var("b", 6)
+    leaves = {4: [a], 6: [b], 1: [ex.extract(b, 5, 1)]}
+    f = ex.conj([_random_expr(rng, leaves, 1, 4) for _ in range(rng.randrange(1, 4))])
+    return f if not f.is_const else ex.eq(ex.add(a, ex.const(3, 4)), ex.extract(b, 1, 4))
 
 
 def test_backends_agree_on_random_formulas():
@@ -257,8 +296,187 @@ def test_backends_agree_on_random_formulas():
         r1 = enum.check(f)
         r2 = stub.check(f)
         assert r1.status == r2.status, emit_query(f)
-        if r2.status == "sat" and not f.is_const:
-            assert ex.evaluate(f, r2.model) == 1
+        if r2.status == "sat":
+            assert ex.evaluate(f, r1.model) == ex.evaluate(f, r2.model) == 1
+
+
+# Domains per variable width, enumerated in sorted name order: lists and
+# a range, 3 * 41 * 4 * 3 = 1,476 assignments, and a single range
+# longer than a chunk (a progression packs without a per-value step).
+_NARROW = {"a": (3, [5, 0, 7]), "b": (8, range(7, 7 + 41 * 3, 3)),
+           "c": (17, [1, 99_999, 3, 131_071]), "d": (32, [0xFFFF_FFFF, 2, 0x8000_0000])}
+_WIDE = {"a": (40, [5, 2**40 - 1, 2**39]), "b": (64, range(2**63, 2**63 + 41 * 7, 7)),
+         "c": (33, [1, 2**33 - 1, 3, 2**32]), "d": (50, [0, 2**50 - 1, 12345])}
+_RAMP = {"x": (12, range(5, 5 + 3 * 600, 3))}
+
+
+def _leaves(rng, variables, widths):
+    """Per width, an expression over one of ``variables`` of that width."""
+    leaves = {}
+    for w in widths:
+        v = rng.choice(variables)
+        leaves[w] = [v] if v.width == w else [
+            ex.extract(v, rng.randrange(v.width - w + 1), w) if v.width > w
+            else ex.zext(v, w)]
+    return leaves
+
+
+def _enumeration(names, domains):
+    """Every assignment in the backend's order: mixed radix over the
+    names in sorted order, the last fastest."""
+    names = sorted(names)
+    return [dict(zip(names, vals))
+            for vals in itertools.product(*(domains[n] for n in names))]
+
+
+@pytest.mark.parametrize("spec, widths", [
+    (_NARROW, (1, 2, 3, 7, 8, 13, 17, 31, 32)),
+    (_WIDE, (1, 33, 40, 47, 50, 64)),
+    (_RAMP, (1, 5, 12, 24, 32)),
+])
+@pytest.mark.parametrize("chunk", [37, 1 << 18])
+def test_packed_lanes_match_evaluate(spec, widths, chunk):
+    # Every lane of every node's word equals the scalar evaluation of
+    # that node under the lane's assignment, across block boundaries and
+    # block sizes that are not powers of two; and check answers with the
+    # first satisfying assignment in enumeration order.
+    rng = random.Random(f"{sorted(spec)}:{widths}:{chunk}")
+    variables = [ex.var(n, w) for n, (w, _) in spec.items()]
+    domains = {n: d for n, (_, d) in spec.items()}
+    be = EnumerativeBackend(domains=domains, chunk=chunk)
+    assignments = _enumeration(domains, domains)
+    plan = be._plan({v.name: v.width for v in variables})
+    for _ in range(4):
+        leaves = _leaves(rng, variables, widths)
+        roots = [_random_expr(rng, leaves, w, 4) for w in widths]
+        order = _postorder(roots)
+        assert {e.op for e in order} >= {ex.Op.VAR, ex.Op.CONST}
+        bits = _lane_bits(order)
+        assert bits == (64 if max(e.width for e in order) <= 32 else 128)
+        for lo in range(0, plan.total, chunk):
+            hi = min(lo + chunk, plan.total)
+            lanes = _Lanes(hi - lo, bits)
+            words = lanes.evaluate(order, plan.env(lo, lanes))
+            for g in range(lo, hi):
+                memo = {}
+                for r in roots:
+                    ex.evaluate(r, assignments[g], memo)
+                for node in order:
+                    lane = (words[node] >> ((g - lo) * bits)) & ((1 << bits) - 1)
+                    assert lane == memo[node], (node, assignments[g])
+            assert all(words[node] >> ((hi - lo) * bits) == 0 for node in order)
+        for f in roots:
+            if f.width != 1 or f.is_const:
+                continue
+            names = ex.var_widths(f)
+            expected = next((a for a in _enumeration(names, domains)
+                             if ex.evaluate(f, a)), None)
+            res = EnumerativeBackend(domains=domains, chunk=chunk).check(f)
+            if expected is None:
+                assert res.status == "unsat"
+            else:
+                assert res.status == "sat"
+                assert list(res.model.items()) == list(expected.items())
+
+
+def test_packed_lanes_every_operator():
+    # Each operator at a narrow and a wide width, over every lane of a
+    # two-variable enumeration, against scalar evaluation.
+    for w in (1, 5, 32, 33, 64):
+        x, y = ex.var("x", w), ex.var("y", w)
+        vals = sorted(v for v in {0, 1, 2, w - 1, w, (1 << w) - 1, (1 << w) // 3}
+                      if v < 1 << w)
+        domains = {"x": vals, "y": vals + [(1 << w) - 2] if w > 1 else vals}
+        wider = ex.var("z", w + 3)
+        nodes = [ex.add(x, y), ex.sub(x, y), ex.and_(x, y), ex.or_(x, y),
+                 ex.xor(x, y), ex.mulc(x, (1 << w) + 3), ex.shl(x, y),
+                 ex.lshr(x, y), ex.eq(x, y), ex.ne(x, y), ex.ult(x, y),
+                 ex.ule(x, y), ex.ite(ex.ult(x, y), x, y),
+                 ex.zext(x, w + 3), ex.extract(ex.add(wider, ex.zext(y, w + 3)), 3, w)]
+        if w > 1:
+            nodes += [ex.shl(x, ex.const(1, w)), ex.lshr(x, ex.const(w - 1, w))]
+        domains["z"] = [0, (1 << min(w + 3, 64)) - 1, 6]
+        be = EnumerativeBackend(domains=domains, chunk=5)
+        plan = be._plan({"x": w, "y": w, "z": w + 3})
+        order = _postorder(nodes)
+        bits = _lane_bits(order)
+        for lo in range(0, plan.total, be.chunk):
+            lanes = _Lanes(min(be.chunk, plan.total - lo), bits)
+            words = lanes.evaluate(order, plan.env(lo, lanes))
+            for i in range(lanes.n):
+                env = plan.model(lo + i)
+                for node in nodes:
+                    got = (words[node] >> (i * bits)) & ((1 << bits) - 1)
+                    assert got == ex.evaluate(node, env), (node, env)
+
+
+def _reference_divergence(tau, pcon, duplicated, distinct, domains, chunk):
+    """The enumerative divergence query, one assignment at a time: per
+    shared assignment in order, the first hit and the first miss; if
+    they agree on the keys, the first ``chunk``-window of the group
+    holding either side at other key values, its hit first.  Duplicated
+    variables neither formula mentions are 0 in both models.  Returns
+    the pair, or None, and whether the second pass found it."""
+    pair, rescanned = _reference_pair(tau, pcon, duplicated, distinct, domains, chunk)
+    for model in pair or ():
+        for n in duplicated:
+            model.setdefault(n, 0)
+    return pair, rescanned
+
+
+def _reference_pair(tau, pcon, duplicated, distinct, domains, chunk):
+    names = sorted(ex.var_widths(tau) | ex.var_widths(pcon))
+    shared = [n for n in names if n not in duplicated]
+    fam = [n for n in names if n in duplicated]
+    keys = [n for n in fam if n in distinct]
+    for outer in _enumeration(shared, domains):
+        group = [{n: (outer | inner)[n] for n in names}
+                 for inner in _enumeration(fam, domains)]
+        sides = [(ex.evaluate(pcon, a), ex.evaluate(tau, a)) for a in group]
+        hits = [i for i, (p, t) in enumerate(sides) if p and t]
+        misses = [i for i, (p, t) in enumerate(sides) if p and not t]
+        if not hits or not misses:
+            continue
+        hit, miss = group[hits[0]], group[misses[0]]
+        if any(hit[k] != miss[k] for k in keys):
+            return (hit, miss), False
+        for w in range(0, len(group), chunk):
+            apart = [i for i in range(w, min(w + chunk, len(group)))
+                     if any(group[i][k] != hit[k] for k in keys)]
+            for i in apart:
+                if i in hits:
+                    return (group[i], miss), True
+            for i in apart:
+                if i in misses:
+                    return (hit, group[i]), True
+    return None, False
+
+
+@pytest.mark.parametrize("chunk", [3, 45, 1 << 18])
+def test_divergence_matches_reference(chunk):
+    # Shared variable s (outer), key k and load x (duplicated): groups of
+    # 20 assignments, scanned in windows (chunk 3), in doubling blocks of
+    # whole groups (45) or in one block.
+    rng = random.Random(chunk)
+    s, k, x = ex.var("s", 3), ex.var("k", 4), ex.var("x", 2)
+    domains = {"s": [6, 1, 3], "k": range(3, 13, 2), "x": range(4)}
+    leaves = {1: [ex.extract(x, 1, 1)], 2: [x], 3: [s], 4: [k]}
+    kinds = {"sat": 0, "unsat": 0, "rescan": 0}
+    for _ in range(120):
+        tau = _random_expr(rng, leaves, 1, 3)
+        pcon = ex.conj([_random_expr(rng, leaves, 1, 2)
+                        for _ in range(rng.randrange(2))])
+        want, rescanned = _reference_divergence(tau, pcon, ["k", "x"], ["k"], domains, chunk)
+        res = EnumerativeBackend(domains=domains, chunk=chunk).check_divergence(
+            tau, pcon, ["k", "x"], ["k"])
+        if want is None:
+            assert res.status == "unsat", (tau, pcon)
+            kinds["unsat"] += 1
+        else:
+            assert res.status == "sat", (tau, pcon)
+            assert (res.model_a, res.model_b) == want, (tau, pcon)
+            kinds["rescan" if rescanned else "sat"] += 1
+    assert all(kinds.values()), kinds
 
 
 def test_generic_divergence_through_process_backend():
