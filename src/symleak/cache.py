@@ -19,10 +19,9 @@ folders, so the unreduced encodings stay faithful to their definitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import expr as ex
 from .expr import Expr
+from .records import Frozen, Value, set_field
 
 ADDR_WIDTH = 32
 
@@ -31,22 +30,23 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and n & (n - 1) == 0
 
 
-@dataclass(frozen=True)
-class CacheConfig:
+class CacheConfig(Value, Frozen):
     """Size in bytes, line size in bytes and associativity (ways)."""
 
-    cache_size: int = 65536
-    line_size: int = 64
-    assoc: int = 1
-    policy: str = "lru"
+    __slots__ = ("cache_size", "line_size", "assoc", "policy")
 
-    def __post_init__(self) -> None:
-        if not (_is_pow2(self.cache_size) and _is_pow2(self.line_size) and _is_pow2(self.assoc)):
+    def __init__(self, cache_size: int = 65536, line_size: int = 64,
+                 assoc: int = 1, policy: str = "lru") -> None:
+        if not (_is_pow2(cache_size) and _is_pow2(line_size) and _is_pow2(assoc)):
             raise ValueError("cache_size, line_size and assoc must be powers of two")
-        if self.policy != "lru":
-            raise ValueError(f"unsupported replacement policy {self.policy!r}")
-        if self.line_size * self.assoc > self.cache_size:
+        if policy != "lru":
+            raise ValueError(f"unsupported replacement policy {policy!r}")
+        if line_size * assoc > cache_size:
             raise ValueError("cache smaller than one set")
+        set_field(self, "cache_size", cache_size)
+        set_field(self, "line_size", line_size)
+        set_field(self, "assoc", assoc)
+        set_field(self, "policy", policy)
 
     @property
     def num_sets(self) -> int:
@@ -61,39 +61,48 @@ class CacheConfig:
         return self.cache_size // self.line_size
 
 
-@dataclass(frozen=True)
-class Site:
+class Site(Value, Frozen):
     """A static access site: thread, source line, kind and target."""
 
-    tid: int
-    line: int
-    kind: str  # "load" | "store"
-    decl: str
+    __slots__ = ("tid", "line", "kind", "decl")
+
+    def __init__(self, tid: int, line: int, kind: str, decl: str) -> None:
+        set_field(self, "tid", tid)
+        set_field(self, "line", line)
+        set_field(self, "kind", kind)  # "load" | "store"
+        set_field(self, "decl", decl)
 
     def __str__(self) -> str:
         return f"t{self.tid}:L{self.line}:{self.kind}:{self.decl}"
 
 
-@dataclass(frozen=True)
-class AccessRecord:
+class AccessRecord(Frozen):
     """One executed memory access of a symbolic interleaving."""
 
-    index: int
-    tid: int
-    kind: str
-    addr: Expr
-    pcon: Expr
-    site: Site
-    decl: str
-    value: Expr | None = None
+    __slots__ = ("index", "tid", "kind", "addr", "pcon", "site", "decl",
+                 "value")
+
+    def __init__(self, index: int, tid: int, kind: str, addr: Expr,
+                 pcon: Expr, site: Site, decl: str,
+                 value: Expr | None = None) -> None:
+        set_field(self, "index", index)
+        set_field(self, "tid", tid)
+        set_field(self, "kind", kind)
+        set_field(self, "addr", addr)
+        set_field(self, "pcon", pcon)
+        set_field(self, "site", site)
+        set_field(self, "decl", decl)
+        set_field(self, "value", value)
 
 
 Trace = tuple[AccessRecord, ...]
 
 
-@dataclass(frozen=True)
-class ReduceOptions:
-    tables: bool = True
+class ReduceOptions(Value, Frozen):
+    __slots__ = ("tables",)
+
+    def __init__(self, tables: bool = True) -> None:
+        set_field(self, "tables", tables)
 
     @classmethod
     def none(cls) -> "ReduceOptions":

@@ -24,7 +24,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .cache import CacheConfig, ReduceOptions, probe_window
 from .detector import LeakReport
@@ -33,6 +32,7 @@ from .explorer import ExploreOptions, ExploreStats, explore
 from .ir import Program, SymbolicBase, pretty
 from .oracle import brute_force_leaks, replay, replay_trace, schedule_from_lines
 from .parser import parse_program
+from .records import Frozen, set_field
 from .solver import EnumerativeBackend, SmtProcessBackend, SolverBackend
 from .transform import synthesize_adversary, unroll_loops
 
@@ -45,19 +45,27 @@ _DEFAULT_CACHE = (65536, 64, 1)
 _UNROLL_BOUND = 4096
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """Everything one analyze invocation depends on; no hidden state."""
 
-    program: str
-    cache: CacheConfig = CacheConfig()
-    mode: str = "precise"  # "precise" | "two-step"
-    adversary: str = "fixed"  # "fixed" | "synthesize" | "none"
-    reductions: ReduceOptions = ReduceOptions()
-    max_interleavings: int | None = None
-    timeout_ms: int = 30000
-    solver: str | None = None
-    out: str | None = None
+    __slots__ = ("program", "cache", "mode", "adversary", "reductions",
+                 "max_interleavings", "timeout_ms", "solver", "out")
+
+    def __init__(self, program: str, cache: CacheConfig = CacheConfig(),
+                 mode: str = "precise", adversary: str = "fixed",
+                 reductions: ReduceOptions = ReduceOptions(),
+                 max_interleavings: int | None = None,
+                 timeout_ms: int = 30000, solver: str | None = None,
+                 out: str | None = None) -> None:
+        set_field(self, "program", program)
+        set_field(self, "cache", cache)
+        set_field(self, "mode", mode)  # "precise" | "two-step"
+        set_field(self, "adversary", adversary)  # "fixed" | "synthesize" | "none"
+        set_field(self, "reductions", reductions)
+        set_field(self, "max_interleavings", max_interleavings)
+        set_field(self, "timeout_ms", timeout_ms)
+        set_field(self, "solver", solver)
+        set_field(self, "out", out)
 
 
 def _load(path: str) -> Program:

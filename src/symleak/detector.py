@@ -17,23 +17,26 @@ shared environment, so both runs see one copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import expr as ex
 from .engine import SymbolicState
 from .expr import Expr
 from .ir import Program, SymbolicBase
+from .records import Frozen, Value, set_field
 from .solver import DivergenceResult, SolverBackend
 
 
-@dataclass(frozen=True)
-class VarClasses:
-    duplicated: tuple[str, ...]  # one copy per compared run; pair must differ
-    shared: tuple[str, ...]      # environment: layout bases, public memory
+class VarClasses(Frozen):
+    __slots__ = ("duplicated", "shared")
+
+    def __init__(self, duplicated: tuple[str, ...],
+                 shared: tuple[str, ...]) -> None:
+        # One copy per compared run; the pair must differ.
+        set_field(self, "duplicated", duplicated)
+        # The environment: layout bases, public memory.
+        set_field(self, "shared", shared)
 
 
-@dataclass(frozen=True)
-class LeakReport:
+class LeakReport(Value, Frozen):
     """One confirmed divergence: at ``site``, under ``schedule``, secret
     valuation ``k1`` behaves as ``verdict1`` and ``k2`` as ``verdict2``.
     The schedule lists (tid, site) per executed access, the reported
@@ -42,16 +45,25 @@ class LeakReport:
     the distinct thread-choice sequences in which the site leaked; this
     witness is the first of them the search found."""
 
-    site: str
-    access_index: int
-    schedule: tuple[tuple[int, str], ...]
-    k1: dict[str, int]
-    k2: dict[str, int]
-    adversary_addr: int | None
-    verdict1: str
-    verdict2: str
-    mode: str
-    leaky_schedules: int = 1
+    __slots__ = ("site", "access_index", "schedule", "k1", "k2",
+                 "adversary_addr", "verdict1", "verdict2", "mode",
+                 "leaky_schedules")
+
+    def __init__(self, site: str, access_index: int,
+                 schedule: tuple[tuple[int, str], ...], k1: dict[str, int],
+                 k2: dict[str, int], adversary_addr: int | None,
+                 verdict1: str, verdict2: str, mode: str,
+                 leaky_schedules: int = 1) -> None:
+        set_field(self, "site", site)
+        set_field(self, "access_index", access_index)
+        set_field(self, "schedule", schedule)
+        set_field(self, "k1", k1)
+        set_field(self, "k2", k2)
+        set_field(self, "adversary_addr", adversary_addr)
+        set_field(self, "verdict1", verdict1)
+        set_field(self, "verdict2", verdict2)
+        set_field(self, "mode", mode)
+        set_field(self, "leaky_schedules", leaky_schedules)
 
 
 def classify(p: Program, st: SymbolicState) -> VarClasses:

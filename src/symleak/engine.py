@@ -23,8 +23,6 @@ the end of an initialised array clamp to its last element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import expr as ex
 from .cache import ADDR_WIDTH, AccessRecord, CacheConfig, Site, Trace, probe_window
 from .errors import UnrollError
@@ -46,68 +44,89 @@ from .ir import (
     Store,
     SymbolicBase,
 )
+from .records import Frozen, set_field
 
 MASK32 = (1 << 32) - 1
 
 
-@dataclass(frozen=True)
-class Frame:
-    body: tuple[Stmt, ...]
-    at: int
+class Frame(Frozen):
+    __slots__ = ("body", "at")
+
+    def __init__(self, body: tuple[Stmt, ...], at: int) -> None:
+        set_field(self, "body", body)
+        set_field(self, "at", at)
 
 
 # A cursor is a stack of frames; empty means the thread finished.
 Cursor = tuple[Frame, ...]
 
 
-@dataclass(frozen=True)
-class StoreEntry:
+class StoreEntry(Frozen):
     """One store in program order.  ``cell`` is the concrete element index
     when the store's index folded to a constant, else None (a clobber)."""
 
-    decl: str
-    index: Expr
-    value: Expr
-    cell: int | None
+    __slots__ = ("decl", "index", "value", "cell")
+
+    def __init__(self, decl: str, index: Expr, value: Expr,
+                 cell: int | None) -> None:
+        set_field(self, "decl", decl)
+        set_field(self, "index", index)
+        set_field(self, "value", value)
+        set_field(self, "cell", cell)
 
 
-@dataclass(frozen=True)
-class AccessEvent:
+class AccessEvent(Frozen):
     """A memory access that is ready to run: address and value are already
     evaluated in the issuing thread's registers."""
 
-    tid: int
-    kind: str  # "load" | "store"
-    decl: Declaration
-    addr: Expr
-    value: Expr | None
-    stmt: Stmt
-    site: Site
+    __slots__ = ("tid", "kind", "decl", "addr", "value", "stmt", "site")
+
+    def __init__(self, tid: int, kind: str, decl: Declaration, addr: Expr,
+                 value: Expr | None, stmt: Stmt, site: Site) -> None:
+        set_field(self, "tid", tid)
+        set_field(self, "kind", kind)  # "load" | "store"
+        set_field(self, "decl", decl)
+        set_field(self, "addr", addr)
+        set_field(self, "value", value)
+        set_field(self, "stmt", stmt)
+        set_field(self, "site", site)
 
 
-@dataclass(frozen=True)
-class BranchEvent:
-    tid: int
-    cond: Expr  # width 1, true-arm condition
-    stmt: If
+class BranchEvent(Frozen):
+    __slots__ = ("tid", "cond", "stmt")
+
+    def __init__(self, tid: int, cond: Expr, stmt: If) -> None:
+        set_field(self, "tid", tid)
+        set_field(self, "cond", cond)  # width 1, true-arm condition
+        set_field(self, "stmt", stmt)
 
 
-@dataclass(frozen=True)
-class SymbolicState:
-    program: Program
-    cfg: CacheConfig
-    # Register files by thread position.  Treated as copy-on-write: never
-    # mutate a dict reachable from a state.
-    regs: tuple[dict[str, Expr], ...]
-    cursors: tuple[Cursor, ...]
-    pcon: Expr
-    stores: tuple[StoreEntry, ...]
-    trace: Trace
-    # First-touch names for cells read before any write: (decl, cell, var).
-    init_cells: tuple[tuple[str, int, str], ...]
-    fresh_secret: tuple[str, ...]
-    fresh_public: tuple[str, ...]
-    branch_path: tuple[bool, ...]
+class SymbolicState(Frozen):
+    __slots__ = ("program", "cfg", "regs", "cursors", "pcon", "stores",
+                 "trace", "init_cells", "fresh_secret", "fresh_public",
+                 "branch_path")
+
+    def __init__(self, program: Program, cfg: CacheConfig,
+                 regs: tuple[dict[str, Expr], ...], cursors: tuple[Cursor, ...],
+                 pcon: Expr, stores: tuple[StoreEntry, ...], trace: Trace,
+                 init_cells: tuple[tuple[str, int, str], ...],
+                 fresh_secret: tuple[str, ...], fresh_public: tuple[str, ...],
+                 branch_path: tuple[bool, ...]) -> None:
+        set_field(self, "program", program)
+        set_field(self, "cfg", cfg)
+        # Register files by thread position.  Treated as copy-on-write:
+        # never mutate a dict reachable from a state.
+        set_field(self, "regs", regs)
+        set_field(self, "cursors", cursors)
+        set_field(self, "pcon", pcon)
+        set_field(self, "stores", stores)
+        set_field(self, "trace", trace)
+        # First-touch names for cells read before any write:
+        # (decl, cell, var).
+        set_field(self, "init_cells", init_cells)
+        set_field(self, "fresh_secret", fresh_secret)
+        set_field(self, "fresh_public", fresh_public)
+        set_field(self, "branch_path", branch_path)
 
     @property
     def finished(self) -> bool:

@@ -20,7 +20,7 @@ independent accesses).
 Before an access from the critical thread runs, if some earlier access
 from another thread may share its cache set, the access is checked for
 secret-dependent divergence.  Each leaky site gets one report: the
-first witness the search finds, which is built only then, with the
+first witness the search finds, built once the search ends, with the
 number of choice sequences (below) in which the site leaked.  With
 early termination, when some state on the path has two dependent
 enabled accesses (so another class of orders exists), the rest of that
@@ -39,7 +39,6 @@ recursion limit.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
 
 from .cache import (AccessRecord, CacheConfig, ReduceOptions, Trace,
                     hit_constraint, hit_constraint_assoc, may_same_line)
@@ -49,35 +48,50 @@ from .engine import (AccessEvent, BranchEvent, SymbolicState, branch_events,
                      enabled_events, initial_state, perform_access,
                      take_branch)
 from .ir import Program, SymbolicBase
+from .records import Frozen, Value, set_field
 from .solver import SolverBackend
 
 
-@dataclass(frozen=True)
-class ExploreOptions:
-    mode: str = "precise"  # "precise" | "two_step"
-    reductions: ReduceOptions = ReduceOptions()
-    max_interleavings: int | None = None
-    check_sequential: bool = True
-    early_termination: bool = True
-    solver_timeout_ms: int | None = None
+class ExploreOptions(Frozen):
+    __slots__ = ("mode", "reductions", "max_interleavings",
+                 "check_sequential", "early_termination", "solver_timeout_ms")
+
+    def __init__(self, mode: str = "precise",
+                 reductions: ReduceOptions = ReduceOptions(),
+                 max_interleavings: int | None = None,
+                 check_sequential: bool = True, early_termination: bool = True,
+                 solver_timeout_ms: int | None = None) -> None:
+        set_field(self, "mode", mode)  # "precise" | "two_step"
+        set_field(self, "reductions", reductions)
+        set_field(self, "max_interleavings", max_interleavings)
+        set_field(self, "check_sequential", check_sequential)
+        set_field(self, "early_termination", early_termination)
+        set_field(self, "solver_timeout_ms", solver_timeout_ms)
 
 
-@dataclass
-class ExploreStats:
-    interleavings_explored: int = 0
-    leak_checks: int = 0
-    solver_calls: int = 0  # queries issued, memo hits included
-    solver_memo_hits: int = 0
-    states_forked: int = 0
-    indeterminate: int = 0
-    complete: bool = True
+class ExploreStats(Value):
+    __slots__ = ("interleavings_explored", "leak_checks", "solver_calls",
+                 "solver_memo_hits", "states_forked", "indeterminate",
+                 "complete")
+    __hash__ = None  # mutable
+
+    def __init__(self, interleavings_explored: int = 0, leak_checks: int = 0,
+                 solver_calls: int = 0, solver_memo_hits: int = 0,
+                 states_forked: int = 0, indeterminate: int = 0,
+                 complete: bool = True) -> None:
+        self.interleavings_explored = interleavings_explored
+        self.leak_checks = leak_checks
+        self.solver_calls = solver_calls  # queries issued, memo hits included
+        self.solver_memo_hits = solver_memo_hits
+        self.states_forked = states_forked
+        self.indeterminate = indeterminate
+        self.complete = complete
 
 
 class _Bounded(Exception):
     pass
 
 
-@dataclass
 class _Frame:
     """One open state of the depth-first search.  ``alts`` holds what is
     left to try there: both arms of ``branch``, or the awake enabled
@@ -86,14 +100,23 @@ class _Frame:
     holds every enabled access (asleep ones too) and ``deps`` the
     dependence of the pairs of them asked about so far, by thread ids."""
 
-    st: SymbolicState
-    choices: tuple[int, ...]
-    sleep: list[AccessEvent]
-    alts: list
-    branch: BranchEvent | None = None
-    evs: tuple[AccessEvent, ...] = ()
-    deps: dict[tuple[int, int], bool] = field(default_factory=dict)
-    tried: int = 0
+    __slots__ = ("st", "choices", "sleep", "alts", "branch", "evs", "deps",
+                 "tried")
+
+    def __init__(self, st: SymbolicState, choices: tuple[int, ...],
+                 sleep: list[AccessEvent], alts: list,
+                 branch: BranchEvent | None = None,
+                 evs: tuple[AccessEvent, ...] = (),
+                 deps: dict[tuple[int, int], bool] | None = None,
+                 tried: int = 0) -> None:
+        self.st = st
+        self.choices = choices
+        self.sleep = sleep
+        self.alts = alts
+        self.branch = branch
+        self.evs = evs
+        self.deps = {} if deps is None else deps
+        self.tried = tried
 
 
 def adversarial_access(p: Program, st: SymbolicState, ev: AccessEvent,
@@ -122,14 +145,15 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
                              cfg: CacheConfig, opts: ExploreOptions,
                              backend: SolverBackend,
                              stats: ExploreStats | None = None
-                             ) -> Callable[[], LeakReport] | None:
+                             ) -> Callable[[int], LeakReport] | None:
     """Build the hit constraint for ``ev`` over the trace so far and ask
     whether two secret valuations can disagree on it.
 
     The reductions in ``opts`` only drop terms that interval reasoning
     already decides, so the constraint is exact and one query answers.
-    On a divergence the result builds the witness report when called, so
-    a site that already has one costs nothing more.
+    On a divergence the result builds the witness report when called
+    with the site's count of leaky schedules, so a site that already has
+    one costs nothing more.
     """
     i = len(st.trace)
     tr = st.trace + (_record(st, ev),)
@@ -143,7 +167,7 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
     if res.status != "sat":
         return None
 
-    def report() -> LeakReport:
+    def report(leaky_schedules: int) -> LeakReport:
         v1, v2 = verdicts(tau, st.pcon, res)
         adv = None
         for d in p.decls:
@@ -155,7 +179,7 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
             schedule=tuple((r.tid, str(r.site)) for r in tr),
             k1=_project(res.model_a, classes), k2=_project(res.model_b, classes),
             adversary_addr=adv, verdict1=v1, verdict2=v2,
-            mode=opts.mode,
+            mode=opts.mode, leaky_schedules=leaky_schedules,
         )
     return report
 
@@ -163,7 +187,8 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
 def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
             backend: SolverBackend) -> tuple[list[LeakReport], ExploreStats]:
     stats = ExploreStats()
-    reports: dict[str, LeakReport] = {}  # per site, its first witness
+    # Per site, the report builder of its first witness.
+    reports: dict[str, Callable[[int], LeakReport]] = {}
     leaky: dict[str, set[tuple[int, ...]]] = {}  # per site, choice sequences
     classes_seen: set[tuple] = set()
     calls_before, hits_before = backend.calls, backend.memo_hits
@@ -245,7 +270,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                     if leak is not None:
                         site = str(ev.site)
                         if site not in reports:
-                            reports[site] = leak()
+                            reports[site] = leak
                         leaky.setdefault(site, set()).add(choices)
                         # Cut only below a state (this one or an
                         # ancestor, all on the stack) where two enabled
@@ -268,8 +293,8 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
     stats.interleavings_explored = len(classes_seen)
     stats.solver_calls = backend.calls - calls_before
     stats.solver_memo_hits = backend.memo_hits - hits_before
-    return [replace(r, leaky_schedules=len(leaky[site]))
-            for site, r in reports.items()], stats
+    return [report(len(leaky[site]))
+            for site, report in reports.items()], stats
 
 
 def _record(st: SymbolicState, ev: AccessEvent) -> AccessRecord:

@@ -15,7 +15,8 @@ double as boolean connectives at width 1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+
+from .records import Frozen, set_field
 
 
 class Op(enum.Enum):
@@ -37,22 +38,34 @@ class Op(enum.Enum):
     ZEXT = "zext"
     EXTRACT = "extract"
 
+    # Members are singletons, so identity is a cheaper hash than the
+    # name's, which ``Enum`` uses; interning hashes an ``Op`` per node.
+    __hash__ = object.__hash__
+
 
 _COMMUTATIVE = {Op.ADD, Op.AND, Op.OR, Op.XOR, Op.EQ, Op.NE}
 
 
-@dataclass(frozen=True, eq=False)
-class Expr:
-    """One interned DAG node.  Do not construct directly; use the builders."""
+class Expr(Frozen):
+    """One interned DAG node.  Do not construct directly; use the builders.
 
-    op: Op
-    width: int
-    args: tuple["Expr", ...] = ()
-    # CONST value, MULC factor or EXTRACT low bit; unused otherwise.
-    value: int | None = None
-    name: str | None = None
-    # Creation serial; stable within a process, used for canonical ordering.
-    serial: int = field(default=0, compare=False)
+    Equality is identity: interning makes equal nodes the same object."""
+
+    __slots__ = ("op", "width", "args", "value", "name", "serial", "is_const")
+
+    def __init__(self, op: Op, width: int, args: tuple[Expr, ...] = (),
+                 value: int | None = None, name: str | None = None,
+                 serial: int = 0) -> None:
+        set_field(self, "op", op)
+        set_field(self, "width", width)
+        set_field(self, "args", args)
+        # CONST value, MULC factor or EXTRACT low bit; unused otherwise.
+        set_field(self, "value", value)
+        set_field(self, "name", name)
+        # Creation serial; stable within a process, used for canonical
+        # ordering.
+        set_field(self, "serial", serial)
+        set_field(self, "is_const", op is Op.CONST)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.op is Op.CONST:
@@ -61,10 +74,6 @@ class Expr:
             return f"{self.name}:{self.width}"
         extra = f" {self.value}" if self.value is not None else ""
         return f"({self.op.value}{extra} " + " ".join(map(repr, self.args)) + ")"
-
-    @property
-    def is_const(self) -> bool:
-        return self.op is Op.CONST
 
 
 _table: dict[tuple, Expr] = {}

@@ -16,13 +16,13 @@ element, as the symbolic ladder does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .cache import CacheConfig, probe_window
 from .errors import BruteForceCapError, ReplayError
 from .ir import (Assign, BinOp, Declaration, Fixed, For, If, IRExpr, Load,
                  Name, Num, Program, Sensitivity, Stmt, Store, SymbolicBase)
+from .records import Frozen, set_field
 
 MASK32 = (1 << 32) - 1
 
@@ -30,11 +30,13 @@ MASK32 = (1 << 32) - 1
 BehaviorSeq = list
 
 
-@dataclass(frozen=True)
-class ConcreteCacheState:
+class ConcreteCacheState(Frozen):
     """Per-set tag lists, most recently used first."""
 
-    sets: tuple[tuple[int, ...], ...]
+    __slots__ = ("sets",)
+
+    def __init__(self, sets: tuple[tuple[int, ...], ...]) -> None:
+        set_field(self, "sets", sets)
 
 
 def empty_cache(cfg: CacheConfig) -> ConcreteCacheState:

@@ -24,12 +24,12 @@ reports.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError
 from .ir import (Assign, BinOp, Declaration, Fixed, For, If, IRExpr, Load,
                  Name, Num, PRECEDENCE, Program, PublicInput, SecretInput,
                  Sensitivity, Stmt, Store, SymbolicBase, Thread)
+from .records import Frozen, set_field
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[ \t\r]+)
@@ -45,12 +45,14 @@ _KEYWORDS = {"array", "scalar", "input", "thread", "critical", "secret",
              "if", "else", "for", "in"}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "ident" | "op" | "eof"
-    text: str
-    line: int
-    col: int
+class Token(Frozen):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        set_field(self, "kind", kind)  # "num" | "ident" | "op" | "eof"
+        set_field(self, "text", text)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
 
 def _tokenize(text: str) -> list[Token]:

@@ -45,24 +45,28 @@ import time
 from abc import ABC, abstractmethod
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from . import expr as ex
 from .errors import EnumerativeCapError, SolverProcessError
 from .expr import Expr
 
 
-@dataclass
 class SolveResult:
-    status: str  # "sat" | "unsat" | "unknown"
-    model: dict[str, int] | None = None
+    __slots__ = ("status", "model")
+
+    def __init__(self, status: str, model: dict[str, int] | None = None) -> None:
+        self.status = status  # "sat" | "unsat" | "unknown"
+        self.model = model
 
 
-@dataclass
 class DivergenceResult:
-    status: str
-    model_a: dict[str, int] | None = None
-    model_b: dict[str, int] | None = None
+    __slots__ = ("status", "model_a", "model_b")
+
+    def __init__(self, status: str, model_a: dict[str, int] | None = None,
+                 model_b: dict[str, int] | None = None) -> None:
+        self.status = status
+        self.model_a = model_a
+        self.model_b = model_b
 
 
 class SolverBackend(ABC):

@@ -344,12 +344,14 @@ def test_confirm_report_rejects_doctored_witness():
     assert not confirm_report(p, cfg, same)
 
 
-def test_cli_import_loads_no_numpy():
-    # The package has no runtime dependencies: importing the command line
-    # in a fresh interpreter loads no numpy.
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+def test_cli_import_loads_no(module):
+    # The package has no runtime dependencies, and its records are plain
+    # slotted classes: importing the command line in a fresh interpreter
+    # loads neither numpy nor the dataclass machinery and what it imports.
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, symleak.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"],
+         f"print(sorted(m for m in sys.modules if m.split('.')[0] == {module!r}))"],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr

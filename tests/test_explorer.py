@@ -5,8 +5,6 @@ reproduce both verdicts at the reported access.  Counter values are
 pinned so schedule-class deduplication and search-order changes show up.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from symleak.cache import CacheConfig, ReduceOptions
@@ -116,7 +114,7 @@ def test_unrelated_probe_does_not_hide_a_later_conflict(cfg, site):
 
 def test_two_step_mode_agrees_here(fig3_cfg):
     p = load_program("conc_tmp_fixed.ir")
-    opts = replace(ALL_REDUCTIONS, mode="two_step")
+    opts = ExploreOptions(mode="two_step", reductions=ReduceOptions())
     reports, stats = explore(p, fig3_cfg, opts, make_backend(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L11:store:p"]
     assert reports[0].mode == "two_step"
@@ -172,7 +170,8 @@ def test_early_termination_keeps_site_set(fig3_cfg, name):
     p = load_program(name)
     on, stats_on = explore(p, fig3_cfg, ALL_REDUCTIONS, make_backend(p, fig3_cfg))
     off, stats_off = explore(p, fig3_cfg,
-                             replace(ALL_REDUCTIONS, early_termination=False),
+                             ExploreOptions(reductions=ReduceOptions(),
+                                            early_termination=False),
                              make_backend(p, fig3_cfg))
     assert {r.site for r in on} == {r.site for r in off}
     assert stats_on.leak_checks <= stats_off.leak_checks
@@ -184,7 +183,8 @@ def test_early_termination_prunes_concurrent_paths(fig3_cfg):
     p = load_program("adv_symbolic.ir")
     _, on = explore(p, fig3_cfg, ALL_REDUCTIONS, make_backend(p, fig3_cfg))
     _, off = explore(p, fig3_cfg,
-                     replace(ALL_REDUCTIONS, early_termination=False),
+                     ExploreOptions(reductions=ReduceOptions(),
+                                    early_termination=False),
                      make_backend(p, fig3_cfg))
     assert (on.leak_checks, off.leak_checks) == (6, 12)
     assert on.solver_calls < off.solver_calls
@@ -230,7 +230,7 @@ def test_schedule_classes_cover_all_order_behaviors(fig3_cfg):
 
 def test_interleaving_budget_marks_incomplete(fig3_cfg):
     p = load_program("conc_tmp_fixed.ir")
-    opts = replace(ALL_REDUCTIONS, max_interleavings=1)
+    opts = ExploreOptions(reductions=ReduceOptions(), max_interleavings=1)
     reports, stats = explore(p, fig3_cfg, opts, make_backend(p, fig3_cfg))
     assert not stats.complete
     assert stats.interleavings_explored <= 1
@@ -251,6 +251,6 @@ def test_unknown_solver_counts_indeterminate(fig3_cfg):
 
 def test_sequential_checks_can_be_disabled(fig3_cfg):
     p = load_program("seq_leaky_reuse.ir")
-    opts = replace(ALL_REDUCTIONS, check_sequential=False)
+    opts = ExploreOptions(reductions=ReduceOptions(), check_sequential=False)
     reports, stats = explore(p, fig3_cfg, opts, make_backend(p, fig3_cfg))
     assert reports == [] and stats.leak_checks == 0
