@@ -46,13 +46,13 @@ class LeakReport(Value, Frozen):
     witness is the first of them the search found."""
 
     __slots__ = ("site", "access_index", "schedule", "k1", "k2",
-                 "adversary_addr", "verdict1", "verdict2", "mode",
+                 "adversary_addr", "verdict1", "verdict2",
                  "leaky_schedules")
 
     def __init__(self, site: str, access_index: int,
                  schedule: tuple[tuple[int, str], ...], k1: dict[str, int],
                  k2: dict[str, int], adversary_addr: int | None,
-                 verdict1: str, verdict2: str, mode: str,
+                 verdict1: str, verdict2: str,
                  leaky_schedules: int = 1) -> None:
         set_field(self, "site", site)
         set_field(self, "access_index", access_index)
@@ -62,7 +62,6 @@ class LeakReport(Value, Frozen):
         set_field(self, "adversary_addr", adversary_addr)
         set_field(self, "verdict1", verdict1)
         set_field(self, "verdict2", verdict2)
-        set_field(self, "mode", mode)
         set_field(self, "leaky_schedules", leaky_schedules)
 
 

@@ -102,18 +102,16 @@ class BranchEvent(Frozen):
 
 
 class SymbolicState(Frozen):
-    __slots__ = ("program", "cfg", "regs", "cursors", "pcon", "stores",
-                 "trace", "init_cells", "fresh_secret", "fresh_public",
-                 "branch_path")
+    __slots__ = ("program", "regs", "cursors", "pcon", "stores", "trace",
+                 "init_cells", "fresh_secret", "fresh_public")
 
-    def __init__(self, program: Program, cfg: CacheConfig,
-                 regs: tuple[dict[str, Expr], ...], cursors: tuple[Cursor, ...],
-                 pcon: Expr, stores: tuple[StoreEntry, ...], trace: Trace,
+    def __init__(self, program: Program, regs: tuple[dict[str, Expr], ...],
+                 cursors: tuple[Cursor, ...], pcon: Expr,
+                 stores: tuple[StoreEntry, ...], trace: Trace,
                  init_cells: tuple[tuple[str, int, str], ...],
-                 fresh_secret: tuple[str, ...], fresh_public: tuple[str, ...],
-                 branch_path: tuple[bool, ...]) -> None:
+                 fresh_secret: tuple[str, ...],
+                 fresh_public: tuple[str, ...]) -> None:
         set_field(self, "program", program)
-        set_field(self, "cfg", cfg)
         # Register files by thread position.  Treated as copy-on-write:
         # never mutate a dict reachable from a state.
         set_field(self, "regs", regs)
@@ -126,7 +124,6 @@ class SymbolicState(Frozen):
         set_field(self, "init_cells", init_cells)
         set_field(self, "fresh_secret", fresh_secret)
         set_field(self, "fresh_public", fresh_public)
-        set_field(self, "branch_path", branch_path)
 
     @property
     def finished(self) -> bool:
@@ -239,7 +236,6 @@ def initial_state(p: Program, cfg: CacheConfig) -> SymbolicState:
     cursors = tuple(_normalize((Frame(t.body, 0),)) for t in p.threads)
     st = SymbolicState(
         program=p,
-        cfg=cfg,
         regs=regs,
         cursors=cursors,
         pcon=pcon,
@@ -248,7 +244,6 @@ def initial_state(p: Program, cfg: CacheConfig) -> SymbolicState:
         init_cells=(),
         fresh_secret=(),
         fresh_public=(),
-        branch_path=(),
     )
     return advance_locals(st)
 
@@ -276,10 +271,9 @@ def advance_locals(st: SymbolicState) -> SymbolicState:
     if not changed:
         return st
     return SymbolicState(
-        program=st.program, cfg=st.cfg, regs=tuple(regs), cursors=tuple(cursors),
+        program=st.program, regs=tuple(regs), cursors=tuple(cursors),
         pcon=st.pcon, stores=st.stores, trace=st.trace, init_cells=st.init_cells,
         fresh_secret=st.fresh_secret, fresh_public=st.fresh_public,
-        branch_path=st.branch_path,
     )
 
 
@@ -324,10 +318,10 @@ def take_branch(st: SymbolicState, ev: BranchEvent, arm: bool) -> SymbolicState:
     cursors = list(st.cursors)
     cursors[pos] = _enter(cursors[pos], body)
     nxt = SymbolicState(
-        program=st.program, cfg=st.cfg, regs=st.regs, cursors=tuple(cursors),
+        program=st.program, regs=st.regs, cursors=tuple(cursors),
         pcon=ex.and_(st.pcon, cond), stores=st.stores, trace=st.trace,
         init_cells=st.init_cells, fresh_secret=st.fresh_secret,
-        fresh_public=st.fresh_public, branch_path=st.branch_path + (arm,),
+        fresh_public=st.fresh_public,
     )
     return advance_locals(nxt)
 
@@ -416,10 +410,10 @@ def perform_access(st: SymbolicState, ev: AccessEvent) -> SymbolicState:
     cursors = list(st.cursors)
     cursors[pos] = _step_over(cursors[pos])
     nxt = SymbolicState(
-        program=st.program, cfg=st.cfg, regs=tuple(regs), cursors=tuple(cursors),
+        program=st.program, regs=tuple(regs), cursors=tuple(cursors),
         pcon=st.pcon, stores=stores, trace=st.trace + (record,),
         init_cells=init_cells, fresh_secret=fresh_secret,
-        fresh_public=fresh_public, branch_path=st.branch_path,
+        fresh_public=fresh_public,
     )
     return advance_locals(nxt)
 

@@ -13,27 +13,24 @@ earlier siblings and inherited sleepers that are independent of the
 access it takes, an access that becomes dependent wakes up, and a state
 whose enabled accesses all sleep is abandoned.  A branch changes no
 thread's next access, so both arms inherit the sleep set unchanged.
-Without early termination the search therefore runs at least one
-order of every Mazurkiewicz trace (class of orders equal up to swapping
-independent accesses).
 
 Before an access from the critical thread runs, if some earlier access
 from another thread may share its cache set, the access is checked for
-secret-dependent divergence.  Each leaky site gets one report: the
-first witness the search finds, built once the search ends, with the
-number of choice sequences (below) in which the site leaked.  With
-early termination, when some state on the path has two dependent
-enabled accesses (so another class of orders exists), the rest of that
-interleaving is skipped and counts as explored.  A later site that
-leaks only in the skipped class is then not reported, so only the
-search without early termination covers every class.
+secret-dependent divergence.  Only critical accesses are checked, so an
+interleaving ends as soon as the critical thread has finished: the
+subtree below holds no check, and cutting it loses nothing.  The search
+therefore checks every critical access in at least one order of every
+Mazurkiewicz trace (class of orders equal up to swapping independent
+accesses).  Each leaky site gets one report: the first witness the
+search finds, built once the search ends, with the number of choice
+sequences (below) in which the site leaked.
 
 Interleavings are identified by the sequence of thread choices taken at
-states with more than one enabled access.  Two executions with the same
-choice sequence count as one interleaving, and as one leaky schedule of
-a site, no matter which branch arms they took.  The open states live
-on an explicit stack, so trace length is not bounded by Python's
-recursion limit.
+states with more than one enabled access, up to the critical thread's
+end.  Two executions with the same choice sequence count as one
+interleaving, and as one leaky schedule of a site, no matter which
+branch arms they took.  The open states live on an explicit stack, so
+trace length is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -54,18 +51,15 @@ from .solver import SolverBackend
 
 class ExploreOptions(Frozen):
     __slots__ = ("mode", "reductions", "max_interleavings",
-                 "check_sequential", "early_termination", "solver_timeout_ms")
+                 "solver_timeout_ms")
 
     def __init__(self, mode: str = "precise",
                  reductions: ReduceOptions = ReduceOptions(),
                  max_interleavings: int | None = None,
-                 check_sequential: bool = True, early_termination: bool = True,
                  solver_timeout_ms: int | None = None) -> None:
         set_field(self, "mode", mode)  # "precise" | "two_step"
         set_field(self, "reductions", reductions)
         set_field(self, "max_interleavings", max_interleavings)
-        set_field(self, "check_sequential", check_sequential)
-        set_field(self, "early_termination", early_termination)
         set_field(self, "solver_timeout_ms", solver_timeout_ms)
 
 
@@ -96,32 +90,30 @@ class _Frame:
     """One open state of the depth-first search.  ``alts`` holds what is
     left to try there: both arms of ``branch``, or the awake enabled
     accesses.  ``sleep`` holds the inherited sleepers plus the accesses
-    already taken from this state, whose orders are covered.  ``evs``
-    holds every enabled access (asleep ones too) and ``deps`` the
-    dependence of the pairs of them asked about so far, by thread ids."""
+    already taken from this state, whose orders are covered.  ``fork``
+    tells whether more than one access is enabled (asleep ones too), so
+    that taking one is a thread choice, and ``deps`` holds the
+    dependence of the pairs asked about so far, by thread ids."""
 
-    __slots__ = ("st", "choices", "sleep", "alts", "branch", "evs", "deps",
+    __slots__ = ("st", "choices", "sleep", "alts", "branch", "fork", "deps",
                  "tried")
 
     def __init__(self, st: SymbolicState, choices: tuple[int, ...],
                  sleep: list[AccessEvent], alts: list,
                  branch: BranchEvent | None = None,
-                 evs: tuple[AccessEvent, ...] = (),
-                 deps: dict[tuple[int, int], bool] | None = None,
-                 tried: int = 0) -> None:
+                 fork: bool = False) -> None:
         self.st = st
         self.choices = choices
         self.sleep = sleep
         self.alts = alts
         self.branch = branch
-        self.evs = evs
-        self.deps = {} if deps is None else deps
-        self.tried = tried
+        self.fork = fork
+        self.deps: dict[tuple[int, int], bool] = {}
+        self.tried = 0
 
 
 def adversarial_access(p: Program, st: SymbolicState, ev: AccessEvent,
                        cfg: CacheConfig, backend: SolverBackend | None = None,
-                       check_sequential: bool = True,
                        timeout_ms: int | None = None) -> bool:
     """Should this access be checked for divergence?
 
@@ -133,7 +125,7 @@ def adversarial_access(p: Program, st: SymbolicState, ev: AccessEvent,
     if ev.tid != p.critical_tid:
         return False
     if len(p.threads) == 1:
-        return check_sequential
+        return True
     cand = _record(st, ev)
     for r in st.trace:
         if r.tid != ev.tid and may_same_line(r, cand, cfg, backend, timeout_ms):
@@ -179,7 +171,7 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
             schedule=tuple((r.tid, str(r.site)) for r in tr),
             k1=_project(res.model_a, classes), k2=_project(res.model_b, classes),
             adversary_addr=adv, verdict1=v1, verdict2=v2,
-            mode=opts.mode, leaky_schedules=leaky_schedules,
+            leaky_schedules=leaky_schedules,
         )
     return report
 
@@ -197,31 +189,31 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
         return (opts.max_interleavings is not None
                 and len(classes_seen) >= opts.max_interleavings)
 
+    crit = [t.tid for t in p.threads].index(p.critical_tid)
+
     def open_frame(st: SymbolicState, choices: tuple[int, ...],
                    sleep: list[AccessEvent]) -> _Frame | None:
+        if not st.cursors[crit]:
+            # Only critical accesses are checked: the orders below differ
+            # in nothing a check sees.
+            classes_seen.add(choices)
+            return None
         bes = branch_events(st)
         if bes:
             return _Frame(st, choices, sleep, [True, False], bes[0])
         evs = enabled_events(st)
-        if not evs:
-            classes_seen.add(choices)
-            return None
         asleep = {u.tid for u in sleep}
         awake = [ev for ev in evs if ev.tid not in asleep]
         if not awake:
             return None  # a sibling subtree covered every order from here
         stats.states_forked += len(awake) - 1
-        return _Frame(st, choices, list(sleep), awake, evs=tuple(evs))
+        return _Frame(st, choices, list(sleep), awake, fork=len(evs) > 1)
 
     def dependent(f: _Frame, a: AccessEvent, b: AccessEvent) -> bool:
         key = (min(a.tid, b.tid), max(a.tid, b.tid))
         if key not in f.deps:
             f.deps[key] = _has_dependent_pair(f.st, a, b, cfg, backend, opts)
         return f.deps[key]
-
-    def dependent_fork(f: _Frame) -> bool:
-        return any(dependent(f, a, b)
-                   for i, a in enumerate(f.evs) for b in f.evs[i + 1:])
 
     stack: list[_Frame] = []
     root = open_frame(initial_state(p, cfg), (), [])
@@ -254,15 +246,10 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                 if f.tried and out_of_budget():
                     raise _Bounded
                 f.tried += 1
-                choices = f.choices + (ev.tid,) if len(f.evs) > 1 else f.choices
+                choices = f.choices + (ev.tid,) if f.fork else f.choices
                 earlier = f.sleep[:]
-                # Also when a leak cuts its subtree off: in every sibling
-                # where it stays asleep it would run after an independent
-                # access, leak on the same hit constraint and be cut again,
-                # as that sibling's path passes this state too.
                 f.sleep.append(ev)
                 if adversarial_access(p, f.st, ev, cfg, backend,
-                                      opts.check_sequential,
                                       opts.solver_timeout_ms):
                     stats.leak_checks += 1
                     leak = divergent_cache_behavior(p, f.st, ev, cfg, opts,
@@ -272,20 +259,12 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                         if site not in reports:
                             reports[site] = leak
                         leaky.setdefault(site, set()).add(choices)
-                        # Cut only below a state (this one or an
-                        # ancestor, all on the stack) where two enabled
-                        # accesses are dependent, so that another class of
-                        # orders exists.  A path that forked only over
-                        # independent accesses is the sole class of its
-                        # branch arm and must run on, or later leaky sites
-                        # would go unseen.  Even so, a later site that
-                        # leaks only in this class is lost.
-                        if (opts.early_termination
-                                and any(dependent_fork(g) for g in stack)):
-                            classes_seen.add(choices)
-                            continue
-                sleep = [u for u in earlier if not dependent(f, u, ev)]
-                child = open_frame(perform_access(f.st, ev), choices, sleep)
+                nxt = perform_access(f.st, ev)
+                # The dependence queries are needed only if the child
+                # stays open.
+                sleep = ([u for u in earlier if not dependent(f, u, ev)]
+                         if nxt.cursors[crit] else [])
+                child = open_frame(nxt, choices, sleep)
             if child is not None:
                 stack.append(child)
     except _Bounded:

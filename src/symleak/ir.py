@@ -60,14 +60,6 @@ class Declaration(Value, Frozen):
     def byte_size(self) -> int:
         return self.elem_size * self.length
 
-    def block_range(self, line_size: int) -> tuple[int, int] | None:
-        """Inclusive block-number range, or None for a symbolic base."""
-        if not isinstance(self.placement, Fixed):
-            return None
-        lo = self.placement.base
-        hi = lo + self.byte_size - 1
-        return (lo // line_size, hi // line_size)
-
 
 class SecretInput(Value, Frozen):
     __slots__ = ("name", "width")
@@ -221,14 +213,6 @@ class Program(Value, Frozen):
             if t.tid == tid:
                 return t
         raise KeyError(tid)
-
-    @property
-    def has_symbolic_base(self) -> bool:
-        return any(isinstance(d.placement, SymbolicBase) for d in self.decls)
-
-    @property
-    def secret_names(self) -> frozenset[str]:
-        return frozenset(s.name for s in self.secret_inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,8 @@ def test_branch_blocks_accesses_until_resolved():
     assert ex.evaluate(then_st.pcon, {"k": 3}) == 0
     assert [e.tid for e in enabled_events(then_st)] == [1, 2]
     else_st = take_branch(st, be, False)
-    assert else_st.branch_path == (False,)
+    assert ex.evaluate(else_st.pcon, {"k": 3}) == 1
+    assert ex.evaluate(else_st.pcon, {"k": 0}) == 0
     # The then-arm body is skipped: only the other thread's load remains.
     assert [e.tid for e in enabled_events(else_st)] == [2]
 
