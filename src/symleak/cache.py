@@ -337,12 +337,12 @@ def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig,
 
 
 def may_same_line(a: AccessRecord, b: AccessRecord, cfg: CacheConfig,
-                  backend=None, timeout_ms: int | None = None) -> bool:
+                  backend, timeout_ms: int | None = None) -> bool:
     """Can the two accesses touch the same cache set on a common path?
 
     Decided by the interval pre-check whenever possible; otherwise the
-    question goes to the solver backend.  Without a backend, and on
-    solver timeout, the answer is conservatively True.
+    question goes to the solver backend.  On solver timeout the answer
+    is conservatively True.
     """
     if not blocks_may_alias(a.addr, b.addr, cfg):
         return False
@@ -351,7 +351,5 @@ def may_same_line(a: AccessRecord, b: AccessRecord, cfg: CacheConfig,
     q = ex.conj([ex.eq(line(a.addr, cfg), line(b.addr, cfg)), a.pcon, b.pcon])
     if q.is_const:
         return bool(q.value)
-    if backend is None:
-        return True
     res = backend.check(q, timeout_ms=timeout_ms)
     return res.status != "unsat"

@@ -229,6 +229,13 @@ def _parse_schedule(text: str) -> list[int]:
         raise SymleakError(f"bad schedule {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="symleak",
@@ -243,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default="fixed")
     an.add_argument("--no-reduce-tables", action="store_true",
                     help="build the hit constraints without interval pruning")
-    an.add_argument("--max-interleavings", type=int, default=None)
-    an.add_argument("--timeout-ms", type=int, default=30000)
+    an.add_argument("--max-interleavings", type=_positive_int, default=None)
+    an.add_argument("--timeout-ms", type=_positive_int, default=30000)
     an.add_argument("--solver", default=None,
                     help="external SMT-LIB2 solver command, e.g. 'z3 -in'")
     an.add_argument("--out", default=None, help="report path (default stdout)")

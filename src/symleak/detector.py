@@ -6,8 +6,8 @@ access hits the cache.  The precise mode asks the backend that question
 directly with two copies of the secret variables.  The two-step mode
 first pins down one run concretely, then searches for a second run that
 flips the verdict; it can miss leaks, never invent them, and is not
-cheaper: it issues more solver calls than the precise mode and measured
-1.3-1.6x slower on every benchmark workload.
+meaningfully cheaper: on the benchmark workloads it issued 1.2-2x the
+solver calls of the precise mode and took 0.95-1.45x its time.
 
 Variable roles: secret inputs and values read out of secret-typed
 memory are duplicated per run and at least one must differ.  Adversary

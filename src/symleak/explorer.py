@@ -14,16 +14,18 @@ access it takes, an access that becomes dependent wakes up, and a state
 whose enabled accesses all sleep is abandoned.  A branch changes no
 thread's next access, so both arms inherit the sleep set unchanged.
 
-Before an access from the critical thread runs, if some earlier access
-from another thread may share its cache set, the access is checked for
-secret-dependent divergence.  Only critical accesses are checked, so an
-interleaving ends as soon as the critical thread has finished: the
-subtree below holds no check, and cutting it loses nothing.  The search
-therefore checks every critical access in at least one order of every
+Every access of the critical thread is checked for secret-dependent
+divergence before it runs, and no other access is.  So an interleaving
+ends as soon as the critical thread has finished: the subtree below
+holds no check, and cutting it loses nothing.  The search therefore
+checks every critical access in at least one order of every
 Mazurkiewicz trace (class of orders equal up to swapping independent
-accesses).  Each leaky site gets one report: the first witness the
-search finds, built once the search ends, with the number of choice
-sequences (below) in which the site leaked.
+accesses).  The class of the order that runs the critical thread first
+is among them, and in it every verdict is the one the thread gets
+running alone, so what the thread leaks by itself is reported too, not
+only what an interleaving exposes.  Each leaky site gets one report:
+the first witness the search finds, built once the search ends, with
+the number of choice sequences (below) in which the site leaked.
 
 Interleavings are identified by the sequence of thread choices taken at
 states with more than one enabled access, up to the critical thread's
@@ -112,25 +114,12 @@ class _Frame:
         self.tried = 0
 
 
-def adversarial_access(p: Program, st: SymbolicState, ev: AccessEvent,
-                       cfg: CacheConfig, backend: SolverBackend | None = None,
-                       timeout_ms: int | None = None) -> bool:
-    """Should this access be checked for divergence?
-
-    Concurrent case: the access is from the critical thread and some
-    earlier access of another thread may map to its cache set.  A
-    single-threaded program has no interference, so every critical
-    access is checked instead (that is what makes self-leaks visible).
-    """
-    if ev.tid != p.critical_tid:
-        return False
-    if len(p.threads) == 1:
-        return True
-    cand = _record(st, ev)
-    for r in st.trace:
-        if r.tid != ev.tid and may_same_line(r, cand, cfg, backend, timeout_ms):
-            return True
-    return False
+def adversarial_access(p: Program, ev: AccessEvent) -> bool:
+    """Should this access be checked for divergence?  Every access of
+    the critical thread is: whether it leaks alone or only with another
+    thread's accesses in between, the search reaches an order that
+    shows it."""
+    return ev.tid == p.critical_tid
 
 
 def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
@@ -249,8 +238,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                 choices = f.choices + (ev.tid,) if f.fork else f.choices
                 earlier = f.sleep[:]
                 f.sleep.append(ev)
-                if adversarial_access(p, f.st, ev, cfg, backend,
-                                      opts.solver_timeout_ms):
+                if adversarial_access(p, ev):
                     stats.leak_checks += 1
                     leak = divergent_cache_behavior(p, f.st, ev, cfg, opts,
                                                     backend, stats)

@@ -31,6 +31,7 @@ CORPUS_GEOMETRY = [
     ("sbox_rounds.ir", (64, 4, 2)),
     ("sbox_feedback.ir", (512, 1, 1)),
     ("no_secret.ir", (512, 1, 1)),
+    ("conc_unrelated_thread.ir", (512, 1, 1)),
     ("seq_leaky_reuse.ir", (2048, 1, 4)),
     ("conc_tmp_fixed.ir", (2048, 1, 4)),
 ]

@@ -173,12 +173,11 @@ def test_may_same_line_paths():
     a = _rec(0, 0)
     b = _rec(1, 64)
     c = _rec(2, 0)
-    assert not may_same_line(a, b, cfg)          # distinct concrete sets
-    assert may_same_line(a, c, cfg)              # identical address
+    be = EnumerativeBackend()
+    assert not may_same_line(a, b, cfg, be)      # distinct concrete sets
+    assert may_same_line(a, c, cfg, be)          # identical address
     k = ex.zext(ex.var("k", 8), 32)
     s = _rec(3, k)
-    assert may_same_line(a, s, cfg)              # no backend: conservative
-    be = EnumerativeBackend()
     assert may_same_line(a, s, cfg, be)
     # Path conditions can rule the overlap out.
     guarded = _rec(4, k, pcon=ex.ult(ex.const(70, 32), k))

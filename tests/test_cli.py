@@ -116,6 +116,24 @@ def test_analyze_budget_exhaustion_exits_3(capsys):
     assert doc["leaks"] and doc["complete"] is False
 
 
+def test_max_interleavings_below_one_exits_2(capsys):
+    # No interleaving at all is a bad budget, not a search it bounded.
+    for value in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", CONC, *FIG3, "--max-interleavings", value])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert f"--max-interleavings: must be at least 1, got {value}" in err
+
+
+def test_timeout_below_one_ms_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", CONC, *FIG3, "--timeout-ms", "-5"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "--timeout-ms: must be at least 1, got -5" in err
+
+
 def test_undecided_queries_are_counted_and_exit_3(capsys, monkeypatch):
     class Undecided(symleak.cli.EnumerativeBackend):
         def _divergence(self, *args):
@@ -176,7 +194,7 @@ def test_no_solver_answer_outlives_its_run(capsys, monkeypatch):
     assert second is not first and second.calls == stats.solver_calls
     p, cfg = load_program("conc_tmp_fixed.ir"), CacheConfig(512, 1, 1)
     _, fresh = explore(p, cfg, ExploreOptions(), make_backend(p, cfg))
-    assert stats.solver_memo_hits == fresh.solver_memo_hits == 5
+    assert stats.solver_memo_hits == fresh.solver_memo_hits == 2
 
 
 def test_analyze_synthesized_adversary(capsys):
@@ -189,13 +207,15 @@ def test_analyze_synthesized_adversary(capsys):
     # The site set of ``brute_force_leaks`` on the synthesized program
     # (about 95 s, so not run here).  The load of ``acc`` leaks only
     # when the probe runs first, an order in which the load of ``sbox``
-    # leaks before it.
+    # leaks before it.  The store leaks with no probe at all: its first
+    # witness is the critical thread's schedule alone.
     assert {site for site, _, _ in got} == {
         "t1:L5:load:sbox", "t1:L6:load:acc", "t1:L7:store:sbox"}
-    assert got == [("t1:L7:store:sbox", 0, 3), ("t1:L5:load:sbox", 0, 1),
+    assert got == [("t1:L7:store:sbox", 0, 4), ("t1:L5:load:sbox", 0, 1),
                    ("t1:L6:load:acc", 612, 1)]
-    assert doc["stats"] == {"interleavings": 4, "leak_checks": 6,
-                            "solver_calls": 14, "states_forked": 3,
+    assert [tid for tid, _ in doc["leaks"][0]["schedule"]] == [1, 1, 1]
+    assert doc["stats"] == {"interleavings": 4, "leak_checks": 9,
+                            "solver_calls": 9, "states_forked": 3,
                             "indeterminate": 0,
                             "wall_ms": doc["stats"]["wall_ms"]}
 
@@ -216,8 +236,8 @@ def test_one_replayed_report_per_leak_site(capsys, monkeypatch):
     doc = json.loads(out)
     assert [(l["site"], l["leaky_schedules"]) for l in doc["leaks"]] == [
         ("t1:L11:store:p", 10)]
-    assert doc["stats"] == {"interleavings": 15, "leak_checks": 18,
-                            "solver_calls": 56, "states_forked": 19,
+    assert doc["stats"] == {"interleavings": 15, "leak_checks": 24,
+                            "solver_calls": 39, "states_forked": 19,
                             "indeterminate": 0,
                             "wall_ms": doc["stats"]["wall_ms"]}
     assert replays == ["t1:L11:store:p"]
