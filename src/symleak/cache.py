@@ -20,6 +20,7 @@ folders, so the unreduced encodings stay faithful to their definitions.
 from __future__ import annotations
 
 from . import expr as ex
+from .errors import EnumerativeCapError
 from .expr import Expr
 from .records import Frozen, Value, set_field
 
@@ -352,4 +353,28 @@ def may_same_line(a: AccessRecord, b: AccessRecord, cfg: CacheConfig,
     if q.is_const:
         return bool(q.value)
     res = backend.check(q, timeout_ms=timeout_ms)
+    return res.status != "unsat"
+
+
+def may_touch_blocks(addr: Expr, pcon: Expr, other: Expr, cfg: CacheConfig,
+                     backend, timeout_ms: int | None = None) -> bool:
+    """Can ``addr``, on a path under ``pcon``, touch a block in the block
+    range of ``other``?
+
+    The query bounds the tag of ``addr`` by that range's constants and
+    names no variable of ``other``.  An undecided query, or one too wide
+    for the backend, answers True.
+    """
+    if blocks_disjoint(addr, other, cfg):
+        return False
+    lo, hi = _block_range(other, cfg)
+    t = tag(addr, cfg)
+    q = ex.conj([ex.ule(ex.const(lo, t.width), t),
+                 ex.ule(t, ex.const(hi, t.width)), pcon])
+    if q.is_const:
+        return bool(q.value)
+    try:
+        res = backend.check(q, timeout_ms=timeout_ms)
+    except EnumerativeCapError:
+        return True
     return res.status != "unsat"

@@ -160,14 +160,14 @@ def write_report(rc: RunConfig, reports: list[LeakReport],
 def run(rc: RunConfig) -> int:
     """parse, unroll, place adversary, explore, confirm, report."""
     t0 = time.monotonic()
-    p = _apply_adversary(_load(rc.program), rc.cache, rc.adversary)
-    backend = _backend(p, rc.cache, rc.solver, rc.timeout_ms)
     opts = ExploreOptions(
         mode="two_step" if rc.mode == "two-step" else "precise",
         reductions=rc.reductions,
         max_interleavings=rc.max_interleavings,
         solver_timeout_ms=rc.timeout_ms,
     )
+    p = _apply_adversary(_load(rc.program), rc.cache, rc.adversary)
+    backend = _backend(p, rc.cache, rc.solver, rc.timeout_ms)
     reports, stats = explore(p, rc.cache, opts, backend)
     for r in reports:
         if not confirm_report(p, rc.cache, r):
@@ -229,13 +229,6 @@ def _parse_schedule(text: str) -> list[int]:
         raise SymleakError(f"bad schedule {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="symleak",
@@ -250,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default="fixed")
     an.add_argument("--no-reduce-tables", action="store_true",
                     help="build the hit constraints without interval pruning")
-    an.add_argument("--max-interleavings", type=_positive_int, default=None)
-    an.add_argument("--timeout-ms", type=_positive_int, default=30000)
+    an.add_argument("--max-interleavings", type=int, default=None)
+    an.add_argument("--timeout-ms", type=int, default=30000)
     an.add_argument("--solver", default=None,
                     help="external SMT-LIB2 solver command, e.g. 'z3 -in'")
     an.add_argument("--out", default=None, help="report path (default stdout)")

@@ -7,7 +7,26 @@ independent accesses.  Two accesses are dependent when they come from
 one thread, touch the same declaration (memory values), or may share a
 cache set under the current path constraint (cache state); swapping two
 independent ones changes neither memory nor any set's contents, so
-every hit/miss verdict is the same.  A state's sleep set holds accesses
+every hit/miss verdict is the same.
+
+Two accesses that may share a set still commute when no check can see
+their order (the observers of Aronis et al., TACAS 2018): both are
+*unobserved*, they come from different threads and touch different
+declarations.  An access is unobserved when it comes from a
+non-critical thread, its declaration has a fixed placement, and its
+block range cannot hold the block of any critical access.  Swapping two
+such accesses changes no verdict.  Direct-mapped: after either order
+the set holds a block that no critical access requests.  LRU: the last
+access to a critical block is neither of the two, so every interval
+between it and a critical access holds both of them or neither.  The
+critical blocks come from a footprint, the addresses the critical
+thread computes running alone over every feasible branch arm, not from
+declaration extents: an index past the end of an array reaches other
+declarations' blocks.  Memory is kept per declaration, so the footprint
+covers every interleaving unless another thread stores to a declaration
+the critical thread accesses; then no access counts as unobserved.
+
+A state's sleep set holds accesses
 whose orders a sibling subtree already covered: each child keeps the
 earlier siblings and inherited sleepers that are independent of the
 access it takes, an access that becomes dependent wakes up, and a state
@@ -40,13 +59,16 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .cache import (AccessRecord, CacheConfig, ReduceOptions, Trace,
-                    hit_constraint, hit_constraint_assoc, may_same_line)
+                    hit_constraint, hit_constraint_assoc, may_same_line,
+                    may_touch_blocks)
 from .detector import (LeakReport, VarClasses, classify, solve_precise,
                        solve_two_step, verdicts)
 from .engine import (AccessEvent, BranchEvent, SymbolicState, branch_events,
                      enabled_events, initial_state, perform_access,
                      take_branch)
-from .ir import Program, SymbolicBase
+from .errors import EnumerativeCapError
+from .expr import Expr
+from .ir import Fixed, If, Load, Program, Stmt, Store, SymbolicBase
 from .records import Frozen, Value, set_field
 from .solver import SolverBackend
 
@@ -59,6 +81,12 @@ class ExploreOptions(Frozen):
                  reductions: ReduceOptions = ReduceOptions(),
                  max_interleavings: int | None = None,
                  solver_timeout_ms: int | None = None) -> None:
+        # A bound below one would stop the search before it starts and
+        # pass bad input off as an incomplete search.
+        for name, bound in (("max_interleavings", max_interleavings),
+                            ("solver_timeout_ms", solver_timeout_ms)):
+            if bound is not None and bound < 1:
+                raise ValueError(f"{name} must be at least 1, got {bound}")
         set_field(self, "mode", mode)  # "precise" | "two_step"
         set_field(self, "reductions", reductions)
         set_field(self, "max_interleavings", max_interleavings)
@@ -198,10 +226,13 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
         stats.states_forked += len(awake) - 1
         return _Frame(st, choices, list(sleep), awake, fork=len(evs) > 1)
 
+    observers = _Observers(p, cfg, backend, opts.solver_timeout_ms)
+
     def dependent(f: _Frame, a: AccessEvent, b: AccessEvent) -> bool:
         key = (min(a.tid, b.tid), max(a.tid, b.tid))
         if key not in f.deps:
-            f.deps[key] = _has_dependent_pair(f.st, a, b, cfg, backend, opts)
+            f.deps[key] = _has_dependent_pair(f.st, a, b, cfg, backend, opts,
+                                              observers)
         return f.deps[key]
 
     stack: list[_Frame] = []
@@ -271,15 +302,118 @@ def _record(st: SymbolicState, ev: AccessEvent) -> AccessRecord:
 
 def _has_dependent_pair(st: SymbolicState, a: AccessEvent, b: AccessEvent,
                         cfg: CacheConfig, backend: SolverBackend,
-                        opts: ExploreOptions) -> bool:
+                        opts: ExploreOptions, observers: _Observers) -> bool:
     """May the order of two enabled accesses of different threads matter
     in ``st``?  They are dependent when they touch the same declaration
-    (memory values) or may share a cache set under the current path
-    (cache state)."""
+    (memory values), or when they may share a cache set under the current
+    path (cache state) and are not both unobserved.  An unobserved access
+    never touches a block a critical access may request, so either order
+    leaves a set holding no critical block (direct-mapped), and no
+    interval from a critical block's last access to a critical access
+    holds one of the two without the other (LRU)."""
     if a.decl.name == b.decl.name:
         return True
-    return may_same_line(_record(st, a), _record(st, b), cfg, backend,
-                         opts.solver_timeout_ms)
+    if not may_same_line(_record(st, a), _record(st, b), cfg, backend,
+                         opts.solver_timeout_ms):
+        return False
+    return not observers.commute(a, b)
+
+
+class _Observers:
+    """Which non-critical accesses no check can observe, for one search.
+    The critical thread's footprint is built on first use; without one,
+    every access counts as observed."""
+
+    __slots__ = ("p", "cfg", "backend", "timeout_ms", "built", "footprint",
+                 "seen")
+
+    def __init__(self, p: Program, cfg: CacheConfig, backend: SolverBackend,
+                 timeout_ms: int | None) -> None:
+        self.p = p
+        self.cfg = cfg
+        self.backend = backend
+        self.timeout_ms = timeout_ms
+        self.built = False
+        self.footprint: list[tuple[Expr, Expr]] | None = None
+        self.seen: dict[Expr, bool] = {}  # per address: unobserved?
+
+    def commute(self, a: AccessEvent, b: AccessEvent) -> bool:
+        """Are ``a`` and ``b`` unobserved accesses of different
+        non-critical threads and different declarations?"""
+        if (self.p.critical_tid in (a.tid, b.tid) or a.tid == b.tid
+                or a.decl.name == b.decl.name):
+            return False
+        return self._unobserved(a) and self._unobserved(b)
+
+    def _unobserved(self, ev: AccessEvent) -> bool:
+        if not isinstance(ev.decl.placement, Fixed):
+            return False
+        if not self.built:
+            self.footprint = _critical_footprint(self.p, self.cfg, self.backend,
+                                                 self.timeout_ms)
+            self.built = True
+        if self.footprint is None:
+            return False
+        hit = self.seen.get(ev.addr)
+        if hit is None:
+            hit = self.seen[ev.addr] = not any(
+                may_touch_blocks(addr, pcon, ev.addr, self.cfg, self.backend,
+                                 self.timeout_ms)
+                for addr, pcon in self.footprint)
+        return hit
+
+
+def _critical_footprint(p: Program, cfg: CacheConfig, backend: SolverBackend,
+                        timeout_ms: int | None) -> list[tuple[Expr, Expr]] | None:
+    """Run the critical thread alone over every feasible branch arm and
+    collect (address, path constraint) of its accesses.  A branch arm
+    whose feasibility is undecided, or too wide for the backend, is run.
+
+    None when another thread stores to a declaration the critical thread
+    accesses: memory is kept per declaration, so only then can the
+    thread load other values, and compute other addresses, than alone.
+    """
+    crit = p.thread(p.critical_tid)
+    touched = {s.decl for s in _accesses(crit.body)}
+    for t in p.threads:
+        if t is not crit and any(isinstance(s, Store) and s.decl in touched
+                                 for s in _accesses(t.body)):
+            return None
+    alone = Program(p.decls, p.secret_inputs, p.public_inputs, (crit,),
+                    p.critical_tid)
+    out: list[tuple[Expr, Expr]] = []
+    todo = [initial_state(alone, cfg)]
+    while todo:
+        st = todo.pop()
+        bes = branch_events(st)
+        if bes:
+            for arm in (True, False):
+                nxt = take_branch(st, bes[0], arm)
+                try:
+                    res = backend.check(nxt.pcon, timeout_ms=timeout_ms)
+                except EnumerativeCapError:
+                    res = None
+                if res is None or res.status != "unsat":
+                    todo.append(nxt)
+            continue
+        for ev in enabled_events(st):
+            out.append((ev.addr, st.pcon))
+            todo.append(perform_access(st, ev))
+    return out
+
+
+def _accesses(body: tuple[Stmt, ...]) -> list[Load | Store]:
+    """The loads and stores of an unrolled statement list, those in
+    branch arms included."""
+    out: list[Load | Store] = []
+    todo = list(body)
+    while todo:
+        s = todo.pop()
+        if isinstance(s, (Load, Store)):
+            out.append(s)
+        elif isinstance(s, If):
+            todo.extend(s.then_body + s.else_body)
+    return out
 
 
 def _tau(tr: Trace, i: int, cfg: CacheConfig, opts: ExploreOptions):

@@ -119,19 +119,25 @@ def test_analyze_budget_exhaustion_exits_3(capsys):
 def test_max_interleavings_below_one_exits_2(capsys):
     # No interleaving at all is a bad budget, not a search it bounded.
     for value in ("0", "-1"):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", CONC, *FIG3, "--max-interleavings", value])
-        assert exc.value.code == 2
-        _, err = capsys.readouterr()
-        assert f"--max-interleavings: must be at least 1, got {value}" in err
+        code, out, err = run_cli(capsys, "analyze", CONC, *FIG3,
+                                 "--max-interleavings", value)
+        assert code == 2 and out == ""
+        assert err == f"error: max_interleavings must be at least 1, got {value}\n"
 
 
 def test_timeout_below_one_ms_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", CONC, *FIG3, "--timeout-ms", "-5"])
-    assert exc.value.code == 2
-    _, err = capsys.readouterr()
-    assert "--timeout-ms: must be at least 1, got -5" in err
+    code, out, err = run_cli(capsys, "analyze", CONC, *FIG3, "--timeout-ms", "-5")
+    assert code == 2 and out == ""
+    assert err == "error: solver_timeout_ms must be at least 1, got -5\n"
+
+
+@pytest.mark.parametrize("field", ["max_interleavings", "timeout_ms"])
+def test_library_run_rejects_bounds_below_one(field):
+    # The bounds are checked where the search takes them, so a library
+    # caller cannot turn bad input into an incomplete search either.
+    rc = RunConfig(CONC, cache=CacheConfig(512, 1, 1), **{field: 0})
+    with pytest.raises(ValueError, match="must be at least 1, got 0"):
+        symleak.cli.run(rc)
 
 
 def test_undecided_queries_are_counted_and_exit_3(capsys, monkeypatch):

@@ -63,6 +63,21 @@ SECOND = (8, 10, 0, [["load r1, t[k]", "load r1, a[0]"],
 ALONE = (0, 0, 20, [["load r1, t[1]", "load r1, t[k]", "store t[k], 1"],
                     ["load r1, b[0]"]], 1)
 
+# Threads 2 and 3 probe ``a`` and ``b``, which share a set but no block
+# with the critical ``t[k]``, so no check sees their order and they
+# commute (11 interleavings become 9 on the direct-mapped cache).  The
+# store still leaks when either probe lands between the load and the
+# store of ``t[k]``.
+UNOBSERVED = (0, 5, 5, [["load r1, t[k]", "store t[k], 1"],
+                        ["load r1, a[0]"], ["load r1, b[0]"]], 1)
+
+# The critical index runs past the end of ``t`` onto ``a``'s block, so
+# ``a`` is observed although the critical thread never names it: the
+# critical blocks must come from its addresses, not from the extents of
+# the declarations it names.
+OOB = (0, 5, 5, [["load r1, t[k + 64]"], ["load r1, b[0]"],
+                 ["load r1, a[0]"]], 1)
+
 
 def render(prog) -> str:
     base, a, b, threads, critical = prog
@@ -92,6 +107,8 @@ def oracle_sites(p: Program, cfg: CacheConfig) -> set[str]:
 @example(LATE)
 @example(SECOND)
 @example(ALONE)
+@example(UNOBSERVED)
+@example(OOB)
 def test_explorer_agrees_with_brute_force(prog):
     p = unroll_loops(parse_program(render(prog)), 16)
     for cfg in CACHES:

@@ -7,6 +7,7 @@ pinned so schedule-class deduplication and search-order changes show up.
 
 import pytest
 
+from symleak import parse_program, unroll_loops
 from symleak.cache import CacheConfig, ReduceOptions
 from symleak.explorer import ExploreOptions, explore
 from symleak.ir import SymbolicBase
@@ -238,5 +239,77 @@ def test_interleaving_ends_with_the_critical_thread(fig3_cfg):
     assert stats.states_forked == 5
     assert stats.leak_checks == 2
     assert stats.complete
+    for r in reports:
+        confirm_witness(p, fig3_cfg, r)
+
+
+def explore_source(text, cfg):
+    p = unroll_loops(parse_program(text), 16)
+    return p, explore(p, cfg, ALL_REDUCTIONS, make_backend(p, cfg))
+
+
+def test_out_of_bounds_index_is_an_observer():
+    # ``t[k + 64]`` runs past ``t`` onto ``a``'s block, so thread 3's
+    # load of ``a`` is observed and its order against ``b`` (same set)
+    # still forks.  A rule that took the critical thread's blocks from
+    # the extents of the declarations it names would let ``a`` and ``b``
+    # commute.
+    cfg = CacheConfig(32, 1, 1)
+    p, (reports, stats) = explore_source(
+        "array t[16] elem 1 at 0\narray a[1] elem 1 at 69\n"
+        "array b[1] elem 1 at 133\ninput k width 4 secret\n"
+        "thread 1 critical {\nload r1, t[k + 64]\n}\n"
+        "thread 2 {\nload r1, b[0]\n}\nthread 3 {\nload r1, a[0]\n}\n", cfg)
+    assert {r.site for r in reports} == {s for s, _ in brute_force_leaks(p, cfg)}
+    assert stats.interleavings_explored == 5
+    assert stats.complete
+    for r in reports:
+        confirm_witness(p, cfg, r)
+
+
+def test_unobserved_probes_commute(fig3_cfg):
+    # bench/gen.py's probe shape at three threads of three probes, every
+    # probe on set 5 with its own tag.  ``p`` covers sets 0..255 and
+    # ``q`` sets 257..511 and 0, so a probe can evict ``p[k]`` (k == 5)
+    # between its load and its store and touches no other critical
+    # block: only the store leaks.  No check sees the order of two
+    # probes of different threads, so only where each thread's three
+    # probes fall against the load and the store of ``p[k]`` is ordered:
+    # C(5, 2) = 10 ways per thread, 10^3 choice sequences.  With every
+    # probe of the set dependent on every other, there were 45,682.
+    text = ("array p[256] elem 1 at 0\ninput k width 8 secret\n"
+            "array q[256] elem 1 at 257\n")
+    text += "".join(f"scalar w{i} elem 1 at {(2 + i) * 512 + 5}\n"
+                    for i in range(9))
+    text += ("thread 1 critical { if (k <= 127) {\nload reg2, q[255 - k]\n"
+             "} else {\nload reg2, q[k - 128]\n} load reg1, p[k]\n"
+             "reg1 := reg1 + reg2\nstore p[k], reg1\n}\n")
+    for t in range(3):
+        text += f"thread {t + 2} {{\n"
+        text += "".join(f"load r{j}, w{3 * t + j}\n" for j in range(3))
+        text += "}\n"
+    p, (reports, stats) = explore_source(text, fig3_cfg)
+    assert [r.site for r in reports] == ["t1:L19:store:p"]
+    assert stats.interleavings_explored == 1000
+    assert stats.complete
+    confirm_witness(p, fig3_cfg, reports[0])
+
+
+def test_stores_to_critical_memory_keep_every_order(fig3_cfg):
+    # Thread 2 stores 100 into ``a``, which the critical thread loads and
+    # indexes ``t`` with: running alone it touches blocks 0..15, but after
+    # the store blocks 100..115, where thread 2's ``t[100]`` and thread
+    # 3's ``u`` (block 612, the same set) lie.  Their order decides
+    # whether ``t[r1 + k]`` hits for k == 0, so they must not commute:
+    # the counts are those of a search in which no access is unobserved.
+    p, (reports, stats) = explore_source(
+        "array t[256] elem 1 at 0\narray a[1] elem 1 at 300 public = 0\n"
+        "scalar u elem 1 at 612\ninput k width 4 secret\n"
+        "thread 1 critical {\nload r1, a[0]\nload r2, t[r1 + k]\n}\n"
+        "thread 2 {\nstore a[0], 100\nload r1, t[100]\n}\n"
+        "thread 3 {\nload r1, u\n}\n", fig3_cfg)
+    assert ({r.site for r in reports}
+            == {s for s, _ in brute_force_leaks(p, fig3_cfg)})
+    assert (stats.interleavings_explored, stats.states_forked) == (8, 12)
     for r in reports:
         confirm_witness(p, fig3_cfg, r)
