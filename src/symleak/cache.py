@@ -135,76 +135,90 @@ def line(addr: Expr, cfg: CacheConfig) -> Expr:
 _interval_memo: dict[Expr, tuple[int, int]] = {}
 
 
+_COMPARISONS = (ex.Op.EQ, ex.Op.NE, ex.Op.ULT, ex.Op.ULE)
+
+
 def interval(e: Expr) -> tuple[int, int]:
     """Conservative unsigned bounds of e, ignoring path conditions."""
-    hit = _interval_memo.get(e)
+    memo = _interval_memo
+    hit = memo.get(e)
     if hit is not None:
         return hit
+    # Iterative post-order over the operands each rule reads, so deep
+    # chains such as a doubled register cannot hit the recursion limit.
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        op = node.op
+        if op in _COMPARISONS:
+            used = ()
+        elif op is ex.Op.ITE:
+            used = node.args[1:]
+        elif op is ex.Op.SHL or op is ex.Op.LSHR:
+            used = node.args[:1]
+        else:
+            used = node.args
+        pending = [a for a in used if a not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        memo[node] = _interval_node(node, memo)
+    return memo[e]
+
+
+def _interval_node(e: Expr, memo: dict[Expr, tuple[int, int]]) -> tuple[int, int]:
     mask = (1 << e.width) - 1
     full = (0, mask)
     op = e.op
     if op is ex.Op.CONST:
-        out = (e.value, e.value)
-    elif op is ex.Op.VAR:
-        out = full
-    elif op in (ex.Op.EQ, ex.Op.NE, ex.Op.ULT, ex.Op.ULE):
-        out = (0, 1)
-    elif op is ex.Op.ZEXT:
-        out = interval(e.args[0])
-    elif op is ex.Op.ADD:
-        (a0, a1), (b0, b1) = interval(e.args[0]), interval(e.args[1])
-        out = (a0 + b0, a1 + b1)
-        if out[1] > mask:
-            out = full if out[1] - out[0] >= mask else (out[0] & mask, out[1] & mask)
-            if out[0] > out[1]:
-                out = full
-    elif op is ex.Op.SUB:
-        (a0, a1), (b0, b1) = interval(e.args[0]), interval(e.args[1])
-        lo, hi = a0 - b1, a1 - b0
-        if lo >= 0:
-            out = (lo, hi)
-        elif hi < 0:
-            out = (lo & mask, hi & mask)
-            if out[0] > out[1]:
-                out = full
-        else:
-            out = full
-    elif op is ex.Op.MULC:
-        a0, a1 = interval(e.args[0])
+        return (e.value, e.value)
+    if op is ex.Op.VAR:
+        return full
+    if op in _COMPARISONS:
+        return (0, 1)
+    if op is ex.Op.ITE:
+        (a0, a1), (b0, b1) = memo[e.args[1]], memo[e.args[2]]
+        return (min(a0, b0), max(a1, b1))
+    a0, a1 = memo[e.args[0]]
+    if op is ex.Op.ZEXT:
+        return (a0, a1)
+    if op is ex.Op.MULC:
         out = (a0 * e.value, a1 * e.value)
-        if out[1] > mask:
-            out = full
-    elif op is ex.Op.AND:
-        (a0, a1), (b0, b1) = interval(e.args[0]), interval(e.args[1])
-        out = (0, min(a1, b1))
-    elif op in (ex.Op.OR, ex.Op.XOR):
-        (a0, a1), (b0, b1) = interval(e.args[0]), interval(e.args[1])
-        bits = max(a1.bit_length(), b1.bit_length())
-        out = (0, (1 << bits) - 1)
-    elif op is ex.Op.SHL:
-        a0, a1 = interval(e.args[0])
+        return full if out[1] > mask else out
+    if op is ex.Op.EXTRACT:
+        return (a0, a1) if e.value == 0 and a1 <= mask else full
+    if op is ex.Op.SHL:
         b = e.args[1]
         if b.is_const and (a1 << b.value) <= mask:
-            out = (a0 << b.value, a1 << b.value)
-        else:
-            out = full
-    elif op is ex.Op.LSHR:
-        a0, a1 = interval(e.args[0])
+            return (a0 << b.value, a1 << b.value)
+        return full
+    if op is ex.Op.LSHR:
         b = e.args[1]
-        out = (a0 >> b.value, a1 >> b.value) if b.is_const else (0, a1)
-    elif op is ex.Op.EXTRACT:
-        a0, a1 = interval(e.args[0])
-        if e.value == 0 and a1 <= mask:
-            out = (a0, a1)
-        else:
-            out = full
-    elif op is ex.Op.ITE:
-        (a0, a1), (b0, b1) = interval(e.args[1]), interval(e.args[2])
-        out = (min(a0, b0), max(a1, b1))
-    else:
-        out = full
-    _interval_memo[e] = out
-    return out
+        return (a0 >> b.value, a1 >> b.value) if b.is_const else (0, a1)
+    b0, b1 = memo[e.args[1]]
+    if op is ex.Op.ADD:
+        lo, hi = a0 + b0, a1 + b1
+        if hi <= mask:
+            return (lo, hi)
+        if hi - lo >= mask or (lo & mask) > (hi & mask):
+            return full
+        return (lo & mask, hi & mask)
+    if op is ex.Op.SUB:
+        lo, hi = a0 - b1, a1 - b0
+        if lo >= 0:
+            return (lo, hi)
+        if hi < 0 and (lo & mask) <= (hi & mask):
+            return (lo & mask, hi & mask)
+        return full
+    if op is ex.Op.AND:
+        return (0, min(a1, b1))
+    if op is ex.Op.OR or op is ex.Op.XOR:
+        return (0, (1 << max(a1.bit_length(), b1.bit_length())) - 1)
+    return full
 
 
 def _block_range(e: Expr, cfg: CacheConfig) -> tuple[int, int]:

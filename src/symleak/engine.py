@@ -333,6 +333,8 @@ def _contents_value(d: Declaration, index: Expr) -> Expr:
         cell = index.value if index.value < d.length else d.length - 1
         return ex.const(vals[cell] & mask, 32)
     out = ex.const(vals[-1] & mask, 32)
+    if all(v & mask == out.value for v in vals):
+        return out  # a uniform table reads its fill at every index
     for i in range(d.length - 2, -1, -1):
         out = ex.ite(ex.eq(index, ex.const(i, 32)), ex.const(vals[i] & mask, 32), out)
     return out

@@ -7,6 +7,15 @@ simplifications only (constant folding, x == x, masking identities);
 they deliberately do no interval or solver reasoning, which belongs to
 the cache model where it can be switched on and off.
 
+The constructors also reassociate constants, as KLEE's expression
+builders do: ``(x op c1) op c2`` becomes ``x op (c1 op c2)`` for ADD,
+XOR, AND and OR, and ``mulc(mulc(x, a), b)`` becomes
+``mulc(x, a*b mod 2**w)``.  So no ADD/XOR/AND/OR node has a constant
+operand and a child of the same operator with a constant operand, and
+a table-lookup round such as ``r := r ^ c`` repeated keeps alternating
+between two interned nodes instead of growing a chain.  Each rule is
+exact modulo 2**w.
+
 Widths are in bits.  All arithmetic is unsigned and wraps modulo 2**w.
 Comparisons produce width-1 values, and the usual bitwise operators
 double as boolean connectives at width 1.
@@ -123,14 +132,29 @@ def _binary(op: Op, a: Expr, b: Expr) -> Expr:
     return _intern(op, a.width, (a, b))
 
 
+def _split_const(e: Expr, op: Op) -> tuple[Expr, int] | None:
+    """``(y, c)`` when e is ``y op c`` for a constant c, else None."""
+    if e.op is op:
+        x, y = e.args
+        if y.is_const:
+            return x, y.value
+        if x.is_const:
+            return y, x.value
+    return None
+
+
 def add(a: Expr, b: Expr) -> Expr:
     _require_same_width(a, b, "add")
     if a.is_const and b.is_const:
         return const(a.value + b.value, a.width)
-    if a.is_const and a.value == 0:
-        return b
-    if b.is_const and b.value == 0:
-        return a
+    if b.is_const:
+        a, b = b, a
+    if a.is_const:
+        if a.value == 0:
+            return b
+        inner = _split_const(b, Op.ADD)
+        if inner is not None:
+            return add(inner[0], const(inner[1] + a.value, a.width))
     return _binary(Op.ADD, a, b)
 
 
@@ -149,12 +173,16 @@ def and_(a: Expr, b: Expr) -> Expr:
     _require_same_width(a, b, "and")
     if a.is_const and b.is_const:
         return const(a.value & b.value, a.width)
-    for x, y in ((a, b), (b, a)):
-        if x.is_const:
-            if x.value == 0:
-                return const(0, y.width)
-            if x.value == _mask(y.width):
-                return y
+    if b.is_const:
+        a, b = b, a
+    if a.is_const:
+        if a.value == 0:
+            return a
+        if a.value == _mask(b.width):
+            return b
+        inner = _split_const(b, Op.AND)
+        if inner is not None:
+            return and_(inner[0], const(inner[1] & a.value, a.width))
     if a is b:
         return a
     return _binary(Op.AND, a, b)
@@ -164,12 +192,16 @@ def or_(a: Expr, b: Expr) -> Expr:
     _require_same_width(a, b, "or")
     if a.is_const and b.is_const:
         return const(a.value | b.value, a.width)
-    for x, y in ((a, b), (b, a)):
-        if x.is_const:
-            if x.value == 0:
-                return y
-            if x.value == _mask(y.width):
-                return x
+    if b.is_const:
+        a, b = b, a
+    if a.is_const:
+        if a.value == 0:
+            return b
+        if a.value == _mask(b.width):
+            return a
+        inner = _split_const(b, Op.OR)
+        if inner is not None:
+            return or_(inner[0], const(inner[1] | a.value, a.width))
     if a is b:
         return a
     return _binary(Op.OR, a, b)
@@ -179,9 +211,14 @@ def xor(a: Expr, b: Expr) -> Expr:
     _require_same_width(a, b, "xor")
     if a.is_const and b.is_const:
         return const(a.value ^ b.value, a.width)
-    for x, y in ((a, b), (b, a)):
-        if x.is_const and x.value == 0:
-            return y
+    if b.is_const:
+        a, b = b, a
+    if a.is_const:
+        if a.value == 0:
+            return b
+        inner = _split_const(b, Op.XOR)
+        if inner is not None:
+            return xor(inner[0], const(inner[1] ^ a.value, a.width))
     if a is b:
         return const(0, a.width)
     return _binary(Op.XOR, a, b)
@@ -218,15 +255,18 @@ def lshr(a: Expr, b: Expr) -> Expr:
 
 
 def mulc(a: Expr, factor: int) -> Expr:
-    """Multiply by a non-negative constant factor."""
+    """Multiply by a non-negative constant factor, taken modulo 2**w."""
     if factor < 0:
         raise ValueError("mulc factor must be non-negative")
+    factor &= _mask(a.width)
     if factor == 0:
         return const(0, a.width)
     if factor == 1:
         return a
     if a.is_const:
         return const(a.value * factor, a.width)
+    if a.op is Op.MULC:
+        return mulc(a.args[0], a.value * factor)
     return _intern(Op.MULC, a.width, (a,), value=factor)
 
 

@@ -9,11 +9,12 @@ import random
 
 import pytest
 
-from symleak import CacheConfig, ReduceOptions
+from symleak import CacheConfig, ReduceOptions, parse_program, unroll_loops
 from symleak import expr as ex
 from symleak.cache import (AccessRecord, Site, blocks_disjoint, blocks_may_alias,
                            hit_constraint, hit_constraint_assoc, line,
                            may_same_line, probe_window, tag)
+from symleak.engine import run_schedule
 from symleak.oracle import empty_cache, simulate_access
 from symleak.solver import EnumerativeBackend
 
@@ -166,6 +167,39 @@ def test_direct_mapped_encoding_is_linear_in_the_trace():
     assert _dag_size(hit_constraint(tr, 128, cfg)) <= 8 * len(tr)
     lru4 = CacheConfig(512, 1, 4)
     assert _dag_size(hit_constraint_assoc(tr, 128, lru4)) <= len(tr) ** 2
+
+
+# The sbox-rounds shape: every round looks up a uniform public table at
+# an index that mixes in the value read, so the index alternates between
+# two addresses.
+SBOX_ROUNDS = """array sb[16] elem 1 at 100 public = 201
+input k width 8 secret
+scalar acc elem 1 at 1300
+thread 1 {{
+reg1 := k
+for i in 0..{rounds} {{
+load reg2, sb[reg1 & 15]
+load reg3, acc
+reg1 := reg1 ^ reg2
+}}
+store sb[reg1 & 15], reg3
+}}
+"""
+
+
+@pytest.mark.parametrize("cfg", [CacheConfig(512, 1, 1), CacheConfig(512, 1, 4)],
+                         ids=["direct", "lru4"])
+def test_round_constraints_do_not_grow_with_the_rounds(cfg):
+    # Constant folding keeps the round addresses at two interned nodes,
+    # so the scan meets a literally equal address a few accesses back.
+    encode = hit_constraint if cfg.assoc == 1 else hit_constraint_assoc
+    sizes = []
+    for rounds in (64, 512):
+        p = unroll_loops(parse_program(SBOX_ROUNDS.format(rounds=rounds)), rounds)
+        tr = run_schedule(p, cfg, ()).trace
+        assert len(tr) == 2 * rounds + 1
+        sizes.append(_dag_size(encode(tr, len(tr) - 1, cfg, ReduceOptions())))
+    assert sizes[0] == sizes[1]
 
 
 def test_may_same_line_paths():

@@ -98,6 +98,20 @@ def test_thousand_access_loop_exits_0(capsys, tmp_path):
     assert doc["complete"] is True and doc["stats"]["leak_checks"] == 1000
 
 
+def test_deep_address_chain_exits_1(capsys, tmp_path):
+    # 1500 doublings nest the second lookup's index 1500 levels deep; the
+    # interval analysis walks it without recursing per level.
+    src = tmp_path / "doubling.ir"
+    src.write_text("array sb[16] elem 1 at 0 public = 5\n"
+                   "input k width 8 secret\n"
+                   "thread 1 {\nreg1 := k\nload reg2, sb[reg1 & 15]\n"
+                   "for i in 0..1500 {\nreg1 := reg1 + reg1\n}\n"
+                   "load reg2, sb[reg1 & 15]\n}\n")
+    code, out, err = run_cli(capsys, "analyze", str(src), *FIG3)
+    assert code == 1 and err == ""
+    assert {leak["site"] for leak in json.loads(out)["leaks"]} == {"t1:L9:load:sb"}
+
+
 def test_library_and_cli_share_one_reductions_default():
     assert ExploreOptions().reductions == RunConfig("p").reductions == ReduceOptions()
 

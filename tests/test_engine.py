@@ -14,7 +14,7 @@ from symleak import expr as ex
 from symleak.engine import (branch_events, enabled_events, initial_state,
                             lower, perform_access, run_schedule, take_branch)
 from symleak.errors import UnrollError
-from symleak.ir import BinOp, Name, Num
+from symleak.ir import BinOp, Declaration, Name, Num, Program
 from symleak.oracle import _eval as oracle_eval
 
 
@@ -125,6 +125,24 @@ def test_initialised_contents_and_out_of_range_clamp():
     # A concrete index past the end clamps onto the last cell's store? No:
     # only initialised contents clamp; an uninitialised read stays fresh.
     assert ex.free_vars(stq.regs[0]["s"]) == {"cell_u_200"}
+
+
+def test_non_uniform_contents_read_through_an_index_chain():
+    # The grammar only fills tables uniformly; richer contents come from
+    # the library and read as an if-then-else over the index.
+    p = _program("""
+        input k width 8 secret
+        array t[4] elem 1 at 0 public = 0
+        thread 1 { load r, t[k] }
+    """)
+    t = p.decl("t")
+    rich = Declaration(t.name, t.kind, t.elem_size, t.length, t.placement,
+                       t.sensitivity, (3, 1, 4, 0x1FF))
+    q = Program((rich,), p.secret_inputs, p.public_inputs, p.threads,
+                p.critical_tid)
+    r = run_schedule(q, _cfg(), ()).regs[0]["r"]
+    # Masked to the element size; indices past the end read the last cell.
+    assert [ex.evaluate(r, {"k": i}) for i in range(6)] == [3, 1, 4, 0xFF, 0xFF, 0xFF]
 
 
 def test_fresh_loads_classified_by_declaration_sensitivity():

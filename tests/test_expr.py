@@ -1,6 +1,10 @@
 """Expression layer: interning, folding and evaluation."""
 
+import operator
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symleak import expr as ex
 
@@ -165,3 +169,82 @@ def test_deep_chain_evaluation_is_iterative():
     e = ex.disj([ex.eq(k, ex.const(i, 16)) for i in range(4000)])
     assert ex.evaluate(e, {"k": 3999}) == 1
     assert ex.evaluate(e, {"k": 4001}) == 0
+
+
+def test_constant_chains_reassociate():
+    x = ex.var("x", 32)
+    c = ex.const(249, 32)
+    assert ex.xor(ex.xor(x, c), c) is x
+    assert ex.add(ex.add(x, ex.const(2**32 - 1, 32)), ex.const(1, 32)) is x
+    assert ex.and_(ex.and_(x, ex.const(12, 32)), ex.const(3, 32)) is ex.const(0, 32)
+    assert ex.or_(ex.or_(x, ex.const(0xF0F0F0F0, 32)),
+                  ex.const(0x0F0F0F0F, 32)) is ex.const(2**32 - 1, 32)
+    assert ex.mulc(ex.mulc(x, 2**16), 2**16) is ex.const(0, 32)
+    assert ex.mulc(ex.mulc(x, 3), 5) is ex.mulc(x, 15)
+    assert ex.xor(ex.const(5, 32), ex.xor(ex.const(6, 32), x)) is ex.xor(x, ex.const(3, 32))
+    p = ex.eq(x, c)
+    assert ex.not_(ex.not_(p)) is p
+
+
+_LEAF = st.one_of(st.sampled_from([("var", "x"), ("var", "y")]),
+                  st.integers(0, 2**32 - 1).map(lambda c: ("const", c)))
+_RECIPES = st.recursive(
+    _LEAF,
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["add", "xor", "and", "or"]), sub, sub),
+        st.tuples(st.just("mulc"), sub, st.integers(0, 2**33))),
+    max_leaves=12)
+
+_BUILD = {"add": ex.add, "xor": ex.xor, "and": ex.and_, "or": ex.or_}
+_REFERENCE = {"add": operator.add, "xor": operator.xor,
+              "and": operator.and_, "or": operator.or_}
+
+
+def _build(recipe, width):
+    kind = recipe[0]
+    if kind == "var":
+        return ex.var(recipe[1], width)
+    if kind == "const":
+        return ex.const(recipe[1], width)
+    if kind == "mulc":
+        return ex.mulc(_build(recipe[1], width), recipe[2])
+    return _BUILD[kind](_build(recipe[1], width), _build(recipe[2], width))
+
+
+def _reference(recipe, width, env):
+    """The recipe's value with Python ints, folding nothing."""
+    mask = (1 << width) - 1
+    kind = recipe[0]
+    if kind == "var":
+        return env[recipe[1]] & mask
+    if kind == "const":
+        return recipe[1] & mask
+    if kind == "mulc":
+        return _reference(recipe[1], width, env) * recipe[2] & mask
+    return _REFERENCE[kind](_reference(recipe[1], width, env),
+                            _reference(recipe[2], width, env)) & mask
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_RECIPES, st.sampled_from([1, 8, 32]),
+       st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_folding_agrees_with_unfolded_arithmetic(recipe, width, x, y):
+    env = {"x": x, "y": y}
+    e = _build(recipe, width)
+    assert ex.evaluate(e, env) == _reference(recipe, width, env)
+    # No reassociable pair is left: a constant operand never sits next
+    # to a child of the same operator that has a constant operand too.
+    stack, seen = [e], set()
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.extend(node.args)
+        if node.op is ex.Op.MULC:
+            assert node.args[0].op is not ex.Op.MULC
+        elif node.op in (ex.Op.ADD, ex.Op.XOR, ex.Op.AND, ex.Op.OR):
+            a, b = node.args
+            for c, other in ((a, b), (b, a)):
+                if c.is_const and other.op is node.op:
+                    assert not any(arg.is_const for arg in other.args)
