@@ -7,11 +7,10 @@ valuations that schedule the same accesses but disagree on a hit.  A
 concrete LRU oracle replays every witness before it is reported.
 """
 
-from .cache import CacheConfig, ReduceOptions, Site, hit_constraint, hit_constraint_assoc
+from .cache import CacheConfig, Site, hit_constraint, hit_constraint_assoc
 from .detector import LeakReport
-from .errors import (AdversaryError, BruteForceCapError, EnumerativeCapError,
-                     ParseError, ReplayError, SolverProcessError, SymleakError,
-                     UnrollError)
+from .errors import (AdversaryError, BruteForceCapError, ParseError,
+                     ReplayError, SolverProcessError, SymleakError, UnrollError)
 from .explorer import ExploreOptions, ExploreStats, explore
 from .ir import Program, pretty
 from .oracle import (ConcreteCacheState, brute_force_leaks, empty_cache,
@@ -28,13 +27,11 @@ __all__ = [
     "CacheConfig",
     "ConcreteCacheState",
     "EnumerativeBackend",
-    "EnumerativeCapError",
     "ExploreOptions",
     "ExploreStats",
     "LeakReport",
     "ParseError",
     "Program",
-    "ReduceOptions",
     "ReplayError",
     "Site",
     "SmtProcessBackend",

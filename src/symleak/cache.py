@@ -10,17 +10,15 @@ count as a bitvector sum, counting each other block at its last access
 before the probed one, so the constraint is quadratic in the trace
 length and needs no bound on it.
 
-The one switchable reduction, ``ReduceOptions.tables``, prunes both
-encodings with interval reasoning over address ranges.  Every pruning
-it does is exact: it drops only terms whose value the intervals already
-decide.  All interval reasoning lives here, not in the expression
-folders, so the unreduced encodings stay faithful to their definitions.
+Both encodings are pruned with interval reasoning over address
+ranges.  Every pruning is exact: it drops only terms whose value the
+intervals already decide.  All interval reasoning lives here, not in
+the expression folders.
 """
 
 from __future__ import annotations
 
 from . import expr as ex
-from .errors import EnumerativeCapError
 from .expr import Expr
 from .records import Frozen, Value, set_field
 
@@ -97,17 +95,6 @@ class AccessRecord(Frozen):
 
 
 Trace = tuple[AccessRecord, ...]
-
-
-class ReduceOptions(Value, Frozen):
-    __slots__ = ("tables",)
-
-    def __init__(self, tables: bool = True) -> None:
-        set_field(self, "tables", tables)
-
-    @classmethod
-    def none(cls) -> "ReduceOptions":
-        return cls(False)
 
 
 def probe_window(cfg: CacheConfig) -> int:
@@ -266,32 +253,29 @@ def _can_evict(mid: Expr, victim: Expr, cfg: CacheConfig) -> bool:
 # ---------------------------------------------------------------------------
 # Hit constraints
 
-def hit_constraint(tr: Trace, i: int, cfg: CacheConfig,
-                   reductions: ReduceOptions | None = None) -> Expr:
+def hit_constraint(tr: Trace, i: int, cfg: CacheConfig) -> Expr:
     """Direct-mapped hit condition for access i over the trace prefix.
 
     The chain ``h = ite(line_j == line_i, tag_j == tag_i, h)`` is folded
     from the oldest predecessor j to the newest, starting from false:
     the cache starts empty.  Predecessors are scanned most recent first
     and the scan stops at the first whose set equality is literally
-    true, since nothing older can reach access i.  With
-    ``reductions.tables`` a predecessor that can never share the set is
-    skipped, and one that provably touches another block gets a false
-    block equality.
+    true, since nothing older can reach access i.  A predecessor that
+    can never share the set is skipped, and one that provably touches
+    another block gets a false block equality.
     """
     addr = tr[i].addr
     t_i = tag(addr, cfg)
     l_i = line(addr, cfg)
-    prune = reductions is not None and reductions.tables
     links: list[tuple[Expr, Expr]] = []
     for j in range(i - 1, -1, -1):
         a = tr[j].addr
-        if prune and not blocks_may_alias(a, addr, cfg):
+        if not blocks_may_alias(a, addr, cfg):
             continue
         same_set = ex.eq(line(a, cfg), l_i)
         if same_set is ex.FALSE:
             continue
-        if prune and blocks_disjoint(a, addr, cfg):
+        if blocks_disjoint(a, addr, cfg):
             same_block = ex.FALSE
         else:
             same_block = ex.eq(tag(a, cfg), t_i)
@@ -304,8 +288,7 @@ def hit_constraint(tr: Trace, i: int, cfg: CacheConfig,
     return h
 
 
-def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig,
-                         reductions: ReduceOptions | None = None) -> Expr:
+def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig) -> Expr:
     """W-way LRU hit condition for access i.
 
     Access i hits when some earlier access j touched its block and fewer
@@ -320,15 +303,14 @@ def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig,
     block equality is literally true.  With assoc=1 the result is
     logically equivalent to hit_constraint.
 
-    With ``reductions.tables`` a predecessor that provably touches
-    another block is no candidate for j, and an access that can never
-    put a different block into access i's set is no intermediate.
+    A predecessor that provably touches another block is no candidate
+    for j, and an access that can never put a different block into
+    access i's set is no intermediate.
     """
     addr = tr[i].addr
     w = cfg.assoc
     t_i = tag(addr, cfg)
     s_i = line(addr, cfg)
-    prune = reductions is not None and reductions.tables
     cw = max(i, w).bit_length() + 1
     count = ex.const(0, cw)
     kept: list[Expr] = []
@@ -336,13 +318,13 @@ def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig,
     for j in range(i - 1, -1, -1):
         a = tr[j].addr
         t_j = tag(a, cfg)
-        tag_eq = ex.FALSE if prune and blocks_disjoint(a, addr, cfg) else ex.eq(t_j, t_i)
+        tag_eq = ex.FALSE if blocks_disjoint(a, addr, cfg) else ex.eq(t_j, t_i)
         if tag_eq is not ex.FALSE:
             disjuncts.append(tag_eq if len(kept) < w
                              else ex.and_(tag_eq, ex.ult(count, ex.const(w, cw))))
         if tag_eq is ex.TRUE:
             break
-        if prune and not _can_evict(a, addr, cfg):
+        if not _can_evict(a, addr, cfg):
             continue
         last = [ex.eq(line(a, cfg), s_i), ex.ne(t_j, t_i)]
         last += [ex.ne(t, t_j) for t in kept]
@@ -376,8 +358,7 @@ def may_touch_blocks(addr: Expr, pcon: Expr, other: Expr, cfg: CacheConfig,
     range of ``other``?
 
     The query bounds the tag of ``addr`` by that range's constants and
-    names no variable of ``other``.  An undecided query, or one too wide
-    for the backend, answers True.
+    names no variable of ``other``.  An undecided query answers True.
     """
     if blocks_disjoint(addr, other, cfg):
         return False
@@ -387,8 +368,5 @@ def may_touch_blocks(addr: Expr, pcon: Expr, other: Expr, cfg: CacheConfig,
                  ex.ule(t, ex.const(hi, t.width)), pcon])
     if q.is_const:
         return bool(q.value)
-    try:
-        res = backend.check(q, timeout_ms=timeout_ms)
-    except EnumerativeCapError:
-        return True
+    res = backend.check(q, timeout_ms=timeout_ms)
     return res.status != "unsat"

@@ -10,9 +10,10 @@ incomplete (a bound or an undecided solver query), 4 internal error (an
 unexpected exception, traceback on stderr).  An incomplete search exits
 3 even when it found leaks: the report lists them, but the exit code
 must not pass a truncated run off as a complete one.  A query too wide
-for the built-in solver's domain cap also exits 3, with the message on
-stderr and no report.  A leak that fails replay confirmation is an
-internal inconsistency and exits 4.
+for the built-in solver's domain cap is undecided, like a timed-out
+one: it counts in ``indeterminate`` and the report is still written.
+A leak that fails replay confirmation is an internal inconsistency and
+exits 4.
 
 The report has one entry per leaky site, the first witness the search
 found for it, replay-confirmed before it is printed.
@@ -25,9 +26,9 @@ import json
 import sys
 import time
 
-from .cache import CacheConfig, ReduceOptions, probe_window
+from .cache import CacheConfig, probe_window
 from .detector import LeakReport
-from .errors import EnumerativeCapError, ReplayError, SymleakError
+from .errors import ReplayError, SymleakError
 from .explorer import ExploreOptions, ExploreStats, explore
 from .ir import Program, SymbolicBase, pretty
 from .oracle import brute_force_leaks, replay, replay_trace, schedule_from_lines
@@ -48,12 +49,11 @@ _UNROLL_BOUND = 4096
 class RunConfig(Frozen):
     """Everything one analyze invocation depends on; no hidden state."""
 
-    __slots__ = ("program", "cache", "mode", "adversary", "reductions",
-                 "max_interleavings", "timeout_ms", "solver", "out")
+    __slots__ = ("program", "cache", "mode", "adversary", "max_interleavings",
+                 "timeout_ms", "solver", "out")
 
     def __init__(self, program: str, cache: CacheConfig = CacheConfig(),
                  mode: str = "precise", adversary: str = "fixed",
-                 reductions: ReduceOptions = ReduceOptions(),
                  max_interleavings: int | None = None,
                  timeout_ms: int = 30000, solver: str | None = None,
                  out: str | None = None) -> None:
@@ -61,7 +61,6 @@ class RunConfig(Frozen):
         set_field(self, "cache", cache)
         set_field(self, "mode", mode)  # "precise" | "two-step"
         set_field(self, "adversary", adversary)  # "fixed" | "synthesize" | "none"
-        set_field(self, "reductions", reductions)
         set_field(self, "max_interleavings", max_interleavings)
         set_field(self, "timeout_ms", timeout_ms)
         set_field(self, "solver", solver)
@@ -162,7 +161,6 @@ def run(rc: RunConfig) -> int:
     t0 = time.monotonic()
     opts = ExploreOptions(
         mode="two_step" if rc.mode == "two-step" else "precise",
-        reductions=rc.reductions,
         max_interleavings=rc.max_interleavings,
         solver_timeout_ms=rc.timeout_ms,
     )
@@ -241,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--mode", choices=("precise", "two-step"), default="precise")
     an.add_argument("--adversary", choices=("fixed", "synthesize", "none"),
                     default="fixed")
-    an.add_argument("--no-reduce-tables", action="store_true",
-                    help="build the hit constraints without interval pruning")
     an.add_argument("--max-interleavings", type=int, default=None)
     an.add_argument("--timeout-ms", type=int, default=30000)
     an.add_argument("--solver", default=None,
@@ -275,7 +271,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         cache=_cache_from(args),
         mode=args.mode,
         adversary=args.adversary,
-        reductions=ReduceOptions(tables=not args.no_reduce_tables),
         max_interleavings=args.max_interleavings,
         timeout_ms=args.timeout_ms,
         solver=args.solver,
@@ -324,10 +319,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except EnumerativeCapError as e:
-        # A bound of the built-in solver stopped the search; the input is fine.
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except (SymleakError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -34,9 +34,5 @@ class BruteForceCapError(SymleakError):
     """Exhaustive enumeration would exceed the configured cap."""
 
 
-class EnumerativeCapError(SymleakError):
-    """A query's free variables span too many bits to enumerate."""
-
-
 class SolverProcessError(SymleakError):
     """An external solver process failed or produced unusable output."""

@@ -58,15 +58,13 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .cache import (AccessRecord, CacheConfig, ReduceOptions, Trace,
-                    hit_constraint, hit_constraint_assoc, may_same_line,
-                    may_touch_blocks)
+from .cache import (AccessRecord, CacheConfig, Trace, hit_constraint,
+                    hit_constraint_assoc, may_same_line, may_touch_blocks)
 from .detector import (LeakReport, VarClasses, classify, solve_precise,
                        solve_two_step, verdicts)
 from .engine import (AccessEvent, BranchEvent, SymbolicState, branch_events,
                      enabled_events, initial_state, perform_access,
                      take_branch)
-from .errors import EnumerativeCapError
 from .expr import Expr
 from .ir import Fixed, If, Load, Program, Stmt, Store, SymbolicBase
 from .records import Frozen, Value, set_field
@@ -74,11 +72,9 @@ from .solver import SolverBackend
 
 
 class ExploreOptions(Frozen):
-    __slots__ = ("mode", "reductions", "max_interleavings",
-                 "solver_timeout_ms")
+    __slots__ = ("mode", "max_interleavings", "solver_timeout_ms")
 
     def __init__(self, mode: str = "precise",
-                 reductions: ReduceOptions = ReduceOptions(),
                  max_interleavings: int | None = None,
                  solver_timeout_ms: int | None = None) -> None:
         # A bound below one would stop the search before it starts and
@@ -88,7 +84,6 @@ class ExploreOptions(Frozen):
             if bound is not None and bound < 1:
                 raise ValueError(f"{name} must be at least 1, got {bound}")
         set_field(self, "mode", mode)  # "precise" | "two_step"
-        set_field(self, "reductions", reductions)
         set_field(self, "max_interleavings", max_interleavings)
         set_field(self, "solver_timeout_ms", solver_timeout_ms)
 
@@ -158,8 +153,8 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
     """Build the hit constraint for ``ev`` over the trace so far and ask
     whether two secret valuations can disagree on it.
 
-    The reductions in ``opts`` only drop terms that interval reasoning
-    already decides, so the constraint is exact and one query answers.
+    The constraint is exact (its interval pruning drops only terms the
+    intervals already decide), so one query answers.
     On a divergence the result builds the witness report when called
     with the site's count of leaky schedules, so a site that already has
     one costs nothing more.
@@ -167,7 +162,7 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
     i = len(st.trace)
     tr = st.trace + (_record(st, ev),)
     classes = classify(p, st)
-    tau = _tau(tr, i, cfg, opts)
+    tau = _tau(tr, i, cfg)
     res = _solve(backend, tau, st.pcon, classes, opts)
     if res.status == "unknown":
         if stats is not None:
@@ -367,7 +362,7 @@ def _critical_footprint(p: Program, cfg: CacheConfig, backend: SolverBackend,
                         timeout_ms: int | None) -> list[tuple[Expr, Expr]] | None:
     """Run the critical thread alone over every feasible branch arm and
     collect (address, path constraint) of its accesses.  A branch arm
-    whose feasibility is undecided, or too wide for the backend, is run.
+    whose feasibility is undecided is run.
 
     None when another thread stores to a declaration the critical thread
     accesses: memory is kept per declaration, so only then can the
@@ -389,11 +384,8 @@ def _critical_footprint(p: Program, cfg: CacheConfig, backend: SolverBackend,
         if bes:
             for arm in (True, False):
                 nxt = take_branch(st, bes[0], arm)
-                try:
-                    res = backend.check(nxt.pcon, timeout_ms=timeout_ms)
-                except EnumerativeCapError:
-                    res = None
-                if res is None or res.status != "unsat":
+                if backend.check(nxt.pcon,
+                                 timeout_ms=timeout_ms).status != "unsat":
                     todo.append(nxt)
             continue
         for ev in enabled_events(st):
@@ -416,10 +408,10 @@ def _accesses(body: tuple[Stmt, ...]) -> list[Load | Store]:
     return out
 
 
-def _tau(tr: Trace, i: int, cfg: CacheConfig, opts: ExploreOptions):
+def _tau(tr: Trace, i: int, cfg: CacheConfig):
     if cfg.assoc == 1:
-        return hit_constraint(tr, i, cfg, opts.reductions)
-    return hit_constraint_assoc(tr, i, cfg, opts.reductions)
+        return hit_constraint(tr, i, cfg)
+    return hit_constraint_assoc(tr, i, cfg)
 
 
 def _solve(backend: SolverBackend, tau, pcon, classes: VarClasses,

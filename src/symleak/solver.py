@@ -13,8 +13,8 @@ width-1 expressions:
   is at least twice the widest node.  A domain is any sequence of
   ints below 2**64; a ``range`` stays lazy.  The backend is exact, needs nothing
   outside the standard library and is fast for the small key spaces
-  this tool targets, but refuses once the combined domain exceeds a
-  configurable bit budget.
+  this tool targets.  A query whose combined domain exceeds a
+  configurable bit budget is not enumerated and answers "unknown".
 
 * SmtProcessBackend prints the query as SMT-LIB2 (QF_BV) and pipes it
   through an external solver executable such as ``z3 -in``.  Query text
@@ -47,7 +47,7 @@ from array import array
 from collections.abc import Sequence
 
 from . import expr as ex
-from .errors import EnumerativeCapError, SolverProcessError
+from .errors import SolverProcessError
 from .expr import Expr
 
 
@@ -442,8 +442,8 @@ class EnumerativeBackend(SolverBackend):
     the probe window instead of 2**32 candidates).  A value is taken
     modulo ``2**width`` when evaluated and reported as given.  Other
     variables range over all ``2**width`` values.  Total enumerated
-    width is capped; wider queries raise EnumerativeCapError rather
-    than running forever.
+    width is capped at ``cap_bits``: a wider query answers "unknown",
+    as a timed-out one does, rather than running forever.
     """
 
     name = "enumerative"
@@ -472,28 +472,27 @@ class EnumerativeBackend(SolverBackend):
         """The most assignments a block of ``bits``-bit lanes holds."""
         return max(1, min(self.chunk, _WORD_BITS // bits))
 
-    def _domain_of(self, name: str, width: int) -> Sequence[int]:
-        dom = self.domains.get(name)
-        if dom is not None:
-            return dom
-        if width > self.cap_bits:
-            raise EnumerativeCapError(
-                f"variable {name!r} is {width} bits wide with no explicit domain")
-        return range(1 << width)
-
-    def _plan(self, widths: dict[str, int], order: list[str] | None = None) -> _Plan:
+    def _plan(self, widths: dict[str, int],
+              order: list[str] | None = None) -> _Plan | None:
+        """The enumeration of ``widths``' variables, or None when their
+        domains span more than ``cap_bits`` bits."""
         names = sorted(widths)
-        doms = {n: self._domain_of(n, widths[n]) for n in names}
-        bits = sum(max(1, (len(d) - 1).bit_length()) for d in doms.values())
+        # A variable without a domain spans its width; its range is not
+        # measured, since len() fails from 2**63 values on.
+        bits = sum(widths[n] if n not in self.domains
+                   else max(1, (len(self.domains[n]) - 1).bit_length())
+                   for n in names)
         if bits > self.cap_bits:
-            raise EnumerativeCapError(
-                f"query spans {bits} domain bits over {names}, cap is {self.cap_bits}")
+            return None
+        doms = {n: self.domains.get(n, range(1 << widths[n])) for n in names}
         return _Plan(names, names if order is None else order, doms)
 
     def _solve(self, formula: Expr, timeout_ms: int | None) -> SolveResult:
         deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000
         order = _postorder([formula])
         plan = self._plan(_var_widths(order))
+        if plan is None:
+            return SolveResult("unknown")
         bits = _lane_bits(order)
         limit = self._block_lanes(bits)
         for lo, hi in _blocks(plan.total, min(limit, _FIRST_BLOCK), limit):
@@ -537,6 +536,8 @@ class EnumerativeBackend(SolverBackend):
         names = sorted(widths)
         plan = self._plan(widths, [n for n in names if n not in duplicated]
                           + [n for n in names if n in duplicated])
+        if plan is None:
+            return DivergenceResult("unknown")
         try:
             found = _DivergenceScan(self, plan, order, tau, pcon, widths,
                                     duplicated, distinct, deadline).run()
@@ -706,6 +707,30 @@ _SMT_BINOPS = {
 _SMT_CMPS = {ex.Op.EQ: "=", ex.Op.ULT: "bvult", ex.Op.ULE: "bvule"}
 
 
+def _smt_node(node: Expr, args: list[str]) -> str:
+    """SMT-LIB2 text of one node, given the text of its arguments."""
+    op = node.op
+    if op is ex.Op.CONST:
+        return f"(_ bv{node.value} {node.width})"
+    if op is ex.Op.VAR:
+        return node.name
+    if op in _SMT_BINOPS:
+        return f"({_SMT_BINOPS[op]} {args[0]} {args[1]})"
+    if op in _SMT_CMPS:
+        return f"(ite ({_SMT_CMPS[op]} {args[0]} {args[1]}) #b1 #b0)"
+    if op is ex.Op.NE:
+        return f"(ite (distinct {args[0]} {args[1]}) #b1 #b0)"
+    if op is ex.Op.MULC:
+        return f"(bvmul {args[0]} (_ bv{node.value} {node.width}))"
+    if op is ex.Op.ITE:
+        return f"(ite (= {args[0]} #b1) {args[1]} {args[2]})"
+    if op is ex.Op.ZEXT:
+        return f"((_ zero_extend {node.width - node.args[0].width}) {args[0]})"
+    if op is ex.Op.EXTRACT:
+        return f"((_ extract {node.value + node.width - 1} {node.value}) {args[0]})"
+    raise AssertionError(f"unhandled op {op}")
+
+
 def emit_query(formula: Expr, logic: str = "QF_BV", get_model: bool = True) -> str:
     """Serialise a width-1 formula as a deterministic SMT-LIB2 script.
 
@@ -735,43 +760,33 @@ def emit_query(formula: Expr, logic: str = "QF_BV", get_model: bool = True) -> s
     names: dict[Expr, str] = {}
     counter = 0
 
-    def text_of(node: Expr) -> str:
-        if node in names:
-            return names[node]
-        return _render(node)
-
-    def _render(node: Expr) -> str:
-        op = node.op
-        if op is ex.Op.CONST:
-            return f"(_ bv{node.value} {node.width})"
-        if op is ex.Op.VAR:
-            return node.name
-        args = [text_of(a) for a in node.args]
-        if op in _SMT_BINOPS:
-            return f"({_SMT_BINOPS[op]} {args[0]} {args[1]})"
-        if op in _SMT_CMPS:
-            return f"(ite ({_SMT_CMPS[op]} {args[0]} {args[1]}) #b1 #b0)"
-        if op is ex.Op.NE:
-            return f"(ite (distinct {args[0]} {args[1]}) #b1 #b0)"
-        if op is ex.Op.MULC:
-            return f"(bvmul {args[0]} (_ bv{node.value} {node.width}))"
-        if op is ex.Op.ITE:
-            return f"(ite (= {args[0]} #b1) {args[1]} {args[2]})"
-        if op is ex.Op.ZEXT:
-            return f"((_ zero_extend {node.width - node.args[0].width}) {args[0]})"
-        if op is ex.Op.EXTRACT:
-            return f"((_ extract {node.value + node.width - 1} {node.value}) {args[0]})"
-        raise AssertionError(f"unhandled op {op}")
+    def render(root: Expr) -> str:
+        """The text of ``root``: each argument by its name if it has one,
+        else inline.  An explicit stack, so that a long chain of nodes
+        used once cannot reach the recursion limit."""
+        done: dict[Expr, str] = {}
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            todo = [a for a in node.args if a not in names and a not in done]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            if node not in done:
+                done[node] = _smt_node(node, [names.get(a) or done[a]
+                                              for a in node.args])
+        return done[root]
 
     # Define shared internal nodes bottom-up (reverse of the DFS ordering).
     for node in reversed(order):
         if node.args and uses[node] > 1:
-            body = _render(node)
+            body = render(node)
             names[node] = f"e{counter}"
             lines.append(f"(define-fun e{counter} () (_ BitVec {node.width}) {body})")
             counter += 1
 
-    lines.append(f"(assert (= {text_of(formula)} #b1))")
+    lines.append(f"(assert (= {render(formula)} #b1))")
     lines.append("(check-sat)")
     if get_model:
         lines.append("(get-model)")

@@ -13,9 +13,8 @@ import time
 from contextlib import contextmanager
 
 from symleak import expr as ex
-from symleak.cache import (AccessRecord, CacheConfig, ReduceOptions, Site,
-                           hit_constraint, hit_constraint_assoc, line,
-                           probe_window, tag)
+from symleak.cache import (AccessRecord, CacheConfig, Site, hit_constraint,
+                           hit_constraint_assoc, line, probe_window, tag)
 from symleak.cli import main
 from symleak.engine import run_schedule
 from symleak.explorer import ExploreOptions, explore
@@ -27,8 +26,6 @@ from symleak.solver import EnumerativeBackend
 from conftest import CORPUS_DIR, CORPUS_GEOMETRY, load_program, make_backend
 
 FIG3 = CacheConfig(512, 1, 1)
-SBOX_FILES = {"sbox_lookup.ir", "sbox_pair.ir", "sbox_branch.ir",
-              "sbox16.ir", "sbox_rounds.ir", "sbox_feedback.ir"}
 
 
 @contextmanager
@@ -39,12 +36,10 @@ def wall_clock_under(seconds):
     assert elapsed < seconds, f"took {elapsed:.1f}s, ceiling {seconds}s"
 
 
-def explored(name, cfg, mode="precise", reductions=None):
+def explored(name, cfg, mode="precise"):
     p = load_program(name)
-    opts = ExploreOptions(
-        mode=mode,
-        reductions=ReduceOptions() if reductions is None else reductions)
-    reports, stats = explore(p, cfg, opts, make_backend(p, cfg))
+    reports, stats = explore(p, cfg, ExploreOptions(mode=mode),
+                             make_backend(p, cfg))
     return {r.site for r in reports}, stats
 
 
@@ -91,8 +86,7 @@ INTERLEAVING_ROWS = [
 def test_concurrent_leak_needs_probe_between_load_and_store(capsys):
     with wall_clock_under(60):
         p = load_program("conc_tmp_fixed.ir")
-        reports, _ = explore(p, FIG3, ExploreOptions(reductions=ReduceOptions()),
-                             make_backend(p, FIG3))
+        reports, _ = explore(p, FIG3, ExploreOptions(), make_backend(p, FIG3))
         assert len(reports) == 1
         r = reports[0]
         assert r.site == "t1:L11:store:p"
@@ -220,13 +214,12 @@ def _random_probe_sweep(total, same_set):
         verdict = ""
         for addr in addrs[:pos + 1]:
             st, verdict = simulate_access(st, ex.evaluate(addr, {"k": kval}), cfg)
-        for red in (None, ReduceOptions()):
-            if cfg.assoc == 1:
-                tau = hit_constraint(tr, pos, cfg, red)
-            else:
-                tau = hit_constraint_assoc(tr, pos, cfg, reductions=red)
-            symbolic = bool(ex.evaluate(tau, {"k": kval}))
-            assert symbolic == (verdict == "hit"), (geoms.index(cfg), addrs, pos, kval, red)
+        if cfg.assoc == 1:
+            tau = hit_constraint(tr, pos, cfg)
+        else:
+            tau = hit_constraint_assoc(tr, pos, cfg)
+        symbolic = bool(ex.evaluate(tau, {"k": kval}))
+        assert symbolic == (verdict == "hit"), (geoms.index(cfg), addrs, pos, kval)
 
 
 def test_exhaustive_oracle_agrees_with_explorer():
@@ -275,14 +268,3 @@ def test_four_way_cache_agrees_with_concrete_oracle():
                     status = be.check(ex.xor(direct, lru)).status
                     assert status == "unsat", (name, i)
 
-
-def test_reductions_preserve_sites_and_cut_solver_calls():
-    with wall_clock_under(600):
-        for name, geom in CORPUS_GEOMETRY:
-            cfg = CacheConfig(*geom)
-            s_on, st_on = explored(name, cfg)
-            s_off, st_off = explored(name, cfg, reductions=ReduceOptions.none())
-            assert s_on == s_off, (name, geom)
-            assert st_on.solver_calls <= st_off.solver_calls, (name, geom)
-            if name in SBOX_FILES:
-                assert st_on.solver_calls < st_off.solver_calls, (name, geom)

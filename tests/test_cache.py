@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from symleak import CacheConfig, ReduceOptions, parse_program, unroll_loops
+from symleak import CacheConfig, parse_program, unroll_loops
 from symleak import expr as ex
 from symleak.cache import (AccessRecord, Site, blocks_disjoint, blocks_may_alias,
                            hit_constraint, hit_constraint_assoc, line,
@@ -140,11 +140,14 @@ def test_interval_reasoning_helpers():
 def test_tables_reduction_drops_unreachable_predecessors():
     cfg = CacheConfig(cache_size=512, line_size=64, assoc=1)
     k = ex.zext(ex.var("k", 8), 32)
-    tr = _trace(k, 4096)  # table in blocks 0..3, probe in block 64
-    assert hit_constraint(tr, 1, cfg, ReduceOptions()) is ex.FALSE
-    plain = hit_constraint(tr, 1, cfg)
+    probe = ex.const(4096, 32)
+    tr = _trace(k, probe)  # table in blocks 0..3, probe in block 64
+    assert hit_constraint(tr, 1, cfg) is ex.FALSE
+    assert hit_constraint_assoc(tr, 1, cfg) is ex.FALSE
+    # The pruning is exact: the unpruned link is unsatisfiable.
+    plain = ex.ite(ex.eq(line(k, cfg), line(probe, cfg)),
+                   ex.eq(tag(k, cfg), tag(probe, cfg)), ex.FALSE)
     assert ex.free_vars(plain) == {"k"}
-    # The pruned constraint is still sound: the plain one is unsatisfiable.
     assert EnumerativeBackend().check(plain).status == "unsat"
 
 
@@ -198,7 +201,7 @@ def test_round_constraints_do_not_grow_with_the_rounds(cfg):
         p = unroll_loops(parse_program(SBOX_ROUNDS.format(rounds=rounds)), rounds)
         tr = run_schedule(p, cfg, ()).trace
         assert len(tr) == 2 * rounds + 1
-        sizes.append(_dag_size(encode(tr, len(tr) - 1, cfg, ReduceOptions())))
+        sizes.append(_dag_size(encode(tr, len(tr) - 1, cfg)))
     assert sizes[0] == sizes[1]
 
 
@@ -239,9 +242,8 @@ def test_hit_constraints_match_simulator_on_random_traces():
             st = empty_cache(cfg)
             for i, a in enumerate(addrs):
                 st, verdict = simulate_access(st, a, cfg)
-                for red in (None, ReduceOptions()):
-                    tau = hit_constraint_assoc(tr, i, cfg, reductions=red)
-                    assert tau.is_const
-                    assert bool(tau.value) == (verdict == "hit"), (cfg, addrs, i, red)
-                    if cfg.assoc == 1:
-                        assert hit_constraint(tr, i, cfg, red) is tau
+                tau = hit_constraint_assoc(tr, i, cfg)
+                assert tau.is_const
+                assert bool(tau.value) == (verdict == "hit"), (cfg, addrs, i)
+                if cfg.assoc == 1:
+                    assert hit_constraint(tr, i, cfg) is tau

@@ -8,7 +8,7 @@ pinned so schedule-class deduplication and search-order changes show up.
 import pytest
 
 from symleak import parse_program, unroll_loops
-from symleak.cache import CacheConfig, ReduceOptions
+from symleak.cache import CacheConfig
 from symleak.explorer import ExploreOptions, explore
 from symleak.ir import SymbolicBase
 from symleak.oracle import brute_force_leaks, replay_trace, schedule_from_lines
@@ -16,7 +16,7 @@ from symleak.solver import DivergenceResult, EnumerativeBackend
 
 from conftest import load_program, make_backend
 
-ALL_REDUCTIONS = ExploreOptions(reductions=ReduceOptions())
+DEFAULTS = ExploreOptions()
 
 
 def lines_of(report):
@@ -41,7 +41,7 @@ def confirm_witness(p, cfg, report):
 
 def test_sequential_program_single_interleaving(fig3_cfg):
     p = load_program("seq_leaky_reuse.ir")
-    reports, stats = explore(p, fig3_cfg, ALL_REDUCTIONS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L11:store:p"]
     r = reports[0]
     assert r.access_index == 2
@@ -58,13 +58,13 @@ def test_sequential_program_single_interleaving(fig3_cfg):
 
 def test_repaired_program_is_clean(fig3_cfg):
     p = load_program("seq_repaired.ir")
-    reports, stats = explore(p, fig3_cfg, ALL_REDUCTIONS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
     assert reports == [] and stats.complete
 
 
 def test_concurrent_program_schedule_classes(fig3_cfg):
     p = load_program("conc_tmp_fixed.ir")
-    reports, stats = explore(p, fig3_cfg, ALL_REDUCTIONS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L11:store:p"]
     r = reports[0]
     assert r.access_index == 3
@@ -88,11 +88,11 @@ def test_repeated_queries_are_answered_by_the_memo(fig3_cfg):
     # questions; the backend decides each distinct one once.
     p = load_program("conc_multi_probe.ir")
     be = make_backend(p, fig3_cfg)
-    _, stats = explore(p, fig3_cfg, ALL_REDUCTIONS, be)
+    _, stats = explore(p, fig3_cfg, DEFAULTS, be)
     assert (stats.solver_memo_hits, stats.solver_calls) == (29, 39)
     assert (be.memo_hits, be.calls) == (29, 39)
     # Counters are per run, taken as differences on the backend.
-    _, again = explore(p, fig3_cfg, ALL_REDUCTIONS, be)
+    _, again = explore(p, fig3_cfg, DEFAULTS, be)
     assert (again.solver_memo_hits, again.solver_calls) == (39, 39)
 
 
@@ -107,7 +107,7 @@ def test_unrelated_probe_does_not_hide_a_later_conflict(cfg, site):
     p = load_program("conc_far_probe.ir")
     brute = {s for s, _ in brute_force_leaks(p, cfg)}
     assert brute == {site}
-    reports, stats = explore(p, cfg, ALL_REDUCTIONS, make_backend(p, cfg))
+    reports, stats = explore(p, cfg, DEFAULTS, make_backend(p, cfg))
     assert {r.site for r in reports} == brute
     assert stats.complete
     for r in reports:
@@ -116,7 +116,7 @@ def test_unrelated_probe_does_not_hide_a_later_conflict(cfg, site):
 
 def test_two_step_mode_agrees_here(fig3_cfg):
     p = load_program("conc_tmp_fixed.ir")
-    opts = ExploreOptions(mode="two_step", reductions=ReduceOptions())
+    opts = ExploreOptions(mode="two_step")
     reports, stats = explore(p, fig3_cfg, opts, make_backend(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L11:store:p"]
     assert lines_of(reports[0]) == [6, 9, 13, 11]
@@ -126,7 +126,7 @@ def test_two_step_mode_agrees_here(fig3_cfg):
 
 def test_symbolic_probe_placement(fig3_cfg):
     p = load_program("adv_symbolic.ir")
-    reports, stats = explore(p, fig3_cfg, ALL_REDUCTIONS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
     found = {r.site: r.adversary_addr for r in reports}
     # The probe can be placed to alias the store reuse (512), p itself
     # (0), or either arm's q access (385 / 257).
@@ -140,7 +140,7 @@ def test_symbolic_probe_placement(fig3_cfg):
 
 def test_two_secret_inputs_and_fresh_cells(fig3_cfg):
     p = load_program("sbox16.ir")
-    reports, stats = explore(p, fig3_cfg, ALL_REDUCTIONS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L7:load:sb", "t1:L9:store:sb"]
     assert reports[0].k1 == {"klo": 4, "khi": 0}
     assert reports[0].k2 == {"klo": 0, "khi": 0}
@@ -148,7 +148,7 @@ def test_two_secret_inputs_and_fresh_cells(fig3_cfg):
         confirm_witness(p, fig3_cfg, r)
 
     p = load_program("sbox_feedback.ir")
-    reports, stats = explore(p, fig3_cfg, ALL_REDUCTIONS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L9:store:key"]
     # The diverging value is one read out of secret memory, not an input.
     assert set(reports[0].k1) == {"j", "ld0_key"}
@@ -157,9 +157,22 @@ def test_two_secret_inputs_and_fresh_cells(fig3_cfg):
         confirm_witness(p, fig3_cfg, r)
 
 
+def test_interval_pruning_folds_every_check():
+    # On 32 sets of 64-byte lines, ``s0[k]`` covers blocks 0..3,
+    # ``s1[reg1 + k]`` blocks 16..20 and ``acc`` block 9, so no two of
+    # them can share a set, and the final store repeats the address of
+    # ``s0[k]``.  Interval pruning folds every hit constraint to a
+    # constant, so no query reaches the solver; unpruned, three would.
+    cfg = CacheConfig(2048, 64, 1)
+    p = load_program("sbox_pair.ir")
+    reports, stats = explore(p, cfg, DEFAULTS, make_backend(p, cfg))
+    assert (stats.leak_checks, stats.solver_calls) == (4, 0)
+    assert {r.site for r in reports} == {s for s, _ in brute_force_leaks(p, cfg)}
+
+
 def test_exploration_is_deterministic(fig3_cfg):
     p = load_program("adv_symbolic.ir")
-    runs = [explore(p, fig3_cfg, ALL_REDUCTIONS, make_backend(p, fig3_cfg))
+    runs = [explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
             for _ in range(2)]
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
@@ -176,7 +189,7 @@ def test_early_termination_needs_a_dependent_fork():
     p = load_program("conc_independent_forks.ir")
     brute = {s for s, _ in brute_force_leaks(p, cfg)}
     assert brute == {"t2:L9:load:t", "t2:L10:load:a"}
-    reports, stats = explore(p, cfg, ALL_REDUCTIONS, make_backend(p, cfg))
+    reports, stats = explore(p, cfg, DEFAULTS, make_backend(p, cfg))
     assert {r.site for r in reports} == brute
     assert stats.complete
     for r in reports:
@@ -189,7 +202,7 @@ def test_schedule_classes_cover_all_order_behaviors(fig3_cfg):
     # representative schedules plus the common non-leaky one.
     p = load_program("conc_tmp_fixed.ir")
     raw_orders = [(2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2)]
-    reports, stats = explore(p, fig3_cfg, ALL_REDUCTIONS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
     leak_lines = lines_of(reports[0])
     for k in (0, 1, 64, 130):
         raw = set()
@@ -206,7 +219,7 @@ def test_schedule_classes_cover_all_order_behaviors(fig3_cfg):
 
 def test_interleaving_budget_marks_incomplete(fig3_cfg):
     p = load_program("conc_tmp_fixed.ir")
-    opts = ExploreOptions(reductions=ReduceOptions(), max_interleavings=1)
+    opts = ExploreOptions(max_interleavings=1)
     reports, stats = explore(p, fig3_cfg, opts, make_backend(p, fig3_cfg))
     assert not stats.complete
     assert stats.interleavings_explored <= 1
@@ -219,7 +232,7 @@ def test_unknown_solver_counts_indeterminate(fig3_cfg):
             return DivergenceResult("unknown")
 
     p = load_program("seq_leaky_reuse.ir")
-    reports, stats = explore(p, fig3_cfg, ALL_REDUCTIONS, Inconclusive())
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, Inconclusive())
     assert reports == []
     assert stats.indeterminate > 0
     assert stats.complete  # search finished; the verdicts did not
@@ -233,7 +246,7 @@ def test_interleaving_ends_with_the_critical_thread(fig3_cfg):
     # checked in both.  Running threads 2 and 3 to their ends as well
     # gives six sequences and ten forks.
     p = load_program("conc_tail.ir")
-    reports, stats = explore(p, fig3_cfg, ALL_REDUCTIONS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L5:load:t"]
     assert stats.interleavings_explored == 2
     assert stats.states_forked == 5
@@ -245,7 +258,7 @@ def test_interleaving_ends_with_the_critical_thread(fig3_cfg):
 
 def explore_source(text, cfg):
     p = unroll_loops(parse_program(text), 16)
-    return p, explore(p, cfg, ALL_REDUCTIONS, make_backend(p, cfg))
+    return p, explore(p, cfg, DEFAULTS, make_backend(p, cfg))
 
 
 def test_out_of_bounds_index_is_an_observer():

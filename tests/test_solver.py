@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from symleak import expr as ex
-from symleak.errors import EnumerativeCapError, SolverProcessError
+from symleak.errors import SolverProcessError
 from symleak.solver import (EnumerativeBackend, SmtProcessBackend, SolveResult,
                             _Lanes, _lane_bits, _postorder, emit_query,
                             parse_model)
@@ -51,8 +51,8 @@ def test_enumerative_unsat_and_consts():
 def test_enumerative_cap_and_domains():
     wide = ex.var("addr", 32)
     f = ex.eq(wide, ex.const(512, 32))
-    with pytest.raises(EnumerativeCapError):
-        EnumerativeBackend().check(f)
+    # Too wide to enumerate: undecided, like a timed-out query.
+    assert EnumerativeBackend().check(f).status == "unknown"
     be = EnumerativeBackend(domains={"addr": [0, 256, 512]})
     res = be.check(f)
     assert res.status == "sat" and res.model == {"addr": 512}
@@ -180,6 +180,17 @@ def test_emit_query_is_deterministic_and_shares_subterms():
     assert "(check-sat)" in q1 and "(get-model)" in q1
     with pytest.raises(ValueError, match="width-1"):
         emit_query(k)
+
+
+def test_emit_query_renders_chains_deeper_than_the_recursion_limit():
+    # Every disjunct and every link of the disjunction is used once, so
+    # all of it is rendered inline, 3000 levels deep.
+    k = ex.var("k", 16)
+    q = emit_query(ex.disj([ex.eq(k, ex.const(i, 16)) for i in range(3000)]))
+    assert "define-fun" not in q
+    assert q.count("(bvor ") == 2999
+    assert q.count("(ite (= ") == 3000
+    assert all(f"(_ bv{i} 16)" in q for i in range(3000))
 
 
 def test_parse_model_accepts_all_value_forms():
