@@ -1,0 +1,75 @@
+"""Summarise ``symleak analyze`` over every committed program, one line a run.
+
+Usage: python3 scripts/report_matrix.py [SRC]
+
+Runs ``analyze`` in a fresh process on each ``corpus/*.ir`` and
+``tests/programs/*.ir`` file at ``--preset paper-fig3`` with ``--assoc``
+1, 2, 4 and 8 and ``--adversary`` fixed and synthesize.  SRC is the
+``src`` directory of the checkout to run (default: this checkout's), so
+one checkout's script can summarise another's code on the same programs.
+Each line names the run, then gives the exit code, the leak-site set,
+every ``stats`` field except ``wall_ms`` and the sha256 of the report's
+``leaks`` array; a run with no report gives its first line of stderr
+instead.  Two checkouts' outputs differ only where their reports do, so
+``diff`` of the two outputs is the gate for a change that must keep
+reports byte-identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAM_DIRS = ("corpus", "tests/programs")
+ASSOCS = (1, 2, 4, 8)
+ADVERSARIES = ("fixed", "synthesize")
+TIMEOUT_S = 300
+
+
+def summarise(src: Path, prog: Path, assoc: int, adversary: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "symleak.cli", "analyze", str(prog),
+         "--preset", "paper-fig3", "--assoc", str(assoc),
+         "--adversary", adversary],
+        capture_output=True, text=True, env=env, timeout=TIMEOUT_S)
+    head = (f"{prog.relative_to(ROOT)} assoc={assoc} adversary={adversary} "
+            f"exit={proc.returncode}")
+    try:
+        doc = json.loads(proc.stdout)
+    except json.JSONDecodeError:
+        err = proc.stderr.strip().splitlines()
+        return f"{head} stderr={err[0] if err else ''!r}"
+    stats = {k: v for k, v in doc["stats"].items() if k != "wall_ms"}
+    sites = ",".join(sorted(leak["site"] for leak in doc["leaks"]))
+    leaks = json.dumps(doc["leaks"]).encode()
+    fields = " ".join(f"{k}={v}" for k, v in stats.items())
+    return (f"{head} sites=[{sites}] {fields} complete={doc['complete']} "
+            f"leaks_sha256={hashlib.sha256(leaks).hexdigest()}")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src = Path(argv[0]).resolve() if argv else ROOT / "src"
+    if not (src / "symleak" / "cli.py").is_file():
+        print(f"no symleak sources under {src}", file=sys.stderr)
+        return 2
+    for d in PROGRAM_DIRS:
+        for prog in sorted((ROOT / d).glob("*.ir")):
+            for assoc in ASSOCS:
+                for adversary in ADVERSARIES:
+                    print(summarise(src, prog, assoc, adversary), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

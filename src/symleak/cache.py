@@ -228,6 +228,10 @@ def _sets_may_overlap(a: tuple[int, int], b: tuple[int, int], num_sets: int) -> 
     return _in_arc(b0, a0, a1) or _in_arc(a0, b0, b1)
 
 
+def _ranges_disjoint(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    return a[1] < b[0] or b[1] < a[0]
+
+
 def blocks_may_alias(a: Expr, b: Expr, cfg: CacheConfig) -> bool:
     """Can the two addresses fall into the same cache set?  Interval check
     only; no solver involved."""
@@ -236,24 +240,48 @@ def blocks_may_alias(a: Expr, b: Expr, cfg: CacheConfig) -> bool:
 
 def blocks_disjoint(a: Expr, b: Expr, cfg: CacheConfig) -> bool:
     """True when the two addresses provably touch different memory blocks."""
-    (a0, a1), (b0, b1) = _block_range(a, cfg), _block_range(b, cfg)
-    return a1 < b0 or b1 < a0
+    return _ranges_disjoint(_block_range(a, cfg), _block_range(b, cfg))
 
 
-def _can_evict(mid: Expr, victim: Expr, cfg: CacheConfig) -> bool:
-    """Can mid touch the victim's set with a different block?  Happens only
-    when the block numbers can differ by a nonzero multiple of num_sets."""
-    (m0, m1), (v0, v1) = _block_range(mid, cfg), _block_range(victim, cfg)
-    s = cfg.num_sets
-    k_hi = (m1 - v0) // s
-    k_lo = -((v1 - m0) // s)
+def _can_evict(mid: tuple[int, int], victim: tuple[int, int], num_sets: int) -> bool:
+    """Can an access in block range ``mid`` touch the set of one in
+    ``victim`` with a different block?  Happens only when the block
+    numbers can differ by a nonzero multiple of num_sets."""
+    (m0, m1), (v0, v1) = mid, victim
+    k_hi = (m1 - v0) // num_sets
+    k_lo = -((v1 - m0) // num_sets)
     return k_hi >= 1 or k_lo <= -1
+
+
+class Geometry:
+    """Tag, set index and block range of each address under one cache
+    configuration, each computed once.  A search owns one table and
+    drops it when it ends; a constraint built outside a search gets a
+    table of its own.  So nothing here outlives its caller or depends
+    on what the process built before."""
+
+    __slots__ = ("cfg", "num_sets", "_memo")
+
+    def __init__(self, cfg: CacheConfig) -> None:
+        self.cfg = cfg
+        self.num_sets = cfg.num_sets
+        self._memo: dict[Expr, tuple[Expr, Expr, tuple[int, int]]] = {}
+
+    def of(self, addr: Expr) -> tuple[Expr, Expr, tuple[int, int]]:
+        """(tag, set index, block range) of ``addr``."""
+        g = self._memo.get(addr)
+        if g is None:
+            cfg = self.cfg
+            g = self._memo[addr] = (tag(addr, cfg), line(addr, cfg),
+                                    _block_range(addr, cfg))
+        return g
 
 
 # ---------------------------------------------------------------------------
 # Hit constraints
 
-def hit_constraint(tr: Trace, i: int, cfg: CacheConfig) -> Expr:
+def hit_constraint(tr: Trace, i: int, cfg: CacheConfig,
+                   geo: Geometry | None = None) -> Expr:
     """Direct-mapped hit condition for access i over the trace prefix.
 
     The chain ``h = ite(line_j == line_i, tag_j == tag_i, h)`` is folded
@@ -262,23 +290,22 @@ def hit_constraint(tr: Trace, i: int, cfg: CacheConfig) -> Expr:
     and the scan stops at the first whose set equality is literally
     true, since nothing older can reach access i.  A predecessor that
     can never share the set is skipped, and one that provably touches
-    another block gets a false block equality.
+    another block gets a false block equality.  ``geo``, a table built
+    for ``cfg``, supplies each address's geometry; without one the call
+    builds its own.
     """
-    addr = tr[i].addr
-    t_i = tag(addr, cfg)
-    l_i = line(addr, cfg)
+    geo = Geometry(cfg) if geo is None else geo
+    n = geo.num_sets
+    t_i, l_i, b_i = geo.of(tr[i].addr)
     links: list[tuple[Expr, Expr]] = []
     for j in range(i - 1, -1, -1):
-        a = tr[j].addr
-        if not blocks_may_alias(a, addr, cfg):
+        t_j, l_j, b_j = geo.of(tr[j].addr)
+        if not _sets_may_overlap(b_j, b_i, n):
             continue
-        same_set = ex.eq(line(a, cfg), l_i)
+        same_set = ex.eq(l_j, l_i)
         if same_set is ex.FALSE:
             continue
-        if blocks_disjoint(a, addr, cfg):
-            same_block = ex.FALSE
-        else:
-            same_block = ex.eq(tag(a, cfg), t_i)
+        same_block = ex.FALSE if _ranges_disjoint(b_j, b_i) else ex.eq(t_j, t_i)
         links.append((same_set, same_block))
         if same_set is ex.TRUE:
             break
@@ -288,7 +315,8 @@ def hit_constraint(tr: Trace, i: int, cfg: CacheConfig) -> Expr:
     return h
 
 
-def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig) -> Expr:
+def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig,
+                         geo: Geometry | None = None) -> Expr:
     """W-way LRU hit condition for access i.
 
     Access i hits when some earlier access j touched its block and fewer
@@ -305,28 +333,27 @@ def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig) -> Expr:
 
     A predecessor that provably touches another block is no candidate
     for j, and an access that can never put a different block into
-    access i's set is no intermediate.
+    access i's set is no intermediate.  ``geo`` is as in hit_constraint.
     """
-    addr = tr[i].addr
+    geo = Geometry(cfg) if geo is None else geo
+    n = geo.num_sets
     w = cfg.assoc
-    t_i = tag(addr, cfg)
-    s_i = line(addr, cfg)
+    t_i, s_i, b_i = geo.of(tr[i].addr)
     cw = max(i, w).bit_length() + 1
     count = ex.const(0, cw)
     kept: list[Expr] = []
     disjuncts: list[Expr] = []
     for j in range(i - 1, -1, -1):
-        a = tr[j].addr
-        t_j = tag(a, cfg)
-        tag_eq = ex.FALSE if blocks_disjoint(a, addr, cfg) else ex.eq(t_j, t_i)
+        t_j, l_j, b_j = geo.of(tr[j].addr)
+        tag_eq = ex.FALSE if _ranges_disjoint(b_j, b_i) else ex.eq(t_j, t_i)
         if tag_eq is not ex.FALSE:
             disjuncts.append(tag_eq if len(kept) < w
                              else ex.and_(tag_eq, ex.ult(count, ex.const(w, cw))))
         if tag_eq is ex.TRUE:
             break
-        if not _can_evict(a, addr, cfg):
+        if not _can_evict(b_j, b_i, n):
             continue
-        last = [ex.eq(line(a, cfg), s_i), ex.ne(t_j, t_i)]
+        last = [ex.eq(l_j, s_i), ex.ne(t_j, t_i)]
         last += [ex.ne(t, t_j) for t in kept]
         count = ex.add(count, ex.zext(ex.conj(last), cw))
         kept.append(t_j)
@@ -334,18 +361,22 @@ def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig) -> Expr:
 
 
 def may_same_line(a: AccessRecord, b: AccessRecord, cfg: CacheConfig,
-                  backend, timeout_ms: int | None = None) -> bool:
+                  backend, timeout_ms: int | None = None,
+                  geo: Geometry | None = None) -> bool:
     """Can the two accesses touch the same cache set on a common path?
 
     Decided by the interval pre-check whenever possible; otherwise the
     question goes to the solver backend.  On solver timeout the answer
-    is conservatively True.
+    is conservatively True.  ``geo`` is as in hit_constraint.
     """
-    if not blocks_may_alias(a.addr, b.addr, cfg):
+    geo = Geometry(cfg) if geo is None else geo
+    _, l_a, b_a = geo.of(a.addr)
+    _, l_b, b_b = geo.of(b.addr)
+    if not _sets_may_overlap(b_a, b_b, geo.num_sets):
         return False
     if a.addr.is_const and b.addr.is_const:
         return True  # point intervals: overlap is equality
-    q = ex.conj([ex.eq(line(a.addr, cfg), line(b.addr, cfg)), a.pcon, b.pcon])
+    q = ex.conj([ex.eq(l_a, l_b), a.pcon, b.pcon])
     if q.is_const:
         return bool(q.value)
     res = backend.check(q, timeout_ms=timeout_ms)
@@ -353,17 +384,20 @@ def may_same_line(a: AccessRecord, b: AccessRecord, cfg: CacheConfig,
 
 
 def may_touch_blocks(addr: Expr, pcon: Expr, other: Expr, cfg: CacheConfig,
-                     backend, timeout_ms: int | None = None) -> bool:
+                     backend, timeout_ms: int | None = None,
+                     geo: Geometry | None = None) -> bool:
     """Can ``addr``, on a path under ``pcon``, touch a block in the block
     range of ``other``?
 
     The query bounds the tag of ``addr`` by that range's constants and
     names no variable of ``other``.  An undecided query answers True.
+    ``geo`` is as in hit_constraint.
     """
-    if blocks_disjoint(addr, other, cfg):
+    geo = Geometry(cfg) if geo is None else geo
+    t, _, blocks = geo.of(addr)
+    _, _, (lo, hi) = geo.of(other)
+    if _ranges_disjoint(blocks, (lo, hi)):
         return False
-    lo, hi = _block_range(other, cfg)
-    t = tag(addr, cfg)
     q = ex.conj([ex.ule(ex.const(lo, t.width), t),
                  ex.ule(t, ex.const(hi, t.width)), pcon])
     if q.is_const:

@@ -159,8 +159,10 @@ def write_report(rc: RunConfig, reports: list[LeakReport],
 def run(rc: RunConfig) -> int:
     """parse, unroll, place adversary, explore, confirm, report."""
     t0 = time.monotonic()
+    if rc.mode not in ("precise", "two-step"):
+        raise ValueError(f"mode must be one of precise, two-step, got {rc.mode!r}")
     opts = ExploreOptions(
-        mode="two_step" if rc.mode == "two-step" else "precise",
+        mode=rc.mode.replace("-", "_"),
         max_interleavings=rc.max_interleavings,
         solver_timeout_ms=rc.timeout_ms,
     )

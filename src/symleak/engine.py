@@ -10,7 +10,13 @@ next, and that choice is what the interleaving search enumerates.
 
 States are immutable.  Stepping functions return new states that share
 structure with the old one, so a depth-first search can keep many open
-states without copying register files.
+states without copying register files.  A state also carries each
+thread's next event: the branch at its cursor with the condition
+lowered, or the access with its element index, address and stored
+value lowered.  A step rebuilds only the moving thread's event, since
+no other thread's registers or cursor change, and running an access
+reuses the index its event holds.  So listing a state's pending
+branches or enabled accesses builds no term.
 
 Loads resolve their value in this order: the most recent store to the
 same concrete cell, then the declaration's initial contents, then a
@@ -76,13 +82,15 @@ class StoreEntry(Frozen):
 
 
 class AccessEvent(Frozen):
-    """A memory access that is ready to run: address and value are already
-    evaluated in the issuing thread's registers."""
+    """A memory access that is ready to run: element index, address and
+    value are already evaluated in the issuing thread's registers."""
 
-    __slots__ = ("tid", "kind", "decl", "addr", "value", "stmt", "site")
+    __slots__ = ("tid", "kind", "decl", "addr", "value", "stmt", "site",
+                 "index")
 
     def __init__(self, tid: int, kind: str, decl: Declaration, addr: Expr,
-                 value: Expr | None, stmt: Stmt, site: Site) -> None:
+                 value: Expr | None, stmt: Stmt, site: Site,
+                 index: Expr) -> None:
         set_field(self, "tid", tid)
         set_field(self, "kind", kind)  # "load" | "store"
         set_field(self, "decl", decl)
@@ -90,6 +98,7 @@ class AccessEvent(Frozen):
         set_field(self, "value", value)
         set_field(self, "stmt", stmt)
         set_field(self, "site", site)
+        set_field(self, "index", index)
 
 
 class BranchEvent(Frozen):
@@ -103,14 +112,16 @@ class BranchEvent(Frozen):
 
 class SymbolicState(Frozen):
     __slots__ = ("program", "regs", "cursors", "pcon", "stores", "trace",
-                 "init_cells", "fresh_secret", "fresh_public")
+                 "init_cells", "fresh_secret", "fresh_public", "next_events")
 
     def __init__(self, program: Program, regs: tuple[dict[str, Expr], ...],
                  cursors: tuple[Cursor, ...], pcon: Expr,
                  stores: tuple[StoreEntry, ...], trace: Trace,
                  init_cells: tuple[tuple[str, int, str], ...],
                  fresh_secret: tuple[str, ...],
-                 fresh_public: tuple[str, ...]) -> None:
+                 fresh_public: tuple[str, ...],
+                 next_events: tuple[AccessEvent | BranchEvent | None, ...]
+                 ) -> None:
         set_field(self, "program", program)
         # Register files by thread position.  Treated as copy-on-write:
         # never mutate a dict reachable from a state.
@@ -124,6 +135,10 @@ class SymbolicState(Frozen):
         set_field(self, "init_cells", init_cells)
         set_field(self, "fresh_secret", fresh_secret)
         set_field(self, "fresh_public", fresh_public)
+        # By thread position, what the thread does next: the branch or
+        # access at its cursor, built from its registers, or None once
+        # it has finished (``next_event``).
+        set_field(self, "next_events", next_events)
 
     @property
     def finished(self) -> bool:
@@ -232,12 +247,13 @@ def initial_state(p: Program, cfg: CacheConfig) -> SymbolicState:
             window = ex.ult(base, ex.const(probe_window(cfg), ADDR_WIDTH))
             pcon = ex.and_(pcon, window)
 
-    regs = tuple(dict(inputs) for _ in p.threads)
-    cursors = tuple(_normalize((Frame(t.body, 0),)) for t in p.threads)
-    st = SymbolicState(
+    settled = [_settle(p, t.tid, _normalize((Frame(t.body, 0),)), dict(inputs))
+               for t in p.threads]
+    return SymbolicState(
         program=p,
-        regs=regs,
-        cursors=cursors,
+        regs=tuple(env for _, env, _ in settled),
+        cursors=tuple(cur for cur, _, _ in settled),
+        next_events=tuple(nxt for _, _, nxt in settled),
         pcon=pcon,
         stores=(),
         trace=(),
@@ -245,67 +261,70 @@ def initial_state(p: Program, cfg: CacheConfig) -> SymbolicState:
         fresh_secret=(),
         fresh_public=(),
     )
-    return advance_locals(st)
 
 
-def advance_locals(st: SymbolicState) -> SymbolicState:
-    """Run register assignments in every thread, lowest tid first, until
-    each thread rests at a branch, an access or its end."""
-    regs = list(st.regs)
-    cursors = list(st.cursors)
-    changed = False
-    for i in range(len(cursors)):
-        cur = cursors[i]
-        env = regs[i]
-        while True:
-            s = _current(cur)
-            if isinstance(s, For):
-                raise UnrollError("loops must be unrolled before execution")
-            if not isinstance(s, Assign):
-                break
-            env = {**env, s.dst: lower(s.expr, env)}
-            cur = _step_over(cur)
-            changed = True
-        regs[i] = env
-        cursors[i] = cur
-    if not changed:
-        return st
-    return SymbolicState(
-        program=st.program, regs=tuple(regs), cursors=tuple(cursors),
-        pcon=st.pcon, stores=st.stores, trace=st.trace, init_cells=st.init_cells,
-        fresh_secret=st.fresh_secret, fresh_public=st.fresh_public,
-    )
+def _settle(p: Program, tid: int, cur: Cursor, env: dict[str, Expr]
+            ) -> tuple[Cursor, dict[str, Expr], AccessEvent | BranchEvent | None]:
+    """Run one thread's register assignments until it rests at a branch,
+    an access or its end.  Returns (cursor, registers, next event)."""
+    while True:
+        s = _current(cur)
+        if isinstance(s, For):
+            raise UnrollError("loops must be unrolled before execution")
+        if not isinstance(s, Assign):
+            break
+        env = {**env, s.dst: lower(s.expr, env)}
+        cur = _step_over(cur)
+    return cur, env, next_event(p, tid, cur, env)
+
+
+def next_event(p: Program, tid: int, cur: Cursor,
+               env: dict[str, Expr]) -> AccessEvent | BranchEvent | None:
+    """What thread ``tid``, resting at ``cur`` with registers ``env``,
+    does next: the branch or access there, or None at its end."""
+    s = _current(cur)
+    if isinstance(s, If):
+        return BranchEvent(tid, ex.ne(lower(s.cond, env), ex.const(0, 32)), s)
+    if s is None:
+        return None
+    d = p.decl(s.decl)
+    index = lower(s.index, env)
+    addr = _address(d, index)
+    if isinstance(s, Load):
+        return AccessEvent(tid, "load", d, addr, None, s,
+                           Site(tid, s.line, "load", d.name), index)
+    assert isinstance(s, Store)
+    val = _truncate(lower(s.value, env), d.elem_size)
+    return AccessEvent(tid, "store", d, addr, val, s,
+                       Site(tid, s.line, "store", d.name), index)
+
+
+def _moved(st: SymbolicState, pos: int, cur: Cursor,
+           env: dict[str, Expr]) -> tuple[tuple, tuple, tuple]:
+    """Registers, cursors and next events of ``st`` after the thread at
+    ``pos`` moved to ``cur`` with registers ``env``, then settled.  No
+    other thread's next event changes: its registers and cursor did not."""
+    cur, env, nxt = _settle(st.program, st.program.threads[pos].tid, cur, env)
+    after = pos + 1
+    return (st.regs[:pos] + (env,) + st.regs[after:],
+            st.cursors[:pos] + (cur,) + st.cursors[after:],
+            st.next_events[:pos] + (nxt,) + st.next_events[after:])
 
 
 def branch_events(st: SymbolicState) -> tuple[BranchEvent, ...]:
-    out = []
-    for i, t in enumerate(st.program.threads):
-        s = _current(st.cursors[i])
-        if isinstance(s, If):
-            cond32 = lower(s.cond, st.regs[i])
-            out.append(BranchEvent(t.tid, ex.ne(cond32, ex.const(0, 32)), s))
-    return tuple(out)
+    """Pending branches, ascending tid."""
+    return tuple([e for e in st.next_events if isinstance(e, BranchEvent)])
 
 
 def enabled_events(st: SymbolicState) -> tuple[AccessEvent, ...]:
     """Memory accesses ready to run, ascending tid.  Empty while some
     thread still sits at a branch."""
-    if branch_events(st):
-        return ()
     out = []
-    for i, t in enumerate(st.program.threads):
-        s = _current(st.cursors[i])
-        if isinstance(s, Load):
-            d = st.program.decl(s.decl)
-            addr = _address(d, lower(s.index, st.regs[i]))
-            out.append(AccessEvent(t.tid, "load", d, addr, None, s,
-                                   Site(t.tid, s.line, "load", d.name)))
-        elif isinstance(s, Store):
-            d = st.program.decl(s.decl)
-            addr = _address(d, lower(s.index, st.regs[i]))
-            val = _truncate(lower(s.value, st.regs[i]), d.elem_size)
-            out.append(AccessEvent(t.tid, "store", d, addr, val, s,
-                                   Site(t.tid, s.line, "store", d.name)))
+    for e in st.next_events:
+        if isinstance(e, BranchEvent):
+            return ()
+        if e is not None:
+            out.append(e)
     return tuple(out)
 
 
@@ -315,15 +334,14 @@ def take_branch(st: SymbolicState, ev: BranchEvent, arm: bool) -> SymbolicState:
     pos = st.thread_pos(ev.tid)
     cond = ev.cond if arm else ex.not_(ev.cond)
     body = ev.stmt.then_body if arm else ev.stmt.else_body
-    cursors = list(st.cursors)
-    cursors[pos] = _enter(cursors[pos], body)
-    nxt = SymbolicState(
-        program=st.program, regs=st.regs, cursors=tuple(cursors),
-        pcon=ex.and_(st.pcon, cond), stores=st.stores, trace=st.trace,
-        init_cells=st.init_cells, fresh_secret=st.fresh_secret,
-        fresh_public=st.fresh_public,
+    regs, cursors, next_events = _moved(st, pos, _enter(st.cursors[pos], body),
+                                        st.regs[pos])
+    return SymbolicState(
+        program=st.program, regs=regs, cursors=cursors,
+        next_events=next_events, pcon=ex.and_(st.pcon, cond),
+        stores=st.stores, trace=st.trace, init_cells=st.init_cells,
+        fresh_secret=st.fresh_secret, fresh_public=st.fresh_public,
     )
-    return advance_locals(nxt)
 
 
 def _contents_value(d: Declaration, index: Expr) -> Expr:
@@ -372,14 +390,16 @@ def _load_value(st: SymbolicState, d: Declaration, index: Expr):
 
 
 def _fresh(d: Declaration, name: str) -> Expr:
-    return ex.zext(ex.var(name, 8 * d.elem_size), 32)
+    # A register holds 32 bits, so a wider cell reads as its low 32, as
+    # stores (``_truncate``) and initial contents already treat it.
+    return ex.zext(ex.var(name, min(8 * d.elem_size, 32)), 32)
 
 
 def perform_access(st: SymbolicState, ev: AccessEvent) -> SymbolicState:
     """Run one enabled load or store, record it in the trace, and advance
     the issuing thread through its following register assignments."""
     pos = st.thread_pos(ev.tid)
-    regs = list(st.regs)
+    env = st.regs[pos]
     stores = st.stores
     init_cells = st.init_cells
     fresh_secret = st.fresh_secret
@@ -388,19 +408,17 @@ def perform_access(st: SymbolicState, ev: AccessEvent) -> SymbolicState:
 
     if ev.kind == "load":
         assert isinstance(ev.stmt, Load)
-        index = lower(ev.stmt.index, regs[pos])
-        value, init_cells, fresh_name = _load_value(st, ev.decl, index)
+        value, init_cells, fresh_name = _load_value(st, ev.decl, ev.index)
         if fresh_name is not None and fresh_name not in fresh_secret + fresh_public:
             if ev.decl.sensitivity is Sensitivity.SECRET:
                 fresh_secret = fresh_secret + (fresh_name,)
             else:
                 fresh_public = fresh_public + (fresh_name,)
-        regs[pos] = {**regs[pos], ev.stmt.dst: value}
+        env = {**env, ev.stmt.dst: value}
         rec_value = value
     else:
-        assert isinstance(ev.stmt, Store)
-        index = lower(ev.stmt.index, regs[pos])
         assert ev.value is not None
+        index = ev.index
         stores = stores + (StoreEntry(ev.decl.name, index, ev.value,
                                       index.value if index.is_const else None),)
         rec_value = ev.value
@@ -409,15 +427,14 @@ def perform_access(st: SymbolicState, ev: AccessEvent) -> SymbolicState:
         index=len(st.trace), tid=ev.tid, kind=ev.kind, addr=ev.addr,
         pcon=st.pcon, site=ev.site, decl=ev.decl.name, value=rec_value,
     )
-    cursors = list(st.cursors)
-    cursors[pos] = _step_over(cursors[pos])
-    nxt = SymbolicState(
-        program=st.program, regs=tuple(regs), cursors=tuple(cursors),
-        pcon=st.pcon, stores=stores, trace=st.trace + (record,),
-        init_cells=init_cells, fresh_secret=fresh_secret,
-        fresh_public=fresh_public,
+    regs, cursors, next_events = _moved(st, pos, _step_over(st.cursors[pos]),
+                                        env)
+    return SymbolicState(
+        program=st.program, regs=regs, cursors=cursors,
+        next_events=next_events, pcon=st.pcon, stores=stores,
+        trace=st.trace + (record,), init_cells=init_cells,
+        fresh_secret=fresh_secret, fresh_public=fresh_public,
     )
-    return advance_locals(nxt)
 
 
 def run_schedule(p: Program, cfg: CacheConfig, tids, arms=()) -> SymbolicState:

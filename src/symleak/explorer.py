@@ -58,8 +58,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .cache import (AccessRecord, CacheConfig, Trace, hit_constraint,
-                    hit_constraint_assoc, may_same_line, may_touch_blocks)
+from .cache import (AccessRecord, CacheConfig, Geometry, Trace,
+                    hit_constraint, hit_constraint_assoc, may_same_line,
+                    may_touch_blocks)
 from .detector import (LeakReport, VarClasses, classify, solve_precise,
                        solve_two_step, verdicts)
 from .engine import (AccessEvent, BranchEvent, SymbolicState, branch_events,
@@ -71,19 +72,25 @@ from .records import Frozen, Value, set_field
 from .solver import SolverBackend
 
 
+MODES = ("precise", "two_step")
+
+
 class ExploreOptions(Frozen):
     __slots__ = ("mode", "max_interleavings", "solver_timeout_ms")
 
     def __init__(self, mode: str = "precise",
                  max_interleavings: int | None = None,
                  solver_timeout_ms: int | None = None) -> None:
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}, "
+                             f"got {mode!r}")
         # A bound below one would stop the search before it starts and
         # pass bad input off as an incomplete search.
         for name, bound in (("max_interleavings", max_interleavings),
                             ("solver_timeout_ms", solver_timeout_ms)):
             if bound is not None and bound < 1:
                 raise ValueError(f"{name} must be at least 1, got {bound}")
-        set_field(self, "mode", mode)  # "precise" | "two_step"
+        set_field(self, "mode", mode)
         set_field(self, "max_interleavings", max_interleavings)
         set_field(self, "solver_timeout_ms", solver_timeout_ms)
 
@@ -117,11 +124,9 @@ class _Frame:
     accesses.  ``sleep`` holds the inherited sleepers plus the accesses
     already taken from this state, whose orders are covered.  ``fork``
     tells whether more than one access is enabled (asleep ones too), so
-    that taking one is a thread choice, and ``deps`` holds the
-    dependence of the pairs asked about so far, by thread ids."""
+    that taking one is a thread choice."""
 
-    __slots__ = ("st", "choices", "sleep", "alts", "branch", "fork", "deps",
-                 "tried")
+    __slots__ = ("st", "choices", "sleep", "alts", "branch", "fork", "tried")
 
     def __init__(self, st: SymbolicState, choices: tuple[int, ...],
                  sleep: list[AccessEvent], alts: list,
@@ -133,7 +138,6 @@ class _Frame:
         self.alts = alts
         self.branch = branch
         self.fork = fork
-        self.deps: dict[tuple[int, int], bool] = {}
         self.tried = 0
 
 
@@ -148,13 +152,15 @@ def adversarial_access(p: Program, ev: AccessEvent) -> bool:
 def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
                              cfg: CacheConfig, opts: ExploreOptions,
                              backend: SolverBackend,
-                             stats: ExploreStats | None = None
+                             stats: ExploreStats | None = None,
+                             geo: Geometry | None = None
                              ) -> Callable[[int], LeakReport] | None:
     """Build the hit constraint for ``ev`` over the trace so far and ask
     whether two secret valuations can disagree on it.
 
     The constraint is exact (its interval pruning drops only terms the
-    intervals already decide), so one query answers.
+    intervals already decide), so one query answers.  ``geo`` is the
+    search's geometry table for ``cfg``.
     On a divergence the result builds the witness report when called
     with the site's count of leaky schedules, so a site that already has
     one costs nothing more.
@@ -162,7 +168,7 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
     i = len(st.trace)
     tr = st.trace + (_record(st, ev),)
     classes = classify(p, st)
-    tau = _tau(tr, i, cfg)
+    tau = _tau(tr, i, cfg, geo)
     res = _solve(backend, tau, st.pcon, classes, opts)
     if res.status == "unknown":
         if stats is not None:
@@ -221,14 +227,22 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
         stats.states_forked += len(awake) - 1
         return _Frame(st, choices, list(sleep), awake, fork=len(evs) > 1)
 
-    observers = _Observers(p, cfg, backend, opts.solver_timeout_ms)
+    geo = Geometry(cfg)
+    observers = _Observers(p, cfg, backend, opts.solver_timeout_ms, geo)
+    # Dependence of a pair of accesses, keyed on everything
+    # ``_has_dependent_pair`` reads: each access's thread, declaration
+    # and address, and the path constraint.  The same pair recurs at
+    # many states of one search.
+    deps: dict[tuple, bool] = {}
 
-    def dependent(f: _Frame, a: AccessEvent, b: AccessEvent) -> bool:
-        key = (min(a.tid, b.tid), max(a.tid, b.tid))
-        if key not in f.deps:
-            f.deps[key] = _has_dependent_pair(f.st, a, b, cfg, backend, opts,
-                                              observers)
-        return f.deps[key]
+    def dependent(st: SymbolicState, a: AccessEvent, b: AccessEvent) -> bool:
+        ka, kb = (a.tid, a.decl.name, a.addr), (b.tid, b.decl.name, b.addr)
+        key = (ka, kb, st.pcon) if a.tid < b.tid else (kb, ka, st.pcon)
+        dep = deps.get(key)
+        if dep is None:
+            dep = deps[key] = _has_dependent_pair(st, a, b, cfg, backend, opts,
+                                                  observers, geo)
+        return dep
 
     stack: list[_Frame] = []
     root = open_frame(initial_state(p, cfg), (), [])
@@ -267,7 +281,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                 if adversarial_access(p, ev):
                     stats.leak_checks += 1
                     leak = divergent_cache_behavior(p, f.st, ev, cfg, opts,
-                                                    backend, stats)
+                                                    backend, stats, geo)
                     if leak is not None:
                         site = str(ev.site)
                         if site not in reports:
@@ -276,7 +290,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                 nxt = perform_access(f.st, ev)
                 # The dependence queries are needed only if the child
                 # stays open.
-                sleep = ([u for u in earlier if not dependent(f, u, ev)]
+                sleep = ([u for u in earlier if not dependent(f.st, u, ev)]
                          if nxt.cursors[crit] else [])
                 child = open_frame(nxt, choices, sleep)
             if child is not None:
@@ -297,7 +311,8 @@ def _record(st: SymbolicState, ev: AccessEvent) -> AccessRecord:
 
 def _has_dependent_pair(st: SymbolicState, a: AccessEvent, b: AccessEvent,
                         cfg: CacheConfig, backend: SolverBackend,
-                        opts: ExploreOptions, observers: _Observers) -> bool:
+                        opts: ExploreOptions, observers: _Observers,
+                        geo: Geometry | None = None) -> bool:
     """May the order of two enabled accesses of different threads matter
     in ``st``?  They are dependent when they touch the same declaration
     (memory values), or when they may share a cache set under the current
@@ -305,11 +320,12 @@ def _has_dependent_pair(st: SymbolicState, a: AccessEvent, b: AccessEvent,
     never touches a block a critical access may request, so either order
     leaves a set holding no critical block (direct-mapped), and no
     interval from a critical block's last access to a critical access
-    holds one of the two without the other (LRU)."""
+    holds one of the two without the other (LRU).  ``geo`` is as in
+    divergent_cache_behavior."""
     if a.decl.name == b.decl.name:
         return True
     if not may_same_line(_record(st, a), _record(st, b), cfg, backend,
-                         opts.solver_timeout_ms):
+                         opts.solver_timeout_ms, geo):
         return False
     return not observers.commute(a, b)
 
@@ -319,13 +335,14 @@ class _Observers:
     The critical thread's footprint is built on first use; without one,
     every access counts as observed."""
 
-    __slots__ = ("p", "cfg", "backend", "timeout_ms", "built", "footprint",
-                 "seen")
+    __slots__ = ("p", "cfg", "backend", "timeout_ms", "geo", "built",
+                 "footprint", "seen")
 
     def __init__(self, p: Program, cfg: CacheConfig, backend: SolverBackend,
-                 timeout_ms: int | None) -> None:
+                 timeout_ms: int | None, geo: Geometry) -> None:
         self.p = p
         self.cfg = cfg
+        self.geo = geo
         self.backend = backend
         self.timeout_ms = timeout_ms
         self.built = False
@@ -353,7 +370,7 @@ class _Observers:
         if hit is None:
             hit = self.seen[ev.addr] = not any(
                 may_touch_blocks(addr, pcon, ev.addr, self.cfg, self.backend,
-                                 self.timeout_ms)
+                                 self.timeout_ms, self.geo)
                 for addr, pcon in self.footprint)
         return hit
 
@@ -408,10 +425,10 @@ def _accesses(body: tuple[Stmt, ...]) -> list[Load | Store]:
     return out
 
 
-def _tau(tr: Trace, i: int, cfg: CacheConfig):
+def _tau(tr: Trace, i: int, cfg: CacheConfig, geo: Geometry | None):
     if cfg.assoc == 1:
-        return hit_constraint(tr, i, cfg)
-    return hit_constraint_assoc(tr, i, cfg)
+        return hit_constraint(tr, i, cfg, geo)
+    return hit_constraint_assoc(tr, i, cfg, geo)
 
 
 def _solve(backend: SolverBackend, tau, pcon, classes: VarClasses,

@@ -11,9 +11,10 @@ import pytest
 
 from symleak import CacheConfig, parse_program, unroll_loops
 from symleak import expr as ex
-from symleak.cache import (AccessRecord, Site, blocks_disjoint, blocks_may_alias,
-                           hit_constraint, hit_constraint_assoc, line,
-                           may_same_line, probe_window, tag)
+from symleak.cache import (AccessRecord, Geometry, Site, blocks_disjoint,
+                           blocks_may_alias, hit_constraint,
+                           hit_constraint_assoc, line, may_same_line,
+                           probe_window, tag)
 from symleak.engine import run_schedule
 from symleak.oracle import empty_cache, simulate_access
 from symleak.solver import EnumerativeBackend
@@ -247,3 +248,32 @@ def test_hit_constraints_match_simulator_on_random_traces():
                 assert bool(tau.value) == (verdict == "hit"), (cfg, addrs, i)
                 if cfg.assoc == 1:
                     assert hit_constraint(tr, i, cfg) is tau
+
+
+def test_geometry_depends_on_no_earlier_configuration():
+    # Build the hit constraints of one trace under several geometries,
+    # alternating, each time with a new CacheConfig object that takes
+    # the freed one's place (and id): every build gives the nodes of
+    # building that geometry alone, and every address gets the tag and
+    # set of its own geometry.
+    k = ex.zext(ex.var("k", 8), 32)
+    tr = _trace(0, ex.add(ex.const(64, 32), k), 300,
+                ex.add(ex.const(256, 32), ex.mulc(k, 4)), 64, 0, 320)
+    params = [(512, 1, 1), (256, 4, 1), (512, 1, 2), (1024, 16, 4)]
+
+    def build(cfg):
+        hc = hit_constraint if cfg.assoc == 1 else hit_constraint_assoc
+        return [hc(tr, i, cfg) for i in range(len(tr))]
+
+    cfgs = [CacheConfig(*g) for g in params]
+    alone = {g: build(cfg) for g, cfg in zip(params, cfgs)}
+    assert len({tuple(v) for v in alone.values()}) == len(params)
+    del cfgs
+    for _ in range(3):
+        for g in params:
+            cfg = CacheConfig(*g)
+            assert build(cfg) == alone[g]
+            geo = Geometry(cfg)
+            for r in tr:
+                assert geo.of(r.addr)[:2] == (tag(r.addr, cfg), line(r.addr, cfg))
+            del cfg, geo

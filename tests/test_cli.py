@@ -13,6 +13,7 @@ from symleak.cache import CacheConfig
 from symleak.cli import RunConfig, confirm_report, main
 from symleak.detector import LeakReport
 from symleak.explorer import ExploreOptions, explore
+from symleak.oracle import brute_force_leaks
 from symleak.solver import DivergenceResult
 
 from conftest import CORPUS_DIR, ROOT, load_program, make_backend
@@ -150,6 +151,35 @@ def test_library_run_rejects_bounds_below_one(field):
         symleak.cli.run(rc)
 
 
+@pytest.mark.parametrize("mode", ["two_step", "Precise", ""])
+def test_library_run_rejects_an_unknown_mode(mode):
+    # The search runs the precise mode for anything but "two_step", so
+    # a misspelt mode must fail, not silently run the other one.
+    rc = RunConfig(CONC, cache=CacheConfig(512, 1, 1), mode=mode)
+    with pytest.raises(ValueError, match=f"got {mode!r}"):
+        symleak.cli.run(rc)
+
+
+@pytest.mark.parametrize("body,want", [
+    ("  load r1, t[k]\n  store t[k], r1\n", 0),
+    ("  load r1, t[k]\n  store t[k], r1\n  load r2, t[3]\n", 1),
+], ids=["clean", "leaky"])
+def test_analyze_reads_wide_cells_as_brute_force_does(capsys, tmp_path, body,
+                                                      want):
+    # An 8-byte cell read before any write is a fresh value; a register
+    # holds its low 32 bits, as a store and initial contents already
+    # keep.  Building it at 64 bits crashed the analysis with exit 2.
+    src = tmp_path / "wide.ir"
+    src.write_text("array t[16] elem 8 at 0\ninput k width 8 secret\n"
+                   "thread 1 critical {\n" + body + "}\n")
+    code, out, err = run_cli(capsys, "analyze", str(src), *FIG3)
+    assert (code, err) == (want, "")
+    p, cfg = symleak.cli._load(str(src)), CacheConfig(512, 1, 1)
+    brute = {site for site, _ in brute_force_leaks(p, cfg)}
+    assert code == (1 if brute else 0)
+    assert {l["site"] for l in json.loads(out)["leaks"]} == brute
+
+
 def test_undecided_queries_are_counted_and_exit_3(capsys, monkeypatch):
     class Undecided(symleak.cli.EnumerativeBackend):
         def _divergence(self, *args):
@@ -185,6 +215,8 @@ def test_analyze_byte_determinism_modulo_wall_clock(capsys, tmp_path):
 def test_no_solver_answer_outlives_its_run(capsys, monkeypatch):
     # Each run builds its own backend, so a second analyze in the same
     # process answers from an empty memo, exactly as a fresh process.
+    # The second program repeats queries within its run, so its memo
+    # hits show where its answers came from.
     runs = []
 
     def recording_explore(p, cfg, opts, backend):
@@ -194,11 +226,11 @@ def test_no_solver_answer_outlives_its_run(capsys, monkeypatch):
 
     monkeypatch.setattr(symleak.cli, "explore", recording_explore)
     multi = str(CORPUS_DIR / "conc_multi_probe.ir")
-    assert run_cli(capsys, "analyze", multi, *FIG3)[0] == 1
-    code, out, _ = run_cli(capsys, "analyze", CONC, *FIG3)
+    assert run_cli(capsys, "analyze", CONC, *FIG3)[0] == 1
+    code, out, _ = run_cli(capsys, "analyze", multi, *FIG3)
     alone = subprocess.run(
         [sys.executable, "-c", "import sys; from symleak.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", "analyze", CONC, *FIG3],
+         "sys.exit(main(sys.argv[1:]))", "analyze", multi, *FIG3],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert (code, alone.returncode) == (1, 1)
@@ -208,9 +240,9 @@ def test_no_solver_answer_outlives_its_run(capsys, monkeypatch):
     assert docs[0] == docs[1]
     (first, _), (second, stats) = runs
     assert second is not first and second.calls == stats.solver_calls
-    p, cfg = load_program("conc_tmp_fixed.ir"), CacheConfig(512, 1, 1)
+    p, cfg = load_program("conc_multi_probe.ir"), CacheConfig(512, 1, 1)
     _, fresh = explore(p, cfg, ExploreOptions(), make_backend(p, cfg))
-    assert stats.solver_memo_hits == fresh.solver_memo_hits == 2
+    assert stats.solver_memo_hits == fresh.solver_memo_hits == 15
 
 
 def test_analyze_synthesized_adversary(capsys):
@@ -231,7 +263,7 @@ def test_analyze_synthesized_adversary(capsys):
                    ("t1:L6:load:acc", 612, 1)]
     assert [tid for tid, _ in doc["leaks"][0]["schedule"]] == [1, 1, 1]
     assert doc["stats"] == {"interleavings": 4, "leak_checks": 9,
-                            "solver_calls": 9, "states_forked": 3,
+                            "solver_calls": 8, "states_forked": 3,
                             "indeterminate": 0,
                             "wall_ms": doc["stats"]["wall_ms"]}
 
@@ -253,7 +285,7 @@ def test_one_replayed_report_per_leak_site(capsys, monkeypatch):
     assert [(l["site"], l["leaky_schedules"]) for l in doc["leaks"]] == [
         ("t1:L11:store:p", 10)]
     assert doc["stats"] == {"interleavings": 15, "leak_checks": 24,
-                            "solver_calls": 39, "states_forked": 19,
+                            "solver_calls": 25, "states_forked": 19,
                             "indeterminate": 0,
                             "wall_ms": doc["stats"]["wall_ms"]}
     assert replays == ["t1:L11:store:p"]

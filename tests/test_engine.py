@@ -9,13 +9,18 @@ import random
 
 import pytest
 
+import symleak.explorer
 from symleak import CacheConfig, parse_program, unroll_loops
 from symleak import expr as ex
 from symleak.engine import (branch_events, enabled_events, initial_state,
-                            lower, perform_access, run_schedule, take_branch)
+                            lower, next_event, perform_access, run_schedule,
+                            take_branch)
 from symleak.errors import UnrollError
+from symleak.explorer import ExploreOptions, explore
 from symleak.ir import BinOp, Declaration, Name, Num, Program
 from symleak.oracle import _eval as oracle_eval
+
+from conftest import CORPUS_GEOMETRY, load_program, make_backend
 
 
 def _program(src):
@@ -248,3 +253,35 @@ def test_perform_access_leaves_source_state_intact():
     nxt = perform_access(st, ev)
     assert len(st.trace) == 0 and len(nxt.trace) == 1
     assert "r" not in st.regs[0] and "r" in nxt.regs[0]
+
+
+def _fields(e):
+    """An event's class and slots; Exprs are interned, so equal fields
+    are the same nodes."""
+    if e is None:
+        return None
+    return (type(e),) + tuple(getattr(e, n) for n in type(e).__slots__)
+
+
+@pytest.mark.parametrize("name,geometry", CORPUS_GEOMETRY,
+                         ids=[f"{n}-{g[0]}-{g[1]}-{g[2]}" for n, g in CORPUS_GEOMETRY])
+def test_carried_events_match_events_built_from_scratch(monkeypatch, name,
+                                                        geometry):
+    # A state carries each thread's next event and rebuilds only the
+    # moved thread's.  At every state the search opens, the carried
+    # events must be those its cursors and registers give afresh.
+    states = []
+
+    def recording_branch_events(st):
+        states.append(st)
+        return branch_events(st)
+
+    monkeypatch.setattr(symleak.explorer, "branch_events",
+                        recording_branch_events)
+    p, cfg = load_program(name), CacheConfig(*geometry)
+    explore(p, cfg, ExploreOptions(), make_backend(p, cfg))
+    assert states
+    for st in states:
+        fresh = [next_event(p, t.tid, st.cursors[i], st.regs[i])
+                 for i, t in enumerate(p.threads)]
+        assert [_fields(e) for e in st.next_events] == [_fields(e) for e in fresh]
