@@ -8,11 +8,13 @@ Runs ``analyze`` in a fresh process on each ``corpus/*.ir`` and
 ``src`` directory of the checkout to run (default: this checkout's), so
 one checkout's script can summarise another's code on the same programs.
 Each line names the run, then gives the exit code, the leak-site set,
-every ``stats`` field except ``wall_ms`` and the sha256 of the report's
-``leaks`` array; a run with no report gives its first line of stderr
-instead.  Two checkouts' outputs differ only where their reports do, so
-``diff`` of the two outputs is the gate for a change that must keep
-reports byte-identical.
+every ``stats`` field except ``wall_ms`` and the sha256 of the
+witnesses: for each entry of the report's ``leaks`` array, the fields
+named in ``WITNESS_FIELDS``.  A run with no report gives its first line
+of stderr instead.  Two checkouts' outputs differ only where their
+reports do, so ``diff`` of the two outputs is the gate for a change that
+must keep reports identical.  Hashing named fields, not whole entries,
+keeps that diff clean across a change that adds or drops a report key.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ PROGRAM_DIRS = ("corpus", "tests/programs")
 ASSOCS = (1, 2, 4, 8)
 ADVERSARIES = ("fixed", "synthesize")
 TIMEOUT_S = 300
+WITNESS_FIELDS = ("site", "access_index", "schedule", "k1", "k2",
+                  "verdict1", "verdict2", "adversary_addr",
+                  "replay_confirmed")
 
 
 def summarise(src: Path, prog: Path, assoc: int, adversary: str) -> str:
@@ -49,10 +54,11 @@ def summarise(src: Path, prog: Path, assoc: int, adversary: str) -> str:
         return f"{head} stderr={err[0] if err else ''!r}"
     stats = {k: v for k, v in doc["stats"].items() if k != "wall_ms"}
     sites = ",".join(sorted(leak["site"] for leak in doc["leaks"]))
-    leaks = json.dumps(doc["leaks"]).encode()
+    witnesses = json.dumps([[leak.get(k) for k in WITNESS_FIELDS]
+                            for leak in doc["leaks"]]).encode()
     fields = " ".join(f"{k}={v}" for k, v in stats.items())
     return (f"{head} sites=[{sites}] {fields} complete={doc['complete']} "
-            f"leaks_sha256={hashlib.sha256(leaks).hexdigest()}")
+            f"witness_sha256={hashlib.sha256(witnesses).hexdigest()}")
 
 
 def main(argv: list[str]) -> int:

@@ -137,7 +137,6 @@ def write_report(rc: RunConfig, reports: list[LeakReport],
         entry["verdict1"] = r.verdict1
         entry["verdict2"] = r.verdict2
         entry["replay_confirmed"] = True
-        entry["leaky_schedules"] = r.leaky_schedules
         leaks.append(entry)
     doc = {
         "program": rc.program,

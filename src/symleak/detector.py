@@ -41,19 +41,15 @@ class LeakReport(Value, Frozen):
     valuation ``k1`` behaves as ``verdict1`` and ``k2`` as ``verdict2``.
     The schedule lists (tid, site) per executed access, the reported
     access last.  ``adversary_addr`` is the chosen probe base when the
-    program places something symbolically.  ``leaky_schedules`` counts
-    the distinct thread-choice sequences in which the site leaked; this
-    witness is the first of them the search found."""
+    program places something symbolically."""
 
     __slots__ = ("site", "access_index", "schedule", "k1", "k2",
-                 "adversary_addr", "verdict1", "verdict2",
-                 "leaky_schedules")
+                 "adversary_addr", "verdict1", "verdict2")
 
     def __init__(self, site: str, access_index: int,
                  schedule: tuple[tuple[int, str], ...], k1: dict[str, int],
                  k2: dict[str, int], adversary_addr: int | None,
-                 verdict1: str, verdict2: str,
-                 leaky_schedules: int = 1) -> None:
+                 verdict1: str, verdict2: str) -> None:
         set_field(self, "site", site)
         set_field(self, "access_index", access_index)
         set_field(self, "schedule", schedule)
@@ -62,7 +58,6 @@ class LeakReport(Value, Frozen):
         set_field(self, "adversary_addr", adversary_addr)
         set_field(self, "verdict1", verdict1)
         set_field(self, "verdict2", verdict2)
-        set_field(self, "leaky_schedules", leaky_schedules)
 
 
 def classify(p: Program, st: SymbolicState) -> VarClasses:

@@ -34,29 +34,40 @@ whose enabled accesses all sleep is abandoned.  A branch changes no
 thread's next access, so both arms inherit the sleep set unchanged.
 
 Every access of the critical thread is checked for secret-dependent
-divergence before it runs, and no other access is.  So an interleaving
-ends as soon as the critical thread has finished: the subtree below
-holds no check, and cutting it loses nothing.  The search therefore
-checks every critical access in at least one order of every
-Mazurkiewicz trace (class of orders equal up to swapping independent
-accesses).  The class of the order that runs the critical thread first
-is among them, and in it every verdict is the one the thread gets
-running alone, so what the thread leaks by itself is reported too, not
-only what an interleaving exposes.  Each leaky site gets one report:
-the first witness the search finds, built once the search ends, with
-the number of choice sequences (below) in which the site leaked.
+divergence before it runs, and no other access is.  Without the cut
+below, the search would check every critical access in at least one
+order of every Mazurkiewicz trace (class of orders equal up to swapping
+independent accesses).  The class of the order that runs the critical
+thread first is among them, and in it every verdict is the one the
+thread gets running alone, so what the thread leaks by itself is
+reported too, not only what an interleaving exposes.  Each leaky site
+gets one report, the first witness the search finds, built when it is
+found.  A check at a site already reported could change neither the
+site set nor that witness, so it is skipped.
+
+For the same reason a state closes, as an ended interleaving, once
+every access site the critical thread can still reach is reported: the
+subtree below holds only checks that would be skipped.  The sites it
+can still reach are those of every load and store ahead of it in its
+unrolled body, both arms of every branch counted, so the set
+over-approximates and the cut loses no site.  Once the critical thread
+has finished nothing lies ahead, so every interleaving closes there at
+the latest: what the other threads do afterwards changes no verdict.
+The sites ahead come from a table built once per search (``_Ahead``),
+indexed by the critical thread's position, which each state carries.
 
 Interleavings are identified by the sequence of thread choices taken at
-states with more than one enabled access, up to the critical thread's
-end.  Two executions with the same choice sequence count as one
-interleaving, and as one leaky schedule of a site, no matter which
-branch arms they took.  The open states live on an explicit stack, so
-trace length is not bounded by Python's recursion limit.
+states with more than one enabled access, up to the state that closed.
+``interleavings_explored`` counts the distinct sequences of closed
+states: two executions with the same choice sequence count as one, no
+matter which branch arms they took, and a state abandoned because a
+sibling subtree covered its orders counts nothing.  ``max_interleavings``
+bounds that count: the search stops when one more sequence would close.
+The open states live on an explicit stack, so trace length is not
+bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
 
 from .cache import (AccessRecord, CacheConfig, Geometry, Trace,
                     hit_constraint, hit_constraint_assoc, may_same_line,
@@ -124,21 +135,72 @@ class _Frame:
     accesses.  ``sleep`` holds the inherited sleepers plus the accesses
     already taken from this state, whose orders are covered.  ``fork``
     tells whether more than one access is enabled (asleep ones too), so
-    that taking one is a thread choice."""
+    that taking one is a thread choice.  ``pos`` is the critical
+    thread's position in the search's ``_Ahead`` table."""
 
-    __slots__ = ("st", "choices", "sleep", "alts", "branch", "fork", "tried")
+    __slots__ = ("st", "choices", "pos", "sleep", "alts", "branch", "fork",
+                 "tried")
 
-    def __init__(self, st: SymbolicState, choices: tuple[int, ...],
+    def __init__(self, st: SymbolicState, choices: tuple[int, ...], pos: int,
                  sleep: list[AccessEvent], alts: list,
                  branch: BranchEvent | None = None,
                  fork: bool = False) -> None:
         self.st = st
         self.choices = choices
+        self.pos = pos
         self.sleep = sleep
         self.alts = alts
         self.branch = branch
         self.fork = fork
         self.tried = 0
+
+
+class _Ahead:
+    """The access sites the critical thread can still reach, for one
+    search.  Each load, store and branch of the thread's unrolled body
+    is a position, numbered once when the search starts; position 0 is
+    the thread's end.  A search state carries the thread's position,
+    which moves only with the thread's own steps: ``succ[pos]`` is the
+    next position after an access, and the pair of the arms' first
+    positions after a branch.  Sites are bits: ``own[pos]`` is the bit
+    of the access at ``pos`` (0 at a branch), and ``sites[pos]`` the
+    bits of every access from ``pos`` on, both arms of each branch
+    counted, so it over-approximates what any path from there reaches.
+    Bit sets keep the table linear in the body's length."""
+
+    __slots__ = ("own", "sites", "succ", "start")
+
+    def __init__(self, p: Program) -> None:
+        self.own: list[int] = [0]
+        self.sites: list[int] = [0]
+        self.succ: list[int | tuple[int, int] | None] = [None]
+        self.start = self._number(p.thread(p.critical_tid).body, {}, 0)
+
+    def _number(self, body: tuple[Stmt, ...], bits: dict[tuple, int],
+                nxt: int) -> int:
+        """Number the positions of ``body``, last first, the last one
+        continuing at ``nxt``.  Returns the first (``nxt`` when the body
+        has none).  ``bits`` maps a site, less its thread, to its bit.
+        Recursion is only as deep as the branches nest."""
+        sites = self.sites
+        for s in reversed(body):
+            if isinstance(s, If):
+                succ = (self._number(s.then_body, bits, nxt),
+                        self._number(s.else_body, bits, nxt))
+                own = 0
+                ahead = sites[succ[0]] | sites[succ[1]]
+            elif isinstance(s, (Load, Store)):
+                own = bits.setdefault((s.line, type(s), s.decl),
+                                      1 << len(bits))
+                succ = nxt
+                ahead = sites[nxt] | own
+            else:
+                continue  # a register assignment: no position
+            self.own.append(own)
+            sites.append(ahead)
+            self.succ.append(succ)
+            nxt = len(sites) - 1
+        return nxt
 
 
 def adversarial_access(p: Program, ev: AccessEvent) -> bool:
@@ -154,16 +216,14 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
                              backend: SolverBackend,
                              stats: ExploreStats | None = None,
                              geo: Geometry | None = None
-                             ) -> Callable[[int], LeakReport] | None:
+                             ) -> LeakReport | None:
     """Build the hit constraint for ``ev`` over the trace so far and ask
-    whether two secret valuations can disagree on it.
+    whether two secret valuations can disagree on it; on a divergence,
+    return the witness.
 
     The constraint is exact (its interval pruning drops only terms the
     intervals already decide), so one query answers.  ``geo`` is the
     search's geometry table for ``cfg``.
-    On a divergence the result builds the witness report when called
-    with the site's count of leaky schedules, so a site that already has
-    one costs nothing more.
     """
     i = len(st.trace)
     tr = st.trace + (_record(st, ev),)
@@ -176,56 +236,56 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
         return None
     if res.status != "sat":
         return None
-
-    def report(leaky_schedules: int) -> LeakReport:
-        v1, v2 = verdicts(tau, st.pcon, res)
-        adv = None
-        for d in p.decls:
-            if isinstance(d.placement, SymbolicBase):
-                adv = res.model_a.get(d.placement.var, 0)
-                break
-        return LeakReport(
-            site=str(ev.site), access_index=i,
-            schedule=tuple((r.tid, str(r.site)) for r in tr),
-            k1=_project(res.model_a, classes), k2=_project(res.model_b, classes),
-            adversary_addr=adv, verdict1=v1, verdict2=v2,
-            leaky_schedules=leaky_schedules,
-        )
-    return report
+    v1, v2 = verdicts(tau, st.pcon, res)
+    adv = None
+    for d in p.decls:
+        if isinstance(d.placement, SymbolicBase):
+            adv = res.model_a.get(d.placement.var, 0)
+            break
+    return LeakReport(
+        site=str(ev.site), access_index=i,
+        schedule=tuple((r.tid, str(r.site)) for r in tr),
+        k1=_project(res.model_a, classes), k2=_project(res.model_b, classes),
+        adversary_addr=adv, verdict1=v1, verdict2=v2,
+    )
 
 
 def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
             backend: SolverBackend) -> tuple[list[LeakReport], ExploreStats]:
     stats = ExploreStats()
-    # Per site, the report builder of its first witness.
-    reports: dict[str, Callable[[int], LeakReport]] = {}
-    leaky: dict[str, set[tuple[int, ...]]] = {}  # per site, choice sequences
+    reports: list[LeakReport] = []  # per site, its first witness
+    reported = 0  # the bits of their sites in ``ahead``
     classes_seen: set[tuple] = set()
     calls_before, hits_before = backend.calls, backend.memo_hits
+    ahead = _Ahead(p)
 
-    def out_of_budget() -> bool:
-        return (opts.max_interleavings is not None
-                and len(classes_seen) >= opts.max_interleavings)
-
-    crit = [t.tid for t in p.threads].index(p.critical_tid)
-
-    def open_frame(st: SymbolicState, choices: tuple[int, ...],
-                   sleep: list[AccessEvent]) -> _Frame | None:
-        if not st.cursors[crit]:
-            # Only critical accesses are checked: the orders below differ
-            # in nothing a check sees.
+    def closes(choices: tuple[int, ...], pos: int) -> bool:
+        """Does a state with the critical thread at ``pos`` end its
+        interleaving?  It does once every site ahead is reported: each
+        check below would be skipped.  A closing state counts its choice
+        sequence; a new one past the budget stops the search."""
+        if ahead.sites[pos] & ~reported:
+            return False
+        if choices not in classes_seen:
+            if (opts.max_interleavings is not None
+                    and len(classes_seen) >= opts.max_interleavings):
+                raise _Bounded
             classes_seen.add(choices)
-            return None
+        return True
+
+    def open_frame(st: SymbolicState, choices: tuple[int, ...], pos: int,
+                   sleep: list[AccessEvent]) -> _Frame | None:
         bes = branch_events(st)
         if bes:
-            return _Frame(st, choices, sleep, [True, False], bes[0])
+            return _Frame(st, choices, pos, sleep, [True, False], bes[0])
         evs = enabled_events(st)
         asleep = {u.tid for u in sleep}
         awake = [ev for ev in evs if ev.tid not in asleep]
         if not awake:
             return None  # a sibling subtree covered every order from here
         stats.states_forked += len(awake) - 1
-        return _Frame(st, choices, list(sleep), awake, fork=len(evs) > 1)
+        return _Frame(st, choices, pos, list(sleep), awake,
+                      fork=len(evs) > 1)
 
     geo = Geometry(cfg)
     observers = _Observers(p, cfg, backend, opts.solver_timeout_ms, geo)
@@ -245,7 +305,9 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
         return dep
 
     stack: list[_Frame] = []
-    root = open_frame(initial_state(p, cfg), (), [])
+    st0 = initial_state(p, cfg)
+    root = (None if closes((), ahead.start)
+            else open_frame(st0, (), ahead.start, []))
     if root is not None:
         stack.append(root)
     try:
@@ -266,33 +328,35 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                     continue
                 if f.tried:
                     stats.states_forked += 1
-                    if out_of_budget():
-                        raise _Bounded
                 f.tried += 1
-                child = open_frame(nxt, f.choices, f.sleep)
+                pos = (ahead.succ[f.pos][0 if alt else 1]
+                       if f.branch.tid == p.critical_tid else f.pos)
+                if closes(f.choices, pos):
+                    continue
+                child = open_frame(nxt, f.choices, pos, f.sleep)
             else:
                 ev = alt
-                if f.tried and out_of_budget():
-                    raise _Bounded
-                f.tried += 1
                 choices = f.choices + (ev.tid,) if f.fork else f.choices
                 earlier = f.sleep[:]
                 f.sleep.append(ev)
                 if adversarial_access(p, ev):
-                    stats.leak_checks += 1
-                    leak = divergent_cache_behavior(p, f.st, ev, cfg, opts,
-                                                    backend, stats, geo)
-                    if leak is not None:
-                        site = str(ev.site)
-                        if site not in reports:
-                            reports[site] = leak
-                        leaky.setdefault(site, set()).add(choices)
+                    own = ahead.own[f.pos]  # the bit of ``ev.site``
+                    if not own & reported:
+                        stats.leak_checks += 1
+                        leak = divergent_cache_behavior(p, f.st, ev, cfg, opts,
+                                                        backend, stats, geo)
+                        if leak is not None:
+                            reports.append(leak)
+                            reported |= own
                 nxt = perform_access(f.st, ev)
+                pos = (ahead.succ[f.pos] if ev.tid == p.critical_tid
+                       else f.pos)
                 # The dependence queries are needed only if the child
                 # stays open.
-                sleep = ([u for u in earlier if not dependent(f.st, u, ev)]
-                         if nxt.cursors[crit] else [])
-                child = open_frame(nxt, choices, sleep)
+                if closes(choices, pos):
+                    continue
+                sleep = [u for u in earlier if not dependent(f.st, u, ev)]
+                child = open_frame(nxt, choices, pos, sleep)
             if child is not None:
                 stack.append(child)
     except _Bounded:
@@ -300,8 +364,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
     stats.interleavings_explored = len(classes_seen)
     stats.solver_calls = backend.calls - calls_before
     stats.solver_memo_hits = backend.memo_hits - hits_before
-    return [report(len(leaky[site]))
-            for site, report in reports.items()], stats
+    return reports, stats
 
 
 def _record(st: SymbolicState, ev: AccessEvent) -> AccessRecord:

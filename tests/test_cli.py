@@ -16,7 +16,8 @@ from symleak.explorer import ExploreOptions, explore
 from symleak.oracle import brute_force_leaks
 from symleak.solver import DivergenceResult
 
-from conftest import CORPUS_DIR, ROOT, load_program, make_backend
+from conftest import (CORPUS_DIR, PROGRAMS_DIR, ROOT, load_program,
+                      make_backend)
 
 SEQ = str(CORPUS_DIR / "seq_leaky_reuse.ir")
 REPAIRED = str(CORPUS_DIR / "seq_repaired.ir")
@@ -42,8 +43,7 @@ def test_analyze_reports_leak_with_exit_1(capsys):
     assert doc["complete"] is True
     leak = doc["leaks"][0]
     assert list(leak) == ["site", "access_index", "schedule", "k1", "k2",
-                          "verdict1", "verdict2", "replay_confirmed",
-                          "leaky_schedules"]
+                          "verdict1", "verdict2", "replay_confirmed"]
     assert leak["site"] == "t1:L11:store:p"
     assert leak["access_index"] == 2
     assert leak["schedule"] == [[1, "t1:L5:load:p"], [1, "t1:L7:load:q"],
@@ -51,9 +51,8 @@ def test_analyze_reports_leak_with_exit_1(capsys):
     assert leak["k1"] == {"k": 1} and leak["verdict1"] == "hit"
     assert leak["k2"] == {"k": 0} and leak["verdict2"] == "miss"
     assert leak["replay_confirmed"] is True
-    assert leak["leaky_schedules"] == 1
     assert doc["stats"]["interleavings"] == 1
-    assert doc["stats"]["solver_calls"] == 5
+    assert doc["stats"]["solver_calls"] == 4
 
 
 def test_analyze_clean_program_exits_0(capsys):
@@ -114,17 +113,39 @@ def test_deep_address_chain_exits_1(capsys, tmp_path):
 
 
 def test_analyze_budget_exhaustion_exits_3(capsys):
+    # The store leaks in the second choice sequence, found before that
+    # sequence would close past the budget.  Truncation outranks found
+    # leaks: they are reported, but exit 3.
     code, out, _ = run_cli(capsys, "analyze", CONC, *FIG3,
                            "--max-interleavings", "1")
     assert code == 3
     doc = json.loads(out)
-    assert doc["leaks"] == [] and doc["complete"] is False
-    # Truncation outranks found leaks: they are reported, but exit 3.
-    code, out, _ = run_cli(capsys, "analyze", CONC, *FIG3,
-                           "--max-interleavings", "2")
-    assert code == 3
+    assert [leak["site"] for leak in doc["leaks"]] == ["t1:L11:store:p"]
+    assert doc["complete"] is False
+    assert doc["stats"]["interleavings"] == 1
+
+
+@pytest.mark.parametrize(
+    "prog", sorted(CORPUS_DIR.glob("*.ir")) + sorted(PROGRAMS_DIR.glob("*.ir")),
+    ids=lambda prog: prog.name)
+def test_budget_equal_to_the_interleaving_count_completes(capsys, prog):
+    # ``--max-interleavings N`` bounds the distinct choice sequences
+    # whose states closed.  A run with N of them fits and reports as if
+    # unbounded; one fewer stops it.  Branch arms that keep the choice
+    # sequence and forks whose subtrees all sleep count nothing.
+    code, out, _ = run_cli(capsys, "analyze", str(prog), *FIG3)
     doc = json.loads(out)
-    assert doc["leaks"] and doc["complete"] is False
+    assert doc["complete"] is True
+    n = doc["stats"]["interleavings"]
+    got, out, _ = run_cli(capsys, "analyze", str(prog), *FIG3,
+                          "--max-interleavings", str(n))
+    bounded = json.loads(out)
+    assert (got, bounded["complete"], bounded["leaks"]) == (code, True,
+                                                            doc["leaks"])
+    if n > 1:
+        got, out, _ = run_cli(capsys, "analyze", str(prog), *FIG3,
+                              "--max-interleavings", str(n - 1))
+        assert (got, json.loads(out)["complete"]) == (3, False)
 
 
 def test_max_interleavings_below_one_exits_2(capsys):
@@ -242,7 +263,7 @@ def test_no_solver_answer_outlives_its_run(capsys, monkeypatch):
     assert second is not first and second.calls == stats.solver_calls
     p, cfg = load_program("conc_multi_probe.ir"), CacheConfig(512, 1, 1)
     _, fresh = explore(p, cfg, ExploreOptions(), make_backend(p, cfg))
-    assert stats.solver_memo_hits == fresh.solver_memo_hits == 15
+    assert stats.solver_memo_hits == fresh.solver_memo_hits == 9
 
 
 def test_analyze_synthesized_adversary(capsys):
@@ -250,27 +271,26 @@ def test_analyze_synthesized_adversary(capsys):
                            "--adversary", "synthesize")
     assert code == 1
     doc = json.loads(out)
-    got = [(l["site"], l["adversary_addr"], l["leaky_schedules"])
-           for l in doc["leaks"]]
+    got = [(l["site"], l["adversary_addr"]) for l in doc["leaks"]]
     # The site set of ``brute_force_leaks`` on the synthesized program
     # (about 95 s, so not run here).  The load of ``acc`` leaks only
     # when the probe runs first, an order in which the load of ``sbox``
     # leaks before it.  The store leaks with no probe at all: its first
     # witness is the critical thread's schedule alone.
-    assert {site for site, _, _ in got} == {
+    assert {site for site, _ in got} == {
         "t1:L5:load:sbox", "t1:L6:load:acc", "t1:L7:store:sbox"}
-    assert got == [("t1:L7:store:sbox", 0, 4), ("t1:L5:load:sbox", 0, 1),
-                   ("t1:L6:load:acc", 612, 1)]
+    assert got == [("t1:L7:store:sbox", 0), ("t1:L5:load:sbox", 0),
+                   ("t1:L6:load:acc", 612)]
     assert [tid for tid, _ in doc["leaks"][0]["schedule"]] == [1, 1, 1]
-    assert doc["stats"] == {"interleavings": 4, "leak_checks": 9,
-                            "solver_calls": 8, "states_forked": 3,
+    assert doc["stats"] == {"interleavings": 4, "leak_checks": 6,
+                            "solver_calls": 5, "states_forked": 3,
                             "indeterminate": 0,
                             "wall_ms": doc["stats"]["wall_ms"]}
 
 
 def test_one_replayed_report_per_leak_site(capsys, monkeypatch):
-    # The site leaks in ten choice sequences; it is reported, and its
-    # witness replayed, once, while the search itself does as much work.
+    # The site leaks in several choice sequences; it is reported, and its
+    # witness replayed, once.
     replays = []
 
     def counting_confirm(*args):
@@ -282,10 +302,9 @@ def test_one_replayed_report_per_leak_site(capsys, monkeypatch):
                            str(CORPUS_DIR / "conc_multi_probe.ir"), *FIG3)
     assert code == 1
     doc = json.loads(out)
-    assert [(l["site"], l["leaky_schedules"]) for l in doc["leaks"]] == [
-        ("t1:L11:store:p", 10)]
-    assert doc["stats"] == {"interleavings": 15, "leak_checks": 24,
-                            "solver_calls": 25, "states_forked": 19,
+    assert [l["site"] for l in doc["leaks"]] == ["t1:L11:store:p"]
+    assert doc["stats"] == {"interleavings": 8, "leak_checks": 10,
+                            "solver_calls": 16, "states_forked": 10,
                             "indeterminate": 0,
                             "wall_ms": doc["stats"]["wall_ms"]}
     assert replays == ["t1:L11:store:p"]
