@@ -15,6 +15,12 @@ of stderr instead.  Two checkouts' outputs differ only where their
 reports do, so ``diff`` of the two outputs is the gate for a change that
 must keep reports identical.  Hashing named fields, not whole entries,
 keeps that diff clean across a change that adds or drops a report key.
+
+After the program lines comes one line for each ``bench/expected.json``
+layout: its program from ``bench/gen.py``, run with its workload's cache
+flags, ending in ``oracle=ok`` when the exit code and leak sites are the
+brute-force oracle's recorded ones for that very program, else
+``oracle=MISMATCH``.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,29 +43,49 @@ WITNESS_FIELDS = ("site", "access_index", "schedule", "k1", "k2",
                   "replay_confirmed")
 
 
-def summarise(src: Path, prog: Path, assoc: int, adversary: str) -> str:
+def summarise(src: Path, name: str, prog: Path, flags: list[str]
+              ) -> tuple[str, int, list[str] | None]:
+    """Run ``analyze`` on ``prog`` with ``flags``; return the run's line,
+    its exit code and its sorted leak sites (None without a report)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "symleak.cli", "analyze", str(prog),
-         "--preset", "paper-fig3", "--assoc", str(assoc),
-         "--adversary", adversary],
+        [sys.executable, "-m", "symleak.cli", "analyze", str(prog), *flags],
         capture_output=True, text=True, env=env, timeout=TIMEOUT_S)
-    head = (f"{prog.relative_to(ROOT)} assoc={assoc} adversary={adversary} "
-            f"exit={proc.returncode}")
+    head = f"{name} exit={proc.returncode}"
     try:
         doc = json.loads(proc.stdout)
     except json.JSONDecodeError:
         err = proc.stderr.strip().splitlines()
-        return f"{head} stderr={err[0] if err else ''!r}"
+        return f"{head} stderr={err[0] if err else ''!r}", proc.returncode, None
     stats = {k: v for k, v in doc["stats"].items() if k != "wall_ms"}
-    sites = ",".join(sorted(leak["site"] for leak in doc["leaks"]))
+    sites = sorted(leak["site"] for leak in doc["leaks"])
     witnesses = json.dumps([[leak.get(k) for k in WITNESS_FIELDS]
                             for leak in doc["leaks"]]).encode()
     fields = " ".join(f"{k}={v}" for k, v in stats.items())
-    return (f"{head} sites=[{sites}] {fields} complete={doc['complete']} "
-            f"witness_sha256={hashlib.sha256(witnesses).hexdigest()}")
+    return (f"{head} sites=[{','.join(sites)}] {fields} "
+            f"complete={doc['complete']} "
+            f"witness_sha256={hashlib.sha256(witnesses).hexdigest()}",
+            proc.returncode, sites)
+
+
+def layouts(src: Path) -> None:
+    """Print one line per oracle-checked benchmark layout."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import gen
+    expected = json.loads(gen.EXPECTED.read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, exp in expected.items():
+            workload, layout = key.split("/")
+            w = gen.WORKLOADS[workload]
+            text = w.program(int(layout))
+            prog = Path(tmp) / f"{workload}-{layout}.ir"
+            prog.write_text(text)
+            line, code, sites = summarise(src, key, prog, list(w.cache_flags))
+            ok = (gen.digest(text) == exp["sha256"] and code == exp["exit"]
+                  and sites == exp["sites"])
+            print(f"{line} oracle={'ok' if ok else 'MISMATCH'}", flush=True)
 
 
 def main(argv: list[str]) -> int:
@@ -73,7 +100,12 @@ def main(argv: list[str]) -> int:
         for prog in sorted((ROOT / d).glob("*.ir")):
             for assoc in ASSOCS:
                 for adversary in ADVERSARIES:
-                    print(summarise(src, prog, assoc, adversary), flush=True)
+                    name = (f"{prog.relative_to(ROOT)} assoc={assoc} "
+                            f"adversary={adversary}")
+                    flags = ["--preset", "paper-fig3", "--assoc", str(assoc),
+                             "--adversary", adversary]
+                    print(summarise(src, name, prog, flags)[0], flush=True)
+    layouts(src)
     return 0
 
 

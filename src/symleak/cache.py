@@ -30,22 +30,20 @@ def _is_pow2(n: int) -> bool:
 
 
 class CacheConfig(Value, Frozen):
-    """Size in bytes, line size in bytes and associativity (ways)."""
+    """An LRU cache: size in bytes, line size in bytes and associativity
+    (ways)."""
 
-    __slots__ = ("cache_size", "line_size", "assoc", "policy")
+    __slots__ = ("cache_size", "line_size", "assoc")
 
     def __init__(self, cache_size: int = 65536, line_size: int = 64,
-                 assoc: int = 1, policy: str = "lru") -> None:
+                 assoc: int = 1) -> None:
         if not (_is_pow2(cache_size) and _is_pow2(line_size) and _is_pow2(assoc)):
             raise ValueError("cache_size, line_size and assoc must be powers of two")
-        if policy != "lru":
-            raise ValueError(f"unsupported replacement policy {policy!r}")
         if line_size * assoc > cache_size:
             raise ValueError("cache smaller than one set")
         set_field(self, "cache_size", cache_size)
         set_field(self, "line_size", line_size)
         set_field(self, "assoc", assoc)
-        set_field(self, "policy", policy)
 
     @property
     def num_sets(self) -> int:

@@ -8,6 +8,13 @@ constraint.  Loads and stores are the only scheduling points; when all
 live threads sit at one, the caller picks which thread's access runs
 next, and that choice is what the interleaving search enumerates.
 
+``initial_state`` numbers each thread's unrolled body once
+(``number_body``): every statement gets a position, and each position
+holds its statement and its successor.  A thread's cursor is the
+position of the statement it runs next, 0 once it has finished, so a
+step moves it with one table lookup.  Every state derived from the
+initial one shares its tables.
+
 States are immutable.  Stepping functions return new states that share
 structure with the old one, so a depth-first search can keep many open
 states without copying register files.  A state also carries each
@@ -55,16 +62,30 @@ from .records import Frozen, set_field
 MASK32 = (1 << 32) - 1
 
 
-class Frame(Frozen):
-    __slots__ = ("body", "at")
-
-    def __init__(self, body: tuple[Stmt, ...], at: int) -> None:
-        set_field(self, "body", body)
-        set_field(self, "at", at)
+# A thread's numbered body: entry ``pos`` holds the statement at
+# position ``pos`` and its successor, the pair of its arms' first
+# positions at a branch.  Entry 0, (None, 0), is the thread's end.
+Code = tuple[tuple[Stmt | None, int | tuple[int, int]], ...]
 
 
-# A cursor is a stack of frames; empty means the thread finished.
-Cursor = tuple[Frame, ...]
+def number_body(body: tuple[Stmt, ...]) -> Code:
+    """Number every statement of an unrolled body, last first, so that
+    the first statement has the highest position and every successor
+    is lower than its statement's position.  Recursion is only as deep
+    as the branches nest."""
+    code: list = [(None, 0)]
+
+    def walk(stmts: tuple[Stmt, ...], nxt: int) -> int:
+        for s in reversed(stmts):
+            if isinstance(s, For):
+                raise UnrollError("loops must be unrolled before execution")
+            code.append((s, (walk(s.then_body, nxt), walk(s.else_body, nxt))
+                         if isinstance(s, If) else nxt))
+            nxt = len(code) - 1
+        return nxt
+
+    walk(body, 0)
+    return tuple(code)
 
 
 class StoreEntry(Frozen):
@@ -102,20 +123,21 @@ class AccessEvent(Frozen):
 
 
 class BranchEvent(Frozen):
-    __slots__ = ("tid", "cond", "stmt")
+    __slots__ = ("tid", "cond")
 
-    def __init__(self, tid: int, cond: Expr, stmt: If) -> None:
+    def __init__(self, tid: int, cond: Expr) -> None:
         set_field(self, "tid", tid)
         set_field(self, "cond", cond)  # width 1, true-arm condition
-        set_field(self, "stmt", stmt)
 
 
 class SymbolicState(Frozen):
-    __slots__ = ("program", "regs", "cursors", "pcon", "stores", "trace",
-                 "init_cells", "fresh_secret", "fresh_public", "next_events")
+    __slots__ = ("program", "code", "regs", "cursors", "pcon", "stores",
+                 "trace", "init_cells", "fresh_secret", "fresh_public",
+                 "next_events")
 
-    def __init__(self, program: Program, regs: tuple[dict[str, Expr], ...],
-                 cursors: tuple[Cursor, ...], pcon: Expr,
+    def __init__(self, program: Program, code: tuple[Code, ...],
+                 regs: tuple[dict[str, Expr], ...],
+                 cursors: tuple[int, ...], pcon: Expr,
                  stores: tuple[StoreEntry, ...], trace: Trace,
                  init_cells: tuple[tuple[str, int, str], ...],
                  fresh_secret: tuple[str, ...],
@@ -123,6 +145,9 @@ class SymbolicState(Frozen):
                  next_events: tuple[AccessEvent | BranchEvent | None, ...]
                  ) -> None:
         set_field(self, "program", program)
+        # Numbered bodies by thread position, shared by every state of
+        # one execution tree; a cursor is a position in its thread's.
+        set_field(self, "code", code)
         # Register files by thread position.  Treated as copy-on-write:
         # never mutate a dict reachable from a state.
         set_field(self, "regs", regs)
@@ -149,25 +174,6 @@ class SymbolicState(Frozen):
             if t.tid == tid:
                 return i
         raise KeyError(f"no thread {tid}")
-
-
-def _normalize(cursor: Cursor) -> Cursor:
-    while cursor and cursor[-1].at >= len(cursor[-1].body):
-        cursor = cursor[:-1]
-    return cursor
-
-
-def _current(cursor: Cursor) -> Stmt | None:
-    return cursor[-1].body[cursor[-1].at] if cursor else None
-
-
-def _step_over(cursor: Cursor) -> Cursor:
-    top = cursor[-1]
-    return _normalize(cursor[:-1] + (Frame(top.body, top.at + 1),))
-
-
-def _enter(cursor: Cursor, body: tuple[Stmt, ...]) -> Cursor:
-    return _normalize(_step_over(cursor) + (Frame(body, 0),)) if body else _step_over(cursor)
 
 
 def lower(e: IRExpr, env: dict[str, Expr]) -> Expr:
@@ -247,10 +253,12 @@ def initial_state(p: Program, cfg: CacheConfig) -> SymbolicState:
             window = ex.ult(base, ex.const(probe_window(cfg), ADDR_WIDTH))
             pcon = ex.and_(pcon, window)
 
-    settled = [_settle(p, t.tid, _normalize((Frame(t.body, 0),)), dict(inputs))
-               for t in p.threads]
+    code = tuple(number_body(t.body) for t in p.threads)
+    settled = [_settle(p, t.tid, c, len(c) - 1, dict(inputs))
+               for t, c in zip(p.threads, code)]
     return SymbolicState(
         program=p,
+        code=code,
         regs=tuple(env for _, env, _ in settled),
         cursors=tuple(cur for cur, _, _ in settled),
         next_events=tuple(nxt for _, _, nxt in settled),
@@ -263,28 +271,24 @@ def initial_state(p: Program, cfg: CacheConfig) -> SymbolicState:
     )
 
 
-def _settle(p: Program, tid: int, cur: Cursor, env: dict[str, Expr]
-            ) -> tuple[Cursor, dict[str, Expr], AccessEvent | BranchEvent | None]:
+def _settle(p: Program, tid: int, code: Code, cur: int, env: dict[str, Expr]
+            ) -> tuple[int, dict[str, Expr], AccessEvent | BranchEvent | None]:
     """Run one thread's register assignments until it rests at a branch,
     an access or its end.  Returns (cursor, registers, next event)."""
-    while True:
-        s = _current(cur)
-        if isinstance(s, For):
-            raise UnrollError("loops must be unrolled before execution")
-        if not isinstance(s, Assign):
-            break
+    s, succ = code[cur]
+    while isinstance(s, Assign):
         env = {**env, s.dst: lower(s.expr, env)}
-        cur = _step_over(cur)
-    return cur, env, next_event(p, tid, cur, env)
+        cur = succ
+        s, succ = code[cur]
+    return cur, env, next_event(p, tid, s, env)
 
 
-def next_event(p: Program, tid: int, cur: Cursor,
+def next_event(p: Program, tid: int, s: Stmt | None,
                env: dict[str, Expr]) -> AccessEvent | BranchEvent | None:
-    """What thread ``tid``, resting at ``cur`` with registers ``env``,
-    does next: the branch or access there, or None at its end."""
-    s = _current(cur)
+    """What thread ``tid``, resting at statement ``s`` (None at its end)
+    with registers ``env``, does next."""
     if isinstance(s, If):
-        return BranchEvent(tid, ex.ne(lower(s.cond, env), ex.const(0, 32)), s)
+        return BranchEvent(tid, ex.ne(lower(s.cond, env), ex.const(0, 32)))
     if s is None:
         return None
     d = p.decl(s.decl)
@@ -299,12 +303,13 @@ def next_event(p: Program, tid: int, cur: Cursor,
                        Site(tid, s.line, "store", d.name), index)
 
 
-def _moved(st: SymbolicState, pos: int, cur: Cursor,
+def _moved(st: SymbolicState, pos: int, cur: int,
            env: dict[str, Expr]) -> tuple[tuple, tuple, tuple]:
     """Registers, cursors and next events of ``st`` after the thread at
     ``pos`` moved to ``cur`` with registers ``env``, then settled.  No
     other thread's next event changes: its registers and cursor did not."""
-    cur, env, nxt = _settle(st.program, st.program.threads[pos].tid, cur, env)
+    cur, env, nxt = _settle(st.program, st.program.threads[pos].tid,
+                            st.code[pos], cur, env)
     after = pos + 1
     return (st.regs[:pos] + (env,) + st.regs[after:],
             st.cursors[:pos] + (cur,) + st.cursors[after:],
@@ -333,11 +338,11 @@ def take_branch(st: SymbolicState, ev: BranchEvent, arm: bool) -> SymbolicState:
     The caller is responsible for checking feasibility of the new path."""
     pos = st.thread_pos(ev.tid)
     cond = ev.cond if arm else ex.not_(ev.cond)
-    body = ev.stmt.then_body if arm else ev.stmt.else_body
-    regs, cursors, next_events = _moved(st, pos, _enter(st.cursors[pos], body),
+    arms = st.code[pos][st.cursors[pos]][1]
+    regs, cursors, next_events = _moved(st, pos, arms[0 if arm else 1],
                                         st.regs[pos])
     return SymbolicState(
-        program=st.program, regs=regs, cursors=cursors,
+        program=st.program, code=st.code, regs=regs, cursors=cursors,
         next_events=next_events, pcon=ex.and_(st.pcon, cond),
         stores=st.stores, trace=st.trace, init_cells=st.init_cells,
         fresh_secret=st.fresh_secret, fresh_public=st.fresh_public,
@@ -427,10 +432,10 @@ def perform_access(st: SymbolicState, ev: AccessEvent) -> SymbolicState:
         index=len(st.trace), tid=ev.tid, kind=ev.kind, addr=ev.addr,
         pcon=st.pcon, site=ev.site, decl=ev.decl.name, value=rec_value,
     )
-    regs, cursors, next_events = _moved(st, pos, _step_over(st.cursors[pos]),
-                                        env)
+    regs, cursors, next_events = _moved(st, pos,
+                                        st.code[pos][st.cursors[pos]][1], env)
     return SymbolicState(
-        program=st.program, regs=regs, cursors=cursors,
+        program=st.program, code=st.code, regs=regs, cursors=cursors,
         next_events=next_events, pcon=st.pcon, stores=stores,
         trace=st.trace + (record,), init_cells=init_cells,
         fresh_secret=fresh_secret, fresh_public=fresh_public,

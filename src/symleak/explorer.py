@@ -53,8 +53,9 @@ unrolled body, both arms of every branch counted, so the set
 over-approximates and the cut loses no site.  Once the critical thread
 has finished nothing lies ahead, so every interleaving closes there at
 the latest: what the other threads do afterwards changes no verdict.
-The sites ahead come from a table built once per search (``_Ahead``),
-indexed by the critical thread's position, which each state carries.
+The sites ahead come from a table built once per search (``_Ahead``)
+over the engine's numbering of the critical thread's body, indexed by
+the thread's cursor in the state.
 
 Interleavings are identified by the sequence of thread choices taken at
 states with more than one enabled access, up to the state that closed.
@@ -74,11 +75,11 @@ from .cache import (AccessRecord, CacheConfig, Geometry, Trace,
                     may_touch_blocks)
 from .detector import (LeakReport, VarClasses, classify, solve_precise,
                        solve_two_step, verdicts)
-from .engine import (AccessEvent, BranchEvent, SymbolicState, branch_events,
-                     enabled_events, initial_state, perform_access,
-                     take_branch)
+from .engine import (AccessEvent, BranchEvent, Code, SymbolicState,
+                     branch_events, enabled_events, initial_state,
+                     perform_access, take_branch)
 from .expr import Expr
-from .ir import Fixed, If, Load, Program, Stmt, Store, SymbolicBase
+from .ir import Fixed, If, Load, Program, Store, SymbolicBase
 from .records import Frozen, Value, set_field
 from .solver import SolverBackend
 
@@ -135,19 +136,16 @@ class _Frame:
     accesses.  ``sleep`` holds the inherited sleepers plus the accesses
     already taken from this state, whose orders are covered.  ``fork``
     tells whether more than one access is enabled (asleep ones too), so
-    that taking one is a thread choice.  ``pos`` is the critical
-    thread's position in the search's ``_Ahead`` table."""
+    that taking one is a thread choice."""
 
-    __slots__ = ("st", "choices", "pos", "sleep", "alts", "branch", "fork",
-                 "tried")
+    __slots__ = ("st", "choices", "sleep", "alts", "branch", "fork", "tried")
 
-    def __init__(self, st: SymbolicState, choices: tuple[int, ...], pos: int,
+    def __init__(self, st: SymbolicState, choices: tuple[int, ...],
                  sleep: list[AccessEvent], alts: list,
                  branch: BranchEvent | None = None,
                  fork: bool = False) -> None:
         self.st = st
         self.choices = choices
-        self.pos = pos
         self.sleep = sleep
         self.alts = alts
         self.branch = branch
@@ -157,50 +155,29 @@ class _Frame:
 
 class _Ahead:
     """The access sites the critical thread can still reach, for one
-    search.  Each load, store and branch of the thread's unrolled body
-    is a position, numbered once when the search starts; position 0 is
-    the thread's end.  A search state carries the thread's position,
-    which moves only with the thread's own steps: ``succ[pos]`` is the
-    next position after an access, and the pair of the arms' first
-    positions after a branch.  Sites are bits: ``own[pos]`` is the bit
-    of the access at ``pos`` (0 at a branch), and ``sites[pos]`` the
-    bits of every access from ``pos`` on, both arms of each branch
-    counted, so it over-approximates what any path from there reaches.
-    Bit sets keep the table linear in the body's length."""
+    search, by position in the engine's numbering of its body
+    (``engine.number_body``).  Sites are bits: ``own[pos]`` is the bit
+    of the access at ``pos`` (0 elsewhere), and ``sites[pos]`` the bits
+    of every access from ``pos`` on, both arms of each branch counted,
+    so it over-approximates what any path from there reaches.  Every
+    successor lies below its position, so one ascending pass fills
+    both.  Bit sets keep the table linear in the body's length."""
 
-    __slots__ = ("own", "sites", "succ", "start")
+    __slots__ = ("own", "sites")
 
-    def __init__(self, p: Program) -> None:
-        self.own: list[int] = [0]
-        self.sites: list[int] = [0]
-        self.succ: list[int | tuple[int, int] | None] = [None]
-        self.start = self._number(p.thread(p.critical_tid).body, {}, 0)
-
-    def _number(self, body: tuple[Stmt, ...], bits: dict[tuple, int],
-                nxt: int) -> int:
-        """Number the positions of ``body``, last first, the last one
-        continuing at ``nxt``.  Returns the first (``nxt`` when the body
-        has none).  ``bits`` maps a site, less its thread, to its bit.
-        Recursion is only as deep as the branches nest."""
-        sites = self.sites
-        for s in reversed(body):
+    def __init__(self, code: Code) -> None:
+        bits: dict[tuple, int] = {}  # a site, less its thread -> its bit
+        self.own = own = [0] * len(code)
+        self.sites = sites = [0] * len(code)
+        for pos in range(1, len(code)):
+            s, succ = code[pos]
             if isinstance(s, If):
-                succ = (self._number(s.then_body, bits, nxt),
-                        self._number(s.else_body, bits, nxt))
-                own = 0
-                ahead = sites[succ[0]] | sites[succ[1]]
-            elif isinstance(s, (Load, Store)):
-                own = bits.setdefault((s.line, type(s), s.decl),
-                                      1 << len(bits))
-                succ = nxt
-                ahead = sites[nxt] | own
-            else:
-                continue  # a register assignment: no position
-            self.own.append(own)
-            sites.append(ahead)
-            self.succ.append(succ)
-            nxt = len(sites) - 1
-        return nxt
+                sites[pos] = sites[succ[0]] | sites[succ[1]]
+                continue
+            if isinstance(s, (Load, Store)):
+                own[pos] = bits.setdefault((s.line, type(s), s.decl),
+                                           1 << len(bits))
+            sites[pos] = own[pos] | sites[succ]
 
 
 def adversarial_access(p: Program, ev: AccessEvent) -> bool:
@@ -257,14 +234,16 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
     reported = 0  # the bits of their sites in ``ahead``
     classes_seen: set[tuple] = set()
     calls_before, hits_before = backend.calls, backend.memo_hits
-    ahead = _Ahead(p)
+    st0 = initial_state(p, cfg)
+    crit = st0.thread_pos(p.critical_tid)
+    ahead = _Ahead(st0.code[crit])
 
-    def closes(choices: tuple[int, ...], pos: int) -> bool:
-        """Does a state with the critical thread at ``pos`` end its
-        interleaving?  It does once every site ahead is reported: each
-        check below would be skipped.  A closing state counts its choice
-        sequence; a new one past the budget stops the search."""
-        if ahead.sites[pos] & ~reported:
+    def closes(choices: tuple[int, ...], st: SymbolicState) -> bool:
+        """Does ``st`` end its interleaving?  It does once every site
+        ahead of the critical thread is reported: each check below would
+        be skipped.  A closing state counts its choice sequence; a new
+        one past the budget stops the search."""
+        if ahead.sites[st.cursors[crit]] & ~reported:
             return False
         if choices not in classes_seen:
             if (opts.max_interleavings is not None
@@ -273,22 +252,22 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
             classes_seen.add(choices)
         return True
 
-    def open_frame(st: SymbolicState, choices: tuple[int, ...], pos: int,
+    def open_frame(st: SymbolicState, choices: tuple[int, ...],
                    sleep: list[AccessEvent]) -> _Frame | None:
         bes = branch_events(st)
         if bes:
-            return _Frame(st, choices, pos, sleep, [True, False], bes[0])
+            return _Frame(st, choices, sleep, [True, False], bes[0])
         evs = enabled_events(st)
         asleep = {u.tid for u in sleep}
         awake = [ev for ev in evs if ev.tid not in asleep]
         if not awake:
             return None  # a sibling subtree covered every order from here
         stats.states_forked += len(awake) - 1
-        return _Frame(st, choices, pos, list(sleep), awake,
+        return _Frame(st, choices, list(sleep), awake,
                       fork=len(evs) > 1)
 
     geo = Geometry(cfg)
-    observers = _Observers(p, cfg, backend, opts.solver_timeout_ms, geo)
+    observers = _Observers(st0, cfg, backend, opts.solver_timeout_ms, geo)
     # Dependence of a pair of accesses, keyed on everything
     # ``_has_dependent_pair`` reads: each access's thread, declaration
     # and address, and the path constraint.  The same pair recurs at
@@ -305,9 +284,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
         return dep
 
     stack: list[_Frame] = []
-    st0 = initial_state(p, cfg)
-    root = (None if closes((), ahead.start)
-            else open_frame(st0, (), ahead.start, []))
+    root = None if closes((), st0) else open_frame(st0, (), [])
     if root is not None:
         stack.append(root)
     try:
@@ -329,18 +306,17 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                 if f.tried:
                     stats.states_forked += 1
                 f.tried += 1
-                pos = (ahead.succ[f.pos][0 if alt else 1]
-                       if f.branch.tid == p.critical_tid else f.pos)
-                if closes(f.choices, pos):
+                if closes(f.choices, nxt):
                     continue
-                child = open_frame(nxt, f.choices, pos, f.sleep)
+                child = open_frame(nxt, f.choices, f.sleep)
             else:
                 ev = alt
                 choices = f.choices + (ev.tid,) if f.fork else f.choices
                 earlier = f.sleep[:]
                 f.sleep.append(ev)
                 if adversarial_access(p, ev):
-                    own = ahead.own[f.pos]  # the bit of ``ev.site``
+                    # The bit of ``ev.site``.
+                    own = ahead.own[f.st.cursors[crit]]
                     if not own & reported:
                         stats.leak_checks += 1
                         leak = divergent_cache_behavior(p, f.st, ev, cfg, opts,
@@ -349,14 +325,12 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                             reports.append(leak)
                             reported |= own
                 nxt = perform_access(f.st, ev)
-                pos = (ahead.succ[f.pos] if ev.tid == p.critical_tid
-                       else f.pos)
                 # The dependence queries are needed only if the child
                 # stays open.
-                if closes(choices, pos):
+                if closes(choices, nxt):
                     continue
                 sleep = [u for u in earlier if not dependent(f.st, u, ev)]
-                child = open_frame(nxt, choices, pos, sleep)
+                child = open_frame(nxt, choices, sleep)
             if child is not None:
                 stack.append(child)
     except _Bounded:
@@ -394,16 +368,17 @@ def _has_dependent_pair(st: SymbolicState, a: AccessEvent, b: AccessEvent,
 
 
 class _Observers:
-    """Which non-critical accesses no check can observe, for one search.
-    The critical thread's footprint is built on first use; without one,
-    every access counts as observed."""
+    """Which non-critical accesses no check can observe, for one search
+    from ``st0``.  The critical thread's footprint is built on first
+    use; without one, every access counts as observed."""
 
-    __slots__ = ("p", "cfg", "backend", "timeout_ms", "geo", "built",
+    __slots__ = ("st0", "cfg", "backend", "timeout_ms", "geo", "built",
                  "footprint", "seen")
 
-    def __init__(self, p: Program, cfg: CacheConfig, backend: SolverBackend,
-                 timeout_ms: int | None, geo: Geometry) -> None:
-        self.p = p
+    def __init__(self, st0: SymbolicState, cfg: CacheConfig,
+                 backend: SolverBackend, timeout_ms: int | None,
+                 geo: Geometry) -> None:
+        self.st0 = st0
         self.cfg = cfg
         self.geo = geo
         self.backend = backend
@@ -415,7 +390,7 @@ class _Observers:
     def commute(self, a: AccessEvent, b: AccessEvent) -> bool:
         """Are ``a`` and ``b`` unobserved accesses of different
         non-critical threads and different declarations?"""
-        if (self.p.critical_tid in (a.tid, b.tid) or a.tid == b.tid
+        if (self.st0.program.critical_tid in (a.tid, b.tid) or a.tid == b.tid
                 or a.decl.name == b.decl.name):
             return False
         return self._unobserved(a) and self._unobserved(b)
@@ -424,8 +399,8 @@ class _Observers:
         if not isinstance(ev.decl.placement, Fixed):
             return False
         if not self.built:
-            self.footprint = _critical_footprint(self.p, self.cfg, self.backend,
-                                                 self.timeout_ms)
+            self.footprint = _critical_footprint(self.st0, self.cfg,
+                                                 self.backend, self.timeout_ms)
             self.built = True
         if self.footprint is None:
             return False
@@ -438,24 +413,26 @@ class _Observers:
         return hit
 
 
-def _critical_footprint(p: Program, cfg: CacheConfig, backend: SolverBackend,
-                        timeout_ms: int | None) -> list[tuple[Expr, Expr]] | None:
-    """Run the critical thread alone over every feasible branch arm and
-    collect (address, path constraint) of its accesses.  A branch arm
-    whose feasibility is undecided is run.
+def _critical_footprint(st0: SymbolicState, cfg: CacheConfig,
+                        backend: SolverBackend, timeout_ms: int | None
+                        ) -> list[tuple[Expr, Expr]] | None:
+    """Run the critical thread alone from ``st0`` over every feasible
+    branch arm and collect (address, path constraint) of its accesses.
+    A branch arm whose feasibility is undecided is run.
 
     None when another thread stores to a declaration the critical thread
     accesses: memory is kept per declaration, so only then can the
     thread load other values, and compute other addresses, than alone.
     """
-    crit = p.thread(p.critical_tid)
-    touched = {s.decl for s in _accesses(crit.body)}
-    for t in p.threads:
-        if t is not crit and any(isinstance(s, Store) and s.decl in touched
-                                 for s in _accesses(t.body)):
+    p = st0.program
+    crit = st0.thread_pos(p.critical_tid)
+    touched = {s.decl for s, _ in st0.code[crit] if isinstance(s, (Load, Store))}
+    for pos, code in enumerate(st0.code):
+        if pos != crit and any(isinstance(s, Store) and s.decl in touched
+                               for s, _ in code):
             return None
-    alone = Program(p.decls, p.secret_inputs, p.public_inputs, (crit,),
-                    p.critical_tid)
+    alone = Program(p.decls, p.secret_inputs, p.public_inputs,
+                    (p.threads[crit],), p.critical_tid)
     out: list[tuple[Expr, Expr]] = []
     todo = [initial_state(alone, cfg)]
     while todo:
@@ -471,20 +448,6 @@ def _critical_footprint(p: Program, cfg: CacheConfig, backend: SolverBackend,
         for ev in enabled_events(st):
             out.append((ev.addr, st.pcon))
             todo.append(perform_access(st, ev))
-    return out
-
-
-def _accesses(body: tuple[Stmt, ...]) -> list[Load | Store]:
-    """The loads and stores of an unrolled statement list, those in
-    branch arms included."""
-    out: list[Load | Store] = []
-    todo = list(body)
-    while todo:
-        s = todo.pop()
-        if isinstance(s, (Load, Store)):
-            out.append(s)
-        elif isinstance(s, If):
-            todo.extend(s.then_body + s.else_body)
     return out
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .cache import CacheConfig, probe_window
+from .cache import CacheConfig, Site, probe_window
 from .errors import BruteForceCapError, ReplayError
 from .ir import (Assign, BinOp, Declaration, Fixed, For, If, IRExpr, Load,
                  Name, Num, Program, Sensitivity, Stmt, Store, SymbolicBase)
@@ -206,7 +206,8 @@ class _Run:
             mask = (1 << (8 * d.elem_size)) - 1
             self.memory[(d.name, idx)] = _eval(s.value, env) & mask
         self.cache, verdict = simulate_access(self.cache, addr, self.cfg)
-        site = f"t{tid}:L{s.line}:{'load' if isinstance(s, Load) else 'store'}:{d.name}"
+        site = str(Site(tid, s.line, "load" if isinstance(s, Load) else "store",
+                        d.name))
         self.verdicts.append((tid, site, verdict))
         frames[-1] = (body, at + 1)
         self._advance(pos)
@@ -313,24 +314,27 @@ def _candidate_bases(p: Program, cfg: CacheConfig) -> list[int]:
 
 def _all_orders(p: Program, cfg: CacheConfig, inputs: dict[str, int],
                 cells, cap: int) -> list[tuple[int, ...]]:
-    """Every valid total order of accesses as a tid sequence, enumerated
-    by restarting the concrete run per prefix (programs here are tiny)."""
+    """Every valid total order of accesses as a tid sequence, depth
+    first.  A concrete run is restarted only where more than one thread
+    has a pending access; while only one has, the run is extended in
+    place."""
     orders: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...]) -> None:
+    todo: list[tuple[int, ...]] = [()]
+    while todo:
+        prefix = todo.pop()
         run = _Run(p, cfg, inputs, cells)
         for tid in prefix:
             run.step(tid)
         en = sorted(run.pending())
+        while len(en) == 1:
+            run.step(en[0])
+            prefix += (en[0],)
+            en = sorted(run.pending())
         if not en:
             orders.append(prefix)
             if len(orders) > cap:
                 raise BruteForceCapError(f"more than {cap} interleavings")
-            return
-        for tid in en:
-            extend(prefix + (tid,))
-
-    extend(())
+        todo.extend(prefix + (tid,) for tid in reversed(en))
     return orders
 
 

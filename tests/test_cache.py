@@ -51,8 +51,6 @@ def test_geometry_validation_and_derived_sizes():
         CacheConfig(cache_size=1000, line_size=64, assoc=1)
     with pytest.raises(ValueError, match="smaller than one set"):
         CacheConfig(cache_size=64, line_size=64, assoc=2)
-    with pytest.raises(ValueError, match="policy"):
-        CacheConfig(policy="fifo")
 
 
 def test_tag_and_set_index():

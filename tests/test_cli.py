@@ -408,6 +408,16 @@ def test_brute_force_cap_exits_2(capsys):
     assert code == 2 and "34 bits" in err
 
 
+def test_brute_force_runs_a_thousand_accesses(capsys, tmp_path):
+    # One thread, so one order: enumerating it must neither recurse per
+    # access nor restart a run per prefix.
+    src = tmp_path / "loop.ir"
+    src.write_text("scalar acc elem 1 at 0\ninput k width 4 secret\n"
+                   "thread 1 {\nfor i in 0..1000 { load reg1, acc }\n}\n")
+    code, out, err = run_cli(capsys, "brute-force", str(src), "--key-bits", "4")
+    assert (code, out, err) == (0, "", "")
+
+
 def test_print_ir_round_trips(capsys):
     code, out, _ = run_cli(capsys, "print-ir",
                            str(CORPUS_DIR / "sbox_rounds.ir"))

@@ -6,6 +6,7 @@ test pins them together so they cannot drift apart.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -13,11 +14,11 @@ import symleak.explorer
 from symleak import CacheConfig, parse_program, unroll_loops
 from symleak import expr as ex
 from symleak.engine import (branch_events, enabled_events, initial_state,
-                            lower, next_event, perform_access, run_schedule,
-                            take_branch)
+                            lower, next_event, number_body, perform_access,
+                            run_schedule, take_branch)
 from symleak.errors import UnrollError
 from symleak.explorer import ExploreOptions, explore
-from symleak.ir import BinOp, Declaration, Name, Num, Program
+from symleak.ir import BinOp, Declaration, If, Name, Num, Program
 from symleak.oracle import _eval as oracle_eval
 
 from conftest import CORPUS_GEOMETRY, load_program, make_backend
@@ -246,6 +247,64 @@ def test_unrolling_required_before_execution():
         initial_state(p, _cfg())
 
 
+def _statements(body):
+    """Every statement of ``body``, both arms of each branch included."""
+    for s in body:
+        yield s
+        if isinstance(s, If):
+            yield from _statements(s.then_body)
+            yield from _statements(s.else_body)
+
+
+def _path(body, arms):
+    """The statements one run of ``body`` executes, in program order,
+    taking branch arms from the iterator ``arms``."""
+    for s in body:
+        yield s
+        if isinstance(s, If):
+            yield from _path(s.then_body if next(arms) else s.else_body, arms)
+
+
+def test_numbering_gives_each_statement_one_position_in_path_order():
+    p = _program("""
+        array a[4] elem 1 at 0
+        input k width 4 secret
+        thread 1 {
+          load r, a[0]
+          if (k < 4) {
+            x := r + 1
+            if (k == 1) {
+              store a[1], x
+            } else {
+              load y, a[2]
+            }
+          } else {
+            if (k == 9) {
+              load z, a[3]
+            }
+          }
+          store a[0], 1
+        }
+    """)
+    body = p.threads[0].body
+    code = number_body(body)
+    stmts = list(_statements(body))
+    assert code[0] == (None, 0)
+    assert len(set(stmts)) == len(stmts) == len(code) - 1
+    assert {s for s, _ in code[1:]} == set(stmts)
+    for pos, (s, succ) in enumerate(code[1:], 1):
+        assert all(n < pos for n in (succ if isinstance(s, If) else (succ,)))
+    start = initial_state(p, _cfg()).cursors[0]
+    assert start == len(code) - 1
+    for choices in product((True, False), repeat=2):
+        arms, pos, seen = iter(choices), start, []
+        while pos:
+            s, succ = code[pos]
+            seen.append(s)
+            pos = succ[0 if next(arms) else 1] if isinstance(s, If) else succ
+        assert seen == list(_path(body, iter(choices)))
+
+
 def test_perform_access_leaves_source_state_intact():
     p = _program("array a[2] elem 1 at 0\nthread 1 { load r, a[0] load s, a[1] }")
     st = initial_state(p, _cfg())
@@ -282,6 +341,6 @@ def test_carried_events_match_events_built_from_scratch(monkeypatch, name,
     explore(p, cfg, ExploreOptions(), make_backend(p, cfg))
     assert states
     for st in states:
-        fresh = [next_event(p, t.tid, st.cursors[i], st.regs[i])
+        fresh = [next_event(p, t.tid, st.code[i][st.cursors[i]][0], st.regs[i])
                  for i, t in enumerate(p.threads)]
         assert [_fields(e) for e in st.next_events] == [_fields(e) for e in fresh]

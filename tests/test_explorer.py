@@ -357,7 +357,8 @@ def test_stores_to_critical_memory_keep_every_order(fig3_cfg):
 @pytest.mark.parametrize("body", [
     "load r0, t[0]\nif (k <= 7) {\nload r1, t[k]\n}\nload r2, w\n",
     "load r0, t[0]\nload r1, t[k]\nif (k <= 7) {\nload r2, w\n}\n",
-], ids=["after-the-arm", "in-an-arm-ahead"])
+    "load r0, t[0]\nload r1, t[k]\nif (7 < k) {\n} else {\nload r2, w\n}\n",
+], ids=["after-the-arm", "in-an-arm-ahead", "in-an-else-arm-ahead"])
 def test_a_state_closes_only_when_every_site_ahead_is_reported(body):
     # ``t[k]`` leaks on its own (it hits ``t[0]``'s line for k == 0) and
     # is reported in the first order.  The critical load of ``w`` leaks
@@ -365,7 +366,8 @@ def test_a_state_closes_only_when_every_site_ahead_is_reported(body):
     # evicts it for k == 4; the search reaches that order later.  There
     # ``w`` lies after the arm holding ``t[k]``, or in an arm ahead of
     # it: a cut that counted only the rest of the current statement
-    # list, or skipped branch arms, would close the state and lose it.
+    # list, or skipped branch arms, or counted only the then-arm, would
+    # close the state and lose it.
     cfg = CacheConfig(32, 1, 1)
     p, (reports, stats) = explore_source(
         "array t[16] elem 1 at 0\nscalar w elem 1 at 36\n"
