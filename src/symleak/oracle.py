@@ -12,35 +12,42 @@ to the element size, reads of never-written cells take their value from
 the declaration contents, then from the supplied cell environment, then
 zero.  Reads past the end of an initialised array clamp to its last
 element, as the symbolic ladder does.
+
+Brute force steps one run per secret valuation in lockstep down one
+schedule tree; a thread's step advances the runs where it is pending.
+At a critical access, stepped runs with equal branch outcomes so far
+(the explorer's path constraint) that split hit and miss make a leak.
+A schedule closes once no run's critical thread has an access left; a
+fork state seen before is skipped (state hashing, as in Holzmann, "The
+model checker SPIN", IEEE TSE 1997).
 """
 
 from __future__ import annotations
 
+from copy import copy
 from itertools import product
 
 from .cache import CacheConfig, Site, probe_window
-from .errors import BruteForceCapError, ReplayError
-from .ir import (Assign, BinOp, Declaration, Fixed, For, If, IRExpr, Load,
-                 Name, Num, Program, Sensitivity, Stmt, Store, SymbolicBase)
+from .engine import Code, number_body
+from .errors import BruteForceCapError, ReplayError, UnrollError
+from .ir import (Assign, BinOp, Declaration, Fixed, If, IRExpr, Load, Name,
+                 Num, Program, Sensitivity, Stmt, Store, SymbolicBase)
 from .records import Frozen, set_field
 
 MASK32 = (1 << 32) - 1
 
-# One verdict per executed access.
-BehaviorSeq = list
-
 
 class ConcreteCacheState(Frozen):
-    """Per-set tag lists, most recently used first."""
+    """Per-set tag lists, most recently used first; untouched sets absent."""
 
     __slots__ = ("sets",)
 
-    def __init__(self, sets: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, sets: dict[int, tuple[int, ...]]) -> None:
         set_field(self, "sets", sets)
 
 
 def empty_cache(cfg: CacheConfig) -> ConcreteCacheState:
-    return ConcreteCacheState(((),) * cfg.num_sets)
+    return ConcreteCacheState({})
 
 
 def simulate_access(st: ConcreteCacheState, addr: int,
@@ -48,15 +55,14 @@ def simulate_access(st: ConcreteCacheState, addr: int,
     """One load or store against the cache; stores allocate like loads."""
     block = addr >> cfg.line_bits
     idx = block % cfg.num_sets
-    ways = st.sets[idx]
+    ways = st.sets.get(idx, ())
     if block in ways:
         new_ways = (block,) + tuple(t for t in ways if t != block)
         verdict = "hit"
     else:
         new_ways = (block,) + ways[:cfg.assoc - 1]
         verdict = "miss"
-    sets = st.sets[:idx] + (new_ways,) + st.sets[idx + 1:]
-    return ConcreteCacheState(sets), verdict
+    return ConcreteCacheState({**st.sets, idx: new_ways}), verdict
 
 
 def _eval(e: IRExpr, env: dict[str, int]) -> int:
@@ -95,12 +101,26 @@ def _eval(e: IRExpr, env: dict[str, int]) -> int:
     raise ReplayError(f"unknown operator {e.op!r}")
 
 
+def _numbered(p: Program) -> tuple[Code, ...]:
+    try:
+        return tuple(number_body(t.body) for t in p.threads)
+    except UnrollError:
+        raise ReplayError("the program has a loop: unroll before replay") from None
+
+
 class _Run:
     """Concrete multi-thread execution, stepped one memory access at a
-    time by the caller's schedule."""
+    time by the caller's schedule.  Each thread's body is numbered as the
+    engine numbers it (``engine.number_body``), and runs may share the
+    numbering.  A step replaces, never mutates, what it changes, so a
+    copy of a run shares all it holds."""
+
+    __slots__ = ("p", "cfg", "inputs", "cells", "code", "cursors", "envs",
+                 "memory", "cache", "profile", "schedule")
 
     def __init__(self, p: Program, cfg: CacheConfig, inputs: dict[str, int],
-                 cells: dict[tuple[str, int], int] | None = None):
+                 cells: dict[tuple[str, int], int] | None = None,
+                 code: tuple[Code, ...] | None = None):
         self.p = p
         self.cfg = cfg
         self.inputs = inputs
@@ -112,48 +132,42 @@ class _Run:
             base_env[s.name] = inputs[s.name] & ((1 << s.width) - 1)
         for q in p.public_inputs:
             base_env[q.name] = q.value & ((1 << q.width) - 1)
-        self.envs = [dict(base_env) for _ in p.threads]
-        self.frames = [[(t.body, 0)] for t in p.threads]
+        self.code = code or _numbered(p)
+        self.cursors = tuple(len(c) - 1 for c in self.code)
+        self.envs = (base_env,) * len(p.threads)
         self.memory: dict[tuple[str, int], int] = {}
         self.cache = empty_cache(cfg)
-        self.verdicts: list[tuple[int, str, str]] = []  # (tid, site, verdict)
-        self.profile: list[bool] = []
-        for i in range(len(p.threads)):
-            self._advance(i)
+        self.profile: tuple[bool, ...] = ()  # branch outcomes, in order
+        self.schedule: tuple[int, ...] = ()  # tids of the accesses run
+        for i, cur in enumerate(self.cursors):
+            self._settle(i, cur, dict(base_env))
 
-    def _advance(self, pos: int) -> None:
-        frames = self.frames[pos]
-        env = self.envs[pos]
-        while frames:
-            body, at = frames[-1]
-            if at >= len(body):
-                frames.pop()
-                continue
-            s = body[at]
+    def _settle(self, pos: int, cur: int, env: dict[str, int]) -> None:
+        """Run thread ``pos`` from ``cur`` up to its next access or end."""
+        code = self.code[pos]
+        s, succ = code[cur]
+        while isinstance(s, (Assign, If)):
             if isinstance(s, Assign):
                 env[s.dst] = _eval(s.expr, env)
-                frames[-1] = (body, at + 1)
-            elif isinstance(s, If):
-                taken = _eval(s.cond, env) != 0
-                self.profile.append(taken)
-                frames[-1] = (body, at + 1)
-                arm = s.then_body if taken else s.else_body
-                if arm:
-                    frames.append((arm, 0))
-            elif isinstance(s, For):
-                raise ReplayError(f"loop at line {s.line}: unroll before replay")
+                cur = succ
             else:
-                return  # at a load/store
-        return
+                taken = _eval(s.cond, env) != 0
+                self.profile += (taken,)
+                cur = succ[0 if taken else 1]
+            s, succ = code[cur]
+        self.cursors = self.cursors[:pos] + (cur,) + self.cursors[pos + 1:]
+        self.envs = self.envs[:pos] + (env,) + self.envs[pos + 1:]
 
     def pending(self) -> dict[int, Stmt]:
-        out = {}
-        for i, t in enumerate(self.p.threads):
-            frames = self.frames[i]
-            if frames:
-                body, at = frames[-1]
-                out[t.tid] = body[at]
-        return out
+        return {t.tid: code[cur][0] for t, code, cur
+                in zip(self.p.threads, self.code, self.cursors) if cur}
+
+    def state(self) -> tuple:
+        """All that the run's future depends on besides its inputs."""
+        return (self.cursors, tuple(frozenset(e.items()) for e in self.envs),
+                frozenset(self.memory.items()),
+                frozenset(self.cache.sets.items()), self.profile,
+                len(self.schedule))  # names ld<pos> reads
 
     def _base(self, d: Declaration) -> int:
         if isinstance(d.placement, Fixed):
@@ -187,12 +201,10 @@ class _Run:
         pos = next((i for i, t in enumerate(self.p.threads) if t.tid == tid), None)
         if pos is None:
             raise ReplayError(f"no thread {tid}")
-        frames = self.frames[pos]
-        if not frames:
+        s, succ = self.code[pos][self.cursors[pos]]
+        if s is None:
             raise ReplayError(f"thread {tid} has no pending access")
-        body, at = frames[-1]
-        s = body[at]
-        env = self.envs[pos]
+        env = dict(self.envs[pos])
         d = self.p.decl(s.decl)
         idx = _eval(s.index, env)
         addr = (self._base(d) + idx * d.elem_size) & MASK32
@@ -200,23 +212,21 @@ class _Run:
             if (d.name, idx) in self.memory:
                 env[s.dst] = self.memory[(d.name, idx)]
             else:
-                env[s.dst] = self._initial_cell(d, idx, len(self.verdicts))
+                env[s.dst] = self._initial_cell(d, idx, len(self.schedule))
         else:
             assert isinstance(s, Store)
             mask = (1 << (8 * d.elem_size)) - 1
-            self.memory[(d.name, idx)] = _eval(s.value, env) & mask
+            self.memory = {**self.memory, (d.name, idx): _eval(s.value, env) & mask}
         self.cache, verdict = simulate_access(self.cache, addr, self.cfg)
-        site = str(Site(tid, s.line, "load" if isinstance(s, Load) else "store",
-                        d.name))
-        self.verdicts.append((tid, site, verdict))
-        frames[-1] = (body, at + 1)
-        self._advance(pos)
-        return site, verdict
+        self.schedule += (tid,)
+        self._settle(pos, succ, env)
+        return str(Site(tid, s.line, "load" if isinstance(s, Load) else "store",
+                        d.name)), verdict
 
 
 def replay(p: Program, inputs: dict[str, int], schedule, cfg: CacheConfig,
            critical_only: bool = False,
-           cells: dict[tuple[str, int], int] | None = None) -> BehaviorSeq:
+           cells: dict[tuple[str, int], int] | None = None) -> list[str]:
     """Run the program concretely, taking accesses in ``schedule`` order
     (a list of thread ids), and return the hit/miss sequence.
 
@@ -224,10 +234,7 @@ def replay(p: Program, inputs: dict[str, int], schedule, cfg: CacheConfig,
     thread with no pending access is an error.  With ``critical_only``
     the sequence is restricted to the critical thread's accesses.
     """
-    run = _Run(p, cfg, inputs, cells)
-    for tid in schedule:
-        run.step(tid)
-    return [v for (t, _, v) in run.verdicts
+    return [v for (t, _, v) in replay_trace(p, inputs, schedule, cfg, cells)
             if not critical_only or t == p.critical_tid]
 
 
@@ -237,9 +244,7 @@ def replay_trace(p: Program, inputs: dict[str, int], schedule,
                  ) -> list[tuple[int, str, str]]:
     """Like replay, but keeps (tid, site, verdict) per access."""
     run = _Run(p, cfg, inputs, cells)
-    for tid in schedule:
-        run.step(tid)
-    return list(run.verdicts)
+    return [(tid, *run.step(tid)) for tid in schedule]
 
 
 def schedule_from_lines(p: Program, inputs: dict[str, int], lines,
@@ -253,7 +258,6 @@ def schedule_from_lines(p: Program, inputs: dict[str, int], lines,
     from ``inputs``.
     """
     run = _Run(p, cfg, inputs, cells)
-    tids: list[int] = []
     for want in lines:
         here = [tid for tid, s in run.pending().items() if s.line == want]
         if not here:
@@ -263,8 +267,7 @@ def schedule_from_lines(p: Program, inputs: dict[str, int], lines,
         if len(here) > 1:
             raise ReplayError(f"line {want} is pending in threads {sorted(here)}")
         run.step(here[0])
-        tids.append(here[0])
-    return tids
+    return list(run.schedule)
 
 
 def _secret_names(p: Program) -> list[tuple[str, int]]:
@@ -312,89 +315,82 @@ def _candidate_bases(p: Program, cfg: CacheConfig) -> list[int]:
     return list(range(0, min(window, alias_top + span), cfg.line_size))
 
 
-def _all_orders(p: Program, cfg: CacheConfig, inputs: dict[str, int],
-                cells, cap: int) -> list[tuple[int, ...]]:
-    """Every valid total order of accesses as a tid sequence, depth
-    first.  A concrete run is restarted only where more than one thread
-    has a pending access; while only one has, the run is extended in
-    place."""
-    orders: list[tuple[int, ...]] = []
-    todo: list[tuple[int, ...]] = [()]
-    while todo:
-        prefix = todo.pop()
-        run = _Run(p, cfg, inputs, cells)
-        for tid in prefix:
-            run.step(tid)
-        en = sorted(run.pending())
-        while len(en) == 1:
-            run.step(en[0])
-            prefix += (en[0],)
-            en = sorted(run.pending())
-        if not en:
-            orders.append(prefix)
-            if len(orders) > cap:
-                raise BruteForceCapError(f"more than {cap} interleavings")
-        todo.extend(prefix + (tid,) for tid in reversed(en))
-    return orders
+def _lockstep(p: Program, runs: list[_Run], max_orders: int,
+              leaks: dict[str, tuple[int, ...]]) -> None:
+    """Step ``runs`` down every schedule, lowest tid first, and keep in
+    ``leaks`` the first schedule to each leaky site."""
+    tids = [t.tid for t in p.threads]
+    crit = tids.index(p.critical_tid)
+    numbers: dict[tuple, int] = {}  # (run index, run state) -> number
+    seen: set[tuple[int, ...]] = set()  # fork states, as run numbers
+    closed = 0
+    # A fork state's live runs, by index, and the thread to step them by.
+    # Siblings share the runs; each but the last popped steps copies.
+    stack = [([(i, r) for i, r in enumerate(runs) if r.cursors[crit]], None)]
+    while stack:
+        live, pos = stack.pop()
+        if stack and stack[-1][0] is live:
+            live = [(i, copy(r)) for i, r in live]
+        while True:
+            if pos is not None:
+                live = _advance(live, pos, crit, tids[pos], leaks)
+            enabled = sorted({j for _, r in live
+                              for j, cur in enumerate(r.cursors) if cur})
+            if len(enabled) != 1:
+                break
+            pos = enabled[0]  # one thread enabled: step in place
+        if not enabled:
+            closed += 1
+            if closed > max_orders:
+                raise BruteForceCapError(f"more than {max_orders} interleavings")
+            continue
+        key = tuple([numbers.setdefault((i, r.state()), len(numbers))
+                     for i, r in live])
+        if key not in seen:
+            seen.add(key)
+            stack.extend((live, j) for j in reversed(enabled))
+
+
+def _advance(live: list[tuple[int, _Run]], pos: int, crit: int, tid: int,
+             leaks: dict[str, tuple[int, ...]]) -> list[tuple[int, _Run]]:
+    """Step thread ``tid`` (at ``pos``) where it is pending; return the
+    runs whose critical thread has not ended.  Runs with equal branch
+    outcomes so far took the same steps, so they are at one site."""
+    first: dict[tuple[bool, ...], str] = {}
+    out = []
+    for i, r in live:
+        if r.cursors[pos]:
+            profile = r.profile
+            site, verdict = r.step(tid)
+            if pos == crit:
+                if first.setdefault(profile, verdict) != verdict:
+                    leaks.setdefault(site, r.schedule)
+                if not r.cursors[crit]:
+                    continue
+        out.append((i, r))
+    return out
 
 
 def brute_force_leaks(p: Program, cfg: CacheConfig, key_bits: int = 16,
-                      max_orders: int = 4096,
-                      cells: dict[tuple[str, int], int] | None = None
+                      max_orders: int = 4096
                       ) -> set[tuple[str, tuple[int, ...]]]:
-    """Exhaustively find (site, schedule) pairs where two secret values
-    disagree on a critical-thread verdict.
+    """Exhaustively find the sites where two secret values disagree on a
+    critical-thread verdict, one (site, schedule) pair per site.
 
     Enumerates every secret valuation, every interleaving, and, when the
     program places something symbolically, every line-aligned base in
-    the probe window.  Runs are grouped by schedule and branch profile;
-    a divergence must show up within one group, i.e. under identical
-    control flow and identical environment.
+    the probe window.  ``max_orders`` bounds the schedules one search
+    closes.
     """
     sym = [d for d in p.decls if isinstance(d.placement, SymbolicBase)]
     if len(sym) > 1:
         raise BruteForceCapError("at most one symbolic-base declaration supported")
-    if sym:
-        bases = _candidate_bases(p, cfg)
-        base_var = sym[0].placement.var
-    else:
-        bases = (None,)
-        base_var = None
-
-    # Orders are structural for programs whose branch arms perform the
-    # same number of accesses; probe two corner valuations to be safe.
-    probes = [dict.fromkeys((s.name for s in p.secret_inputs), 0),
-              {s.name: (1 << s.width) - 1 for s in p.secret_inputs}]
-    orders: list[tuple[int, ...]] = []
-    for pr in probes:
-        if base_var is not None:
-            pr = {**pr, base_var: 0}
-        for o in _all_orders(p, cfg, pr, cells, max_orders):
-            if o not in orders:
-                orders.append(o)
-
-    leaks: set[tuple[str, tuple[int, ...]]] = set()
-    for base in bases:
-        for order in orders:
-            groups: dict[tuple, list[tuple[str, str]]] = {}
-            for val in _secret_valuations(p, key_bits):
-                inputs = dict(val)
-                if base_var is not None:
-                    inputs[base_var] = base
-                run = _Run(p, cfg, inputs, cells)
-                try:
-                    for tid in order:
-                        run.step(tid)
-                except ReplayError:
-                    continue  # order invalid under this valuation's branches
-                if run.pending():
-                    continue
-                critical = [(s, v) for (t, s, v) in run.verdicts
-                            if t == p.critical_tid]
-                key = tuple(run.profile)
-                ref = groups.setdefault(key, critical)
-                if ref is not critical:
-                    for (site, v0), (_, v1) in zip(ref, critical):
-                        if v0 != v1:
-                            leaks.add((site, order))
-    return leaks
+    placements = ([{sym[0].placement.var: base}
+                   for base in _candidate_bases(p, cfg)] if sym else [{}])
+    code = _numbered(p)
+    leaks: dict[str, tuple[int, ...]] = {}
+    for placed in placements:
+        _lockstep(p, [_Run(p, cfg, {**val, **placed}, code=code)
+                      for val in _secret_valuations(p, key_bits)],
+                  max_orders, leaks)
+    return set(leaks.items())

@@ -5,17 +5,24 @@ here in full: line order 6-9-13-11 leaks at k=1 and every other order
 is uniform over the in-range keys.
 """
 
+import hashlib
+import json
+import subprocess
+import sys
+
 import pytest
 
 from symleak.cache import CacheConfig
 from symleak.errors import BruteForceCapError, ReplayError
+from symleak.explorer import ExploreOptions, explore
 from symleak.oracle import (brute_force_leaks, empty_cache, replay,
                             replay_trace, schedule_from_lines, secret_bits,
                             simulate_access)
 from symleak.parser import parse_program
+from symleak.solver import EnumerativeBackend
 from symleak.transform import unroll_loops
 
-from conftest import CORPUS_DIR, UNROLL_BOUND, load_program
+from conftest import CORPUS_DIR, ROOT, UNROLL_BOUND, load_program
 
 
 def test_direct_mapped_eviction():
@@ -190,15 +197,105 @@ def test_brute_force_sweeps_symbolic_bases():
     cfg = CacheConfig(16, 4, 1)
     leaks = brute_force_leaks(p, cfg)
     # A probe wedged between load and store can evict t[k]'s line, and a
-    # probe placed over t itself pre-warms the line of some keys.
+    # probe placed over t itself pre-warms the line of some keys.  Each
+    # schedule ends at its leaky access.
     assert leaks == {("t1:L6:store:t", (1, 2, 1)),
-                     ("t1:L5:load:t", (2, 1, 1))}
+                     ("t1:L5:load:t", (2, 1))}
     # Confirm one witness concretely: probe block 4 aliases set 0.
     diverge = {k: replay(p, {"k": k, "probe_base": 16}, [1, 2, 1], cfg,
                          critical_only=True)
                for k in (0, 4)}
     assert diverge[0] == ["miss", "miss"]
     assert diverge[4] == ["miss", "hit"]
+
+
+def test_brute_force_follows_unbalanced_branch_arms(fig3_cfg):
+    # ``k`` has 4 bits, so ``k - 5`` wraps above 2 for k < 5 and only
+    # k in {5, 6} takes the arm.  The arm's t[5] is the first access, so
+    # it always misses.  Line 7's t[k] then hits at k == 5 and misses at
+    # k == 6; for the other keys it is the first access and misses.  So
+    # the arm's group leaks at line 7 and nothing else leaks.  An oracle
+    # that takes its orders from the corner keys 0 and 15 sees only the
+    # one-access order, which no key in {5, 6} completes, and finds none.
+    p = load_program("branch_unbalanced.ir")
+    assert {s for s, _ in brute_force_leaks(p, fig3_cfg)} == {"t1:L7:load:t"}
+    reports, stats = explore(p, fig3_cfg, ExploreOptions(),
+                             EnumerativeBackend())
+    assert stats.complete
+    assert {r.site for r in reports} == {"t1:L7:load:t"}
+
+
+def test_brute_force_groups_runs_by_the_branches_taken_so_far(fig3_cfg):
+    # t[k] hits only at k == 3, after the load of t[3].  The branch after
+    # it splits k == 3 from the other keys, but the explorer checks t[k]
+    # before that branch, under a path constraint that holds for every
+    # key, so the leak must show up although no two keys that agree on
+    # every branch disagree on t[k].
+    p = parse_program("""
+    array t[16] elem 1 at 0
+    input k width 4 secret
+    thread 1 { load r1, t[3]
+    load r2, t[k]
+    if ((k - 3) < 1) { load r3, t[0] } }
+    """)
+    assert brute_force_leaks(p, fig3_cfg) == {("t1:L5:load:t", (1, 1))}
+
+
+# Two programs where two orders reach fork states that differ in one part
+# of the state only, and only the state met second leads to a leak, so a
+# state key without that part would skip it.
+FORK_STATES_APART = [
+    # ``e`` evicts t[3].  Loading ``e`` before or after the first t[k]
+    # leaves the same cursors, registers and memory, and at k == 3 a
+    # different cache: after, the second t[k] misses there and hits for
+    # every other key.
+    ("""
+    array t[16] elem 1 at 0
+    scalar e elem 1 at 515
+    scalar f elem 1 at 100
+    input k width 4 secret
+    thread 1 { load r1, e
+    load r2, f }
+    thread 2 critical { load r1, t[k]
+    load r2, t[k] }
+    """, ("t2:L9:load:t", (2, 1, 1, 2))),
+    # Storing ``v`` before or after the first load of ``v`` leaves the same
+    # cursors, memory and cache, and a different r1.  Only the store
+    # between the two loads makes the last index 0, where t[k] left the
+    # line of k == 0; every other order indexes past t's sets.
+    ("""
+    array t[16] elem 1 at 0
+    scalar v elem 1 at 100
+    scalar f elem 1 at 200
+    input k width 4 secret
+    thread 1 { store v, 3
+    load r2, f }
+    thread 2 critical { load r1, v
+    load r3, v
+    load r2, t[k]
+    load r4, t[(r1 | (r3 ^ 3)) << 4] }
+    """, ("t2:L11:load:t", (2, 1, 1, 2, 2, 2))),
+]
+
+
+@pytest.mark.parametrize("src,leak", FORK_STATES_APART,
+                         ids=["cache", "registers"])
+def test_brute_force_tells_fork_states_apart(fig3_cfg, src, leak):
+    assert brute_force_leaks(parse_program(src), fig3_cfg) == {leak}
+
+
+def test_brute_force_reproduces_a_bench_layout(fig3_cfg):
+    # The benchmark records the oracle's sites per layout; layout 0 of
+    # the one-set probe family must still give them.  The generator
+    # prints the program, and the digest ties it to the recorded entry.
+    text = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "gen.py"), "probe_same_set", "0"],
+        capture_output=True, text=True, check=True).stdout
+    expected = json.loads((ROOT / "bench" / "expected.json").read_text())
+    entry = expected["probe_same_set/0"]
+    assert hashlib.sha256(text.encode()).hexdigest() == entry["sha256"]
+    p = unroll_loops(parse_program(text), UNROLL_BOUND)
+    assert sorted({s for s, _ in brute_force_leaks(p, fig3_cfg)}) == entry["sites"]
 
 
 def test_brute_force_caps(fig3_cfg):
