@@ -5,6 +5,10 @@ execute every path and every relevant thread interleaving, build a
 cache-hit constraint per memory access, and ask a solver for two secret
 valuations that schedule the same accesses but disagree on a hit.  A
 concrete LRU oracle replays every witness before it is reported.
+
+``brute_force_leaks``, ``SmtProcessBackend`` and ``pretty`` load their
+modules on first use (PEP 562), so importing the package or its command
+line compiles only the analysis pipeline.
 """
 
 from .cache import CacheConfig, Site, hit_constraint, hit_constraint_assoc
@@ -12,11 +16,10 @@ from .detector import LeakReport
 from .errors import (AdversaryError, BruteForceCapError, ParseError,
                      ReplayError, SolverProcessError, SymleakError, UnrollError)
 from .explorer import ExploreOptions, ExploreStats, explore
-from .ir import Program, pretty
-from .oracle import (ConcreteCacheState, brute_force_leaks, empty_cache,
-                     replay, simulate_access)
+from .ir import Program
+from .oracle import ConcreteCacheState, empty_cache, replay, simulate_access
 from .parser import parse_program
-from .solver import EnumerativeBackend, SmtProcessBackend, SolverBackend
+from .solver import EnumerativeBackend, SolverBackend
 from .transform import synthesize_adversary, unroll_loops
 
 __version__ = "0.1.0"
@@ -52,3 +55,23 @@ __all__ = [
     "unroll_loops",
     "__version__",
 ]
+
+# The module of each name that loads on first access.
+_LAZY = {
+    "brute_force_leaks": "bruteforce",
+    "SmtProcessBackend": "smt",
+    "pretty": "printer",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

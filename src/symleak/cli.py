@@ -13,7 +13,12 @@ must not pass a truncated run off as a complete one.  A query too wide
 for the built-in solver's domain cap is undecided, like a timed-out
 one: it counts in ``indeterminate`` and the report is still written.
 A leak that fails replay confirmation is an internal inconsistency and
-exits 4.
+exits 4.  ``brute-force`` exits 0, 1, 2 and 4 alike, and 3 when it hits
+``--key-bits`` or ``--max-orders``, with the bound on stderr.
+
+``brute-force`` and ``print-ir``, and ``analyze`` only under
+``--solver``, import the modules they need when they run, so that
+``analyze`` loads only its own pipeline.
 
 The report has one entry per leaky site, the first witness the search
 found for it, replay-confirmed before it is printed.
@@ -28,13 +33,13 @@ import time
 
 from .cache import CacheConfig, probe_window
 from .detector import LeakReport
-from .errors import ReplayError, SymleakError
+from .errors import BruteForceCapError, ReplayError, SymleakError
 from .explorer import ExploreOptions, ExploreStats, explore
-from .ir import Program, SymbolicBase, pretty
-from .oracle import brute_force_leaks, replay, replay_trace, schedule_from_lines
+from .ir import Program, SymbolicBase
+from .oracle import replay, replay_trace, schedule_from_lines
 from .parser import parse_program
 from .records import Frozen, set_field
-from .solver import EnumerativeBackend, SmtProcessBackend, SolverBackend
+from .solver import EnumerativeBackend, SolverBackend
 from .transform import synthesize_adversary, unroll_loops
 
 # Named cache shapes from the evaluation writeups.
@@ -76,6 +81,7 @@ def _load(path: str) -> Program:
 def _backend(p: Program, cfg: CacheConfig, solver: str | None,
              timeout_ms: int) -> SolverBackend:
     if solver:
+        from .smt import SmtProcessBackend
         return SmtProcessBackend(solver, timeout_ms=timeout_ms)
     domains = {d.placement.var: range(0, probe_window(cfg), d.elem_size)
                for d in p.decls if isinstance(d.placement, SymbolicBase)}
@@ -294,16 +300,22 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_brute_force(args: argparse.Namespace) -> int:
+    from .bruteforce import brute_force_leaks
     p = _load(args.file)
     cfg = _cache_from(args)
-    leaks = brute_force_leaks(p, cfg, key_bits=args.key_bits,
-                              max_orders=args.max_orders)
+    try:
+        leaks = brute_force_leaks(p, cfg, key_bits=args.key_bits,
+                                  max_orders=args.max_orders)
+    except BruteForceCapError as e:
+        print(f"incomplete: {e}", file=sys.stderr)
+        return 3
     for site, order in sorted(leaks):
         print(f"{site} schedule={','.join(map(str, order))}")
     return 1 if leaks else 0
 
 
 def _cmd_print_ir(args: argparse.Namespace) -> int:
+    from .printer import pretty
     sys.stdout.write(pretty(_load(args.file)))
     return 0
 

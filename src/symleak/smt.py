@@ -1,0 +1,211 @@
+"""SMT-LIB2 emission and the backend that drives an external solver.
+
+SmtProcessBackend prints each query as SMT-LIB2 (QF_BV) and pipes it
+through an external solver executable such as ``z3 -in``.  Within one
+process, one formula always prints the same bytes.  Across processes it
+may not yet: ``expr`` orders the arguments of a commutative node by the
+process-global order in which nodes were interned, so the bytes of a
+query depend on what the process built before it.  ROADMAP item 5 plans
+a structural order that makes the text a function of the formula alone.
+
+The divergence query has no solver-side shortcut here: the backend
+instantiates the path condition and tau over two renamed copies of the
+duplicated variables, asks for the copies to differ on a distinct
+variable and for tau to differ, and solves that one formula.  It needs
+no memo of its own, since a repeat rebuilds the same interned formula
+and ``check`` answers it.
+
+The command line loads this module only for ``analyze --solver``.
+"""
+
+from __future__ import annotations
+
+import re
+
+from . import expr as ex
+from .errors import SolverProcessError
+from .expr import Expr
+from .solver import DivergenceResult, SolverBackend, SolveResult
+
+
+_SMT_BINOPS = {
+    ex.Op.ADD: "bvadd", ex.Op.SUB: "bvsub", ex.Op.AND: "bvand",
+    ex.Op.OR: "bvor", ex.Op.XOR: "bvxor", ex.Op.SHL: "bvshl",
+    ex.Op.LSHR: "bvlshr",
+}
+_SMT_CMPS = {ex.Op.EQ: "=", ex.Op.ULT: "bvult", ex.Op.ULE: "bvule"}
+
+
+def _smt_node(node: Expr, args: list[str]) -> str:
+    """SMT-LIB2 text of one node, given the text of its arguments."""
+    op = node.op
+    if op is ex.Op.CONST:
+        return f"(_ bv{node.value} {node.width})"
+    if op is ex.Op.VAR:
+        return node.name
+    if op in _SMT_BINOPS:
+        return f"({_SMT_BINOPS[op]} {args[0]} {args[1]})"
+    if op in _SMT_CMPS:
+        return f"(ite ({_SMT_CMPS[op]} {args[0]} {args[1]}) #b1 #b0)"
+    if op is ex.Op.NE:
+        return f"(ite (distinct {args[0]} {args[1]}) #b1 #b0)"
+    if op is ex.Op.MULC:
+        return f"(bvmul {args[0]} (_ bv{node.value} {node.width}))"
+    if op is ex.Op.ITE:
+        return f"(ite (= {args[0]} #b1) {args[1]} {args[2]})"
+    if op is ex.Op.ZEXT:
+        return f"((_ zero_extend {node.width - node.args[0].width}) {args[0]})"
+    if op is ex.Op.EXTRACT:
+        return f"((_ extract {node.value + node.width - 1} {node.value}) {args[0]})"
+    raise AssertionError(f"unhandled op {op}")
+
+
+def emit_query(formula: Expr, logic: str = "QF_BV", get_model: bool = True) -> str:
+    """Serialise a width-1 formula as an SMT-LIB2 script.
+
+    Shared subexpressions become numbered define-funs in first-visit
+    order, so within one process the same formula always produces the
+    same bytes (across processes, see the module docstring).
+    """
+    if formula.width != 1:
+        raise ValueError("emit_query expects a width-1 formula")
+    lines = [f"(set-logic {logic})"]
+    widths = ex.var_widths(formula)
+    for n in sorted(widths):
+        lines.append(f"(declare-fun {n} () (_ BitVec {widths[n]}))")
+
+    uses: dict[Expr, int] = {}
+    order: list[Expr] = []
+    stack = [formula]
+    seen: set[Expr] = set()
+    while stack:
+        node = stack.pop()
+        uses[node] = uses.get(node, 0) + 1
+        if node in seen:
+            continue
+        seen.add(node)
+        order.append(node)
+        stack.extend(node.args)
+
+    names: dict[Expr, str] = {}
+    counter = 0
+
+    def render(root: Expr) -> str:
+        """The text of ``root``: each argument by its name if it has one,
+        else inline.  An explicit stack, so that a long chain of nodes
+        used once cannot reach the recursion limit."""
+        done: dict[Expr, str] = {}
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            todo = [a for a in node.args if a not in names and a not in done]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            if node not in done:
+                done[node] = _smt_node(node, [names.get(a) or done[a]
+                                              for a in node.args])
+        return done[root]
+
+    # Define shared internal nodes bottom-up (reverse of the DFS ordering).
+    for node in reversed(order):
+        if node.args and uses[node] > 1:
+            body = render(node)
+            names[node] = f"e{counter}"
+            lines.append(f"(define-fun e{counter} () (_ BitVec {node.width}) {body})")
+            counter += 1
+
+    lines.append(f"(assert (= {render(formula)} #b1))")
+    lines.append("(check-sat)")
+    if get_model:
+        lines.append("(get-model)")
+    return "\n".join(lines) + "\n"
+
+
+_MODEL_RE = re.compile(
+    r"\(define-fun\s+(\S+)\s*\(\)\s*\(_\s*BitVec\s*(\d+)\s*\)\s*"
+    r"(#x[0-9a-fA-F]+|#b[01]+|\(_\s*bv(\d+)\s*\d+\s*\))", re.MULTILINE)
+
+
+def parse_model(text: str, wanted: set[str]) -> dict[str, int]:
+    """Extract bitvector assignments from a get-model response."""
+    model: dict[str, int] = {}
+    for m in _MODEL_RE.finditer(text):
+        name, _width, value, bvdec = m.group(1), m.group(2), m.group(3), m.group(4)
+        if name not in wanted:
+            continue
+        if value.startswith("#x"):
+            model[name] = int(value[2:], 16)
+        elif value.startswith("#b"):
+            model[name] = int(value[2:], 2)
+        else:
+            model[name] = int(bvdec)
+    return model
+
+
+class SmtProcessBackend(SolverBackend):
+    """Drives an external SMT-LIB2 solver process, e.g. ``z3 -in``."""
+
+    name = "smt-process"
+
+    def __init__(self, command: str | list[str], timeout_ms: int = 30000):
+        super().__init__()
+        if isinstance(command, str):
+            import shlex  # only an external solver pays for loading it
+            command = shlex.split(command)
+        self.command = list(command)
+        self.timeout_ms = timeout_ms
+
+    def check_divergence(self, tau: Expr, pcon: Expr, duplicated: list[str],
+                         distinct: list[str],
+                         timeout_ms: int | None = None) -> DivergenceResult:
+        """Find two valuations, agreeing on every non-duplicated variable,
+        that satisfy the path condition, differ somewhere on ``distinct``
+        and drive ``tau`` to opposite values.
+
+        Instantiates the constraint twice over renamed variable families
+        and solves the combined formula through ``check``, whose memo
+        answers a repeat.  The result is read-only, as ``check``'s is.
+        """
+        widths = ex.var_widths(tau) | ex.var_widths(pcon)
+        fam_a = {n: ex.var(f"{n}__1", widths[n]) for n in duplicated}
+        fam_b = {n: ex.var(f"{n}__2", widths[n]) for n in duplicated}
+        parts = [ex.substitute(pcon, fam_a), ex.substitute(pcon, fam_b)]
+        if distinct:
+            parts.append(ex.disj([ex.ne(fam_a[n], fam_b[n]) for n in sorted(distinct)]))
+        parts.append(ex.xor(ex.substitute(tau, fam_a), ex.substitute(tau, fam_b)))
+        res = self.check(ex.conj(parts), timeout_ms=timeout_ms)
+        if res.status != "sat":
+            return DivergenceResult(res.status)
+        model = res.model or {}
+        shared = {n: v for n, v in model.items() if not n.endswith(("__1", "__2"))}
+        m_a = dict(shared)
+        m_b = dict(shared)
+        for n in duplicated:
+            m_a[n] = model.get(f"{n}__1", 0)
+            m_b[n] = model.get(f"{n}__2", 0)
+        return DivergenceResult("sat", m_a, m_b)
+
+    def _solve(self, formula: Expr, timeout_ms: int | None) -> SolveResult:
+        import subprocess  # only an external solver pays for loading it
+        budget = (timeout_ms or self.timeout_ms) / 1000
+        query = emit_query(formula)
+        try:
+            proc = subprocess.run(self.command, input=query, text=True,
+                                  capture_output=True, timeout=budget)
+        except subprocess.TimeoutExpired:
+            return SolveResult("unknown")
+        except OSError as e:
+            raise SolverProcessError(f"cannot run solver {self.command}: {e}") from e
+        out = proc.stdout.strip()
+        first = out.split("\n", 1)[0].strip() if out else ""
+        if first == "unsat":
+            return SolveResult("unsat")
+        if first == "unknown":
+            return SolveResult("unknown")
+        if first != "sat":
+            raise SolverProcessError(
+                f"solver {self.command[0]} said {first!r} (stderr: {proc.stderr.strip()[:200]})")
+        model = parse_model(out, set(ex.var_widths(formula)))
+        return SolveResult("sat", model)

@@ -1,28 +1,23 @@
 """Constraint solving backends.
 
-Two interchangeable backends answer satisfiability questions about
-width-1 expressions:
+A backend answers satisfiability questions about width-1 expressions
+with "sat", "unsat" or "unknown"; timeouts surface as "unknown", never
+as an exception, because callers treat unknown conservatively.
 
-* EnumerativeBackend evaluates the expression over the whole cross
-  product of its free variables' domains, a block of assignments at a
-  time, in packed lanes: each node's values over the block are one
-  Python int with one fixed-width lane per assignment, so an operator
-  costs a few big-int operations per block (SIMD within a register).
-  Lanes are 64 bits wide while no node is wider than 32 bits, as in
-  every program the parser accepts, else the next multiple of 64 that
-  is at least twice the widest node.  A domain is any sequence of
-  ints below 2**64; a ``range`` stays lazy.  The backend is exact, needs nothing
-  outside the standard library and is fast for the small key spaces
-  this tool targets.  A query whose combined domain exceeds a
-  configurable bit budget is not enumerated and answers "unknown".
-
-* SmtProcessBackend prints the query as SMT-LIB2 (QF_BV) and pipes it
-  through an external solver executable such as ``z3 -in``.  Query text
-  is byte deterministic for a given expression, so runs are
-  reproducible and cacheable.
-
-Both report "sat", "unsat" or "unknown"; timeouts surface as "unknown",
-never as an exception, because callers treat unknown conservatively.
+EnumerativeBackend evaluates the expression over the whole cross
+product of its free variables' domains, a block of assignments at a
+time, in packed lanes: each node's values over the block are one Python
+int with one fixed-width lane per assignment, so an operator costs a
+few big-int operations per block (SIMD within a register).  Lanes are
+64 bits wide while no node is wider than 32 bits, as in every program
+the parser accepts, else the next multiple of 64 that is at least twice
+the widest node.  A domain is any sequence of ints below 2**64; a
+``range`` stays lazy.  The backend is exact, needs nothing outside the
+standard library and is fast for the small key spaces this tool
+targets.  A query whose combined domain exceeds a configurable bit
+budget is not enumerated and answers "unknown".  The backend that pipes
+SMT-LIB2 through an external solver lives in ``symleak.smt``, loaded
+only by a run that asks for one.
 
 Every backend memoizes its answers for its own lifetime.
 ``SolverBackend.check`` counts the query, folds constant formulas, looks
@@ -31,15 +26,12 @@ the formula up in a per-instance dict and only then calls the backend's
 its structure and a hit returns exactly what solving again would.  Only
 "sat" and "unsat" are stored: "unknown" depends on the deadline, so an
 undecided query is asked again next time.  The enumerative divergence
-query is memoized the same way on its arguments; the generic one needs
-no memo of its own, since it rebuilds the same interned formula and
-``check`` answers it.  Memoized results are shared between callers and
-must be treated as read-only.
+query is memoized the same way on its arguments.  Memoized results are
+shared between callers and must be treated as read-only.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 import time
 from abc import ABC, abstractmethod
@@ -47,7 +39,6 @@ from array import array
 from collections.abc import Sequence
 
 from . import expr as ex
-from .errors import SolverProcessError
 from .expr import Expr
 
 
@@ -73,7 +64,8 @@ class SolverBackend(ABC):
     """Satisfiability oracle for width-1 bitvector expressions.
 
     ``calls`` counts queries issued, including those the memo answered;
-    ``memo_hits`` counts the latter.  Subclasses implement ``_solve``.
+    ``memo_hits`` counts the latter.  Subclasses implement ``_solve`` and
+    ``check_divergence``.
     """
 
     name: str = "backend"
@@ -110,35 +102,15 @@ class SolverBackend(ABC):
             self._memo[key] = res
         return res
 
+    @abstractmethod
     def check_divergence(self, tau: Expr, pcon: Expr, duplicated: list[str],
                          distinct: list[str],
                          timeout_ms: int | None = None) -> DivergenceResult:
         """Find two valuations, agreeing on every non-duplicated variable,
         that satisfy the path condition, differ somewhere on ``distinct``
-        and drive ``tau`` to opposite values.
-
-        The generic implementation instantiates the constraint twice over
-        renamed variable families and solves the combined formula.  The
-        result is read-only, as ``check``'s is.
+        and drive ``tau`` to opposite values.  The result is read-only,
+        as ``check``'s is.
         """
-        widths = ex.var_widths(tau) | ex.var_widths(pcon)
-        fam_a = {n: ex.var(f"{n}__1", widths[n]) for n in duplicated}
-        fam_b = {n: ex.var(f"{n}__2", widths[n]) for n in duplicated}
-        parts = [ex.substitute(pcon, fam_a), ex.substitute(pcon, fam_b)]
-        if distinct:
-            parts.append(ex.disj([ex.ne(fam_a[n], fam_b[n]) for n in sorted(distinct)]))
-        parts.append(ex.xor(ex.substitute(tau, fam_a), ex.substitute(tau, fam_b)))
-        res = self.check(ex.conj(parts), timeout_ms=timeout_ms)
-        if res.status != "sat":
-            return DivergenceResult(res.status)
-        model = res.model or {}
-        shared = {n: v for n, v in model.items() if not n.endswith(("__1", "__2"))}
-        m_a = dict(shared)
-        m_b = dict(shared)
-        for n in duplicated:
-            m_a[n] = model.get(f"{n}__1", 0)
-            m_b[n] = model.get(f"{n}__2", 0)
-        return DivergenceResult("sat", m_a, m_b)
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +487,10 @@ class EnumerativeBackend(SolverBackend):
         ``duplicated`` are enumerated outermost, so the assignments
         sharing their values form one run of lanes (a group) and the two
         returned models agree on them; see ``_DivergenceScan``.
-        Equivalent to the two-family formula of the generic
-        implementation, but enumerates the variable space once instead
-        of squaring it.  Answers are memoized on the arguments, as
-        ``check``'s are, and read-only.
+        Equivalent to the two-family formula that
+        ``symleak.smt.SmtProcessBackend`` solves, but enumerates the
+        variable space once instead of squaring it.  Answers are
+        memoized on the arguments, as ``check``'s are, and read-only.
         """
         self.calls += 1
         if not distinct:
@@ -694,158 +666,3 @@ class _DivergenceScan:
             if other >= 0:
                 return hit_model, self.plan.model(other)
         return None
-
-
-# ---------------------------------------------------------------------------
-# SMT-LIB2 emission and the external-process backend
-
-_SMT_BINOPS = {
-    ex.Op.ADD: "bvadd", ex.Op.SUB: "bvsub", ex.Op.AND: "bvand",
-    ex.Op.OR: "bvor", ex.Op.XOR: "bvxor", ex.Op.SHL: "bvshl",
-    ex.Op.LSHR: "bvlshr",
-}
-_SMT_CMPS = {ex.Op.EQ: "=", ex.Op.ULT: "bvult", ex.Op.ULE: "bvule"}
-
-
-def _smt_node(node: Expr, args: list[str]) -> str:
-    """SMT-LIB2 text of one node, given the text of its arguments."""
-    op = node.op
-    if op is ex.Op.CONST:
-        return f"(_ bv{node.value} {node.width})"
-    if op is ex.Op.VAR:
-        return node.name
-    if op in _SMT_BINOPS:
-        return f"({_SMT_BINOPS[op]} {args[0]} {args[1]})"
-    if op in _SMT_CMPS:
-        return f"(ite ({_SMT_CMPS[op]} {args[0]} {args[1]}) #b1 #b0)"
-    if op is ex.Op.NE:
-        return f"(ite (distinct {args[0]} {args[1]}) #b1 #b0)"
-    if op is ex.Op.MULC:
-        return f"(bvmul {args[0]} (_ bv{node.value} {node.width}))"
-    if op is ex.Op.ITE:
-        return f"(ite (= {args[0]} #b1) {args[1]} {args[2]})"
-    if op is ex.Op.ZEXT:
-        return f"((_ zero_extend {node.width - node.args[0].width}) {args[0]})"
-    if op is ex.Op.EXTRACT:
-        return f"((_ extract {node.value + node.width - 1} {node.value}) {args[0]})"
-    raise AssertionError(f"unhandled op {op}")
-
-
-def emit_query(formula: Expr, logic: str = "QF_BV", get_model: bool = True) -> str:
-    """Serialise a width-1 formula as a deterministic SMT-LIB2 script.
-
-    Shared subexpressions become numbered define-funs in first-visit
-    order, so identical expressions always produce identical bytes.
-    """
-    if formula.width != 1:
-        raise ValueError("emit_query expects a width-1 formula")
-    lines = [f"(set-logic {logic})"]
-    widths = ex.var_widths(formula)
-    for n in sorted(widths):
-        lines.append(f"(declare-fun {n} () (_ BitVec {widths[n]}))")
-
-    uses: dict[Expr, int] = {}
-    order: list[Expr] = []
-    stack = [formula]
-    seen: set[Expr] = set()
-    while stack:
-        node = stack.pop()
-        uses[node] = uses.get(node, 0) + 1
-        if node in seen:
-            continue
-        seen.add(node)
-        order.append(node)
-        stack.extend(node.args)
-
-    names: dict[Expr, str] = {}
-    counter = 0
-
-    def render(root: Expr) -> str:
-        """The text of ``root``: each argument by its name if it has one,
-        else inline.  An explicit stack, so that a long chain of nodes
-        used once cannot reach the recursion limit."""
-        done: dict[Expr, str] = {}
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            todo = [a for a in node.args if a not in names and a not in done]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            if node not in done:
-                done[node] = _smt_node(node, [names.get(a) or done[a]
-                                              for a in node.args])
-        return done[root]
-
-    # Define shared internal nodes bottom-up (reverse of the DFS ordering).
-    for node in reversed(order):
-        if node.args and uses[node] > 1:
-            body = render(node)
-            names[node] = f"e{counter}"
-            lines.append(f"(define-fun e{counter} () (_ BitVec {node.width}) {body})")
-            counter += 1
-
-    lines.append(f"(assert (= {render(formula)} #b1))")
-    lines.append("(check-sat)")
-    if get_model:
-        lines.append("(get-model)")
-    return "\n".join(lines) + "\n"
-
-
-_MODEL_RE = re.compile(
-    r"\(define-fun\s+(\S+)\s*\(\)\s*\(_\s*BitVec\s*(\d+)\s*\)\s*"
-    r"(#x[0-9a-fA-F]+|#b[01]+|\(_\s*bv(\d+)\s*\d+\s*\))", re.MULTILINE)
-
-
-def parse_model(text: str, wanted: set[str]) -> dict[str, int]:
-    """Extract bitvector assignments from a get-model response."""
-    model: dict[str, int] = {}
-    for m in _MODEL_RE.finditer(text):
-        name, _width, value, bvdec = m.group(1), m.group(2), m.group(3), m.group(4)
-        if name not in wanted:
-            continue
-        if value.startswith("#x"):
-            model[name] = int(value[2:], 16)
-        elif value.startswith("#b"):
-            model[name] = int(value[2:], 2)
-        else:
-            model[name] = int(bvdec)
-    return model
-
-
-class SmtProcessBackend(SolverBackend):
-    """Drives an external SMT-LIB2 solver process, e.g. ``z3 -in``."""
-
-    name = "smt-process"
-
-    def __init__(self, command: str | list[str], timeout_ms: int = 30000):
-        super().__init__()
-        if isinstance(command, str):
-            import shlex  # only an external solver pays for loading it
-            command = shlex.split(command)
-        self.command = list(command)
-        self.timeout_ms = timeout_ms
-
-    def _solve(self, formula: Expr, timeout_ms: int | None) -> SolveResult:
-        import subprocess  # only an external solver pays for loading it
-        budget = (timeout_ms or self.timeout_ms) / 1000
-        query = emit_query(formula)
-        try:
-            proc = subprocess.run(self.command, input=query, text=True,
-                                  capture_output=True, timeout=budget)
-        except subprocess.TimeoutExpired:
-            return SolveResult("unknown")
-        except OSError as e:
-            raise SolverProcessError(f"cannot run solver {self.command}: {e}") from e
-        out = proc.stdout.strip()
-        first = out.split("\n", 1)[0].strip() if out else ""
-        if first == "unsat":
-            return SolveResult("unsat")
-        if first == "unknown":
-            return SolveResult("unknown")
-        if first != "sat":
-            raise SolverProcessError(
-                f"solver {self.command[0]} said {first!r} (stderr: {proc.stderr.strip()[:200]})")
-        model = parse_model(out, set(ex.var_widths(formula)))
-        return SolveResult("sat", model)

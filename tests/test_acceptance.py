@@ -13,14 +13,14 @@ import time
 from contextlib import contextmanager
 
 from symleak import expr as ex
+from symleak.bruteforce import brute_force_leaks, secret_bits
 from symleak.cache import (AccessRecord, CacheConfig, Site, hit_constraint,
                            hit_constraint_assoc, line, probe_window, tag)
 from symleak.cli import main
 from symleak.engine import run_schedule
 from symleak.explorer import ExploreOptions, explore
 from symleak.ir import If, Load, Store
-from symleak.oracle import (brute_force_leaks, empty_cache, replay,
-                            secret_bits, simulate_access)
+from symleak.oracle import empty_cache, replay, simulate_access
 from symleak.solver import EnumerativeBackend
 
 from conftest import CORPUS_DIR, CORPUS_GEOMETRY, load_program, make_backend

@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 import symleak.cli
+from symleak.bruteforce import brute_force_leaks
 from symleak.cache import CacheConfig
 from symleak.cli import RunConfig, confirm_report, main
 from symleak.detector import LeakReport
 from symleak.explorer import ExploreOptions, explore
-from symleak.oracle import brute_force_leaks
 from symleak.solver import DivergenceResult
 
 from conftest import (CORPUS_DIR, PROGRAMS_DIR, ROOT, load_program,
@@ -402,10 +402,29 @@ def test_brute_force_finds_the_leaky_schedule(capsys):
     assert code == 0 and out == ""
 
 
-def test_brute_force_cap_exits_2(capsys):
-    code, _, err = run_cli(capsys, "brute-force",
-                           str(CORPUS_DIR / "sbox_feedback.ir"), *FIG3)
-    assert code == 2 and "34 bits" in err
+@pytest.mark.parametrize("program,flags,bound", [
+    ("sbox_feedback.ir", [], "secret space is 34 bits, over the 16-bit cap"),
+    ("conc_tmp_fixed.ir", ["--key-bits", "4"],
+     "secret space is 8 bits, over the 4-bit cap"),
+    ("conc_tmp_fixed.ir", ["--max-orders", "1"], "more than 1 schedules"),
+], ids=["secret-cap", "narrow-key", "order-cap"])
+def test_brute_force_bound_exits_3(capsys, program, flags, bound):
+    # Hitting a bound is an incomplete search, not bad input.
+    code, out, err = run_cli(capsys, "brute-force", str(CORPUS_DIR / program),
+                             *FIG3, *flags)
+    assert (code, out) == (3, "")
+    assert err == f"incomplete: {bound}\n"
+
+
+@pytest.mark.parametrize("flag,value,least", [
+    ("--max-orders", "0", "max_orders must be at least 1"),
+    ("--key-bits", "-1", "key_bits must be at least 0"),
+], ids=["max-orders", "key-bits"])
+def test_brute_force_bound_below_its_least_exits_2(capsys, flag, value, least):
+    # Such a bound leaves nothing to search: bad input, not a bounded search.
+    code, out, err = run_cli(capsys, "brute-force", CONC, *FIG3, flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {least}, got {value}\n"
 
 
 def test_brute_force_runs_a_thousand_accesses(capsys, tmp_path):
@@ -424,7 +443,7 @@ def test_print_ir_round_trips(capsys):
     assert code == 0
     assert "for" not in out  # loops unrolled
     from symleak.parser import parse_program
-    from symleak.ir import pretty
+    from symleak.printer import pretty
     assert pretty(parse_program(out)) == out
 
 
@@ -463,6 +482,60 @@ def test_cli_import_loads_no(module):
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_compiles_only_the_analysis():
+    # ``analyze`` runs no brute force, SMT-LIB or printing, so importing
+    # the command line loads none of the modules that hold them, and no
+    # module it loads defines them.
+    held = ("brute_force_leaks", "SmtProcessBackend", "emit_query", "pretty")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, symleak.cli; "
+         "mods = {m: v for m, v in sys.modules.items() "
+         "if m.split('.')[0] == 'symleak'}; "
+         "print(sorted(mods)); "
+         f"print(sorted(m + '.' + n for m, v in mods.items() for n in {held!r} "
+         "if n in vars(v)))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    loaded, defined = proc.stdout.splitlines()
+    for module in ("symleak.bruteforce", "symleak.smt", "symleak.printer"):
+        assert f"'{module}'" not in loaded
+    assert defined == "[]"
+
+
+_LAZY_EXPORTS = """
+import symleak
+names = set(symleak.__all__)
+assert names <= set(dir(symleak)), names - set(dir(symleak))
+star = {}
+exec("from symleak import *", star)
+assert names <= set(star), names - set(star)
+from symleak import bruteforce, printer, smt
+for name in names:
+    assert getattr(symleak, name) is star[name], name
+assert symleak.brute_force_leaks is bruteforce.brute_force_leaks
+assert symleak.SmtProcessBackend is smt.SmtProcessBackend
+assert symleak.pretty is printer.pretty
+try:
+    symleak.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("symleak.no_such_name resolved")
+"""
+
+
+def test_package_exports_resolve_lazily():
+    # A fresh interpreter, so that the names loaded on first access are
+    # first accessed here: by dir(), by a star import, and once the
+    # modules behind them are imported.
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_EXPORTS],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_entry_point(tmp_path):

@@ -12,10 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symleak import parse_program, unroll_loops
+from symleak.bruteforce import brute_force_leaks
 from symleak.cache import CacheConfig
 from symleak.explorer import ExploreOptions, explore
 from symleak.ir import Program
-from symleak.oracle import brute_force_leaks
 from symleak.solver import EnumerativeBackend
 
 CACHES = (CacheConfig(32, 1, 1), CacheConfig(16, 1, 4))

@@ -8,10 +8,11 @@ pinned so schedule-class deduplication and search-order changes show up.
 import pytest
 
 from symleak import parse_program, unroll_loops
+from symleak.bruteforce import brute_force_leaks
 from symleak.cache import CacheConfig
 from symleak.explorer import ExploreOptions, explore
 from symleak.ir import SymbolicBase
-from symleak.oracle import brute_force_leaks, replay_trace, schedule_from_lines
+from symleak.oracle import replay_trace, schedule_from_lines
 from symleak.solver import DivergenceResult, EnumerativeBackend
 
 from conftest import load_program, make_backend

@@ -12,12 +12,12 @@ import sys
 
 import pytest
 
+from symleak.bruteforce import brute_force_leaks, secret_bits
 from symleak.cache import CacheConfig
 from symleak.errors import BruteForceCapError, ReplayError
 from symleak.explorer import ExploreOptions, explore
-from symleak.oracle import (brute_force_leaks, empty_cache, replay,
-                            replay_trace, schedule_from_lines, secret_bits,
-                            simulate_access)
+from symleak.oracle import (empty_cache, replay, replay_trace,
+                            schedule_from_lines, simulate_access)
 from symleak.parser import parse_program
 from symleak.solver import EnumerativeBackend
 from symleak.transform import unroll_loops
@@ -301,6 +301,10 @@ def test_brute_force_reproduces_a_bench_layout(fig3_cfg):
 def test_brute_force_caps(fig3_cfg):
     with pytest.raises(BruteForceCapError, match="34 bits"):
         brute_force_leaks(load_program("sbox_feedback.ir"), fig3_cfg)
-    with pytest.raises(BruteForceCapError, match="interleavings"):
+    with pytest.raises(BruteForceCapError, match="more than 3 schedules"):
         brute_force_leaks(load_program("conc_tmp_fixed.ir"), fig3_cfg,
                           max_orders=3)
+    # A bound below its least value is bad input, not a search it cut.
+    with pytest.raises(ValueError, match="max_orders"):
+        brute_force_leaks(load_program("conc_tmp_fixed.ir"), fig3_cfg,
+                          max_orders=0)

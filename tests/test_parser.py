@@ -9,7 +9,8 @@ import pytest
 from symleak import parse_program
 from symleak.errors import ParseError
 from symleak.ir import (Assign, BinOp, Fixed, For, If, Load, Name, Num,
-                        Sensitivity, Store, SymbolicBase, pretty)
+                        Sensitivity, Store, SymbolicBase)
+from symleak.printer import pretty
 
 
 def test_declarations_and_inputs():

@@ -17,9 +17,9 @@ import pytest
 
 from symleak import expr as ex
 from symleak.errors import SolverProcessError
-from symleak.solver import (EnumerativeBackend, SmtProcessBackend, SolveResult,
-                            _Lanes, _lane_bits, _postorder, emit_query,
-                            parse_model)
+from symleak.smt import SmtProcessBackend, emit_query, parse_model
+from symleak.solver import (EnumerativeBackend, SolveResult, _Lanes,
+                            _lane_bits, _postorder)
 
 STUB = [sys.executable, str(Path(__file__).resolve().parent / "smtstub.py")]
 
