@@ -4,7 +4,11 @@ Usage: python3 scripts/report_matrix.py [SRC]
 
 Runs ``analyze`` in a fresh process on each ``corpus/*.ir`` and
 ``tests/programs/*.ir`` file at ``--preset paper-fig3`` with ``--assoc``
-1, 2, 4 and 8 and ``--adversary`` fixed and synthesize.  SRC is the
+1, 2, 4 and 8 and ``--adversary`` fixed and synthesize, and once more at
+``--assoc 1`` with the fixed adversary through the external-solver path,
+``--solver`` running ``tests/smtstub.py`` (an exhaustive SMT-LIB stand-in
+that answers each query in well under the 30 s per-query deadline, so
+those lines do not depend on the machine's speed).  SRC is the
 ``src`` directory of the checkout to run (default: this checkout's), so
 one checkout's script can summarise another's code on the same programs.
 Each line names the run, then gives the exit code, the leak-site set,
@@ -28,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -37,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PROGRAM_DIRS = ("corpus", "tests/programs")
 ASSOCS = (1, 2, 4, 8)
 ADVERSARIES = ("fixed", "synthesize")
+STUB_SOLVER = shlex.join([sys.executable, str(ROOT / "tests" / "smtstub.py")])
 TIMEOUT_S = 300
 WITNESS_FIELDS = ("site", "access_index", "schedule", "k1", "k2",
                   "verdict1", "verdict2", "adversary_addr",
@@ -105,6 +111,10 @@ def main(argv: list[str]) -> int:
                     flags = ["--preset", "paper-fig3", "--assoc", str(assoc),
                              "--adversary", adversary]
                     print(summarise(src, name, prog, flags)[0], flush=True)
+            name = f"{prog.relative_to(ROOT)} assoc=1 adversary=fixed solver=smtstub"
+            flags = ["--preset", "paper-fig3", "--assoc", "1",
+                     "--adversary", "fixed", "--solver", STUB_SOLVER]
+            print(summarise(src, name, prog, flags)[0], flush=True)
     layouts(src)
     return 0
 

@@ -94,7 +94,8 @@ def _lockstep(p: Program, runs: list[_Run], max_orders: int,
         if not enabled:
             closed += 1
             if closed > max_orders:
-                raise BruteForceCapError(f"more than {max_orders} schedules")
+                raise BruteForceCapError(f"more than {max_orders} schedules",
+                                         set(leaks.items()))
             continue
         key = tuple([numbers.setdefault((i, r.state()), len(numbers))
                      for i, r in live])
@@ -132,7 +133,8 @@ def brute_force_leaks(p: Program, cfg: CacheConfig, key_bits: int = 16,
     Enumerates every secret valuation, every interleaving, and, when the
     program places something symbolically, every line-aligned base in
     the probe window.  ``max_orders`` bounds the schedules one search
-    closes.
+    closes; the ``BruteForceCapError`` it raises carries the pairs found
+    so far.
     """
     if key_bits < 0:
         raise ValueError(f"key_bits must be at least 0, got {key_bits}")

@@ -359,13 +359,12 @@ def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig,
 
 
 def may_same_line(a: AccessRecord, b: AccessRecord, cfg: CacheConfig,
-                  backend, timeout_ms: int | None = None,
-                  geo: Geometry | None = None) -> bool:
+                  backend, geo: Geometry | None = None) -> bool:
     """Can the two accesses touch the same cache set on a common path?
 
     Decided by the interval pre-check whenever possible; otherwise the
-    question goes to the solver backend.  On solver timeout the answer
-    is conservatively True.  ``geo`` is as in hit_constraint.
+    question goes to the solver backend.  A query the backend leaves
+    undecided answers True.  ``geo`` is as in hit_constraint.
     """
     geo = Geometry(cfg) if geo is None else geo
     _, l_a, b_a = geo.of(a.addr)
@@ -377,13 +376,11 @@ def may_same_line(a: AccessRecord, b: AccessRecord, cfg: CacheConfig,
     q = ex.conj([ex.eq(l_a, l_b), a.pcon, b.pcon])
     if q.is_const:
         return bool(q.value)
-    res = backend.check(q, timeout_ms=timeout_ms)
-    return res.status != "unsat"
+    return backend.check(q).status != "unsat"
 
 
 def may_touch_blocks(addr: Expr, pcon: Expr, other: Expr, cfg: CacheConfig,
-                     backend, timeout_ms: int | None = None,
-                     geo: Geometry | None = None) -> bool:
+                     backend, geo: Geometry | None = None) -> bool:
     """Can ``addr``, on a path under ``pcon``, touch a block in the block
     range of ``other``?
 
@@ -400,5 +397,4 @@ def may_touch_blocks(addr: Expr, pcon: Expr, other: Expr, cfg: CacheConfig,
                  ex.ule(t, ex.const(hi, t.width)), pcon])
     if q.is_const:
         return bool(q.value)
-    res = backend.check(q, timeout_ms=timeout_ms)
-    return res.status != "unsat"
+    return backend.check(q).status != "unsat"

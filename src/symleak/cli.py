@@ -14,7 +14,8 @@ for the built-in solver's domain cap is undecided, like a timed-out
 one: it counts in ``indeterminate`` and the report is still written.
 A leak that fails replay confirmation is an internal inconsistency and
 exits 4.  ``brute-force`` exits 0, 1, 2 and 4 alike, and 3 when it hits
-``--key-bits`` or ``--max-orders``, with the bound on stderr.
+``--key-bits`` or ``--max-orders``, with the sites found so far on
+stdout and the bound on stderr.
 
 ``brute-force`` and ``print-ir``, and ``analyze`` only under
 ``--solver``, import the modules they need when they run, so that
@@ -39,7 +40,7 @@ from .ir import Program, SymbolicBase
 from .oracle import replay, replay_trace, schedule_from_lines
 from .parser import parse_program
 from .records import Frozen, set_field
-from .solver import EnumerativeBackend, SolverBackend
+from .solver import DEFAULT_TIMEOUT_MS, EnumerativeBackend, SolverBackend
 from .transform import synthesize_adversary, unroll_loops
 
 # Named cache shapes from the evaluation writeups.
@@ -60,7 +61,7 @@ class RunConfig(Frozen):
     def __init__(self, program: str, cache: CacheConfig = CacheConfig(),
                  mode: str = "precise", adversary: str = "fixed",
                  max_interleavings: int | None = None,
-                 timeout_ms: int = 30000, solver: str | None = None,
+                 timeout_ms: int = DEFAULT_TIMEOUT_MS, solver: str | None = None,
                  out: str | None = None) -> None:
         set_field(self, "program", program)
         set_field(self, "cache", cache)
@@ -78,14 +79,17 @@ def _load(path: str) -> Program:
     return unroll_loops(parse_program(text), _UNROLL_BOUND)
 
 
-def _backend(p: Program, cfg: CacheConfig, solver: str | None,
-             timeout_ms: int) -> SolverBackend:
+def backend_for(p: Program, cfg: CacheConfig, solver: str | None = None,
+                timeout_ms: int | None = None) -> SolverBackend:
+    """The backend ``analyze`` runs ``p`` with: the external solver
+    command ``solver``, else the built-in one, where a symbolic base
+    ranges over the aligned addresses of ``cfg``'s probe window."""
     if solver:
         from .smt import SmtProcessBackend
         return SmtProcessBackend(solver, timeout_ms=timeout_ms)
     domains = {d.placement.var: range(0, probe_window(cfg), d.elem_size)
                for d in p.decls if isinstance(d.placement, SymbolicBase)}
-    return EnumerativeBackend(domains=domains or None)
+    return EnumerativeBackend(domains=domains or None, timeout_ms=timeout_ms)
 
 
 def _apply_adversary(p: Program, cfg: CacheConfig, which: str) -> Program:
@@ -166,13 +170,10 @@ def run(rc: RunConfig) -> int:
     t0 = time.monotonic()
     if rc.mode not in ("precise", "two-step"):
         raise ValueError(f"mode must be one of precise, two-step, got {rc.mode!r}")
-    opts = ExploreOptions(
-        mode=rc.mode.replace("-", "_"),
-        max_interleavings=rc.max_interleavings,
-        solver_timeout_ms=rc.timeout_ms,
-    )
+    opts = ExploreOptions(mode=rc.mode.replace("-", "_"),
+                          max_interleavings=rc.max_interleavings)
     p = _apply_adversary(_load(rc.program), rc.cache, rc.adversary)
-    backend = _backend(p, rc.cache, rc.solver, rc.timeout_ms)
+    backend = backend_for(p, rc.cache, rc.solver, rc.timeout_ms)
     reports, stats = explore(p, rc.cache, opts, backend)
     for r in reports:
         if not confirm_report(p, rc.cache, r):
@@ -247,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--adversary", choices=("fixed", "synthesize", "none"),
                     default="fixed")
     an.add_argument("--max-interleavings", type=int, default=None)
-    an.add_argument("--timeout-ms", type=int, default=30000)
+    an.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
     an.add_argument("--solver", default=None,
                     help="external SMT-LIB2 solver command, e.g. 'z3 -in'")
     an.add_argument("--out", default=None, help="report path (default stdout)")
@@ -303,14 +304,17 @@ def _cmd_brute_force(args: argparse.Namespace) -> int:
     from .bruteforce import brute_force_leaks
     p = _load(args.file)
     cfg = _cache_from(args)
+    cap = None
     try:
         leaks = brute_force_leaks(p, cfg, key_bits=args.key_bits,
                                   max_orders=args.max_orders)
     except BruteForceCapError as e:
-        print(f"incomplete: {e}", file=sys.stderr)
-        return 3
+        leaks, cap = e.leaks, e
     for site, order in sorted(leaks):
         print(f"{site} schedule={','.join(map(str, order))}")
+    if cap is not None:
+        print(f"incomplete: {cap}", file=sys.stderr)
+        return 3
     return 1 if leaks else 0
 
 

@@ -83,20 +83,17 @@ def verdicts(tau: Expr, pcon: Expr, result: DivergenceResult) -> tuple[str, str]
 
 
 def solve_precise(backend: SolverBackend, tau: Expr, pcon: Expr,
-                  classes: VarClasses,
-                  timeout_ms: int | None = None) -> DivergenceResult:
+                  classes: VarClasses) -> DivergenceResult:
     """Joint query: pcon holds for both runs, the duplicated variables
     differ, and tau disagrees.  Skipped without a solver call when tau
     cannot depend on any duplicated variable."""
     if not _may_diverge(tau, classes):
         return DivergenceResult("unsat")
-    return backend.check_divergence(tau, pcon, classes.duplicated,
-                                    classes.duplicated, timeout_ms=timeout_ms)
+    return backend.check_divergence(tau, pcon, classes.duplicated, classes.duplicated)
 
 
 def solve_two_step(backend: SolverBackend, tau: Expr, pcon: Expr,
-                   classes: VarClasses, timeout_ms: int | None = None,
-                   fallback: bool = True) -> DivergenceResult:
+                   classes: VarClasses, fallback: bool = True) -> DivergenceResult:
     """Approximate query: solve for one concrete run first, then for a
     second run flipping tau under the first run's environment.
 
@@ -106,10 +103,10 @@ def solve_two_step(backend: SolverBackend, tau: Expr, pcon: Expr,
     """
     if not _may_diverge(tau, classes):
         return DivergenceResult("unsat")
-    first = backend.check(ex.and_(pcon, tau), timeout_ms=timeout_ms)
+    first = backend.check(ex.and_(pcon, tau))
     first_is_hit = True
     if first.status == "unsat" and fallback:
-        first = backend.check(ex.and_(pcon, ex.not_(tau)), timeout_ms=timeout_ms)
+        first = backend.check(ex.and_(pcon, ex.not_(tau)))
         first_is_hit = False
     if first.status != "sat":
         return DivergenceResult(first.status)
@@ -124,7 +121,7 @@ def solve_two_step(backend: SolverBackend, tau: Expr, pcon: Expr,
     differ = ex.disj([ex.ne(ex.var(n, _width_of(n, tau, pcon)),
                             ex.const(model1.get(n, 0), _width_of(n, tau, pcon)))
                       for n in dup_present])
-    second = backend.check(ex.conj([pcon2, goal, differ]), timeout_ms=timeout_ms)
+    second = backend.check(ex.conj([pcon2, goal, differ]))
     if second.status != "sat":
         return DivergenceResult(second.status)
     model2 = dict(second.model or {})

@@ -31,7 +31,12 @@ class ReplayError(SymleakError):
 
 
 class BruteForceCapError(SymleakError):
-    """Exhaustive enumeration would exceed the configured cap."""
+    """Exhaustive enumeration would exceed the configured cap.  ``leaks``
+    holds the (site, schedule) pairs found before it tripped."""
+
+    def __init__(self, message: str, leaks=()) -> None:
+        super().__init__(message)
+        self.leaks = set(leaks)
 
 
 class SolverProcessError(SymleakError):

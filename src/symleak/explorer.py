@@ -88,23 +88,20 @@ MODES = ("precise", "two_step")
 
 
 class ExploreOptions(Frozen):
-    __slots__ = ("mode", "max_interleavings", "solver_timeout_ms")
+    __slots__ = ("mode", "max_interleavings")
 
     def __init__(self, mode: str = "precise",
-                 max_interleavings: int | None = None,
-                 solver_timeout_ms: int | None = None) -> None:
+                 max_interleavings: int | None = None) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {', '.join(MODES)}, "
                              f"got {mode!r}")
         # A bound below one would stop the search before it starts and
         # pass bad input off as an incomplete search.
-        for name, bound in (("max_interleavings", max_interleavings),
-                            ("solver_timeout_ms", solver_timeout_ms)):
-            if bound is not None and bound < 1:
-                raise ValueError(f"{name} must be at least 1, got {bound}")
+        if max_interleavings is not None and max_interleavings < 1:
+            raise ValueError("max_interleavings must be at least 1, "
+                             f"got {max_interleavings}")
         set_field(self, "mode", mode)
         set_field(self, "max_interleavings", max_interleavings)
-        set_field(self, "solver_timeout_ms", solver_timeout_ms)
 
 
 class ExploreStats(Value):
@@ -267,7 +264,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                       fork=len(evs) > 1)
 
     geo = Geometry(cfg)
-    observers = _Observers(st0, cfg, backend, opts.solver_timeout_ms, geo)
+    observers = _Observers(st0, cfg, backend, geo)
     # Dependence of a pair of accesses, keyed on everything
     # ``_has_dependent_pair`` reads: each access's thread, declaration
     # and address, and the path constraint.  The same pair recurs at
@@ -279,7 +276,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
         key = (ka, kb, st.pcon) if a.tid < b.tid else (kb, ka, st.pcon)
         dep = deps.get(key)
         if dep is None:
-            dep = deps[key] = _has_dependent_pair(st, a, b, cfg, backend, opts,
+            dep = deps[key] = _has_dependent_pair(st, a, b, cfg, backend,
                                                   observers, geo)
         return dep
 
@@ -300,8 +297,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                 nxt = take_branch(f.st, f.branch, alt)
                 if nxt.pcon.is_const and not nxt.pcon.value:
                     continue
-                if backend.check(nxt.pcon,
-                                 timeout_ms=opts.solver_timeout_ms).status == "unsat":
+                if backend.check(nxt.pcon).status == "unsat":
                     continue
                 if f.tried:
                     stats.states_forked += 1
@@ -348,8 +344,7 @@ def _record(st: SymbolicState, ev: AccessEvent) -> AccessRecord:
 
 def _has_dependent_pair(st: SymbolicState, a: AccessEvent, b: AccessEvent,
                         cfg: CacheConfig, backend: SolverBackend,
-                        opts: ExploreOptions, observers: _Observers,
-                        geo: Geometry | None = None) -> bool:
+                        observers: _Observers, geo: Geometry | None = None) -> bool:
     """May the order of two enabled accesses of different threads matter
     in ``st``?  They are dependent when they touch the same declaration
     (memory values), or when they may share a cache set under the current
@@ -361,8 +356,7 @@ def _has_dependent_pair(st: SymbolicState, a: AccessEvent, b: AccessEvent,
     divergent_cache_behavior."""
     if a.decl.name == b.decl.name:
         return True
-    if not may_same_line(_record(st, a), _record(st, b), cfg, backend,
-                         opts.solver_timeout_ms, geo):
+    if not may_same_line(_record(st, a), _record(st, b), cfg, backend, geo):
         return False
     return not observers.commute(a, b)
 
@@ -372,17 +366,14 @@ class _Observers:
     from ``st0``.  The critical thread's footprint is built on first
     use; without one, every access counts as observed."""
 
-    __slots__ = ("st0", "cfg", "backend", "timeout_ms", "geo", "built",
-                 "footprint", "seen")
+    __slots__ = ("st0", "cfg", "backend", "geo", "built", "footprint", "seen")
 
     def __init__(self, st0: SymbolicState, cfg: CacheConfig,
-                 backend: SolverBackend, timeout_ms: int | None,
-                 geo: Geometry) -> None:
+                 backend: SolverBackend, geo: Geometry) -> None:
         self.st0 = st0
         self.cfg = cfg
         self.geo = geo
         self.backend = backend
-        self.timeout_ms = timeout_ms
         self.built = False
         self.footprint: list[tuple[Expr, Expr]] | None = None
         self.seen: dict[Expr, bool] = {}  # per address: unobserved?
@@ -399,23 +390,20 @@ class _Observers:
         if not isinstance(ev.decl.placement, Fixed):
             return False
         if not self.built:
-            self.footprint = _critical_footprint(self.st0, self.cfg,
-                                                 self.backend, self.timeout_ms)
+            self.footprint = _critical_footprint(self.st0, self.cfg, self.backend)
             self.built = True
         if self.footprint is None:
             return False
         hit = self.seen.get(ev.addr)
         if hit is None:
             hit = self.seen[ev.addr] = not any(
-                may_touch_blocks(addr, pcon, ev.addr, self.cfg, self.backend,
-                                 self.timeout_ms, self.geo)
+                may_touch_blocks(addr, pcon, ev.addr, self.cfg, self.backend, self.geo)
                 for addr, pcon in self.footprint)
         return hit
 
 
 def _critical_footprint(st0: SymbolicState, cfg: CacheConfig,
-                        backend: SolverBackend, timeout_ms: int | None
-                        ) -> list[tuple[Expr, Expr]] | None:
+                        backend: SolverBackend) -> list[tuple[Expr, Expr]] | None:
     """Run the critical thread alone from ``st0`` over every feasible
     branch arm and collect (address, path constraint) of its accesses.
     A branch arm whose feasibility is undecided is run.
@@ -441,8 +429,7 @@ def _critical_footprint(st0: SymbolicState, cfg: CacheConfig,
         if bes:
             for arm in (True, False):
                 nxt = take_branch(st, bes[0], arm)
-                if backend.check(nxt.pcon,
-                                 timeout_ms=timeout_ms).status != "unsat":
+                if backend.check(nxt.pcon).status != "unsat":
                     todo.append(nxt)
             continue
         for ev in enabled_events(st):
@@ -460,8 +447,8 @@ def _tau(tr: Trace, i: int, cfg: CacheConfig, geo: Geometry | None):
 def _solve(backend: SolverBackend, tau, pcon, classes: VarClasses,
            opts: ExploreOptions):
     if opts.mode == "two_step":
-        return solve_two_step(backend, tau, pcon, classes, opts.solver_timeout_ms)
-    return solve_precise(backend, tau, pcon, classes, opts.solver_timeout_ms)
+        return solve_two_step(backend, tau, pcon, classes)
+    return solve_precise(backend, tau, pcon, classes)
 
 
 def _project(model: dict[str, int], classes: VarClasses) -> dict[str, int]:

@@ -1,7 +1,9 @@
 """SMT-LIB2 emission and the backend that drives an external solver.
 
 SmtProcessBackend prints each query as SMT-LIB2 (QF_BV) and pipes it
-through an external solver executable such as ``z3 -in``.  Within one
+through an external solver executable such as ``z3 -in``, one process
+per query, killed once it outlives the backend's ``timeout_ms`` (the
+query then answers "unknown"; None: no deadline).  Within one
 process, one formula always prints the same bytes.  Across processes it
 may not yet: ``expr`` orders the arguments of a commutative node by the
 process-global order in which nodes were interned, so the bytes of a
@@ -25,7 +27,7 @@ import re
 from . import expr as ex
 from .errors import SolverProcessError
 from .expr import Expr
-from .solver import DivergenceResult, SolverBackend, SolveResult
+from .solver import DEFAULT_TIMEOUT_MS, DivergenceResult, SolverBackend, SolveResult
 
 
 _SMT_BINOPS = {
@@ -149,22 +151,17 @@ class SmtProcessBackend(SolverBackend):
 
     name = "smt-process"
 
-    def __init__(self, command: str | list[str], timeout_ms: int = 30000):
-        super().__init__()
+    def __init__(self, command: str | list[str],
+                 timeout_ms: int | None = DEFAULT_TIMEOUT_MS):
+        super().__init__(timeout_ms)
         if isinstance(command, str):
             import shlex  # only an external solver pays for loading it
             command = shlex.split(command)
         self.command = list(command)
-        self.timeout_ms = timeout_ms
 
     def check_divergence(self, tau: Expr, pcon: Expr, duplicated: list[str],
-                         distinct: list[str],
-                         timeout_ms: int | None = None) -> DivergenceResult:
-        """Find two valuations, agreeing on every non-duplicated variable,
-        that satisfy the path condition, differ somewhere on ``distinct``
-        and drive ``tau`` to opposite values.
-
-        Instantiates the constraint twice over renamed variable families
+                         distinct: list[str]) -> DivergenceResult:
+        """Instantiates the constraint twice over renamed variable families
         and solves the combined formula through ``check``, whose memo
         answers a repeat.  The result is read-only, as ``check``'s is.
         """
@@ -175,7 +172,7 @@ class SmtProcessBackend(SolverBackend):
         if distinct:
             parts.append(ex.disj([ex.ne(fam_a[n], fam_b[n]) for n in sorted(distinct)]))
         parts.append(ex.xor(ex.substitute(tau, fam_a), ex.substitute(tau, fam_b)))
-        res = self.check(ex.conj(parts), timeout_ms=timeout_ms)
+        res = self.check(ex.conj(parts))
         if res.status != "sat":
             return DivergenceResult(res.status)
         model = res.model or {}
@@ -187,9 +184,9 @@ class SmtProcessBackend(SolverBackend):
             m_b[n] = model.get(f"{n}__2", 0)
         return DivergenceResult("sat", m_a, m_b)
 
-    def _solve(self, formula: Expr, timeout_ms: int | None) -> SolveResult:
+    def _solve(self, formula: Expr) -> SolveResult:
         import subprocess  # only an external solver pays for loading it
-        budget = (timeout_ms or self.timeout_ms) / 1000
+        budget = None if self.timeout_ms is None else self.timeout_ms / 1000
         query = emit_query(formula)
         try:
             proc = subprocess.run(self.command, input=query, text=True,

@@ -2,7 +2,8 @@
 
 A backend answers satisfiability questions about width-1 expressions
 with "sat", "unsat" or "unknown"; timeouts surface as "unknown", never
-as an exception, because callers treat unknown conservatively.
+as an exception, because callers treat unknown conservatively.  The
+per-query deadline is the backend's own, set when it is built.
 
 EnumerativeBackend evaluates the expression over the whole cross
 product of its free variables' domains, a block of assignments at a
@@ -42,6 +43,9 @@ from . import expr as ex
 from .expr import Expr
 
 
+DEFAULT_TIMEOUT_MS = 30000  # of an external solver and of the command line
+
+
 class SolveResult:
     __slots__ = ("status", "model")
 
@@ -63,19 +67,23 @@ class DivergenceResult:
 class SolverBackend(ABC):
     """Satisfiability oracle for width-1 bitvector expressions.
 
-    ``calls`` counts queries issued, including those the memo answered;
-    ``memo_hits`` counts the latter.  Subclasses implement ``_solve`` and
-    ``check_divergence``.
+    A query past ``timeout_ms`` (at least 1; None: no deadline) answers
+    "unknown".  ``calls`` counts queries issued, including those the
+    memo answered; ``memo_hits`` counts the latter.  Subclasses
+    implement ``_solve`` and ``check_divergence``.
     """
 
     name: str = "backend"
 
-    def __init__(self) -> None:
+    def __init__(self, timeout_ms: int | None = None) -> None:
+        if timeout_ms is not None and timeout_ms < 1:
+            raise ValueError(f"timeout_ms must be at least 1, got {timeout_ms}")
+        self.timeout_ms = timeout_ms
         self.calls = 0
         self.memo_hits = 0
         self._memo: dict = {}
 
-    def check(self, formula: Expr, timeout_ms: int | None = None) -> SolveResult:
+    def check(self, formula: Expr) -> SolveResult:
         """Decide satisfiability; a sat result carries a witness model.
 
         The result may be shared with earlier and later callers asking
@@ -84,10 +92,10 @@ class SolverBackend(ABC):
         self.calls += 1
         if formula.is_const:
             return SolveResult("sat", {}) if formula.value else SolveResult("unsat")
-        return self._memoized(formula, lambda: self._solve(formula, timeout_ms))
+        return self._memoized(formula, lambda: self._solve(formula))
 
     @abstractmethod
-    def _solve(self, formula: Expr, timeout_ms: int | None) -> SolveResult:
+    def _solve(self, formula: Expr) -> SolveResult:
         """Decide a non-constant formula; called once per decided formula."""
 
     def _memoized(self, key, solve):
@@ -104,8 +112,7 @@ class SolverBackend(ABC):
 
     @abstractmethod
     def check_divergence(self, tau: Expr, pcon: Expr, duplicated: list[str],
-                         distinct: list[str],
-                         timeout_ms: int | None = None) -> DivergenceResult:
+                         distinct: list[str]) -> DivergenceResult:
         """Find two valuations, agreeing on every non-duplicated variable,
         that satisfy the path condition, differ somewhere on ``distinct``
         and drive ``tau`` to opposite values.  The result is read-only,
@@ -421,8 +428,9 @@ class EnumerativeBackend(SolverBackend):
     name = "enumerative"
 
     def __init__(self, domains: dict[str, Sequence[int]] | None = None,
-                 cap_bits: int = 24, chunk: int = 1 << 18):
-        super().__init__()
+                 timeout_ms: int | None = None, cap_bits: int = 24,
+                 chunk: int = 1 << 18):
+        super().__init__(timeout_ms)
         self.domains = {n: d if isinstance(d, range) else [int(v) for v in d]
                         for n, d in (domains or {}).items()}
         self.cap_bits = cap_bits
@@ -459,8 +467,13 @@ class EnumerativeBackend(SolverBackend):
         doms = {n: self.domains.get(n, range(1 << widths[n])) for n in names}
         return _Plan(names, names if order is None else order, doms)
 
-    def _solve(self, formula: Expr, timeout_ms: int | None) -> SolveResult:
-        deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000
+    def _deadline(self) -> float | None:
+        """When a query started now must end; None: never."""
+        ms = self.timeout_ms
+        return None if ms is None else time.monotonic() + ms / 1000
+
+    def _solve(self, formula: Expr) -> SolveResult:
+        deadline = self._deadline()
         order = _postorder([formula])
         plan = self._plan(_var_widths(order))
         if plan is None:
@@ -477,8 +490,7 @@ class EnumerativeBackend(SolverBackend):
         return SolveResult("unsat")
 
     def check_divergence(self, tau: Expr, pcon: Expr, duplicated: list[str],
-                         distinct: list[str],
-                         timeout_ms: int | None = None) -> DivergenceResult:
+                         distinct: list[str]) -> DivergenceResult:
         """Partition the feasible assignments by the value of tau.
 
         A divergent pair exists exactly when, for some assignment of the
@@ -497,14 +509,13 @@ class EnumerativeBackend(SolverBackend):
             return DivergenceResult("unsat")
         return self._memoized(
             (tau, pcon, tuple(duplicated), tuple(distinct)),
-            lambda: self._divergence(tau, pcon, duplicated, distinct, timeout_ms))
+            lambda: self._divergence(tau, pcon, duplicated, distinct))
 
     def _divergence(self, tau: Expr, pcon: Expr, duplicated: list[str],
-                    distinct: list[str], timeout_ms: int | None) -> DivergenceResult:
+                    distinct: list[str]) -> DivergenceResult:
         order = _postorder([pcon, tau])
         widths = _var_widths(order)
         missing = [n for n in duplicated if n not in widths]
-        deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000
         names = sorted(widths)
         plan = self._plan(widths, [n for n in names if n not in duplicated]
                           + [n for n in names if n in duplicated])
@@ -512,7 +523,7 @@ class EnumerativeBackend(SolverBackend):
             return DivergenceResult("unknown")
         try:
             found = _DivergenceScan(self, plan, order, tau, pcon, widths,
-                                    duplicated, distinct, deadline).run()
+                                    duplicated, distinct).run()
         except _Timeout:
             return DivergenceResult("unknown")
         if found is None:
@@ -585,14 +596,14 @@ class _DivergenceScan:
     def __init__(self, backend: EnumerativeBackend, plan: _Plan,
                  order: list[Expr], tau: Expr, pcon: Expr,
                  widths: dict[str, int], duplicated: list[str],
-                 distinct: list[str], deadline: float | None):
+                 distinct: list[str]):
         self.backend = backend
         self.plan = plan
         self.tau = tau
         self.pcon = pcon
         self.widths = widths
         self.keys = [n for n in plan.names if n in duplicated and n in distinct]
-        self.deadline = deadline
+        self.deadline = backend._deadline()
         self.order = order
         self.bits = _lane_bits(self.order)
         self.group = 1

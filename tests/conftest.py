@@ -1,14 +1,17 @@
-"""Shared fixtures: corpus loading and backend construction."""
+"""Shared fixtures: corpus loading, the cache geometry of the examples
+and a solver clock past every deadline."""
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from symleak import CacheConfig, EnumerativeBackend, parse_program, unroll_loops
-from symleak.cache import probe_window
-from symleak.ir import Program, SymbolicBase
+import symleak.solver
+from symleak import CacheConfig, parse_program, unroll_loops
+from symleak.ir import Program
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = ROOT / "corpus"
@@ -44,13 +47,12 @@ def load_program(name: str) -> Program:
     return unroll_loops(parse_program(path.read_text()), UNROLL_BOUND)
 
 
-def make_backend(p: Program, cfg: CacheConfig) -> EnumerativeBackend:
-    """Enumerative backend with a domain hint for a symbolic placement."""
-    domains = None
-    for d in p.decls:
-        if isinstance(d.placement, SymbolicBase):
-            domains = {d.placement.var: range(0, probe_window(cfg), d.elem_size)}
-    return EnumerativeBackend(domains=domains)
+def late_clock(monkeypatch) -> None:
+    """Read the solver's clock an hour later on every call, so each query
+    is past its deadline by its first block."""
+    ticks = itertools.count(0, 3600)
+    monkeypatch.setattr(symleak.solver, "time",
+                        SimpleNamespace(monotonic=lambda: next(ticks)))
 
 
 @pytest.fixture

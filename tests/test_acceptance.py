@@ -16,14 +16,14 @@ from symleak import expr as ex
 from symleak.bruteforce import brute_force_leaks, secret_bits
 from symleak.cache import (AccessRecord, CacheConfig, Site, hit_constraint,
                            hit_constraint_assoc, line, probe_window, tag)
-from symleak.cli import main
+from symleak.cli import backend_for, main
 from symleak.engine import run_schedule
 from symleak.explorer import ExploreOptions, explore
 from symleak.ir import If, Load, Store
 from symleak.oracle import empty_cache, replay, simulate_access
 from symleak.solver import EnumerativeBackend
 
-from conftest import CORPUS_DIR, CORPUS_GEOMETRY, load_program, make_backend
+from conftest import CORPUS_DIR, CORPUS_GEOMETRY, load_program
 
 FIG3 = CacheConfig(512, 1, 1)
 
@@ -39,7 +39,7 @@ def wall_clock_under(seconds):
 def explored(name, cfg, mode="precise"):
     p = load_program(name)
     reports, stats = explore(p, cfg, ExploreOptions(mode=mode),
-                             make_backend(p, cfg))
+                             backend_for(p, cfg))
     return {r.site for r in reports}, stats
 
 
@@ -86,7 +86,7 @@ INTERLEAVING_ROWS = [
 def test_concurrent_leak_needs_probe_between_load_and_store(capsys):
     with wall_clock_under(60):
         p = load_program("conc_tmp_fixed.ir")
-        reports, _ = explore(p, FIG3, ExploreOptions(), make_backend(p, FIG3))
+        reports, _ = explore(p, FIG3, ExploreOptions(), backend_for(p, FIG3))
         assert len(reports) == 1
         r = reports[0]
         assert r.site == "t1:L11:store:p"

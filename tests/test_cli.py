@@ -11,13 +11,12 @@ import pytest
 import symleak.cli
 from symleak.bruteforce import brute_force_leaks
 from symleak.cache import CacheConfig
-from symleak.cli import RunConfig, confirm_report, main
+from symleak.cli import RunConfig, backend_for, confirm_report, main
 from symleak.detector import LeakReport
 from symleak.explorer import ExploreOptions, explore
 from symleak.solver import DivergenceResult
 
-from conftest import (CORPUS_DIR, PROGRAMS_DIR, ROOT, load_program,
-                      make_backend)
+from conftest import CORPUS_DIR, PROGRAMS_DIR, ROOT, load_program
 
 SEQ = str(CORPUS_DIR / "seq_leaky_reuse.ir")
 REPAIRED = str(CORPUS_DIR / "seq_repaired.ir")
@@ -158,9 +157,29 @@ def test_max_interleavings_below_one_exits_2(capsys):
 
 
 def test_timeout_below_one_ms_exits_2(capsys):
-    code, out, err = run_cli(capsys, "analyze", CONC, *FIG3, "--timeout-ms", "-5")
-    assert code == 2 and out == ""
-    assert err == "error: solver_timeout_ms must be at least 1, got -5\n"
+    # The backend checks its deadline, the built-in one and an external
+    # solver's alike.
+    stub = Path(__file__).resolve().parent / "smtstub.py"
+    for solver in ([], ["--solver", f"{sys.executable} {stub}"]):
+        code, out, err = run_cli(capsys, "analyze", CONC, *FIG3,
+                                 "--timeout-ms", "-5", *solver)
+        assert code == 2 and out == ""
+        assert err == "error: timeout_ms must be at least 1, got -5\n"
+
+
+def test_library_recipe_finds_what_the_cli_finds(capsys):
+    # The symbolic base must range over the aligned probe window, as
+    # under ``analyze``; over all 2**32 values every query is undecided.
+    prog = PROGRAMS_DIR / "adv_symbolic.ir"
+    code, out, _ = run_cli(capsys, "analyze", str(prog), *FIG3)
+    assert code == 1
+    cli_sites = [leak["site"] for leak in json.loads(out)["leaks"]]
+    assert cli_sites == ["t1:L11:store:p", "t1:L9:load:p", "t1:L6:load:q",
+                         "t1:L8:load:q"]
+    p, cfg = load_program("adv_symbolic.ir"), CacheConfig(512, 1, 1)
+    reports, stats = explore(p, cfg, ExploreOptions(), backend_for(p, cfg))
+    assert [r.site for r in reports] == cli_sites
+    assert stats.indeterminate == 0 and stats.complete
 
 
 @pytest.mark.parametrize("field", ["max_interleavings", "timeout_ms"])
@@ -262,7 +281,7 @@ def test_no_solver_answer_outlives_its_run(capsys, monkeypatch):
     (first, _), (second, stats) = runs
     assert second is not first and second.calls == stats.solver_calls
     p, cfg = load_program("conc_multi_probe.ir"), CacheConfig(512, 1, 1)
-    _, fresh = explore(p, cfg, ExploreOptions(), make_backend(p, cfg))
+    _, fresh = explore(p, cfg, ExploreOptions(), backend_for(p, cfg))
     assert stats.solver_memo_hits == fresh.solver_memo_hits == 9
 
 
@@ -402,17 +421,19 @@ def test_brute_force_finds_the_leaky_schedule(capsys):
     assert code == 0 and out == ""
 
 
-@pytest.mark.parametrize("program,flags,bound", [
-    ("sbox_feedback.ir", [], "secret space is 34 bits, over the 16-bit cap"),
-    ("conc_tmp_fixed.ir", ["--key-bits", "4"],
+@pytest.mark.parametrize("program,flags,found,bound", [
+    ("sbox_feedback.ir", [], "", "secret space is 34 bits, over the 16-bit cap"),
+    ("conc_tmp_fixed.ir", ["--key-bits", "4"], "",
      "secret space is 8 bits, over the 4-bit cap"),
-    ("conc_tmp_fixed.ir", ["--max-orders", "1"], "more than 1 schedules"),
+    ("conc_tmp_fixed.ir", ["--max-orders", "1"],
+     "t1:L11:store:p schedule=1,1,2,1\n", "more than 1 schedules"),
 ], ids=["secret-cap", "narrow-key", "order-cap"])
-def test_brute_force_bound_exits_3(capsys, program, flags, bound):
-    # Hitting a bound is an incomplete search, not bad input.
+def test_brute_force_bound_exits_3(capsys, program, flags, found, bound):
+    # Hitting a bound is an incomplete search, not bad input.  The sites
+    # found before it are still printed.
     code, out, err = run_cli(capsys, "brute-force", str(CORPUS_DIR / program),
                              *FIG3, *flags)
-    assert (code, out) == (3, "")
+    assert (code, out) == (3, found)
     assert err == f"incomplete: {bound}\n"
 
 

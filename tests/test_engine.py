@@ -13,6 +13,7 @@ import pytest
 import symleak.explorer
 from symleak import CacheConfig, parse_program, unroll_loops
 from symleak import expr as ex
+from symleak.cli import backend_for
 from symleak.engine import (branch_events, enabled_events, initial_state,
                             lower, next_event, number_body, perform_access,
                             run_schedule, take_branch)
@@ -21,7 +22,7 @@ from symleak.explorer import ExploreOptions, explore
 from symleak.ir import BinOp, Declaration, If, Name, Num, Program
 from symleak.oracle import _eval as oracle_eval
 
-from conftest import CORPUS_GEOMETRY, load_program, make_backend
+from conftest import CORPUS_GEOMETRY, load_program
 
 
 def _program(src):
@@ -338,7 +339,7 @@ def test_carried_events_match_events_built_from_scratch(monkeypatch, name,
     monkeypatch.setattr(symleak.explorer, "branch_events",
                         recording_branch_events)
     p, cfg = load_program(name), CacheConfig(*geometry)
-    explore(p, cfg, ExploreOptions(), make_backend(p, cfg))
+    explore(p, cfg, ExploreOptions(), backend_for(p, cfg))
     assert states
     for st in states:
         fresh = [next_event(p, t.tid, st.code[i][st.cursors[i]][0], st.regs[i])

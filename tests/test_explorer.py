@@ -10,12 +10,13 @@ import pytest
 from symleak import parse_program, unroll_loops
 from symleak.bruteforce import brute_force_leaks
 from symleak.cache import CacheConfig
+from symleak.cli import backend_for
 from symleak.explorer import ExploreOptions, explore
 from symleak.ir import SymbolicBase
 from symleak.oracle import replay_trace, schedule_from_lines
 from symleak.solver import DivergenceResult, EnumerativeBackend
 
-from conftest import load_program, make_backend
+from conftest import late_clock, load_program
 
 DEFAULTS = ExploreOptions()
 
@@ -42,7 +43,7 @@ def confirm_witness(p, cfg, report):
 
 def test_sequential_program_single_interleaving(fig3_cfg):
     p = load_program("seq_leaky_reuse.ir")
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L11:store:p"]
     r = reports[0]
     assert r.access_index == 2
@@ -61,13 +62,13 @@ def test_sequential_program_single_interleaving(fig3_cfg):
 
 def test_repaired_program_is_clean(fig3_cfg):
     p = load_program("seq_repaired.ir")
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
     assert reports == [] and stats.complete
 
 
 def test_concurrent_program_schedule_classes(fig3_cfg):
     p = load_program("conc_tmp_fixed.ir")
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L11:store:p"]
     r = reports[0]
     assert r.access_index == 3
@@ -92,7 +93,7 @@ def test_repeated_queries_are_answered_by_the_memo(fig3_cfg):
     # Schedules ask the same path-feasibility and divergence questions
     # again; the backend decides each distinct one once.
     p = load_program("conc_multi_probe.ir")
-    be = make_backend(p, fig3_cfg)
+    be = backend_for(p, fig3_cfg)
     _, stats = explore(p, fig3_cfg, DEFAULTS, be)
     assert (stats.solver_memo_hits, stats.solver_calls) == (9, 16)
     assert (be.memo_hits, be.calls) == (9, 16)
@@ -112,7 +113,7 @@ def test_unrelated_probe_does_not_hide_a_later_conflict(cfg, site):
     p = load_program("conc_far_probe.ir")
     brute = {s for s, _ in brute_force_leaks(p, cfg)}
     assert brute == {site}
-    reports, stats = explore(p, cfg, DEFAULTS, make_backend(p, cfg))
+    reports, stats = explore(p, cfg, DEFAULTS, backend_for(p, cfg))
     assert {r.site for r in reports} == brute
     assert stats.complete
     for r in reports:
@@ -128,7 +129,7 @@ def test_dependence_is_decided_per_path(fig3_cfg):
     p = load_program("conc_path_dependent_alias.ir")
     brute = {s for s, _ in brute_force_leaks(p, fig3_cfg)}
     assert brute == {"t1:L10:load:c"}
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
     assert {r.site for r in reports} == brute
     assert [tid for tid, _ in reports[0].schedule] == [3, 2, 1]
     confirm_witness(p, fig3_cfg, reports[0])
@@ -137,7 +138,7 @@ def test_dependence_is_decided_per_path(fig3_cfg):
 def test_two_step_mode_agrees_here(fig3_cfg):
     p = load_program("conc_tmp_fixed.ir")
     opts = ExploreOptions(mode="two_step")
-    reports, stats = explore(p, fig3_cfg, opts, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, opts, backend_for(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L11:store:p"]
     assert lines_of(reports[0]) == [6, 9, 13, 11]
     assert stats.solver_calls == 10
@@ -146,7 +147,7 @@ def test_two_step_mode_agrees_here(fig3_cfg):
 
 def test_symbolic_probe_placement(fig3_cfg):
     p = load_program("adv_symbolic.ir")
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
     found = {r.site: r.adversary_addr for r in reports}
     # The probe can be placed to alias the store reuse (512), p itself
     # (0), or either arm's q access (385 / 257).
@@ -160,7 +161,7 @@ def test_symbolic_probe_placement(fig3_cfg):
 
 def test_two_secret_inputs_and_fresh_cells(fig3_cfg):
     p = load_program("sbox16.ir")
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L7:load:sb", "t1:L9:store:sb"]
     assert reports[0].k1 == {"klo": 4, "khi": 0}
     assert reports[0].k2 == {"klo": 0, "khi": 0}
@@ -168,7 +169,7 @@ def test_two_secret_inputs_and_fresh_cells(fig3_cfg):
         confirm_witness(p, fig3_cfg, r)
 
     p = load_program("sbox_feedback.ir")
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L9:store:key"]
     # The diverging value is one read out of secret memory, not an input.
     assert set(reports[0].k1) == {"j", "ld0_key"}
@@ -185,7 +186,7 @@ def test_interval_pruning_folds_every_check():
     # constant, so no query reaches the solver; unpruned, three would.
     cfg = CacheConfig(2048, 64, 1)
     p = load_program("sbox_pair.ir")
-    reports, stats = explore(p, cfg, DEFAULTS, make_backend(p, cfg))
+    reports, stats = explore(p, cfg, DEFAULTS, backend_for(p, cfg))
     assert (stats.leak_checks, stats.solver_calls) == (4, 0)
     assert {r.site for r in reports} == {s for s, _ in brute_force_leaks(p, cfg)}
 
@@ -199,7 +200,7 @@ def test_unknown_mode_is_rejected(mode):
 
 def test_exploration_is_deterministic(fig3_cfg):
     p = load_program("adv_symbolic.ir")
-    runs = [explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
+    runs = [explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
             for _ in range(2)]
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
@@ -216,7 +217,7 @@ def test_early_termination_needs_a_dependent_fork():
     p = load_program("conc_independent_forks.ir")
     brute = {s for s, _ in brute_force_leaks(p, cfg)}
     assert brute == {"t2:L9:load:t", "t2:L10:load:a"}
-    reports, stats = explore(p, cfg, DEFAULTS, make_backend(p, cfg))
+    reports, stats = explore(p, cfg, DEFAULTS, backend_for(p, cfg))
     assert {r.site for r in reports} == brute
     assert stats.complete
     for r in reports:
@@ -229,7 +230,7 @@ def test_schedule_classes_cover_all_order_behaviors(fig3_cfg):
     # representative schedules plus the common non-leaky one.
     p = load_program("conc_tmp_fixed.ir")
     raw_orders = [(2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2)]
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
     leak_lines = lines_of(reports[0])
     for k in (0, 1, 64, 130):
         raw = set()
@@ -247,7 +248,7 @@ def test_schedule_classes_cover_all_order_behaviors(fig3_cfg):
 def test_interleaving_budget_marks_incomplete(fig3_cfg):
     p = load_program("conc_tmp_fixed.ir")
     opts = ExploreOptions(max_interleavings=1)
-    reports, stats = explore(p, fig3_cfg, opts, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, opts, backend_for(p, fig3_cfg))
     assert not stats.complete
     assert stats.interleavings_explored <= 1
 
@@ -265,6 +266,29 @@ def test_unknown_solver_counts_indeterminate(fig3_cfg):
     assert stats.complete  # search finished; the verdicts did not
 
 
+def test_past_deadline_counts_each_undecided_check(fig3_cfg, monkeypatch):
+    p = load_program("conc_tmp_fixed.ir")
+    be = backend_for(p, fig3_cfg, timeout_ms=30000)
+    answers = []
+    divergence = be.check_divergence
+
+    def recorded(*args):
+        res = divergence(*args)
+        answers.append(res.status)
+        return res
+
+    be.check_divergence = recorded
+    late_clock(monkeypatch)
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, be)
+    assert reports == [] and stats.complete
+    assert answers and set(answers) == {"unknown"}
+    assert stats.indeterminate == len(answers)
+    monkeypatch.undo()
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, be)
+    assert [r.site for r in reports] == ["t1:L11:store:p"]
+    assert stats.indeterminate == 0
+
+
 def test_interleaving_ends_with_the_critical_thread(fig3_cfg):
     # Threads 2 and 3 still run after thread 1's only access, and their
     # accesses to ``u`` are dependent.  Only critical accesses are
@@ -275,7 +299,7 @@ def test_interleaving_ends_with_the_critical_thread(fig3_cfg):
     # threads 2 and 3 to their ends as well gives six sequences and ten
     # forks.
     p = load_program("conc_tail.ir")
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, make_backend(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L5:load:t"]
     assert stats.interleavings_explored == 5
     assert stats.states_forked == 4
@@ -287,7 +311,7 @@ def test_interleaving_ends_with_the_critical_thread(fig3_cfg):
 
 def explore_source(text, cfg):
     p = unroll_loops(parse_program(text), 16)
-    return p, explore(p, cfg, DEFAULTS, make_backend(p, cfg))
+    return p, explore(p, cfg, DEFAULTS, backend_for(p, cfg))
 
 
 def test_out_of_bounds_index_is_an_observer():

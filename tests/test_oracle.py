@@ -301,9 +301,11 @@ def test_brute_force_reproduces_a_bench_layout(fig3_cfg):
 def test_brute_force_caps(fig3_cfg):
     with pytest.raises(BruteForceCapError, match="34 bits"):
         brute_force_leaks(load_program("sbox_feedback.ir"), fig3_cfg)
-    with pytest.raises(BruteForceCapError, match="more than 3 schedules"):
+    with pytest.raises(BruteForceCapError, match="more than 3 schedules") as cap:
         brute_force_leaks(load_program("conc_tmp_fixed.ir"), fig3_cfg,
                           max_orders=3)
+    # The site found before the cap tripped is kept.
+    assert cap.value.leaks == {("t1:L11:store:p", (1, 1, 2, 1))}
     # A bound below its least value is bad input, not a search it cut.
     with pytest.raises(ValueError, match="max_orders"):
         brute_force_leaks(load_program("conc_tmp_fixed.ir"), fig3_cfg,

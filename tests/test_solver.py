@@ -21,6 +21,8 @@ from symleak.smt import SmtProcessBackend, emit_query, parse_model
 from symleak.solver import (EnumerativeBackend, SolveResult, _Lanes,
                             _lane_bits, _postorder)
 
+from conftest import late_clock
+
 STUB = [sys.executable, str(Path(__file__).resolve().parent / "smtstub.py")]
 
 
@@ -94,7 +96,7 @@ def test_memo_never_stores_unknown():
             super().__init__()
             self.answers = [SolveResult("unknown"), SolveResult("sat", {"k": 102})]
 
-        def _solve(self, formula, timeout_ms):
+        def _solve(self, formula):
             return self.answers.pop(0)
 
     be = LateAnswer()
@@ -103,6 +105,52 @@ def test_memo_never_stores_unknown():
     assert (be.calls, be.memo_hits) == (2, 0)
     assert be.check(_k_formula()).model == {"k": 102}
     assert (be.calls, be.memo_hits) == (3, 1)
+
+
+def _divergence_query():
+    x = ex.var("x", 2)
+    return ex.eq(x, ex.const(0, 2)), ex.TRUE, ["x"], ["x"]
+
+
+def test_past_deadline_answers_unknown_and_is_asked_again(monkeypatch):
+    be = EnumerativeBackend(timeout_ms=30000)
+    with monkeypatch.context() as m:
+        late_clock(m)
+        assert be.check(_k_formula()).status == "unknown"
+        assert be.check_divergence(*_divergence_query()).status == "unknown"
+    assert be.check(_k_formula()).status == "sat"
+    assert be.check_divergence(*_divergence_query()).status == "sat"
+    assert (be.calls, be.memo_hits) == (4, 0)
+
+
+def test_no_deadline_ignores_the_clock(monkeypatch):
+    late_clock(monkeypatch)
+    be = EnumerativeBackend()
+    assert be.check(_k_formula()).status == "sat"
+    assert be.check_divergence(*_divergence_query()).status == "sat"
+
+
+def test_process_past_deadline_answers_unknown():
+    sleeper = [sys.executable, "-c", "import time; time.sleep(60)"]
+    be = SmtProcessBackend(sleeper, timeout_ms=1)
+    assert be.check(_k_formula()).status == "unknown"
+    assert be.check_divergence(*_divergence_query()).status == "unknown"
+
+
+def test_process_backend_without_deadline_answers():
+    res = SmtProcessBackend(STUB, timeout_ms=None).check(_k_formula())
+    assert res.status == "sat" and res.model == {"k": 102}
+
+
+@pytest.mark.parametrize("make", [
+    lambda t: EnumerativeBackend(timeout_ms=t),
+    lambda t: SmtProcessBackend(STUB, timeout_ms=t),
+], ids=["enumerative", "process"])
+def test_deadline_below_one_ms_is_rejected(make):
+    for value in (0, -5):
+        with pytest.raises(ValueError,
+                           match=f"timeout_ms must be at least 1, got {value}"):
+            make(value)
 
 
 def test_divergence_memo_keys_on_every_argument():
