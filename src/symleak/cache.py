@@ -18,6 +18,8 @@ the expression folders.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from . import expr as ex
 from .expr import Expr
 from .records import Frozen, Value, set_field
@@ -73,28 +75,6 @@ class Site(Value, Frozen):
         return f"t{self.tid}:L{self.line}:{self.kind}:{self.decl}"
 
 
-class AccessRecord(Frozen):
-    """One executed memory access of a symbolic interleaving."""
-
-    __slots__ = ("index", "tid", "kind", "addr", "pcon", "site", "decl",
-                 "value")
-
-    def __init__(self, index: int, tid: int, kind: str, addr: Expr,
-                 pcon: Expr, site: Site, decl: str,
-                 value: Expr | None = None) -> None:
-        set_field(self, "index", index)
-        set_field(self, "tid", tid)
-        set_field(self, "kind", kind)
-        set_field(self, "addr", addr)
-        set_field(self, "pcon", pcon)
-        set_field(self, "site", site)
-        set_field(self, "decl", decl)
-        set_field(self, "value", value)
-
-
-Trace = tuple[AccessRecord, ...]
-
-
 def probe_window(cfg: CacheConfig) -> int:
     """Upper bound for symbolically placed base addresses.
 
@@ -117,15 +97,13 @@ def line(addr: Expr, cfg: CacheConfig) -> Expr:
 # ---------------------------------------------------------------------------
 # Interval analysis (unsigned, conservative)
 
-_interval_memo: dict[Expr, tuple[int, int]] = {}
-
-
 _COMPARISONS = (ex.Op.EQ, ex.Op.NE, ex.Op.ULT, ex.Op.ULE)
 
 
-def interval(e: Expr) -> tuple[int, int]:
-    """Conservative unsigned bounds of e, ignoring path conditions."""
-    memo = _interval_memo
+def interval(e: Expr, memo: dict[Expr, tuple[int, int]]) -> tuple[int, int]:
+    """Conservative unsigned bounds of e, ignoring path conditions.
+    ``memo`` holds the bounds of every node visited so far and gains
+    those of this call."""
     hit = memo.get(e)
     if hit is not None:
         return hit
@@ -206,11 +184,6 @@ def _interval_node(e: Expr, memo: dict[Expr, tuple[int, int]]) -> tuple[int, int
     return full
 
 
-def _block_range(e: Expr, cfg: CacheConfig) -> tuple[int, int]:
-    lo, hi = interval(e)
-    return lo >> cfg.line_bits, hi >> cfg.line_bits
-
-
 def _in_arc(x: int, lo: int, hi: int) -> bool:
     if lo <= hi:
         return lo <= x <= hi
@@ -230,17 +203,6 @@ def _ranges_disjoint(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[1] < b[0] or b[1] < a[0]
 
 
-def blocks_may_alias(a: Expr, b: Expr, cfg: CacheConfig) -> bool:
-    """Can the two addresses fall into the same cache set?  Interval check
-    only; no solver involved."""
-    return _sets_may_overlap(_block_range(a, cfg), _block_range(b, cfg), cfg.num_sets)
-
-
-def blocks_disjoint(a: Expr, b: Expr, cfg: CacheConfig) -> bool:
-    """True when the two addresses provably touch different memory blocks."""
-    return _ranges_disjoint(_block_range(a, cfg), _block_range(b, cfg))
-
-
 def _can_evict(mid: tuple[int, int], victim: tuple[int, int], num_sets: int) -> bool:
     """Can an access in block range ``mid`` touch the set of one in
     ``victim`` with a different block?  Happens only when the block
@@ -253,34 +215,37 @@ def _can_evict(mid: tuple[int, int], victim: tuple[int, int], num_sets: int) -> 
 
 class Geometry:
     """Tag, set index and block range of each address under one cache
-    configuration, each computed once.  A search owns one table and
-    drops it when it ends; a constraint built outside a search gets a
-    table of its own.  So nothing here outlives its caller or depends
-    on what the process built before."""
+    configuration, each computed once, with the interval bounds behind
+    the block ranges.  Every function below that reads geometry takes
+    one.  A search owns one table and drops it when it ends, so nothing
+    here outlives its caller or depends on what the process built
+    before."""
 
-    __slots__ = ("cfg", "num_sets", "_memo")
+    __slots__ = ("cfg", "num_sets", "_memo", "_bounds")
 
     def __init__(self, cfg: CacheConfig) -> None:
         self.cfg = cfg
         self.num_sets = cfg.num_sets
         self._memo: dict[Expr, tuple[Expr, Expr, tuple[int, int]]] = {}
+        self._bounds: dict[Expr, tuple[int, int]] = {}
 
     def of(self, addr: Expr) -> tuple[Expr, Expr, tuple[int, int]]:
         """(tag, set index, block range) of ``addr``."""
         g = self._memo.get(addr)
         if g is None:
             cfg = self.cfg
+            lo, hi = interval(addr, self._bounds)
             g = self._memo[addr] = (tag(addr, cfg), line(addr, cfg),
-                                    _block_range(addr, cfg))
+                                    (lo >> cfg.line_bits, hi >> cfg.line_bits))
         return g
 
 
 # ---------------------------------------------------------------------------
 # Hit constraints
 
-def hit_constraint(tr: Trace, i: int, cfg: CacheConfig,
-                   geo: Geometry | None = None) -> Expr:
-    """Direct-mapped hit condition for access i over the trace prefix.
+def hit_constraint(addrs: Sequence[Expr], i: int, geo: Geometry) -> Expr:
+    """Direct-mapped hit condition for the access at ``addrs[i]`` after
+    the accesses at ``addrs[:i]``, under ``geo``'s configuration.
 
     The chain ``h = ite(line_j == line_i, tag_j == tag_i, h)`` is folded
     from the oldest predecessor j to the newest, starting from false:
@@ -288,16 +253,13 @@ def hit_constraint(tr: Trace, i: int, cfg: CacheConfig,
     and the scan stops at the first whose set equality is literally
     true, since nothing older can reach access i.  A predecessor that
     can never share the set is skipped, and one that provably touches
-    another block gets a false block equality.  ``geo``, a table built
-    for ``cfg``, supplies each address's geometry; without one the call
-    builds its own.
+    another block gets a false block equality.
     """
-    geo = Geometry(cfg) if geo is None else geo
     n = geo.num_sets
-    t_i, l_i, b_i = geo.of(tr[i].addr)
+    t_i, l_i, b_i = geo.of(addrs[i])
     links: list[tuple[Expr, Expr]] = []
     for j in range(i - 1, -1, -1):
-        t_j, l_j, b_j = geo.of(tr[j].addr)
+        t_j, l_j, b_j = geo.of(addrs[j])
         if not _sets_may_overlap(b_j, b_i, n):
             continue
         same_set = ex.eq(l_j, l_i)
@@ -313,9 +275,9 @@ def hit_constraint(tr: Trace, i: int, cfg: CacheConfig,
     return h
 
 
-def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig,
-                         geo: Geometry | None = None) -> Expr:
-    """W-way LRU hit condition for access i.
+def hit_constraint_assoc(addrs: Sequence[Expr], i: int,
+                         geo: Geometry) -> Expr:
+    """W-way LRU hit condition for the access at ``addrs[i]``.
 
     Access i hits when some earlier access j touched its block and fewer
     than W distinct other blocks of its set were touched in (j, i).  One
@@ -331,18 +293,17 @@ def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig,
 
     A predecessor that provably touches another block is no candidate
     for j, and an access that can never put a different block into
-    access i's set is no intermediate.  ``geo`` is as in hit_constraint.
+    access i's set is no intermediate.
     """
-    geo = Geometry(cfg) if geo is None else geo
     n = geo.num_sets
-    w = cfg.assoc
-    t_i, s_i, b_i = geo.of(tr[i].addr)
+    w = geo.cfg.assoc
+    t_i, s_i, b_i = geo.of(addrs[i])
     cw = max(i, w).bit_length() + 1
     count = ex.const(0, cw)
     kept: list[Expr] = []
     disjuncts: list[Expr] = []
     for j in range(i - 1, -1, -1):
-        t_j, l_j, b_j = geo.of(tr[j].addr)
+        t_j, l_j, b_j = geo.of(addrs[j])
         tag_eq = ex.FALSE if _ranges_disjoint(b_j, b_i) else ex.eq(t_j, t_i)
         if tag_eq is not ex.FALSE:
             disjuncts.append(tag_eq if len(kept) < w
@@ -358,37 +319,35 @@ def hit_constraint_assoc(tr: Trace, i: int, cfg: CacheConfig,
     return ex.disj(disjuncts)
 
 
-def may_same_line(a: AccessRecord, b: AccessRecord, cfg: CacheConfig,
-                  backend, geo: Geometry | None = None) -> bool:
-    """Can the two accesses touch the same cache set on a common path?
+def may_same_line(a: Expr, b: Expr, pcon: Expr, geo: Geometry,
+                  backend) -> bool:
+    """Can the addresses ``a`` and ``b`` fall into the same cache set on
+    a path under ``pcon``?
 
     Decided by the interval pre-check whenever possible; otherwise the
     question goes to the solver backend.  A query the backend leaves
-    undecided answers True.  ``geo`` is as in hit_constraint.
+    undecided answers True.
     """
-    geo = Geometry(cfg) if geo is None else geo
-    _, l_a, b_a = geo.of(a.addr)
-    _, l_b, b_b = geo.of(b.addr)
+    _, l_a, b_a = geo.of(a)
+    _, l_b, b_b = geo.of(b)
     if not _sets_may_overlap(b_a, b_b, geo.num_sets):
         return False
-    if a.addr.is_const and b.addr.is_const:
+    if a.is_const and b.is_const:
         return True  # point intervals: overlap is equality
-    q = ex.conj([ex.eq(l_a, l_b), a.pcon, b.pcon])
+    q = ex.and_(ex.eq(l_a, l_b), pcon)
     if q.is_const:
         return bool(q.value)
     return backend.check(q).status != "unsat"
 
 
-def may_touch_blocks(addr: Expr, pcon: Expr, other: Expr, cfg: CacheConfig,
-                     backend, geo: Geometry | None = None) -> bool:
+def may_touch_blocks(addr: Expr, pcon: Expr, other: Expr, geo: Geometry,
+                     backend) -> bool:
     """Can ``addr``, on a path under ``pcon``, touch a block in the block
     range of ``other``?
 
     The query bounds the tag of ``addr`` by that range's constants and
     names no variable of ``other``.  An undecided query answers True.
-    ``geo`` is as in hit_constraint.
     """
-    geo = Geometry(cfg) if geo is None else geo
     t, _, blocks = geo.of(addr)
     _, _, (lo, hi) = geo.of(other)
     if _ranges_disjoint(blocks, (lo, hi)):

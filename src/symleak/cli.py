@@ -48,7 +48,6 @@ PRESETS: dict[str, tuple[int, int, int]] = {
     "paper-fig3": (512, 1, 1),
 }
 
-_DEFAULT_CACHE = (65536, 64, 1)
 _UNROLL_BOUND = 4096
 
 
@@ -204,14 +203,11 @@ def _add_cache_flags(ap: argparse.ArgumentParser) -> None:
 
 
 def _cache_from(args: argparse.Namespace) -> CacheConfig:
-    size, line, assoc = PRESETS[args.preset] if args.preset else _DEFAULT_CACHE
-    if args.cache_size is not None:
-        size = args.cache_size
-    if args.line_size is not None:
-        line = args.line_size
-    if args.assoc is not None:
-        assoc = args.assoc
-    return CacheConfig(size, line, assoc)
+    base = CacheConfig(*PRESETS[args.preset]) if args.preset else CacheConfig()
+    return CacheConfig(
+        base.cache_size if args.cache_size is None else args.cache_size,
+        base.line_size if args.line_size is None else args.line_size,
+        base.assoc if args.assoc is None else args.assoc)
 
 
 def _parse_inputs(pairs: list[str]) -> dict[str, int]:

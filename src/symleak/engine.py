@@ -37,7 +37,7 @@ the end of an initialised array clamp to its last element.
 from __future__ import annotations
 
 from . import expr as ex
-from .cache import ADDR_WIDTH, AccessRecord, CacheConfig, Site, Trace, probe_window
+from .cache import ADDR_WIDTH, CacheConfig, Site, probe_window
 from .errors import UnrollError
 from .expr import Expr
 from .ir import (
@@ -88,23 +88,10 @@ def number_body(body: tuple[Stmt, ...]) -> Code:
     return tuple(code)
 
 
-class StoreEntry(Frozen):
-    """One store in program order.  ``cell`` is the concrete element index
-    when the store's index folded to a constant, else None (a clobber)."""
-
-    __slots__ = ("decl", "index", "value", "cell")
-
-    def __init__(self, decl: str, index: Expr, value: Expr,
-                 cell: int | None) -> None:
-        set_field(self, "decl", decl)
-        set_field(self, "index", index)
-        set_field(self, "value", value)
-        set_field(self, "cell", cell)
-
-
 class AccessEvent(Frozen):
-    """A memory access that is ready to run: element index, address and
-    value are already evaluated in the issuing thread's registers."""
+    """A memory access: element index, address and stored value are
+    evaluated in the issuing thread's registers.  A state's next events
+    are the accesses ready to run, and its trace the ones that ran."""
 
     __slots__ = ("tid", "kind", "decl", "addr", "value", "stmt", "site",
                  "index")
@@ -132,14 +119,13 @@ class BranchEvent(Frozen):
 
 class SymbolicState(Frozen):
     __slots__ = ("program", "code", "regs", "cursors", "pcon", "stores",
-                 "trace", "init_cells", "fresh_secret", "fresh_public",
-                 "next_events")
+                 "trace", "fresh_secret", "fresh_public", "next_events")
 
     def __init__(self, program: Program, code: tuple[Code, ...],
                  regs: tuple[dict[str, Expr], ...],
                  cursors: tuple[int, ...], pcon: Expr,
-                 stores: tuple[StoreEntry, ...], trace: Trace,
-                 init_cells: tuple[tuple[str, int, str], ...],
+                 stores: tuple[AccessEvent, ...],
+                 trace: tuple[AccessEvent, ...],
                  fresh_secret: tuple[str, ...],
                  fresh_public: tuple[str, ...],
                  next_events: tuple[AccessEvent | BranchEvent | None, ...]
@@ -153,11 +139,10 @@ class SymbolicState(Frozen):
         set_field(self, "regs", regs)
         set_field(self, "cursors", cursors)
         set_field(self, "pcon", pcon)
+        # The accesses run so far, in order, and the stores among them,
+        # which a load scans.
         set_field(self, "stores", stores)
         set_field(self, "trace", trace)
-        # First-touch names for cells read before any write:
-        # (decl, cell, var).
-        set_field(self, "init_cells", init_cells)
         set_field(self, "fresh_secret", fresh_secret)
         set_field(self, "fresh_public", fresh_public)
         # By thread position, what the thread does next: the branch or
@@ -265,7 +250,6 @@ def initial_state(p: Program, cfg: CacheConfig) -> SymbolicState:
         pcon=pcon,
         stores=(),
         trace=(),
-        init_cells=(),
         fresh_secret=(),
         fresh_public=(),
     )
@@ -344,7 +328,7 @@ def take_branch(st: SymbolicState, ev: BranchEvent, arm: bool) -> SymbolicState:
     return SymbolicState(
         program=st.program, code=st.code, regs=regs, cursors=cursors,
         next_events=next_events, pcon=ex.and_(st.pcon, cond),
-        stores=st.stores, trace=st.trace, init_cells=st.init_cells,
+        stores=st.stores, trace=st.trace,
         fresh_secret=st.fresh_secret, fresh_public=st.fresh_public,
     )
 
@@ -363,35 +347,35 @@ def _contents_value(d: Declaration, index: Expr) -> Expr:
     return out
 
 
-def _load_value(st: SymbolicState, d: Declaration, index: Expr):
-    """Value produced by a load, plus bookkeeping for fresh variables.
+def _load_value(st: SymbolicState, d: Declaration,
+                index: Expr) -> tuple[Expr, str | None]:
+    """Value produced by a load, and the name of the fresh variable it
+    reads, if any.
 
-    Returns (value, init_cells, fresh_name or None).  The store log is
-    scanned newest-first; a clobber or a may-alias against a symbolic
-    index gives up and reads an unconstrained value.
+    The stores are scanned newest-first; a clobber or a may-alias
+    against a symbolic index gives up and reads an unconstrained value.
+    A never-written cell reads ``cell_<decl>_<i>``, the same variable
+    at every read.
     """
     cell = index.value if index.is_const else None
-    for entry in reversed(st.stores):
-        if entry.decl != d.name:
+    for store in reversed(st.stores):
+        if store.decl.name != d.name:
             continue
-        if entry.cell is not None and cell is not None:
-            if entry.cell == cell:
-                return entry.value, st.init_cells, None
+        if store.index.is_const and cell is not None:
+            if store.index.value == cell:
+                return store.value, None
             continue  # definitely a different cell
         # Symbolic store index, or symbolic load index over any store:
         # the cell's content is unknown here.
         name = f"ld{len(st.trace)}_{d.name}"
-        return _fresh(d, name), st.init_cells, name
+        return _fresh(d, name), name
     if d.contents is not None:
-        return _contents_value(d, index), st.init_cells, None
+        return _contents_value(d, index), None
     if cell is not None:
-        for dn, c, name in st.init_cells:
-            if dn == d.name and c == cell:
-                return _fresh(d, name), st.init_cells, None
         name = f"cell_{d.name}_{cell}"
-        return _fresh(d, name), st.init_cells + ((d.name, cell, name),), name
+        return _fresh(d, name), name
     name = f"ld{len(st.trace)}_{d.name}"
-    return _fresh(d, name), st.init_cells, name
+    return _fresh(d, name), name
 
 
 def _fresh(d: Declaration, name: str) -> Expr:
@@ -401,44 +385,33 @@ def _fresh(d: Declaration, name: str) -> Expr:
 
 
 def perform_access(st: SymbolicState, ev: AccessEvent) -> SymbolicState:
-    """Run one enabled load or store, record it in the trace, and advance
+    """Run one enabled load or store, append it to the trace, and advance
     the issuing thread through its following register assignments."""
     pos = st.thread_pos(ev.tid)
     env = st.regs[pos]
     stores = st.stores
-    init_cells = st.init_cells
     fresh_secret = st.fresh_secret
     fresh_public = st.fresh_public
-    rec_value: Expr | None
 
     if ev.kind == "load":
         assert isinstance(ev.stmt, Load)
-        value, init_cells, fresh_name = _load_value(st, ev.decl, ev.index)
+        value, fresh_name = _load_value(st, ev.decl, ev.index)
         if fresh_name is not None and fresh_name not in fresh_secret + fresh_public:
             if ev.decl.sensitivity is Sensitivity.SECRET:
                 fresh_secret = fresh_secret + (fresh_name,)
             else:
                 fresh_public = fresh_public + (fresh_name,)
         env = {**env, ev.stmt.dst: value}
-        rec_value = value
     else:
-        assert ev.value is not None
-        index = ev.index
-        stores = stores + (StoreEntry(ev.decl.name, index, ev.value,
-                                      index.value if index.is_const else None),)
-        rec_value = ev.value
+        stores = stores + (ev,)
 
-    record = AccessRecord(
-        index=len(st.trace), tid=ev.tid, kind=ev.kind, addr=ev.addr,
-        pcon=st.pcon, site=ev.site, decl=ev.decl.name, value=rec_value,
-    )
     regs, cursors, next_events = _moved(st, pos,
                                         st.code[pos][st.cursors[pos]][1], env)
     return SymbolicState(
         program=st.program, code=st.code, regs=regs, cursors=cursors,
         next_events=next_events, pcon=st.pcon, stores=stores,
-        trace=st.trace + (record,), init_cells=init_cells,
-        fresh_secret=fresh_secret, fresh_public=fresh_public,
+        trace=st.trace + (ev,), fresh_secret=fresh_secret,
+        fresh_public=fresh_public,
     )
 
 

@@ -70,9 +70,8 @@ bounded by Python's recursion limit.
 
 from __future__ import annotations
 
-from .cache import (AccessRecord, CacheConfig, Geometry, Trace,
-                    hit_constraint, hit_constraint_assoc, may_same_line,
-                    may_touch_blocks)
+from .cache import (CacheConfig, Geometry, hit_constraint,
+                    hit_constraint_assoc, may_same_line, may_touch_blocks)
 from .detector import (LeakReport, VarClasses, classify, solve_precise,
                        solve_two_step, verdicts)
 from .engine import (AccessEvent, BranchEvent, Code, SymbolicState,
@@ -186,27 +185,25 @@ def adversarial_access(p: Program, ev: AccessEvent) -> bool:
 
 
 def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
-                             cfg: CacheConfig, opts: ExploreOptions,
-                             backend: SolverBackend,
-                             stats: ExploreStats | None = None,
-                             geo: Geometry | None = None
+                             opts: ExploreOptions, backend: SolverBackend,
+                             stats: ExploreStats, geo: Geometry
                              ) -> LeakReport | None:
     """Build the hit constraint for ``ev`` over the trace so far and ask
     whether two secret valuations can disagree on it; on a divergence,
-    return the witness.
+    return the witness.  An undecided query counts in
+    ``stats.indeterminate``.
 
     The constraint is exact (its interval pruning drops only terms the
     intervals already decide), so one query answers.  ``geo`` is the
-    search's geometry table for ``cfg``.
+    search's geometry table.
     """
+    tr = st.trace + (ev,)
     i = len(st.trace)
-    tr = st.trace + (_record(st, ev),)
     classes = classify(p, st)
-    tau = _tau(tr, i, cfg, geo)
+    tau = _tau([e.addr for e in tr], i, geo)
     res = _solve(backend, tau, st.pcon, classes, opts)
     if res.status == "unknown":
-        if stats is not None:
-            stats.indeterminate += 1
+        stats.indeterminate += 1
         return None
     if res.status != "sat":
         return None
@@ -218,7 +215,7 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
             break
     return LeakReport(
         site=str(ev.site), access_index=i,
-        schedule=tuple((r.tid, str(r.site)) for r in tr),
+        schedule=tuple((e.tid, str(e.site)) for e in tr),
         k1=_project(res.model_a, classes), k2=_project(res.model_b, classes),
         adversary_addr=adv, verdict1=v1, verdict2=v2,
     )
@@ -264,7 +261,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                       fork=len(evs) > 1)
 
     geo = Geometry(cfg)
-    observers = _Observers(st0, cfg, backend, geo)
+    observers = _Observers(st0, backend, geo)
     # Dependence of a pair of accesses, keyed on everything
     # ``_has_dependent_pair`` reads: each access's thread, declaration
     # and address, and the path constraint.  The same pair recurs at
@@ -276,7 +273,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
         key = (ka, kb, st.pcon) if a.tid < b.tid else (kb, ka, st.pcon)
         dep = deps.get(key)
         if dep is None:
-            dep = deps[key] = _has_dependent_pair(st, a, b, cfg, backend,
+            dep = deps[key] = _has_dependent_pair(st, a, b, backend,
                                                   observers, geo)
         return dep
 
@@ -315,7 +312,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                     own = ahead.own[f.st.cursors[crit]]
                     if not own & reported:
                         stats.leak_checks += 1
-                        leak = divergent_cache_behavior(p, f.st, ev, cfg, opts,
+                        leak = divergent_cache_behavior(p, f.st, ev, opts,
                                                         backend, stats, geo)
                         if leak is not None:
                             reports.append(leak)
@@ -337,14 +334,9 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
     return reports, stats
 
 
-def _record(st: SymbolicState, ev: AccessEvent) -> AccessRecord:
-    return AccessRecord(len(st.trace), ev.tid, ev.kind, ev.addr, st.pcon,
-                        ev.site, ev.decl.name, ev.value)
-
-
 def _has_dependent_pair(st: SymbolicState, a: AccessEvent, b: AccessEvent,
-                        cfg: CacheConfig, backend: SolverBackend,
-                        observers: _Observers, geo: Geometry | None = None) -> bool:
+                        backend: SolverBackend, observers: _Observers,
+                        geo: Geometry) -> bool:
     """May the order of two enabled accesses of different threads matter
     in ``st``?  They are dependent when they touch the same declaration
     (memory values), or when they may share a cache set under the current
@@ -356,7 +348,7 @@ def _has_dependent_pair(st: SymbolicState, a: AccessEvent, b: AccessEvent,
     divergent_cache_behavior."""
     if a.decl.name == b.decl.name:
         return True
-    if not may_same_line(_record(st, a), _record(st, b), cfg, backend, geo):
+    if not may_same_line(a.addr, b.addr, st.pcon, geo, backend):
         return False
     return not observers.commute(a, b)
 
@@ -366,12 +358,11 @@ class _Observers:
     from ``st0``.  The critical thread's footprint is built on first
     use; without one, every access counts as observed."""
 
-    __slots__ = ("st0", "cfg", "backend", "geo", "built", "footprint", "seen")
+    __slots__ = ("st0", "backend", "geo", "built", "footprint", "seen")
 
-    def __init__(self, st0: SymbolicState, cfg: CacheConfig,
-                 backend: SolverBackend, geo: Geometry) -> None:
+    def __init__(self, st0: SymbolicState, backend: SolverBackend,
+                 geo: Geometry) -> None:
         self.st0 = st0
-        self.cfg = cfg
         self.geo = geo
         self.backend = backend
         self.built = False
@@ -390,14 +381,15 @@ class _Observers:
         if not isinstance(ev.decl.placement, Fixed):
             return False
         if not self.built:
-            self.footprint = _critical_footprint(self.st0, self.cfg, self.backend)
+            self.footprint = _critical_footprint(self.st0, self.geo.cfg,
+                                                 self.backend)
             self.built = True
         if self.footprint is None:
             return False
         hit = self.seen.get(ev.addr)
         if hit is None:
             hit = self.seen[ev.addr] = not any(
-                may_touch_blocks(addr, pcon, ev.addr, self.cfg, self.backend, self.geo)
+                may_touch_blocks(addr, pcon, ev.addr, self.geo, self.backend)
                 for addr, pcon in self.footprint)
         return hit
 
@@ -438,10 +430,10 @@ def _critical_footprint(st0: SymbolicState, cfg: CacheConfig,
     return out
 
 
-def _tau(tr: Trace, i: int, cfg: CacheConfig, geo: Geometry | None):
-    if cfg.assoc == 1:
-        return hit_constraint(tr, i, cfg, geo)
-    return hit_constraint_assoc(tr, i, cfg, geo)
+def _tau(addrs: list[Expr], i: int, geo: Geometry) -> Expr:
+    if geo.cfg.assoc == 1:
+        return hit_constraint(addrs, i, geo)
+    return hit_constraint_assoc(addrs, i, geo)
 
 
 def _solve(backend: SolverBackend, tau, pcon, classes: VarClasses,

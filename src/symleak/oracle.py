@@ -105,16 +105,14 @@ class _Run:
     numbering.  A step replaces, never mutates, what it changes, so a
     copy of a run shares all it holds."""
 
-    __slots__ = ("p", "cfg", "inputs", "cells", "code", "cursors", "envs",
+    __slots__ = ("p", "cfg", "inputs", "code", "cursors", "envs",
                  "memory", "cache", "profile", "schedule")
 
     def __init__(self, p: Program, cfg: CacheConfig, inputs: dict[str, int],
-                 cells: dict[tuple[str, int], int] | None = None,
                  code: tuple[Code, ...] | None = None):
         self.p = p
         self.cfg = cfg
         self.inputs = inputs
-        self.cells = cells or {}
         base_env = {}
         for s in p.secret_inputs:
             if s.name not in inputs:
@@ -174,8 +172,7 @@ class _Run:
 
         Witness models name such reads either per trace position
         (ld<pos>_<decl>, symbolic index during analysis) or per cell
-        (cell_<decl>_<idx>); honour both spellings, then the explicit
-        cell environment, then zero.
+        (cell_<decl>_<idx>); honour both spellings, then zero.
         """
         mask = (1 << (8 * d.elem_size)) - 1
         if d.contents is not None:
@@ -184,7 +181,7 @@ class _Run:
         for name in (f"ld{pos}_{d.name}", f"cell_{d.name}_{idx}"):
             if name in self.inputs:
                 return self.inputs[name] & mask
-        return self.cells.get((d.name, idx), 0) & mask
+        return 0
 
     def step(self, tid: int) -> tuple[str, str]:
         """Execute thread tid's pending access; returns (site, verdict)."""
@@ -215,8 +212,7 @@ class _Run:
 
 
 def replay(p: Program, inputs: dict[str, int], schedule, cfg: CacheConfig,
-           critical_only: bool = False,
-           cells: dict[tuple[str, int], int] | None = None) -> list[str]:
+           critical_only: bool = False) -> list[str]:
     """Run the program concretely, taking accesses in ``schedule`` order
     (a list of thread ids), and return the hit/miss sequence.
 
@@ -224,30 +220,26 @@ def replay(p: Program, inputs: dict[str, int], schedule, cfg: CacheConfig,
     thread with no pending access is an error.  With ``critical_only``
     the sequence is restricted to the critical thread's accesses.
     """
-    return [v for (t, _, v) in replay_trace(p, inputs, schedule, cfg, cells)
+    return [v for (t, _, v) in replay_trace(p, inputs, schedule, cfg)
             if not critical_only or t == p.critical_tid]
 
 
 def replay_trace(p: Program, inputs: dict[str, int], schedule,
-                 cfg: CacheConfig,
-                 cells: dict[tuple[str, int], int] | None = None
-                 ) -> list[tuple[int, str, str]]:
+                 cfg: CacheConfig) -> list[tuple[int, str, str]]:
     """Like replay, but keeps (tid, site, verdict) per access."""
-    run = _Run(p, cfg, inputs, cells)
+    run = _Run(p, cfg, inputs)
     return [(tid, *run.step(tid)) for tid in schedule]
 
 
 def schedule_from_lines(p: Program, inputs: dict[str, int], lines,
-                        cfg: CacheConfig,
-                        cells: dict[tuple[str, int], int] | None = None
-                        ) -> list[int]:
+                        cfg: CacheConfig) -> list[int]:
     """Turn a sequence of source line numbers into a thread schedule.
 
     At each step exactly one thread must have its pending access on the
     requested line; branch outcomes (hence which line is pending) come
     from ``inputs``.
     """
-    run = _Run(p, cfg, inputs, cells)
+    run = _Run(p, cfg, inputs)
     for want in lines:
         here = [tid for tid, s in run.pending().items() if s.line == want]
         if not here:

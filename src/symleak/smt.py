@@ -149,8 +149,6 @@ def parse_model(text: str, wanted: set[str]) -> dict[str, int]:
 class SmtProcessBackend(SolverBackend):
     """Drives an external SMT-LIB2 solver process, e.g. ``z3 -in``."""
 
-    name = "smt-process"
-
     def __init__(self, command: str | list[str],
                  timeout_ms: int | None = DEFAULT_TIMEOUT_MS):
         super().__init__(timeout_ms)

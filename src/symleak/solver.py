@@ -73,8 +73,6 @@ class SolverBackend(ABC):
     implement ``_solve`` and ``check_divergence``.
     """
 
-    name: str = "backend"
-
     def __init__(self, timeout_ms: int | None = None) -> None:
         if timeout_ms is not None and timeout_ms < 1:
             raise ValueError(f"timeout_ms must be at least 1, got {timeout_ms}")
@@ -424,8 +422,6 @@ class EnumerativeBackend(SolverBackend):
     width is capped at ``cap_bits``: a wider query answers "unknown",
     as a timed-out one does, rather than running forever.
     """
-
-    name = "enumerative"
 
     def __init__(self, domains: dict[str, Sequence[int]] | None = None,
                  timeout_ms: int | None = None, cap_bits: int = 24,

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 from symleak import expr as ex
 from symleak.bruteforce import brute_force_leaks, secret_bits
-from symleak.cache import (AccessRecord, CacheConfig, Site, hit_constraint,
+from symleak.cache import (CacheConfig, Geometry, hit_constraint,
                            hit_constraint_assoc, line, probe_window, tag)
 from symleak.cli import backend_for, main
 from symleak.engine import run_schedule
@@ -121,7 +121,7 @@ def test_hit_constraint_rows_for_the_probe_interleaving():
     with wall_clock_under(10):
         p = load_program("conc_tmp_fixed.ir")
         st = run_schedule(p, FIG3, [1, 1, 2, 1], arms=(True,))
-        a = [rec.addr for rec in st.trace]
+        a = [ev.addr for ev in st.trace]
 
         def T(e):
             return tag(e, FIG3)
@@ -139,10 +139,10 @@ def test_hit_constraint_rows_for_the_probe_interleaving():
         ]
         be = EnumerativeBackend()
         for i, row in enumerate(rows):
-            tau = hit_constraint(st.trace, i, FIG3)
+            tau = hit_constraint(a, i, Geometry(FIG3))
             assert be.check(ex.xor(tau, row)).status == "unsat", i
         # Consequence at the store: hit exactly when k differs from 1.
-        tau3 = hit_constraint(st.trace, 3, FIG3)
+        tau3 = hit_constraint(a, 3, Geometry(FIG3))
         k_not_1 = ex.ne(ex.zext(ex.var("k", 8), 32), ex.const(1, 32))
         q = ex.and_(st.pcon, ex.xor(tau3, k_not_1))
         assert be.check(q).status == "unsat"
@@ -205,9 +205,6 @@ def _random_probe_sweep(total, same_set):
                 base = rng.randrange(window // 2)
                 scale = rng.choice((1, cfg.line_size, 3))
                 addrs.append(ex.add(ex.const(base, 32), ex.mulc(k8, scale)))
-        tr = tuple(AccessRecord(i, 1, "load", addr, ex.TRUE,
-                                Site(1, i, "load", "m"), "m")
-                   for i, addr in enumerate(addrs))
         pos = rng.randrange(1, n)
         kval = rng.randrange(256)
         st = empty_cache(cfg)
@@ -215,9 +212,9 @@ def _random_probe_sweep(total, same_set):
         for addr in addrs[:pos + 1]:
             st, verdict = simulate_access(st, ex.evaluate(addr, {"k": kval}), cfg)
         if cfg.assoc == 1:
-            tau = hit_constraint(tr, pos, cfg)
+            tau = hit_constraint(addrs, pos, Geometry(cfg))
         else:
-            tau = hit_constraint_assoc(tr, pos, cfg)
+            tau = hit_constraint_assoc(addrs, pos, Geometry(cfg))
         symbolic = bool(ex.evaluate(tau, {"k": kval}))
         assert symbolic == (verdict == "hit"), (geoms.index(cfg), addrs, pos, kval)
 
@@ -260,9 +257,10 @@ def test_four_way_cache_agrees_with_concrete_oracle():
                 drives.append(([2], ()))
             for tids, arms in drives:
                 st = run_schedule(p, cfg1, tids, arms)
-                for i in range(len(st.trace)):
-                    direct = hit_constraint(st.trace, i, cfg1)
-                    lru = hit_constraint_assoc(st.trace, i, cfg1)
+                addrs = [ev.addr for ev in st.trace]
+                for i in range(len(addrs)):
+                    direct = hit_constraint(addrs, i, Geometry(cfg1))
+                    lru = hit_constraint_assoc(addrs, i, Geometry(cfg1))
                     if direct is lru:
                         continue
                     status = be.check(ex.xor(direct, lru)).status

@@ -11,23 +11,20 @@ import pytest
 
 from symleak import CacheConfig, parse_program, unroll_loops
 from symleak import expr as ex
-from symleak.cache import (AccessRecord, Geometry, Site, blocks_disjoint,
-                           blocks_may_alias, hit_constraint,
-                           hit_constraint_assoc, line, may_same_line,
-                           probe_window, tag)
+import symleak.cache
+from symleak.cache import (Geometry, hit_constraint, hit_constraint_assoc,
+                           line, may_same_line, probe_window, tag)
+from symleak.cli import backend_for
 from symleak.engine import run_schedule
+from symleak.explorer import ExploreOptions, explore
 from symleak.oracle import empty_cache, simulate_access
 from symleak.solver import EnumerativeBackend
 
-
-def _rec(i, addr, decl="m", tid=1, pcon=ex.TRUE):
-    if isinstance(addr, int):
-        addr = ex.const(addr, 32)
-    return AccessRecord(i, tid, "load", addr, pcon, Site(tid, i, "load", decl), decl)
+from conftest import load_program
 
 
 def _trace(*addrs):
-    return tuple(_rec(i, a) for i, a in enumerate(addrs))
+    return [ex.const(a, 32) if isinstance(a, int) else a for a in addrs]
 
 
 def _dag_size(e):
@@ -62,25 +59,25 @@ def test_tag_and_set_index():
 
 def test_first_access_never_hits():
     cfg = CacheConfig(512, 1, 1)
-    assert hit_constraint(_trace(123), 0, cfg) is ex.FALSE
-    assert hit_constraint_assoc(_trace(123), 0, cfg) is ex.FALSE
+    assert hit_constraint(_trace(123), 0, Geometry(cfg)) is ex.FALSE
+    assert hit_constraint_assoc(_trace(123), 0, Geometry(cfg)) is ex.FALSE
 
 
 def test_direct_mapped_reuse_and_eviction():
     cfg = CacheConfig(cache_size=4, line_size=1, assoc=1)  # 4 sets of 1
     # Same block reused immediately: hit.
-    assert hit_constraint(_trace(7, 7), 1, cfg) is ex.TRUE
+    assert hit_constraint(_trace(7, 7), 1, Geometry(cfg)) is ex.TRUE
     # Conflicting block in between (7 and 3 share set 3): evicted.
-    assert hit_constraint(_trace(7, 3, 7), 2, cfg) is ex.FALSE
+    assert hit_constraint(_trace(7, 3, 7), 2, Geometry(cfg)) is ex.FALSE
     # Non-conflicting intermediate (set 2): still a hit.
-    assert hit_constraint(_trace(7, 2, 7), 2, cfg) is ex.TRUE
+    assert hit_constraint(_trace(7, 2, 7), 2, Geometry(cfg)) is ex.TRUE
 
 
 def test_most_recent_same_block_access_dominates():
     cfg = CacheConfig(cache_size=4, line_size=1, assoc=1)
     # 7 appears twice before the probe; the eviction by 3 sits between the
     # two, so the later reload must make the probe hit.
-    assert hit_constraint(_trace(7, 3, 7, 7), 3, cfg) is ex.TRUE
+    assert hit_constraint(_trace(7, 3, 7, 7), 3, Geometry(cfg)) is ex.TRUE
 
 
 def test_scan_stops_at_literally_equal_block():
@@ -90,10 +87,10 @@ def test_scan_stops_at_literally_equal_block():
     # The most recent predecessor of access 2 has the identical address
     # expression, so the disjunction ends there: the symbolic first access
     # contributes nothing and k does not occur in the constraint.
-    tau = hit_constraint(tr, 2, cfg)
+    tau = hit_constraint(tr, 2, Geometry(cfg))
     assert tau is ex.TRUE
     tr2 = _trace(100, k, 100)
-    tau2 = hit_constraint(tr2, 2, cfg)
+    tau2 = hit_constraint(tr2, 2, Geometry(cfg))
     assert ex.free_vars(tau2) == {"k"}  # hit unless k evicted set 100
     assert ex.evaluate(tau2, {"k": 100}) == 1  # same block: still a hit
     assert ex.evaluate(tau2, {"k": 99}) == 1
@@ -105,7 +102,7 @@ def test_direct_mapped_symbolic_probe():
     cfg = CacheConfig(cache_size=8, line_size=1, assoc=1)
     k = ex.zext(ex.var("k", 8), 32)
     tr = _trace(0, k, 0)
-    tau = hit_constraint(tr, 2, cfg)
+    tau = hit_constraint(tr, 2, Geometry(cfg))
     for kv in range(256):
         expect = 0 if kv % 8 == 0 and kv != 0 else 1
         assert ex.evaluate(tau, {"k": kv}) == expect
@@ -114,26 +111,34 @@ def test_direct_mapped_symbolic_probe():
 def test_associative_reuse_distance():
     cfg = CacheConfig(cache_size=8, line_size=1, assoc=2)  # 4 sets of 2
     # Set 0 holds two of {0, 4, 8}.  After 0,4 both live; 8 evicts LRU 0.
-    assert hit_constraint_assoc(_trace(0, 4, 0), 2, cfg) is ex.TRUE
-    assert hit_constraint_assoc(_trace(0, 4, 8, 0), 3, cfg) is ex.FALSE
+    assert hit_constraint_assoc(_trace(0, 4, 0), 2, Geometry(cfg)) is ex.TRUE
+    assert hit_constraint_assoc(_trace(0, 4, 8, 0), 3, Geometry(cfg)) is ex.FALSE
     # A repeat touch refreshes recency: 0,4,0,8 keeps 0, evicts 4.
-    assert hit_constraint_assoc(_trace(0, 4, 0, 8, 0), 4, cfg) is ex.TRUE
-    assert hit_constraint_assoc(_trace(0, 4, 0, 8, 4), 4, cfg) is ex.FALSE
+    assert hit_constraint_assoc(_trace(0, 4, 0, 8, 0), 4, Geometry(cfg)) is ex.TRUE
+    assert hit_constraint_assoc(_trace(0, 4, 0, 8, 4), 4, Geometry(cfg)) is ex.FALSE
     # Duplicate touches of one block count once against the budget.
-    assert hit_constraint_assoc(_trace(0, 4, 4, 4, 0), 4, cfg) is ex.TRUE
+    assert hit_constraint_assoc(_trace(0, 4, 4, 4, 0), 4, Geometry(cfg)) is ex.TRUE
 
 
 def test_interval_reasoning_helpers():
     cfg = CacheConfig(cache_size=512, line_size=64, assoc=1)
     k = ex.zext(ex.var("k", 8), 32)
-    low = ex.add(ex.const(0, 32), k)          # blocks 0..3
-    high = ex.add(ex.const(1024, 32), k)      # blocks 16..19
-    assert blocks_disjoint(low, high, cfg)
-    assert not blocks_disjoint(low, ex.const(128, 32), cfg)
-    # 0..3 and 16..19 wrap onto the same sets of an 8-set cache.
-    assert blocks_may_alias(low, high, cfg)
-    tight = CacheConfig(cache_size=2048, line_size=64, assoc=1)  # 32 sets
-    assert not blocks_may_alias(low, high, tight)
+    low = ex.add(ex.const(0, 32), k)
+    high = ex.add(ex.const(1024, 32), k)
+    geo = Geometry(cfg)
+    assert geo.of(low)[2] == (0, 3)
+    assert geo.of(high)[2] == (16, 19)
+    assert geo.of(ex.const(128, 32))[2] == (2, 2)
+    # Blocks 16..19 hold none of 0..3, so a later access to ``high``
+    # never hits on ``low``; block 2 may be one of them.
+    assert hit_constraint(_trace(low, high), 1, geo) is ex.FALSE
+    assert hit_constraint(_trace(low, 128), 1, geo) is not ex.FALSE
+    # 0..3 and 16..19 wrap onto the same sets of an 8-set cache, and
+    # onto different sets of a 32-set one.
+    be = EnumerativeBackend()
+    assert may_same_line(low, high, ex.TRUE, geo, be)
+    tight = CacheConfig(cache_size=2048, line_size=64, assoc=1)
+    assert not may_same_line(low, high, ex.TRUE, Geometry(tight), be)
 
 
 def test_tables_reduction_drops_unreachable_predecessors():
@@ -141,8 +146,8 @@ def test_tables_reduction_drops_unreachable_predecessors():
     k = ex.zext(ex.var("k", 8), 32)
     probe = ex.const(4096, 32)
     tr = _trace(k, probe)  # table in blocks 0..3, probe in block 64
-    assert hit_constraint(tr, 1, cfg) is ex.FALSE
-    assert hit_constraint_assoc(tr, 1, cfg) is ex.FALSE
+    assert hit_constraint(tr, 1, Geometry(cfg)) is ex.FALSE
+    assert hit_constraint_assoc(tr, 1, Geometry(cfg)) is ex.FALSE
     # The pruning is exact: the unpruned link is unsatisfiable.
     plain = ex.ite(ex.eq(line(k, cfg), line(probe, cfg)),
                    ex.eq(tag(k, cfg), tag(probe, cfg)), ex.FALSE)
@@ -166,9 +171,9 @@ def test_direct_mapped_encoding_is_linear_in_the_trace():
     addrs.append(ex.add(ex.const(100, 32), k))
     tr = _trace(*addrs)
     assert len(tr) == 129
-    assert _dag_size(hit_constraint(tr, 128, cfg)) <= 8 * len(tr)
+    assert _dag_size(hit_constraint(tr, 128, Geometry(cfg))) <= 8 * len(tr)
     lru4 = CacheConfig(512, 1, 4)
-    assert _dag_size(hit_constraint_assoc(tr, 128, lru4)) <= len(tr) ** 2
+    assert _dag_size(hit_constraint_assoc(tr, 128, Geometry(lru4))) <= len(tr) ** 2
 
 
 # The sbox-rounds shape: every round looks up a uniform public table at
@@ -198,26 +203,22 @@ def test_round_constraints_do_not_grow_with_the_rounds(cfg):
     sizes = []
     for rounds in (64, 512):
         p = unroll_loops(parse_program(SBOX_ROUNDS.format(rounds=rounds)), rounds)
-        tr = run_schedule(p, cfg, ()).trace
+        tr = [ev.addr for ev in run_schedule(p, cfg, ()).trace]
         assert len(tr) == 2 * rounds + 1
-        sizes.append(_dag_size(encode(tr, len(tr) - 1, cfg)))
+        sizes.append(_dag_size(encode(tr, len(tr) - 1, Geometry(cfg))))
     assert sizes[0] == sizes[1]
 
 
 def test_may_same_line_paths():
-    cfg = CacheConfig(cache_size=512, line_size=64, assoc=1)
-    a = _rec(0, 0)
-    b = _rec(1, 64)
-    c = _rec(2, 0)
+    geo = Geometry(CacheConfig(cache_size=512, line_size=64, assoc=1))
+    a, b, c = _trace(0, 64, 0)
     be = EnumerativeBackend()
-    assert not may_same_line(a, b, cfg, be)      # distinct concrete sets
-    assert may_same_line(a, c, cfg, be)          # identical address
+    assert not may_same_line(a, b, ex.TRUE, geo, be)  # distinct concrete sets
+    assert may_same_line(a, c, ex.TRUE, geo, be)      # identical address
     k = ex.zext(ex.var("k", 8), 32)
-    s = _rec(3, k)
-    assert may_same_line(a, s, cfg, be)
+    assert may_same_line(a, k, ex.TRUE, geo, be)
     # Path conditions can rule the overlap out.
-    guarded = _rec(4, k, pcon=ex.ult(ex.const(70, 32), k))
-    assert not may_same_line(a, guarded, cfg, be)
+    assert not may_same_line(a, k, ex.ult(ex.const(70, 32), k), geo, be)
 
 
 def test_hit_constraints_match_simulator_on_random_traces():
@@ -241,11 +242,11 @@ def test_hit_constraints_match_simulator_on_random_traces():
             st = empty_cache(cfg)
             for i, a in enumerate(addrs):
                 st, verdict = simulate_access(st, a, cfg)
-                tau = hit_constraint_assoc(tr, i, cfg)
+                tau = hit_constraint_assoc(tr, i, Geometry(cfg))
                 assert tau.is_const
                 assert bool(tau.value) == (verdict == "hit"), (cfg, addrs, i)
                 if cfg.assoc == 1:
-                    assert hit_constraint(tr, i, cfg) is tau
+                    assert hit_constraint(tr, i, Geometry(cfg)) is tau
 
 
 def test_geometry_depends_on_no_earlier_configuration():
@@ -261,7 +262,7 @@ def test_geometry_depends_on_no_earlier_configuration():
 
     def build(cfg):
         hc = hit_constraint if cfg.assoc == 1 else hit_constraint_assoc
-        return [hc(tr, i, cfg) for i in range(len(tr))]
+        return [hc(tr, i, Geometry(cfg)) for i in range(len(tr))]
 
     cfgs = [CacheConfig(*g) for g in params]
     alone = {g: build(cfg) for g, cfg in zip(params, cfgs)}
@@ -272,6 +273,18 @@ def test_geometry_depends_on_no_earlier_configuration():
             cfg = CacheConfig(*g)
             assert build(cfg) == alone[g]
             geo = Geometry(cfg)
-            for r in tr:
-                assert geo.of(r.addr)[:2] == (tag(r.addr, cfg), line(r.addr, cfg))
+            for a in tr:
+                assert geo.of(a)[:2] == (tag(a, cfg), line(a, cfg))
             del cfg, geo
+
+
+def test_a_search_leaves_no_state_in_the_cache_module():
+    # Every table the geometry needs belongs to one search's Geometry,
+    # so nothing of it survives the search at module level.
+    p = load_program("conc_tmp_fixed.ir")
+    cfg = CacheConfig(512, 1, 1)
+    reports, _ = explore(p, cfg, ExploreOptions(), backend_for(p, cfg))
+    assert reports
+    held = {name: len(v) for name, v in vars(symleak.cache).items()
+            if isinstance(v, dict) and v and not name.startswith("__")}
+    assert held == {}

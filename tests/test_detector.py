@@ -5,7 +5,7 @@ import random
 import pytest
 
 from symleak import expr as ex
-from symleak.cache import CacheConfig, hit_constraint
+from symleak.cache import CacheConfig, Geometry, hit_constraint
 from symleak.detector import (VarClasses, classify, solve_precise,
                               solve_two_step, verdicts)
 from symleak.engine import initial_state, run_schedule
@@ -46,7 +46,7 @@ def _fig3_setup():
     cfg = CacheConfig(512, 1, 1)
     st = run_schedule(p, cfg, [1, 1, 1])
     classes = classify(p, st)
-    tau = hit_constraint(st.trace, 2, cfg)
+    tau = hit_constraint([ev.addr for ev in st.trace], 2, Geometry(cfg))
     return st, classes, tau
 
 

@@ -229,7 +229,6 @@ def test_trace_records_accumulate_in_schedule_order():
         (1, "load", "t1:L4:load:a"),
         (1, "store", "t1:L4:store:a"),
     ]
-    assert [r.index for r in st.trace] == [0, 1, 2]
     assert st.finished
 
 

@@ -149,10 +149,20 @@ def test_replay_reads_witness_cell_names(fig3_cfg):
     # cell_<decl>_<idx> spelling, as emitted for concrete indices.
     tr = replay_trace(p, {"cell_t_1": 9}, [1, 1, 1], fig3_cfg)
     assert [v for (_, _, v) in tr] == ["miss", "hit", "hit"]
-    # ld<pos>_<decl> spelling wins over the cell environment.
-    seq = replay(p, {"ld0_t": 7}, [1, 1, 1], fig3_cfg,
-                 cells={("t", 1): 3})
-    assert seq == ["miss", "hit", "hit"]
+    # ld<pos>_<decl> spelling wins over the cell_<decl>_<idx> one: the
+    # value read picks the block the second load touches, and only 7
+    # makes the third load hit.
+    p = parse_program("""
+    array t[4] elem 1 at 0 secret
+    array u[16] elem 1 at 64
+    input i width 2 public = 1
+    thread 1 critical { load r, t[i]
+    load a, u[r]
+    load b, u[7] }
+    """)
+    seq = replay(p, {"ld0_t": 7, "cell_t_1": 3}, [1, 1, 1], fig3_cfg)
+    assert seq == ["miss", "miss", "hit"]
+    assert replay(p, {"cell_t_1": 3}, [1, 1, 1], fig3_cfg) == ["miss"] * 3
 
 
 def test_replay_requires_unrolled_loops(fig3_cfg):
