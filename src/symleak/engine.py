@@ -74,18 +74,24 @@ def number_body(body: tuple[Stmt, ...]) -> Code:
     is lower than its statement's position.  Recursion is only as deep
     as the branches nest."""
     code: list = [(None, 0)]
-
-    def walk(stmts: tuple[Stmt, ...], nxt: int) -> int:
-        for s in reversed(stmts):
-            if isinstance(s, For):
-                raise UnrollError("loops must be unrolled before execution")
-            code.append((s, (walk(s.then_body, nxt), walk(s.else_body, nxt))
-                         if isinstance(s, If) else nxt))
-            nxt = len(code) - 1
-        return nxt
-
-    walk(body, 0)
+    _number(code, body, 0)
     return tuple(code)
+
+
+def _number(code: list, stmts: tuple[Stmt, ...], nxt: int) -> int:
+    """Append ``stmts``, last first, to ``code``, the last one falling
+    through to ``nxt``; return the first one's position.  A module-level
+    function, not a closure: a nested recursive walk refers to itself
+    through its own cell, a reference cycle that would keep ``code``
+    alive until the cyclic collector runs."""
+    for s in reversed(stmts):
+        if isinstance(s, For):
+            raise UnrollError("loops must be unrolled before execution")
+        code.append((s, (_number(code, s.then_body, nxt),
+                         _number(code, s.else_body, nxt))
+                     if isinstance(s, If) else nxt))
+        nxt = len(code) - 1
+    return nxt
 
 
 class AccessEvent(Frozen):

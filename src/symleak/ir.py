@@ -207,9 +207,3 @@ class Program(Value, Frozen):
             if d.name == name:
                 return d
         raise KeyError(name)
-
-    def thread(self, tid: int) -> Thread:
-        for t in self.threads:
-            if t.tid == tid:
-                return t
-        raise KeyError(tid)

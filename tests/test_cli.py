@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, exit codes, report schema."""
 
+import gc
 import json
 import os
 import subprocess
@@ -582,3 +583,88 @@ def test_console_script_entry_point(tmp_path):
     assert proc.stderr == ""
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["leaks"]
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Turn the cyclic collector on or off for the test, as a caller of
+    ``main`` may have it; restore the state found afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", REPAIRED, *FIG3], 0),
+    (["analyze", SEQ, *FIG3], 1),
+    (["analyze", "/nonexistent.ir"], 2),
+    (["analyze", SEQ, *FIG3], 4),
+    (["analyze"], None),
+], ids=["exit-0", "exit-1", "exit-2", "exit-4", "usage-error"])
+def test_main_runs_without_the_collector_and_restores_it(
+        capsys, monkeypatch, collector, argv, code):
+    # ``main`` runs its command with the collector off and hands the
+    # caller back the state it had, on every exit path, argparse's
+    # ``SystemExit`` included.  Exit 4 is a crash inside ``explore``.
+    during = []
+    real_explore = symleak.cli.explore
+
+    def recording_explore(*args, **kwargs):
+        during.append(gc.isenabled())
+        if code == 4:
+            raise RuntimeError("crash")
+        return real_explore(*args, **kwargs)
+    monkeypatch.setattr(symleak.cli, "explore", recording_explore)
+    if code is None:
+        with pytest.raises(SystemExit):
+            main(argv)
+    else:
+        assert main(argv) == code
+    capsys.readouterr()
+    assert gc.isenabled() is collector
+    assert during == ([False] if code in (0, 1, 4) else [])
+
+
+def test_library_explore_leaves_the_collector_alone(collector):
+    p = load_program("conc_tmp_fixed.ir")
+    cfg = CacheConfig(512, 1, 1)
+    frozen = gc.get_freeze_count()
+    reports, _ = explore(p, cfg, ExploreOptions(), backend_for(p, cfg))
+    assert reports
+    assert gc.isenabled() is collector
+    assert gc.get_freeze_count() == frozen
+
+
+def _defined_in_symleak(obj) -> bool:
+    module = getattr(obj, "__module__", None) if callable(obj) else None
+    if not isinstance(module, str):
+        module = type(obj).__module__
+    return module.split(".")[0] == "symleak"
+
+
+def test_analyze_leaves_no_cyclic_garbage_of_its_own(capsys):
+    # ``main`` may run with the collector off only because everything
+    # the pipeline builds is freed by reference counting.  Collecting
+    # after each run keeps its garbage in ``gc.garbage`` before the next
+    # run's ``gc.freeze`` could hide it; argparse's parser is the only
+    # cyclic garbage expected.
+    programs = sorted(CORPUS_DIR.glob("*.ir")) + sorted(PROGRAMS_DIR.glob("*.ir"))
+    was, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    gc.disable()
+    try:
+        for path in programs:
+            for geometry in ([], FIG3):
+                main(["analyze", str(path), *geometry])
+                capsys.readouterr()
+                gc.collect()
+        ours = sorted({type(o).__name__ for o in gc.garbage
+                       if _defined_in_symleak(o)})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was:
+            gc.enable()
+    assert ours == []

@@ -295,9 +295,12 @@ def test_interleaving_ends_with_the_critical_thread(fig3_cfg):
     # checked, so no order after thread 1's end is explored: the first
     # sequence (1,) closes there.  Thread 1's access leaks after
     # ``t[3]`` (2, 1); from then on nothing unreported lies ahead of
-    # thread 1, so (2, 2), (2, 3) and (3,) close at once.  Running
-    # threads 2 and 3 to their ends as well gives six sequences and ten
-    # forks.
+    # thread 1, so (2, 2), (2, 3) and (3,) close at once.  The count is
+    # of closed states, not of classes of orders: a state closes before
+    # its sleep set is computed, so those three count although their
+    # sleep sets would have abandoned them, and five sequences stand for
+    # two classes.  Running threads 2 and 3 to their ends as well gives
+    # six sequences and ten forks.
     p = load_program("conc_tail.ir")
     reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L5:load:t"]
