@@ -55,10 +55,6 @@ class CacheConfig(Value, Frozen):
     def line_bits(self) -> int:
         return self.line_size.bit_length() - 1
 
-    @property
-    def num_lines(self) -> int:
-        return self.cache_size // self.line_size
-
 
 class Site(Value, Frozen):
     """A static access site: thread, source line, kind and target."""
@@ -109,6 +105,11 @@ def interval(e: Expr, memo: dict[Expr, tuple[int, int]]) -> tuple[int, int]:
         return hit
     # Iterative post-order over the operands each rule reads, so deep
     # chains such as a doubled register cannot hit the recursion limit.
+    # Not ``expr.postorder``: this walk stops at nodes ``memo`` already
+    # bounds and skips operands no rule reads (a comparison's, an ITE's
+    # condition, a shift's amount).  A full postorder would walk every
+    # earlier round's address again for each new one, which is
+    # quadratic over unrolled rounds.
     stack = [e]
     while stack:
         node = stack[-1]

@@ -91,10 +91,11 @@ def _load(path: str) -> Program:
 
 
 def backend_for(p: Program, cfg: CacheConfig, solver: str | None = None,
-                timeout_ms: int | None = None) -> SolverBackend:
+                timeout_ms: int | None = DEFAULT_TIMEOUT_MS) -> SolverBackend:
     """The backend ``analyze`` runs ``p`` with: the external solver
     command ``solver``, else the built-in one, where a symbolic base
-    ranges over the aligned addresses of ``cfg``'s probe window."""
+    ranges over the aligned addresses of ``cfg``'s probe window.  The
+    per-query deadline defaults to ``analyze``'s."""
     if solver:
         from .smt import SmtProcessBackend
         return SmtProcessBackend(solver, timeout_ms=timeout_ms)
@@ -116,7 +117,7 @@ def _apply_adversary(p: Program, cfg: CacheConfig, which: str) -> Program:
 
 
 def _witness_inputs(p: Program, report: LeakReport, k: dict[str, int]) -> dict[str, int]:
-    inputs = dict(k)
+    inputs = {**report.shared, **k}
     if report.adversary_addr is not None:
         sym = [d.placement.var for d in p.decls
                if isinstance(d.placement, SymbolicBase)]
@@ -153,6 +154,8 @@ def write_report(rc: RunConfig, reports: list[LeakReport],
             "k1": {n: r.k1[n] for n in sorted(r.k1)},
             "k2": {n: r.k2[n] for n in sorted(r.k2)},
         }
+        if r.shared:
+            entry["shared"] = {n: r.shared[n] for n in sorted(r.shared)}
         if r.adversary_addr is not None:
             entry["adversary_addr"] = r.adversary_addr
         entry["verdict1"] = r.verdict1

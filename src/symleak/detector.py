@@ -41,15 +41,18 @@ class LeakReport(Value, Frozen):
     valuation ``k1`` behaves as ``verdict1`` and ``k2`` as ``verdict2``.
     The schedule lists (tid, site) per executed access, the reported
     access last.  ``adversary_addr`` is the chosen probe base when the
-    program places something symbolically."""
+    program places something symbolically.  ``shared`` holds the values
+    both runs read from never-written public memory (the state's
+    ``fresh_public`` variables the model names)."""
 
     __slots__ = ("site", "access_index", "schedule", "k1", "k2",
-                 "adversary_addr", "verdict1", "verdict2")
+                 "adversary_addr", "verdict1", "verdict2", "shared")
 
     def __init__(self, site: str, access_index: int,
                  schedule: tuple[tuple[int, str], ...], k1: dict[str, int],
                  k2: dict[str, int], adversary_addr: int | None,
-                 verdict1: str, verdict2: str) -> None:
+                 verdict1: str, verdict2: str,
+                 shared: dict[str, int] | None = None) -> None:
         set_field(self, "site", site)
         set_field(self, "access_index", access_index)
         set_field(self, "schedule", schedule)
@@ -58,6 +61,7 @@ class LeakReport(Value, Frozen):
         set_field(self, "adversary_addr", adversary_addr)
         set_field(self, "verdict1", verdict1)
         set_field(self, "verdict2", verdict2)
+        set_field(self, "shared", {} if shared is None else shared)
 
 
 def classify(p: Program, st: SymbolicState) -> VarClasses:
@@ -67,18 +71,13 @@ def classify(p: Program, st: SymbolicState) -> VarClasses:
     return VarClasses(dup, shared)
 
 
-def _full_env(model: dict[str, int], *exprs: Expr) -> dict[str, int]:
-    env = {}
-    for e in exprs:
-        for name in ex.free_vars(e):
-            env[name] = model.get(name, 0)
-    return env
-
-
 def verdicts(tau: Expr, pcon: Expr, result: DivergenceResult) -> tuple[str, str]:
-    """Hit/miss verdict of each model of a sat divergence result."""
-    a = ex.evaluate(tau, _full_env(result.model_a, tau, pcon))
-    b = ex.evaluate(tau, _full_env(result.model_b, tau, pcon))
+    """Hit/miss verdict of each model of a sat divergence result; a
+    variable of tau that a model leaves out reads 0.  Only tau is
+    evaluated, so ``pcon`` is not read."""
+    names = ex.free_vars(tau)
+    a, b = (ex.evaluate(tau, {n: m.get(n, 0) for n in names})
+            for m in (result.model_a, result.model_b))
     return ("hit" if a else "miss", "hit" if b else "miss")
 
 

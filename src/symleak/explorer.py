@@ -218,6 +218,7 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
         schedule=tuple((e.tid, str(e.site)) for e in tr),
         k1=_project(res.model_a, classes), k2=_project(res.model_b, classes),
         adversary_addr=adv, verdict1=v1, verdict2=v2,
+        shared={n: res.model_a[n] for n in st.fresh_public if n in res.model_a},
     )
 
 

@@ -369,22 +369,34 @@ def disj(terms: list[Expr]) -> Expr:
     return out
 
 
-def evaluate(e: Expr, env: dict[str, int], _memo: dict[Expr, int] | None = None) -> int:
-    """Evaluate under a complete valuation of the free variables."""
-    memo: dict[Expr, int] = {} if _memo is None else _memo
-    # Iterative post-order so deep or-chains cannot hit the recursion limit.
-    stack = [e]
+def postorder(roots: list[Expr]) -> list[Expr]:
+    """Every node reachable from ``roots``, once each, after its
+    arguments.  Iterative, so deep chains cannot hit the recursion
+    limit; every walk over a formula DAG reads this order.  A None on
+    the stack closes the node last opened."""
+    order: list[Expr] = []
+    opened: list[Expr] = []
+    seen: set[Expr] = set()
+    stack: list[Expr | None] = list(roots)
     while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        pending = [a for a in node.args if a not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        memo[node] = _eval_node(node, env, memo)
+        node = stack.pop()
+        if node is None:
+            order.append(opened.pop())
+        elif node not in seen:
+            seen.add(node)
+            opened.append(node)
+            stack.append(None)
+            stack.extend(node.args)
+    return order
+
+
+def evaluate(e: Expr, env: dict[str, int], _memo: dict[Expr, int] | None = None) -> int:
+    """Evaluate under a complete valuation of the free variables.  A node
+    already in ``_memo`` keeps its value there."""
+    memo: dict[Expr, int] = {} if _memo is None else _memo
+    for node in postorder([e]):
+        if node not in memo:
+            memo[node] = _eval_node(node, env, memo)
     return memo[e]
 
 
@@ -433,52 +445,20 @@ def _eval_node(e: Expr, env: dict[str, int], memo: dict[Expr, int]) -> int:
     raise AssertionError(f"unhandled op {op}")
 
 
-def free_vars(e: Expr) -> frozenset[str]:
-    """Names of all variables reachable from e."""
-    seen: set[Expr] = set()
-    names: set[str] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if node.op is Op.VAR:
-            names.add(node.name)
-        stack.extend(node.args)
-    return frozenset(names)
-
-
 def var_widths(e: Expr) -> dict[str, int]:
     """Width of every free variable in e."""
-    seen: set[Expr] = set()
-    widths: dict[str, int] = {}
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if node.op is Op.VAR:
-            widths[node.name] = node.width
-        stack.extend(node.args)
-    return widths
+    return {n.name: n.width for n in postorder([e]) if n.op is Op.VAR}
+
+
+def free_vars(e: Expr) -> frozenset[str]:
+    """Names of all variables reachable from e."""
+    return frozenset(var_widths(e))
 
 
 def substitute(e: Expr, env: dict[str, Expr]) -> Expr:
     """Replace free variables by expressions, rebuilding through the folders."""
     memo: dict[Expr, Expr] = {}
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        pending = [a for a in node.args if a not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
+    for node in postorder([e]):
         memo[node] = _subst_node(node, env, memo)
     return memo[e]
 

@@ -36,7 +36,7 @@ class ConcreteCacheState(Frozen):
         set_field(self, "sets", sets)
 
 
-def empty_cache(cfg: CacheConfig) -> ConcreteCacheState:
+def empty_cache() -> ConcreteCacheState:
     return ConcreteCacheState({})
 
 
@@ -124,7 +124,7 @@ class _Run:
         self.cursors = tuple(len(c) - 1 for c in self.code)
         self.envs = (base_env,) * len(p.threads)
         self.memory: dict[tuple[str, int], int] = {}
-        self.cache = empty_cache(cfg)
+        self.cache = empty_cache()
         self.profile: tuple[bool, ...] = ()  # branch outcomes, in order
         self.schedule: tuple[int, ...] = ()  # tids of the accesses run
         for i, cur in enumerate(self.cursors):
@@ -211,17 +211,15 @@ class _Run:
                         d.name)), verdict
 
 
-def replay(p: Program, inputs: dict[str, int], schedule, cfg: CacheConfig,
-           critical_only: bool = False) -> list[str]:
+def replay(p: Program, inputs: dict[str, int], schedule,
+           cfg: CacheConfig) -> list[str]:
     """Run the program concretely, taking accesses in ``schedule`` order
     (a list of thread ids), and return the hit/miss sequence.
 
     The schedule may cover a prefix of the execution; an entry naming a
-    thread with no pending access is an error.  With ``critical_only``
-    the sequence is restricted to the critical thread's accesses.
+    thread with no pending access is an error.
     """
-    return [v for (t, _, v) in replay_trace(p, inputs, schedule, cfg)
-            if not critical_only or t == p.critical_tid]
+    return [v for (_, _, v) in replay_trace(p, inputs, schedule, cfg)]
 
 
 def replay_trace(p: Program, inputs: dict[str, int], schedule,

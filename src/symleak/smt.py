@@ -3,12 +3,14 @@
 SmtProcessBackend prints each query as SMT-LIB2 (QF_BV) and pipes it
 through an external solver executable such as ``z3 -in``, one process
 per query, killed once it outlives the backend's ``timeout_ms`` (the
-query then answers "unknown"; None: no deadline).  Within one
-process, one formula always prints the same bytes.  Across processes it
-may not yet: ``expr`` orders the arguments of a commutative node by the
-process-global order in which nodes were interned, so the bytes of a
-query depend on what the process built before it.  ROADMAP item 5 plans
-a structural order that makes the text a function of the formula alone.
+query then answers "unknown"; None: no deadline).  A query's shared
+nodes are numbered define-funs in ``expr.postorder``'s order, so within
+one process one formula always prints the same bytes.  Across processes
+it may not yet: ``expr`` orders the arguments of a commutative node by
+the process-global order in which nodes were interned (``_serial``), so
+the bytes of a query depend on what the process built before it.
+ROADMAP item 6 plans a structural order that makes the text a function
+of the formula alone.
 
 The divergence query has no solver-side shortcut here: the backend
 instantiates the path condition and tau over two renamed copies of the
@@ -65,60 +67,35 @@ def _smt_node(node: Expr, args: list[str]) -> str:
 def emit_query(formula: Expr, logic: str = "QF_BV", get_model: bool = True) -> str:
     """Serialise a width-1 formula as an SMT-LIB2 script.
 
-    Shared subexpressions become numbered define-funs in first-visit
-    order, so within one process the same formula always produces the
-    same bytes (across processes, see the module docstring).
+    One ``expr.postorder`` of the formula serves to count each node's
+    parents, collect the variables to declare and build each node's
+    text from its arguments' text.  Shared internal nodes are numbered
+    define-funs in that order, each defined before any use.  Argument
+    order follows ``expr``'s process-global serials (module docstring).
     """
     if formula.width != 1:
         raise ValueError("emit_query expects a width-1 formula")
+    order = ex.postorder([formula])
+    parents: dict[Expr, int] = {}
+    widths: dict[str, int] = {}
+    for node in order:
+        if node.op is ex.Op.VAR:
+            widths[node.name] = node.width
+        for a in node.args:
+            parents[a] = parents.get(a, 0) + 1
     lines = [f"(set-logic {logic})"]
-    widths = ex.var_widths(formula)
     for n in sorted(widths):
         lines.append(f"(declare-fun {n} () (_ BitVec {widths[n]}))")
-
-    uses: dict[Expr, int] = {}
-    order: list[Expr] = []
-    stack = [formula]
-    seen: set[Expr] = set()
-    while stack:
-        node = stack.pop()
-        uses[node] = uses.get(node, 0) + 1
-        if node in seen:
-            continue
-        seen.add(node)
-        order.append(node)
-        stack.extend(node.args)
-
-    names: dict[Expr, str] = {}
-    counter = 0
-
-    def render(root: Expr) -> str:
-        """The text of ``root``: each argument by its name if it has one,
-        else inline.  An explicit stack, so that a long chain of nodes
-        used once cannot reach the recursion limit."""
-        done: dict[Expr, str] = {}
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            todo = [a for a in node.args if a not in names and a not in done]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            if node not in done:
-                done[node] = _smt_node(node, [names.get(a) or done[a]
-                                              for a in node.args])
-        return done[root]
-
-    # Define shared internal nodes bottom-up (reverse of the DFS ordering).
-    for node in reversed(order):
-        if node.args and uses[node] > 1:
-            body = render(node)
-            names[node] = f"e{counter}"
-            lines.append(f"(define-fun e{counter} () (_ BitVec {node.width}) {body})")
-            counter += 1
-
-    lines.append(f"(assert (= {render(formula)} #b1))")
+    text: dict[Expr, str] = {}
+    defined = 0
+    for node in order:
+        body = _smt_node(node, [text[a] for a in node.args])
+        if node.args and parents.get(node, 0) > 1:
+            lines.append(f"(define-fun e{defined} () (_ BitVec {node.width}) {body})")
+            body = f"e{defined}"
+            defined += 1
+        text[node] = body
+    lines.append(f"(assert (= {text[formula]} #b1))")
     lines.append("(check-sat)")
     if get_model:
         lines.append("(get-model)")

@@ -13,9 +13,10 @@ few big-int operations per block (SIMD within a register).  Lanes are
 64 bits wide while no node is wider than 32 bits, as in every program
 the parser accepts, else the next multiple of 64 that is at least twice
 the widest node.  A domain is any sequence of ints below 2**64; a
-``range`` stays lazy.  The backend is exact, needs nothing outside the
-standard library and is fast for the small key spaces this tool
-targets.  A query whose combined domain exceeds a configurable bit
+``range`` stays lazy.  One ``expr.postorder`` of the query gives both
+the order the nodes are evaluated in and the variables to enumerate.
+The backend is exact, needs nothing outside the standard library and
+is fast for the small key spaces this tool targets.  A query whose combined domain exceeds a configurable bit
 budget is not enumerated and answers "unknown".  The backend that pipes
 SMT-LIB2 through an external solver lives in ``symleak.smt``, loaded
 only by a run that asks for one.
@@ -126,29 +127,6 @@ _AND, _OR, _XOR, _ADD, _SUB = ex.Op.AND, ex.Op.OR, ex.Op.XOR, ex.Op.ADD, ex.Op.S
 _ULT, _ULE, _MULC = ex.Op.ULT, ex.Op.ULE, ex.Op.MULC
 _EXTRACT, _ZEXT, _SHL, _LSHR = ex.Op.EXTRACT, ex.Op.ZEXT, ex.Op.SHL, ex.Op.LSHR
 _CONST_BITS = 1 << 21
-
-
-def _postorder(roots: list[Expr]) -> list[Expr]:
-    """Every node reachable from ``roots``, each after its arguments.
-    A None on the stack closes the node last opened."""
-    order: list[Expr] = []
-    opened: list[Expr] = []
-    seen: set[Expr] = set()
-    stack: list[Expr | None] = list(roots)
-    while stack:
-        node = stack.pop()
-        if node is None:
-            order.append(opened.pop())
-        elif node not in seen:
-            seen.add(node)
-            opened.append(node)
-            stack.append(None)
-            stack.extend(node.args)
-    return order
-
-
-def _var_widths(order: list[Expr]) -> dict[str, int]:
-    return {e.name: e.width for e in order if e.op is _VAR}
 
 
 def _lane_bits(order: list[Expr]) -> int:
@@ -470,8 +448,8 @@ class EnumerativeBackend(SolverBackend):
 
     def _solve(self, formula: Expr) -> SolveResult:
         deadline = self._deadline()
-        order = _postorder([formula])
-        plan = self._plan(_var_widths(order))
+        order = ex.postorder([formula])
+        plan = self._plan({e.name: e.width for e in order if e.op is _VAR})
         if plan is None:
             return SolveResult("unknown")
         bits = _lane_bits(order)
@@ -509,8 +487,8 @@ class EnumerativeBackend(SolverBackend):
 
     def _divergence(self, tau: Expr, pcon: Expr, duplicated: list[str],
                     distinct: list[str]) -> DivergenceResult:
-        order = _postorder([pcon, tau])
-        widths = _var_widths(order)
+        order = ex.postorder([pcon, tau])
+        widths = {e.name: e.width for e in order if e.op is _VAR}
         missing = [n for n in duplicated if n not in widths]
         names = sorted(widths)
         plan = self._plan(widths, [n for n in names if n not in duplicated]

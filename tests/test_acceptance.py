@@ -207,7 +207,7 @@ def _random_probe_sweep(total, same_set):
                 addrs.append(ex.add(ex.const(base, 32), ex.mulc(k8, scale)))
         pos = rng.randrange(1, n)
         kval = rng.randrange(256)
-        st = empty_cache(cfg)
+        st = empty_cache()
         verdict = ""
         for addr in addrs[:pos + 1]:
             st, verdict = simulate_access(st, ex.evaluate(addr, {"k": kval}), cfg)

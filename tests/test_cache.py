@@ -41,7 +41,6 @@ def _dag_size(e):
 def test_geometry_validation_and_derived_sizes():
     cfg = CacheConfig(cache_size=1024, line_size=64, assoc=4)
     assert cfg.num_sets == 4
-    assert cfg.num_lines == 16
     assert cfg.line_bits == 6
     assert probe_window(cfg) == 4096
     with pytest.raises(ValueError, match="powers of two"):
@@ -239,7 +238,7 @@ def test_hit_constraints_match_simulator_on_random_traces():
             else:
                 addrs = [rng.choice(pool) for _ in range(n)]
             tr = _trace(*addrs)
-            st = empty_cache(cfg)
+            st = empty_cache()
             for i, a in enumerate(addrs):
                 st, verdict = simulate_access(st, a, cfg)
                 tau = hit_constraint_assoc(tr, i, Geometry(cfg))

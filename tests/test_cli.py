@@ -15,7 +15,7 @@ from symleak.cache import CacheConfig
 from symleak.cli import RunConfig, backend_for, confirm_report, main
 from symleak.detector import LeakReport
 from symleak.explorer import ExploreOptions, explore
-from symleak.solver import DivergenceResult
+from symleak.solver import DEFAULT_TIMEOUT_MS, DivergenceResult
 
 from conftest import CORPUS_DIR, PROGRAMS_DIR, ROOT, load_program
 
@@ -23,6 +23,8 @@ SEQ = str(CORPUS_DIR / "seq_leaky_reuse.ir")
 REPAIRED = str(CORPUS_DIR / "seq_repaired.ir")
 CONC = str(CORPUS_DIR / "conc_tmp_fixed.ir")
 SBOX = str(CORPUS_DIR / "sbox_lookup.ir")
+PUBLIC_CELL = str(PROGRAMS_DIR / "public_cell.ir")
+STUB = f"{sys.executable} {Path(__file__).resolve().parent / 'smtstub.py'}"
 FIG3 = ["--preset", "paper-fig3"]
 
 
@@ -379,6 +381,39 @@ def test_analyze_with_external_solver(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["leaks"][0]["site"] == "t1:L11:store:p"
+
+
+@pytest.mark.parametrize("solver", [None, STUB], ids=["builtin", "external"])
+def test_witness_carries_uninitialised_public_memory(capsys, solver):
+    # t[k + 200] hits the block t[q[0]] loaded for k = 0 only when the
+    # never-written public cell q[0] holds 200.  Both runs share that
+    # value, so the witness lists it apart from k1 and k2, and replay
+    # confirmation reads it instead of zero.
+    flags = ["--solver", solver] if solver else []
+    code, out, err = run_cli(capsys, "analyze", PUBLIC_CELL, *FIG3, *flags)
+    assert (code, err) == (1, "")
+    leak, = json.loads(out)["leaks"]
+    assert list(leak) == ["site", "access_index", "schedule", "k1", "k2",
+                          "shared", "verdict1", "verdict2", "replay_confirmed"]
+    assert leak["site"] == "t1:L7:load:t"
+    assert leak["shared"] == {"cell_q_0": 200}
+    assert leak["replay_confirmed"] is True
+    p, cfg = load_program("public_cell.ir"), CacheConfig(512, 1, 1)
+    report, = explore(p, cfg, ExploreOptions(), backend_for(p, cfg, solver))[0]
+    assert report.shared == {"cell_q_0": 200}
+    assert confirm_report(p, cfg, report)
+    # Without the shared value, replay reads 0 there and the hit is gone.
+    unshared = LeakReport(report.site, report.access_index, report.schedule,
+                          report.k1, report.k2, report.adversary_addr,
+                          report.verdict1, report.verdict2)
+    assert not confirm_report(p, cfg, unshared)
+
+
+@pytest.mark.parametrize("solver", [None, STUB], ids=["builtin", "external"])
+def test_backend_for_defaults_to_the_cli_deadline(solver):
+    # The README recipe builds the backend ``analyze`` builds.
+    p, cfg = load_program("seq_leaky_reuse.ir"), CacheConfig(512, 1, 1)
+    assert backend_for(p, cfg, solver=solver).timeout_ms == DEFAULT_TIMEOUT_MS
 
 
 def test_replay_prints_one_line_per_access(capsys):

@@ -163,12 +163,18 @@ def test_free_vars_and_widths():
     assert ex.var_widths(e) == {"k": 8, "base": 32}
 
 
-def test_deep_chain_evaluation_is_iterative():
-    # A disjunction of thousands of terms must not hit the recursion limit.
+@pytest.mark.parametrize("walk", [
+    lambda e: (ex.evaluate(e, {"k": 3999}), ex.evaluate(e, {"k": 4001})) == (1, 0),
+    lambda e: ex.substitute(e, {"k": ex.const(3999, 16)}) is ex.TRUE,
+    lambda e: ex.var_widths(e) == {"k": 16},
+    lambda e: ex.free_vars(e) == {"k"},
+], ids=["evaluate", "substitute", "var_widths", "free_vars"])
+def test_deep_chain_walks_are_iterative(walk):
+    # A disjunction of thousands of terms must not hit the recursion
+    # limit in any walk built on ``expr.postorder``.
     k = ex.var("k", 16)
     e = ex.disj([ex.eq(k, ex.const(i, 16)) for i in range(4000)])
-    assert ex.evaluate(e, {"k": 3999}) == 1
-    assert ex.evaluate(e, {"k": 4001}) == 0
+    assert walk(e)
 
 
 def test_constant_chains_reassociate():

@@ -27,7 +27,7 @@ from conftest import CORPUS_DIR, ROOT, UNROLL_BOUND, load_program
 
 def test_direct_mapped_eviction():
     cfg = CacheConfig(512, 1, 1)
-    st = empty_cache(cfg)
+    st = empty_cache()
     st, v = simulate_access(st, 0, cfg)
     assert v == "miss"
     st, v = simulate_access(st, 0, cfg)
@@ -40,7 +40,7 @@ def test_direct_mapped_eviction():
 
 def test_two_ways_keep_both_blocks():
     cfg = CacheConfig(512, 1, 2)
-    st = empty_cache(cfg)
+    st = empty_cache()
     st, _ = simulate_access(st, 0, cfg)
     st, _ = simulate_access(st, 512, cfg)
     st, v = simulate_access(st, 0, cfg)
@@ -49,7 +49,7 @@ def test_two_ways_keep_both_blocks():
 
 def test_lru_evicts_least_recently_used():
     cfg = CacheConfig(8, 1, 2)  # 4 sets, 2 ways
-    st = empty_cache(cfg)
+    st = empty_cache()
     for addr in (0, 4, 0):     # touch a, b, a: b is now the LRU way
         st, _ = simulate_access(st, addr, cfg)
     st, _ = simulate_access(st, 8, cfg)   # same set, evicts b
@@ -61,7 +61,7 @@ def test_lru_evicts_least_recently_used():
 
 def test_lru_thrash_with_one_extra_block():
     cfg = CacheConfig(8, 1, 2)
-    st = empty_cache(cfg)
+    st = empty_cache()
     verdicts = []
     for addr in (0, 4, 8) * 3:  # three blocks of set 0 round robin
         st, v = simulate_access(st, addr, cfg)
@@ -98,12 +98,18 @@ INTERLEAVING_ROWS = [
 ]
 
 
+def _critical_verdicts(p, inputs, tids, cfg):
+    """The critical thread's verdicts, as ``replay --critical-only`` prints them."""
+    return [v for t, _, v in replay_trace(p, inputs, tids, cfg)
+            if t == p.critical_tid]
+
+
 @pytest.mark.parametrize("lines,keys,leaky_k", INTERLEAVING_ROWS)
 def test_temp_buffer_interleaving_table(fig3_cfg, lines, keys, leaky_k):
     p = load_program("conc_tmp_fixed.ir")
     for k in keys:
         tids = schedule_from_lines(p, {"k": k}, lines, fig3_cfg)
-        got = replay(p, {"k": k}, tids, fig3_cfg, critical_only=True)
+        got = _critical_verdicts(p, {"k": k}, tids, fig3_cfg)
         want = ["miss", "miss", "miss" if k == leaky_k else "hit"]
         assert got == want, (lines, k)
 
@@ -212,8 +218,7 @@ def test_brute_force_sweeps_symbolic_bases():
     assert leaks == {("t1:L6:store:t", (1, 2, 1)),
                      ("t1:L5:load:t", (2, 1))}
     # Confirm one witness concretely: probe block 4 aliases set 0.
-    diverge = {k: replay(p, {"k": k, "probe_base": 16}, [1, 2, 1], cfg,
-                         critical_only=True)
+    diverge = {k: _critical_verdicts(p, {"k": k, "probe_base": 16}, [1, 2, 1], cfg)
                for k in (0, 4)}
     assert diverge[0] == ["miss", "miss"]
     assert diverge[4] == ["miss", "hit"]

@@ -10,6 +10,7 @@ takes one assignment at a time.
 
 import itertools
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -18,8 +19,7 @@ import pytest
 from symleak import expr as ex
 from symleak.errors import SolverProcessError
 from symleak.smt import SmtProcessBackend, emit_query, parse_model
-from symleak.solver import (EnumerativeBackend, SolveResult, _Lanes,
-                            _lane_bits, _postorder)
+from symleak.solver import EnumerativeBackend, SolveResult, _Lanes, _lane_bits
 
 from conftest import late_clock
 
@@ -241,6 +241,27 @@ def test_emit_query_renders_chains_deeper_than_the_recursion_limit():
     assert all(f"(_ bv{i} 16)" in q for i in range(3000))
 
 
+def test_emit_query_prints_each_node_once():
+    # Each round's value feeds the next round and its own comparison, so
+    # it is shared: defined once, after the definitions it uses, and
+    # named wherever it is used.  Defined in any other order, a shared
+    # node would be inlined again into each definition that uses it.
+    k, j = ex.var("k", 16), ex.var("j", 16)
+    r, terms = k, []
+    for i in range(200):
+        r = ex.add(ex.xor(r, j), ex.const(7 * i + 1, 16))
+        terms.append(ex.eq(r, ex.const(i, 16)))
+    q = emit_query(ex.disj(terms))
+    assert q.count("(bvxor ") == q.count("(bvadd ") == 200
+    defined = []
+    for line in q.splitlines():
+        if line.startswith("(define-fun "):
+            name, body = line.split(" ", 2)[1], line.split(")", 2)[2]
+            assert set(re.findall(r"\be\d+\b", body)) <= set(defined)
+            defined.append(name)
+    assert defined == [f"e{i}" for i in range(199)]
+
+
 def test_parse_model_accepts_all_value_forms():
     text = """sat
     (model
@@ -408,7 +429,7 @@ def test_packed_lanes_match_evaluate(spec, widths, chunk):
     for _ in range(4):
         leaves = _leaves(rng, variables, widths)
         roots = [_random_expr(rng, leaves, w, 4) for w in widths]
-        order = _postorder(roots)
+        order = ex.postorder(roots)
         assert {e.op for e in order} >= {ex.Op.VAR, ex.Op.CONST}
         bits = _lane_bits(order)
         assert bits == (64 if max(e.width for e in order) <= 32 else 128)
@@ -457,7 +478,7 @@ def test_packed_lanes_every_operator():
         domains["z"] = [0, (1 << min(w + 3, 64)) - 1, 6]
         be = EnumerativeBackend(domains=domains, chunk=5)
         plan = be._plan({"x": w, "y": w, "z": w + 3})
-        order = _postorder(nodes)
+        order = ex.postorder(nodes)
         bits = _lane_bits(order)
         for lo in range(0, plan.total, be.chunk):
             lanes = _Lanes(min(be.chunk, plan.total - lo), bits)
