@@ -173,6 +173,7 @@ def write_report(rc: RunConfig, reports: list[LeakReport],
                   "solver_calls": stats.solver_calls,
                   "states_forked": stats.states_forked,
                   "indeterminate": stats.indeterminate,
+                  "sites_settled": stats.sites_settled,
                   "wall_ms": wall_ms},
         "complete": complete,
     }

@@ -22,9 +22,10 @@ between it and a critical access holds both of them or neither.  The
 critical blocks come from a footprint, the addresses the critical
 thread computes running alone over every feasible branch arm, not from
 declaration extents: an index past the end of an array reaches other
-declarations' blocks.  Memory is kept per declaration, so the footprint
-covers every interleaving unless another thread stores to a declaration
-the critical thread accesses; then no access counts as unobserved.
+declarations' blocks.  Memory is kept per declaration, so a thread's
+footprint covers every interleaving unless another thread stores to a
+declaration the thread accesses; without the critical thread's, no
+access counts as unobserved.
 
 A state's sleep set holds accesses
 whose orders a sibling subtree already covered: each child keeps the
@@ -33,17 +34,18 @@ access it takes, an access that becomes dependent wakes up, and a state
 whose enabled accesses all sleep is abandoned.  A branch changes no
 thread's next access, so both arms inherit the sleep set unchanged.
 
-Every access of the critical thread is checked for secret-dependent
-divergence before it runs, and no other access is.  Without the cut
-below, the search would check every critical access in at least one
-order of every Mazurkiewicz trace (class of orders equal up to swapping
-independent accesses).  The class of the order that runs the critical
-thread first is among them, and in it every verdict is the one the
-thread gets running alone, so what the thread leaks by itself is
-reported too, not only what an interleaving exposes.  Each leaky site
-gets one report, the first witness the search finds, built when it is
-found.  A check at a site already reported could change neither the
-site set nor that witness, so it is skipped.
+Every access of the critical thread at a site not settled (below) is
+checked for secret-dependent divergence before it runs, and no other
+access is.  Without the cut below, the search would check every such
+access in at least one order of every Mazurkiewicz trace (class of
+orders equal up to swapping independent accesses).  The class of the
+order that runs the critical thread first is among them, and in it
+every verdict is the one the thread gets running alone, so what the
+thread leaks by itself is reported too, not only what an interleaving
+exposes.  Each leaky site gets one report, the first witness the
+search finds, built when it is found.  A check at a site already
+reported could change neither the site set nor that witness, so it is
+skipped.
 
 For the same reason a state closes, as an ended interleaving, once
 every access site the critical thread can still reach is reported: the
@@ -56,6 +58,20 @@ the latest: what the other threads do afterwards changes no verdict.
 The sites ahead come from a table built once per search (``_Ahead``)
 over the engine's numbering of the critical thread's body, indexed by
 the thread's cursor in the state.
+
+A site that can never leak would keep every state before it open, so
+such sites are settled before the search: their bits join the reported
+ones, with no report and no check (``_cold_sites``).  A critical access
+is a cold miss when no access of another thread and no critical access
+at a higher position (every earlier statement of the thread) can touch
+its block.  The cache starts empty, so it misses under every secret,
+on every path and in every order, with any associativity.  A site
+settles when all its accesses are cold misses.  The accesses come from
+each thread's footprint, so nothing settles unless every thread has
+one.  Nor does anything settle when another thread accesses a
+declaration with a symbolic base, which may lie on any block.  With
+one thread settling closes no state early, so a single-thread search
+runs no thread alone.
 
 Interleavings are identified by the sequence of thread choices taken at
 states with more than one enabled access, up to the state that closed.
@@ -77,6 +93,7 @@ from .detector import (LeakReport, VarClasses, classify, solve_precise,
 from .engine import (AccessEvent, BranchEvent, Code, SymbolicState,
                      branch_events, enabled_events, initial_state,
                      perform_access, take_branch)
+from . import expr as ex
 from .expr import Expr
 from .ir import Fixed, If, Load, Program, Store, SymbolicBase
 from .records import Frozen, Value, set_field
@@ -106,19 +123,21 @@ class ExploreOptions(Frozen):
 class ExploreStats(Value):
     __slots__ = ("interleavings_explored", "leak_checks", "solver_calls",
                  "solver_memo_hits", "states_forked", "indeterminate",
-                 "complete")
+                 "sites_settled", "complete")
     __hash__ = None  # mutable
 
     def __init__(self, interleavings_explored: int = 0, leak_checks: int = 0,
                  solver_calls: int = 0, solver_memo_hits: int = 0,
                  states_forked: int = 0, indeterminate: int = 0,
-                 complete: bool = True) -> None:
+                 sites_settled: int = 0, complete: bool = True) -> None:
         self.interleavings_explored = interleavings_explored
         self.leak_checks = leak_checks
         self.solver_calls = solver_calls  # queries issued, memo hits included
         self.solver_memo_hits = solver_memo_hits
         self.states_forked = states_forked
         self.indeterminate = indeterminate
+        # Critical sites that can never leak, never checked (_cold_sites).
+        self.sites_settled = sites_settled
         self.complete = complete
 
 
@@ -226,18 +245,25 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
             backend: SolverBackend) -> tuple[list[LeakReport], ExploreStats]:
     stats = ExploreStats()
     reports: list[LeakReport] = []  # per site, its first witness
-    reported = 0  # the bits of their sites in ``ahead``
     classes_seen: set[tuple] = set()
     calls_before, hits_before = backend.calls, backend.memo_hits
     st0 = initial_state(p, cfg)
     crit = st0.thread_pos(p.critical_tid)
     ahead = _Ahead(st0.code[crit])
+    geo = Geometry(cfg)
+    observers = _Observers(st0, backend, geo)
+    # The bits in ``ahead`` of the sites settled or reported.  Settling
+    # closes nothing early with one thread, so a single-thread search
+    # runs no thread alone.
+    reported = (_cold_sites(st0, crit, ahead, observers, backend, geo)
+                if len(st0.code) > 1 else 0)
+    stats.sites_settled = reported.bit_count()
 
     def closes(choices: tuple[int, ...], st: SymbolicState) -> bool:
         """Does ``st`` end its interleaving?  It does once every site
-        ahead of the critical thread is reported: each check below would
-        be skipped.  A closing state counts its choice sequence; a new
-        one past the budget stops the search."""
+        ahead of the critical thread is settled or reported: each check
+        below would be skipped.  A closing state counts its choice
+        sequence; a new one past the budget stops the search."""
         if ahead.sites[st.cursors[crit]] & ~reported:
             return False
         if choices not in classes_seen:
@@ -261,8 +287,6 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
         return _Frame(st, choices, list(sleep), awake,
                       fork=len(evs) > 1)
 
-    geo = Geometry(cfg)
-    observers = _Observers(st0, backend, geo)
     # Dependence of a pair of accesses, keyed on everything
     # ``_has_dependent_pair`` reads: each access's thread, declaration
     # and address, and the path constraint.  The same pair recurs at
@@ -357,7 +381,8 @@ def _has_dependent_pair(st: SymbolicState, a: AccessEvent, b: AccessEvent,
 class _Observers:
     """Which non-critical accesses no check can observe, for one search
     from ``st0``.  The critical thread's footprint is built on first
-    use; without one, every access counts as observed."""
+    use, here or by ``_cold_sites``; without one, every access counts as
+    observed."""
 
     __slots__ = ("st0", "backend", "geo", "built", "footprint", "seen")
 
@@ -367,8 +392,17 @@ class _Observers:
         self.geo = geo
         self.backend = backend
         self.built = False
-        self.footprint: list[tuple[Expr, Expr]] | None = None
+        self.footprint: list[tuple[int, Expr, Expr]] | None = None
         self.seen: dict[Expr, bool] = {}  # per address: unobserved?
+
+    def critical_footprint(self) -> list[tuple[int, Expr, Expr]] | None:
+        if not self.built:
+            st0 = self.st0
+            self.footprint = _footprint(
+                st0, st0.thread_pos(st0.program.critical_tid), self.geo.cfg,
+                self.backend)
+            self.built = True
+        return self.footprint
 
     def commute(self, a: AccessEvent, b: AccessEvent) -> bool:
         """Are ``a`` and ``b`` unobserved accesses of different
@@ -381,54 +415,95 @@ class _Observers:
     def _unobserved(self, ev: AccessEvent) -> bool:
         if not isinstance(ev.decl.placement, Fixed):
             return False
-        if not self.built:
-            self.footprint = _critical_footprint(self.st0, self.geo.cfg,
-                                                 self.backend)
-            self.built = True
-        if self.footprint is None:
+        footprint = self.critical_footprint()
+        if footprint is None:
             return False
         hit = self.seen.get(ev.addr)
         if hit is None:
             hit = self.seen[ev.addr] = not any(
                 may_touch_blocks(addr, pcon, ev.addr, self.geo, self.backend)
-                for addr, pcon in self.footprint)
+                for _, addr, pcon in footprint)
         return hit
 
 
-def _critical_footprint(st0: SymbolicState, cfg: CacheConfig,
-                        backend: SolverBackend) -> list[tuple[Expr, Expr]] | None:
-    """Run the critical thread alone from ``st0`` over every feasible
-    branch arm and collect (address, path constraint) of its accesses.
-    A branch arm whose feasibility is undecided is run.
+def _footprint(st0: SymbolicState, pos: int, cfg: CacheConfig,
+               backend: SolverBackend) -> list[tuple[int, Expr, Expr]] | None:
+    """Run the thread at position ``pos`` alone from ``st0`` over every
+    feasible branch arm and collect (position in its numbered body,
+    address, path constraint) of its accesses.  A branch arm whose
+    feasibility is undecided is run.
 
-    None when another thread stores to a declaration the critical thread
+    None when another thread stores to a declaration this thread
     accesses: memory is kept per declaration, so only then can the
     thread load other values, and compute other addresses, than alone.
     """
     p = st0.program
-    crit = st0.thread_pos(p.critical_tid)
-    touched = {s.decl for s, _ in st0.code[crit] if isinstance(s, (Load, Store))}
-    for pos, code in enumerate(st0.code):
-        if pos != crit and any(isinstance(s, Store) and s.decl in touched
-                               for s, _ in code):
+    touched = {s.decl for s, _ in st0.code[pos] if isinstance(s, (Load, Store))}
+    for other, code in enumerate(st0.code):
+        if other != pos and any(isinstance(s, Store) and s.decl in touched
+                                for s, _ in code):
             return None
-    alone = Program(p.decls, p.secret_inputs, p.public_inputs,
-                    (p.threads[crit],), p.critical_tid)
-    out: list[tuple[Expr, Expr]] = []
+    t = p.threads[pos]
+    alone = Program(p.decls, p.secret_inputs, p.public_inputs, (t,), t.tid)
+    out: list[tuple[int, Expr, Expr]] = []
     todo = [initial_state(alone, cfg)]
     while todo:
         st = todo.pop()
-        bes = branch_events(st)
-        if bes:
+        ev = st.next_events[0]
+        if isinstance(ev, BranchEvent):
             for arm in (True, False):
-                nxt = take_branch(st, bes[0], arm)
+                nxt = take_branch(st, ev, arm)
                 if backend.check(nxt.pcon).status != "unsat":
                     todo.append(nxt)
-            continue
-        for ev in enabled_events(st):
-            out.append((ev.addr, st.pcon))
+        elif ev is not None:
+            out.append((st.cursors[0], ev.addr, st.pcon))
             todo.append(perform_access(st, ev))
     return out
+
+
+def _cold_sites(st0: SymbolicState, crit: int, ahead: _Ahead,
+                observers: _Observers, backend: SolverBackend,
+                geo: Geometry) -> int:
+    """The bits in ``ahead`` of the sites to settle: those all of whose
+    accesses are cold misses (module docstring).  The critical thread's
+    footprint is the one ``observers`` reads.  Two accesses cannot share
+    a block when either, under its path constraint, cannot touch the
+    other's block range.  An earlier critical access on the same path
+    has a path constraint the later one's implies, so its query takes
+    both, which rules out the other arm of a branch.  A site's bit
+    drops at its first warm access."""
+    p = st0.program
+    if any(isinstance(s, (Load, Store))
+           and not isinstance(p.decl(s.decl).placement, Fixed)
+           for pos, code in enumerate(st0.code) if pos != crit
+           for s, _ in code):
+        return 0
+    footprint = observers.critical_footprint()
+    if footprint is None:
+        return 0
+    others: list[tuple[int, Expr, Expr]] = []
+    for pos in range(len(st0.code)):
+        if pos != crit:
+            fp = _footprint(st0, pos, geo.cfg, backend)
+            if fp is None:
+                return 0
+            others += fp
+
+    def may_share(a: Expr, pa: Expr, b: Expr, pb: Expr) -> bool:
+        return a is b or (may_touch_blocks(a, pa, b, geo, backend)
+                          and may_touch_blocks(b, pb, a, geo, backend))
+
+    cold = 0
+    for bit in ahead.own:
+        cold |= bit
+    for pos, addr, pcon in footprint:
+        bit = ahead.own[pos]
+        if cold & bit and (
+                any(may_share(a, ex.and_(pa, pcon), addr, pcon)
+                    for q, a, pa in footprint if q > pos)
+                or any(may_share(a, pa, addr, pcon) for _, a, pa in others)):
+            cold &= ~bit
+    return cold
 
 
 def _tau(addrs: list[Expr], i: int, geo: Geometry) -> Expr:

@@ -285,7 +285,7 @@ def test_no_solver_answer_outlives_its_run(capsys, monkeypatch):
     assert second is not first and second.calls == stats.solver_calls
     p, cfg = load_program("conc_multi_probe.ir"), CacheConfig(512, 1, 1)
     _, fresh = explore(p, cfg, ExploreOptions(), backend_for(p, cfg))
-    assert stats.solver_memo_hits == fresh.solver_memo_hits == 9
+    assert stats.solver_memo_hits == fresh.solver_memo_hits == 3
 
 
 def test_analyze_synthesized_adversary(capsys):
@@ -306,7 +306,7 @@ def test_analyze_synthesized_adversary(capsys):
     assert [tid for tid, _ in doc["leaks"][0]["schedule"]] == [1, 1, 1]
     assert doc["stats"] == {"interleavings": 4, "leak_checks": 6,
                             "solver_calls": 5, "states_forked": 3,
-                            "indeterminate": 0,
+                            "indeterminate": 0, "sites_settled": 0,
                             "wall_ms": doc["stats"]["wall_ms"]}
 
 
@@ -325,9 +325,9 @@ def test_one_replayed_report_per_leak_site(capsys, monkeypatch):
     assert code == 1
     doc = json.loads(out)
     assert [l["site"] for l in doc["leaks"]] == ["t1:L11:store:p"]
-    assert doc["stats"] == {"interleavings": 8, "leak_checks": 10,
-                            "solver_calls": 16, "states_forked": 10,
-                            "indeterminate": 0,
+    assert doc["stats"] == {"interleavings": 6, "leak_checks": 2,
+                            "solver_calls": 14, "states_forked": 5,
+                            "indeterminate": 0, "sites_settled": 3,
                             "wall_ms": doc["stats"]["wall_ms"]}
     assert replays == ["t1:L11:store:p"]
 

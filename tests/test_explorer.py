@@ -7,6 +7,8 @@ pinned so schedule-class deduplication and search-order changes show up.
 
 import pytest
 
+import symleak.explorer
+
 from symleak import parse_program, unroll_loops
 from symleak.bruteforce import brute_force_leaks
 from symleak.cache import CacheConfig
@@ -75,17 +77,22 @@ def test_concurrent_program_schedule_classes(fig3_cfg):
     assert lines_of(r) == [6, 9, 13, 11]
     assert (r.k1, r.verdict1) == ({"k": 0}, "hit")
     assert (r.k2, r.verdict2) == ({"k": 1}, "miss")
-    # Four choice sequences close.  In the then arm the probe runs after
-    # the store (1, 1, 1), then between the load and the store (1, 1, 2),
-    # where the store leaks, then before the load of p (1, 2).  From
-    # there on the store is not checked again.  In the else arm no
-    # access aliases the probe, so every order is one trace, and it
-    # closes once only the reported store lies ahead (1, 1).  No query
-    # repeats: the search asks each pair's dependence once.
-    assert stats.interleavings_explored == 4
-    assert stats.leak_checks == 7
-    assert stats.solver_calls == 7
-    assert stats.solver_memo_hits == 0
+    # The loads of q and p are settled before the search: nothing loads
+    # their blocks first, so they miss under every secret.  Five choice
+    # sequences close.  In the then arm the probe runs after the store
+    # (1, 1, 1), then between the load and the store (1, 1, 2), where
+    # the store leaks, then before the load of p (1, 2), then first
+    # (2,).  From there on only settled or reported sites lie ahead, and
+    # (2,) closes before the sleep set that would abandon it is built.
+    # In the else arm the same holds right after the branch (), before
+    # any choice.  Only the store is checked, in (1, 1, 1) and (1, 1, 2).
+    # The search's two branch checks repeat the settling run's, and one
+    # settling query repeats for the load and the store of p[k].
+    assert stats.interleavings_explored == 5
+    assert stats.leak_checks == 2
+    assert stats.sites_settled == 3
+    assert stats.solver_calls == 11
+    assert stats.solver_memo_hits == 3
     confirm_witness(p, fig3_cfg, r)
 
 
@@ -95,11 +102,11 @@ def test_repeated_queries_are_answered_by_the_memo(fig3_cfg):
     p = load_program("conc_multi_probe.ir")
     be = backend_for(p, fig3_cfg)
     _, stats = explore(p, fig3_cfg, DEFAULTS, be)
-    assert (stats.solver_memo_hits, stats.solver_calls) == (9, 16)
-    assert (be.memo_hits, be.calls) == (9, 16)
+    assert (stats.solver_memo_hits, stats.solver_calls) == (3, 14)
+    assert (be.memo_hits, be.calls) == (3, 14)
     # Counters are per run, taken as differences on the backend.
     _, again = explore(p, fig3_cfg, DEFAULTS, be)
-    assert (again.solver_memo_hits, again.solver_calls) == (16, 16)
+    assert (again.solver_memo_hits, again.solver_calls) == (14, 14)
 
 
 @pytest.mark.parametrize("cfg,site", [
@@ -141,7 +148,7 @@ def test_two_step_mode_agrees_here(fig3_cfg):
     reports, stats = explore(p, fig3_cfg, opts, backend_for(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L11:store:p"]
     assert lines_of(reports[0]) == [6, 9, 13, 11]
-    assert stats.solver_calls == 10
+    assert stats.solver_calls == 12
     confirm_witness(p, fig3_cfg, reports[0])
 
 
@@ -155,6 +162,9 @@ def test_symbolic_probe_placement(fig3_cfg):
                      "t1:L6:load:q": 385, "t1:L8:load:q": 257}
     assert stats.interleavings_explored == 5
     assert stats.solver_calls == 9
+    # The probe's symbolic base may place it on any block, so nothing is
+    # settled, and settling asks nothing.
+    assert stats.sites_settled == 0
     for r in reports:
         confirm_witness(p, fig3_cfg, r)
 
@@ -407,3 +417,54 @@ def test_a_state_closes_only_when_every_site_ahead_is_reported(body):
     assert stats.complete
     for r in reports:
         confirm_witness(p, cfg, r)
+
+
+@pytest.mark.parametrize("name,site,settled", [
+    # Thread 2's load of p[0] is all that can warm the critical load: a
+    # rule that ignored other threads would settle it.
+    ("conc_probe_warms.ir", "t1:L7:load:p", 0),
+    # The store to p[k] is warmed by the critical thread's own earlier
+    # load of p[k]: a rule that ignored earlier critical accesses would
+    # settle it.  The loads of p and q are cold.
+    ("conc_reuse_warms.ir", "t1:L16:store:p", 3),
+    # Thread 2 stores to ``idx``, which the critical thread indexes with:
+    # running alone, the critical thread computes other addresses than
+    # in the leaking order, so nothing may settle.
+    ("conc_index_store.ir", "t1:L10:load:t", 0),
+], ids=["other-thread", "earlier-access", "store-to-index"])
+def test_settling_keeps_every_leak(fig3_cfg, name, site, settled):
+    p = load_program(name)
+    assert {s for s, _ in brute_force_leaks(p, fig3_cfg)} == {site}
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    assert [r.site for r in reports] == [site]
+    assert stats.sites_settled == settled
+    for r in reports:
+        confirm_witness(p, fig3_cfg, r)
+
+
+@pytest.mark.parametrize("name", ["seq_leaky_reuse.ir", "sbox_rounds.ir"])
+def test_one_thread_computes_no_footprint(fig3_cfg, monkeypatch, name):
+    # With one thread, settling closes no state early: a single-thread
+    # search runs no thread alone and asks no settling query.
+    calls = []
+    for fn in ("_footprint", "_cold_sites"):
+        real = getattr(symleak.explorer, fn)
+        monkeypatch.setattr(symleak.explorer, fn,
+                            lambda *a, real=real, fn=fn: calls.append(fn)
+                            or real(*a))
+    p = load_program(name)
+    _, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    assert calls == [] and stats.sites_settled == 0
+
+
+def test_no_cold_site_leaves_the_search_as_it_was(fig3_cfg):
+    # The critical thread's one access, the load of ``c``, hits after
+    # thread 3's load of ``c``.  Settling runs and settles nothing, and
+    # the counters are those of the search without it: the critical
+    # thread's run alone is the one the observers build anyway, and
+    # equal addresses need no query.
+    p = load_program("conc_path_dependent_alias.ir")
+    _, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    assert (stats.interleavings_explored, stats.leak_checks,
+            stats.solver_calls, stats.states_forked,
+            stats.sites_settled) == (5, 8, 10, 7, 0)
