@@ -25,6 +25,9 @@ layout: its program from ``bench/gen.py``, run with its workload's cache
 flags, ending in ``oracle=ok`` when the exit code and leak sites are the
 brute-force oracle's recorded ones for that very program, else
 ``oracle=MISMATCH``.
+
+Exits 1, with the counts on stderr, when any layout reads
+``oracle=MISMATCH`` or any run exits 4 (an unconfirmed witness), else 0.
 """
 
 from __future__ import annotations
@@ -76,8 +79,10 @@ def summarise(src: Path, name: str, prog: Path, flags: list[str]
             proc.returncode, sites)
 
 
-def layouts(src: Path) -> None:
-    """Print one line per oracle-checked benchmark layout."""
+def layouts(src: Path) -> tuple[int, int]:
+    """Print one line per oracle-checked benchmark layout; return the
+    number of mismatches and of runs that exited 4."""
+    mismatches = crashes = 0
     sys.path.insert(0, str(ROOT / "bench"))
     import gen
     expected = json.loads(gen.EXPECTED.read_text())
@@ -92,6 +97,24 @@ def layouts(src: Path) -> None:
             ok = (gen.digest(text) == exp["sha256"] and code == exp["exit"]
                   and sites == exp["sites"])
             print(f"{line} oracle={'ok' if ok else 'MISMATCH'}", flush=True)
+            mismatches += not ok
+            crashes += code == 4
+    return mismatches, crashes
+
+
+def program_runs():
+    """(name, program, flags) of each run over the committed programs."""
+    for d in PROGRAM_DIRS:
+        for prog in sorted((ROOT / d).glob("*.ir")):
+            for assoc in ASSOCS:
+                for adversary in ADVERSARIES:
+                    name = (f"{prog.relative_to(ROOT)} assoc={assoc} "
+                            f"adversary={adversary}")
+                    yield name, prog, ["--preset", "paper-fig3", "--assoc",
+                                       str(assoc), "--adversary", adversary]
+            name = f"{prog.relative_to(ROOT)} assoc=1 adversary=fixed solver=smtstub"
+            yield name, prog, ["--preset", "paper-fig3", "--assoc", "1",
+                               "--adversary", "fixed", "--solver", STUB_SOLVER]
 
 
 def main(argv: list[str]) -> int:
@@ -102,20 +125,17 @@ def main(argv: list[str]) -> int:
     if not (src / "symleak" / "cli.py").is_file():
         print(f"no symleak sources under {src}", file=sys.stderr)
         return 2
-    for d in PROGRAM_DIRS:
-        for prog in sorted((ROOT / d).glob("*.ir")):
-            for assoc in ASSOCS:
-                for adversary in ADVERSARIES:
-                    name = (f"{prog.relative_to(ROOT)} assoc={assoc} "
-                            f"adversary={adversary}")
-                    flags = ["--preset", "paper-fig3", "--assoc", str(assoc),
-                             "--adversary", adversary]
-                    print(summarise(src, name, prog, flags)[0], flush=True)
-            name = f"{prog.relative_to(ROOT)} assoc=1 adversary=fixed solver=smtstub"
-            flags = ["--preset", "paper-fig3", "--assoc", "1",
-                     "--adversary", "fixed", "--solver", STUB_SOLVER]
-            print(summarise(src, name, prog, flags)[0], flush=True)
-    layouts(src)
+    crashes = 0
+    for name, prog, flags in program_runs():
+        line, code, _ = summarise(src, name, prog, flags)
+        print(line, flush=True)
+        crashes += code == 4
+    mismatches, layout_crashes = layouts(src)
+    crashes += layout_crashes
+    if mismatches or crashes:
+        print(f"{mismatches} layouts read oracle=MISMATCH, "
+              f"{crashes} runs exited 4", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -100,36 +100,7 @@ def interval(e: Expr, memo: dict[Expr, tuple[int, int]]) -> tuple[int, int]:
     """Conservative unsigned bounds of e, ignoring path conditions.
     ``memo`` holds the bounds of every node visited so far and gains
     those of this call."""
-    hit = memo.get(e)
-    if hit is not None:
-        return hit
-    # Iterative post-order over the operands each rule reads, so deep
-    # chains such as a doubled register cannot hit the recursion limit.
-    # Not ``expr.postorder``: this walk stops at nodes ``memo`` already
-    # bounds and skips operands no rule reads (a comparison's, an ITE's
-    # condition, a shift's amount).  A full postorder would walk every
-    # earlier round's address again for each new one, which is
-    # quadratic over unrolled rounds.
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        op = node.op
-        if op in _COMPARISONS:
-            used = ()
-        elif op is ex.Op.ITE:
-            used = node.args[1:]
-        elif op is ex.Op.SHL or op is ex.Op.LSHR:
-            used = node.args[:1]
-        else:
-            used = node.args
-        pending = [a for a in used if a not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
+    for node in ex.postorder([e], memo):
         memo[node] = _interval_node(node, memo)
     return memo[e]
 
@@ -185,33 +156,14 @@ def _interval_node(e: Expr, memo: dict[Expr, tuple[int, int]]) -> tuple[int, int
     return full
 
 
-def _in_arc(x: int, lo: int, hi: int) -> bool:
-    if lo <= hi:
-        return lo <= x <= hi
-    return x >= lo or x <= hi
-
-
-def _sets_may_overlap(a: tuple[int, int], b: tuple[int, int], num_sets: int) -> bool:
-    """Can two consecutive block ranges share a set index mod num_sets?"""
-    if a[1] - a[0] + 1 >= num_sets or b[1] - b[0] + 1 >= num_sets:
-        return True
-    a0, a1 = a[0] % num_sets, a[1] % num_sets
-    b0, b1 = b[0] % num_sets, b[1] % num_sets
-    return _in_arc(b0, a0, a1) or _in_arc(a0, b0, b1)
-
-
-def _ranges_disjoint(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[1] < b[0] or b[1] < a[0]
-
-
-def _can_evict(mid: tuple[int, int], victim: tuple[int, int], num_sets: int) -> bool:
-    """Can an access in block range ``mid`` touch the set of one in
-    ``victim`` with a different block?  Happens only when the block
-    numbers can differ by a nonzero multiple of num_sets."""
-    (m0, m1), (v0, v1) = mid, victim
-    k_hi = (m1 - v0) // num_sets
-    k_lo = -((v1 - m0) // num_sets)
-    return k_hi >= 1 or k_lo <= -1
+def _set_offsets(a: tuple[int, int], b: tuple[int, int],
+                 num_sets: int) -> tuple[int, int]:
+    """The range ``(lo, hi)`` of k for which a block in range ``a`` and
+    one in range ``b`` can differ by k * num_sets, empty when lo > hi.
+    The two may share a set iff lo <= hi, may be the same block iff
+    lo <= 0 <= hi, and may be different blocks of one set iff lo <= hi
+    and (lo, hi) != (0, 0)."""
+    return -((b[1] - a[0]) // num_sets), (a[1] - b[0]) // num_sets
 
 
 class Geometry:
@@ -261,12 +213,13 @@ def hit_constraint(addrs: Sequence[Expr], i: int, geo: Geometry) -> Expr:
     links: list[tuple[Expr, Expr]] = []
     for j in range(i - 1, -1, -1):
         t_j, l_j, b_j = geo.of(addrs[j])
-        if not _sets_may_overlap(b_j, b_i, n):
+        lo, hi = _set_offsets(b_j, b_i, n)
+        if lo > hi:
             continue
         same_set = ex.eq(l_j, l_i)
         if same_set is ex.FALSE:
             continue
-        same_block = ex.FALSE if _ranges_disjoint(b_j, b_i) else ex.eq(t_j, t_i)
+        same_block = ex.eq(t_j, t_i) if lo <= 0 <= hi else ex.FALSE
         links.append((same_set, same_block))
         if same_set is ex.TRUE:
             break
@@ -305,13 +258,14 @@ def hit_constraint_assoc(addrs: Sequence[Expr], i: int,
     disjuncts: list[Expr] = []
     for j in range(i - 1, -1, -1):
         t_j, l_j, b_j = geo.of(addrs[j])
-        tag_eq = ex.FALSE if _ranges_disjoint(b_j, b_i) else ex.eq(t_j, t_i)
+        lo, hi = _set_offsets(b_j, b_i, n)
+        tag_eq = ex.eq(t_j, t_i) if lo <= 0 <= hi else ex.FALSE
         if tag_eq is not ex.FALSE:
             disjuncts.append(tag_eq if len(kept) < w
                              else ex.and_(tag_eq, ex.ult(count, ex.const(w, cw))))
         if tag_eq is ex.TRUE:
             break
-        if not _can_evict(b_j, b_i, n):
+        if lo > hi or lo == hi == 0:
             continue
         last = [ex.eq(l_j, s_i), ex.ne(t_j, t_i)]
         last += [ex.ne(t, t_j) for t in kept]
@@ -331,7 +285,8 @@ def may_same_line(a: Expr, b: Expr, pcon: Expr, geo: Geometry,
     """
     _, l_a, b_a = geo.of(a)
     _, l_b, b_b = geo.of(b)
-    if not _sets_may_overlap(b_a, b_b, geo.num_sets):
+    lo, hi = _set_offsets(b_a, b_b, geo.num_sets)
+    if lo > hi:
         return False
     if a.is_const and b.is_const:
         return True  # point intervals: overlap is equality
@@ -350,11 +305,12 @@ def may_touch_blocks(addr: Expr, pcon: Expr, other: Expr, geo: Geometry,
     names no variable of ``other``.  An undecided query answers True.
     """
     t, _, blocks = geo.of(addr)
-    _, _, (lo, hi) = geo.of(other)
-    if _ranges_disjoint(blocks, (lo, hi)):
+    _, _, (b0, b1) = geo.of(other)
+    lo, hi = _set_offsets(blocks, (b0, b1), geo.num_sets)
+    if not lo <= 0 <= hi:
         return False
-    q = ex.conj([ex.ule(ex.const(lo, t.width), t),
-                 ex.ule(t, ex.const(hi, t.width)), pcon])
+    q = ex.conj([ex.ule(ex.const(b0, t.width), t),
+                 ex.ule(t, ex.const(b1, t.width)), pcon])
     if q.is_const:
         return bool(q.value)
     return backend.check(q).status != "unsat"

@@ -119,12 +119,9 @@ def _apply_adversary(p: Program, cfg: CacheConfig, which: str) -> Program:
 def _witness_inputs(p: Program, report: LeakReport, k: dict[str, int]) -> dict[str, int]:
     inputs = {**report.shared, **k}
     if report.adversary_addr is not None:
-        sym = [d.placement.var for d in p.decls
-               if isinstance(d.placement, SymbolicBase)]
-        if len(sym) != 1:
-            raise ReplayError(
-                "cannot reconstruct a witness with multiple symbolic bases")
-        inputs[sym[0]] = report.adversary_addr
+        first = next(d.placement.var for d in p.decls
+                     if isinstance(d.placement, SymbolicBase))
+        inputs[first] = report.adversary_addr
     return inputs
 
 

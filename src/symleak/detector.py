@@ -40,8 +40,9 @@ class LeakReport(Value, Frozen):
     """One confirmed divergence: at ``site``, under ``schedule``, secret
     valuation ``k1`` behaves as ``verdict1`` and ``k2`` as ``verdict2``.
     The schedule lists (tid, site) per executed access, the reported
-    access last.  ``adversary_addr`` is the chosen probe base when the
-    program places something symbolically.  ``shared`` holds the values
+    access last.  ``adversary_addr`` is the chosen value of the first
+    symbolic base when the program places something symbolically.
+    ``shared`` holds the values of the other symbolic bases and those
     both runs read from never-written public memory (the state's
     ``fresh_public`` variables the model names)."""
 

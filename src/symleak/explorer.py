@@ -227,17 +227,16 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
     if res.status != "sat":
         return None
     v1, v2 = verdicts(tau, st.pcon, res)
-    adv = None
-    for d in p.decls:
-        if isinstance(d.placement, SymbolicBase):
-            adv = res.model_a.get(d.placement.var, 0)
-            break
+    bases = [d.placement.var for d in p.decls
+             if isinstance(d.placement, SymbolicBase)]
+    shared = {n: res.model_a.get(n, 0) for n in bases[1:]}
+    shared.update((n, res.model_a[n]) for n in st.fresh_public if n in res.model_a)
     return LeakReport(
         site=str(ev.site), access_index=i,
         schedule=tuple((e.tid, str(e.site)) for e in tr),
         k1=_project(res.model_a, classes), k2=_project(res.model_b, classes),
-        adversary_addr=adv, verdict1=v1, verdict2=v2,
-        shared={n: res.model_a[n] for n in st.fresh_public if n in res.model_a},
+        adversary_addr=res.model_a.get(bases[0], 0) if bases else None,
+        verdict1=v1, verdict2=v2, shared=shared,
     )
 
 

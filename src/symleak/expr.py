@@ -13,8 +13,9 @@ XOR, AND and OR, and ``mulc(mulc(x, a), b)`` becomes
 ``mulc(x, a*b mod 2**w)``.  So no ADD/XOR/AND/OR node has a constant
 operand and a child of the same operator with a constant operand, and
 a table-lookup round such as ``r := r ^ c`` repeated keeps alternating
-between two interned nodes instead of growing a chain.  Each rule is
-exact modulo 2**w.
+between two interned nodes instead of growing a chain.  ``x - c`` is
+built as ``x + (-c)``, so a base and a subtracted constant fold into
+one.  Each rule is exact modulo 2**w.
 
 Widths are in bits.  All arithmetic is unsigned and wraps modulo 2**w.
 Comparisons produce width-1 values, and the usual bitwise operators
@@ -24,6 +25,7 @@ double as boolean connectives at width 1.
 from __future__ import annotations
 
 import enum
+from collections.abc import Container
 
 from .records import Frozen, set_field
 
@@ -160,10 +162,8 @@ def add(a: Expr, b: Expr) -> Expr:
 
 def sub(a: Expr, b: Expr) -> Expr:
     _require_same_width(a, b, "sub")
-    if a.is_const and b.is_const:
-        return const(a.value - b.value, a.width)
-    if b.is_const and b.value == 0:
-        return a
+    if b.is_const:
+        return add(a, const(-b.value, a.width))
     if a is b:
         return const(0, a.width)
     return _intern(Op.SUB, a.width, (a, b))
@@ -369,11 +369,13 @@ def disj(terms: list[Expr]) -> Expr:
     return out
 
 
-def postorder(roots: list[Expr]) -> list[Expr]:
-    """Every node reachable from ``roots``, once each, after its
-    arguments.  Iterative, so deep chains cannot hit the recursion
-    limit; every walk over a formula DAG reads this order.  A None on
-    the stack closes the node last opened."""
+def postorder(roots: list[Expr], done: Container[Expr] = ()) -> list[Expr]:
+    """Every node reachable from ``roots`` but not through a node in
+    ``done``, once each, after its arguments.  A caller that keeps a
+    result per node passes the nodes it already has, so the walk lists
+    only the new ones.  Iterative, so deep chains cannot hit the
+    recursion limit; every walk over a formula DAG reads this order.  A
+    None on the stack closes the node last opened."""
     order: list[Expr] = []
     opened: list[Expr] = []
     seen: set[Expr] = set()
@@ -382,7 +384,7 @@ def postorder(roots: list[Expr]) -> list[Expr]:
         node = stack.pop()
         if node is None:
             order.append(opened.pop())
-        elif node not in seen:
+        elif node not in seen and node not in done:
             seen.add(node)
             opened.append(node)
             stack.append(None)

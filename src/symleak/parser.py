@@ -184,6 +184,9 @@ class _Parser:
         if tok.text == "public":
             self.expect("=")
             value = self.expect_num()
+            if value >= 1 << width:
+                raise ParseError(
+                    f"input {name!r} value {value} does not fit in {width} bits", kw.line)
             return PublicInput(name, width, value)
         raise ParseError(f"expected 'secret' or 'public', found {tok.text!r}", tok.line, tok.col)
 

@@ -1,8 +1,10 @@
 """Program text from a parsed program: the inverse of the parser.
 
-``pretty`` renders a program as source text that parses back to an
-equal program, with the fewest parentheses the operator precedence
-allows.  The command line loads this module only for ``print-ir``.
+``pretty`` renders a program as source text with the fewest
+parentheses the operator precedence allows.  Parsing that text and
+printing it again gives the same text.  The reparsed program is not
+always equal to the original, since statements may move to other
+source lines.  The command line loads this module only for ``print-ir``.
 """
 
 from __future__ import annotations

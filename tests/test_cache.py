@@ -12,8 +12,9 @@ import pytest
 from symleak import CacheConfig, parse_program, unroll_loops
 from symleak import expr as ex
 import symleak.cache
-from symleak.cache import (Geometry, hit_constraint, hit_constraint_assoc,
-                           line, may_same_line, probe_window, tag)
+from symleak.cache import (Geometry, _set_offsets, hit_constraint,
+                           hit_constraint_assoc, line, may_same_line,
+                           probe_window, tag)
 from symleak.cli import backend_for
 from symleak.engine import run_schedule
 from symleak.explorer import ExploreOptions, explore
@@ -138,6 +139,40 @@ def test_interval_reasoning_helpers():
     assert may_same_line(low, high, ex.TRUE, geo, be)
     tight = CacheConfig(cache_size=2048, line_size=64, assoc=1)
     assert not may_same_line(low, high, ex.TRUE, Geometry(tight), be)
+
+
+def test_block_relation_readings_match_brute_force():
+    # Every pair of block ranges inside 0..9: each reading of the
+    # relation against the block pairs it summarises.
+    ranges = [(lo, hi) for lo in range(10) for hi in range(lo, 10)]
+    for n in (1, 2, 4, 8):
+        for a in ranges:
+            for b in ranges:
+                diffs = {x - y for x in range(a[0], a[1] + 1)
+                         for y in range(b[0], b[1] + 1)}
+                lo, hi = _set_offsets(a, b, n)
+                assert (lo <= hi) == any(d % n == 0 for d in diffs)
+                assert (lo <= 0 <= hi) == (0 in diffs)
+                assert ((lo <= hi and (lo, hi) != (0, 0))
+                        == any(d and d % n == 0 for d in diffs)), (a, b, n)
+
+
+def test_block_in_another_set_is_no_intermediate():
+    # Blocks 0 and 3 of a 2-set cache never share a set, so the access
+    # in block 0 between the two accesses to block 3 cannot evict it.
+    cfg = CacheConfig(cache_size=128, line_size=64, assoc=1)
+    low = ex.and_(ex.zext(ex.var("k", 8), 32), ex.const(63, 32))
+    tr = _trace(192, low, 192)
+    assert hit_constraint_assoc(tr, 2, Geometry(cfg)) is ex.TRUE
+
+
+def test_subtracted_index_keeps_its_block_range():
+    # q[k - 128] in the else arm: the base and the subtracted constant
+    # fold into one, so the address is bounded without wrapping.
+    p = load_program("conc_tmp_fixed.ir")
+    cfg = CacheConfig(512, 1, 1)
+    addr = run_schedule(p, cfg, (), (False,)).trace[0].addr
+    assert Geometry(cfg).of(addr)[2] == (129, 384)
 
 
 def test_tables_reduction_drops_unreachable_predecessors():

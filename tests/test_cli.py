@@ -185,6 +185,33 @@ def test_library_recipe_finds_what_the_cli_finds(capsys):
     assert stats.indeterminate == 0 and stats.complete
 
 
+@pytest.mark.parametrize("assoc", ["1", "2", "4"])
+def test_every_symbolic_base_replays(capsys, assoc):
+    # The first base is the report's adversary_addr and the second is in
+    # its shared values, so both witnesses replay.
+    prog = PROGRAMS_DIR / "two_symbolic_bases.ir"
+    code, out, _ = run_cli(capsys, "analyze", str(prog), *FIG3, "--assoc", assoc)
+    assert code == 1
+    leaks = json.loads(out)["leaks"]
+    assert sorted(leak["site"] for leak in leaks) == ["t1:L6:load:p", "t1:L7:load:p"]
+    assert all(set(leak["shared"]) == {"b_base"} and "adversary_addr" in leak
+               for leak in leaks)
+
+
+def test_public_input_wider_than_its_width_exits_2(capsys, tmp_path):
+    # Replay masks a public value to its width while the analysis would
+    # read it whole, so a value that does not fit is bad input.
+    src = tmp_path / "wide_public.ir"
+    src.write_text("array p[256] elem 1 at 0\ninput k width 8 secret\n"
+                   "input n width 4 public = 20\n"
+                   "thread 1 {\nload r1, p[k]\nload r2, p[n]\n}\n")
+    code, out, err = run_cli(capsys, "analyze", str(src), *FIG3)
+    assert code == 2 and out == ""
+    assert "input 'n' value 20 does not fit in 4 bits" in err
+    src.write_text(src.read_text().replace("= 20", "= 15"))
+    assert run_cli(capsys, "analyze", str(src), *FIG3)[0] == 1
+
+
 @pytest.mark.parametrize("field", ["max_interleavings", "timeout_ms"])
 def test_library_run_rejects_bounds_below_one(field):
     # The bounds are checked where the search takes them, so a library
@@ -326,7 +353,7 @@ def test_one_replayed_report_per_leak_site(capsys, monkeypatch):
     doc = json.loads(out)
     assert [l["site"] for l in doc["leaks"]] == ["t1:L11:store:p"]
     assert doc["stats"] == {"interleavings": 6, "leak_checks": 2,
-                            "solver_calls": 14, "states_forked": 5,
+                            "solver_calls": 10, "states_forked": 5,
                             "indeterminate": 0, "sites_settled": 3,
                             "wall_ms": doc["stats"]["wall_ms"]}
     assert replays == ["t1:L11:store:p"]

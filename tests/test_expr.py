@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symleak import expr as ex
+from symleak.cache import interval
 
 
 def test_interning_returns_identical_objects():
@@ -168,13 +169,28 @@ def test_free_vars_and_widths():
     lambda e: ex.substitute(e, {"k": ex.const(3999, 16)}) is ex.TRUE,
     lambda e: ex.var_widths(e) == {"k": 16},
     lambda e: ex.free_vars(e) == {"k"},
-], ids=["evaluate", "substitute", "var_widths", "free_vars"])
+    lambda e: interval(e, {}) == (0, 1),
+], ids=["evaluate", "substitute", "var_widths", "free_vars", "interval"])
 def test_deep_chain_walks_are_iterative(walk):
     # A disjunction of thousands of terms must not hit the recursion
     # limit in any walk built on ``expr.postorder``.
     k = ex.var("k", 16)
     e = ex.disj([ex.eq(k, ex.const(i, 16)) for i in range(4000)])
     assert walk(e)
+
+
+def test_postorder_stops_at_done_nodes():
+    k = ex.var("k", 8)
+    inner = ex.add(k, ex.const(3, 8))
+    e = ex.xor(inner, ex.var("j", 8))
+    full = ex.postorder([e])
+    assert full.index(inner) < full.index(e) and k in full
+    # ``inner`` and every node reachable only through it are skipped.
+    assert ex.postorder([e], {inner: None}) == [ex.var("j", 8), e]
+    assert ex.postorder([e], full) == []
+    # A node also reachable another way is still listed.
+    both = ex.xor(inner, k)
+    assert ex.postorder([both], {inner: None}) == [k, both]
 
 
 def test_constant_chains_reassociate():
