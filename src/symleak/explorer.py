@@ -19,13 +19,19 @@ such accesses changes no verdict.  Direct-mapped: after either order
 the set holds a block that no critical access requests.  LRU: the last
 access to a critical block is neither of the two, so every interval
 between it and a critical access holds both of them or neither.  The
-critical blocks come from a footprint, the addresses the critical
-thread computes running alone over every feasible branch arm, not from
-declaration extents: an index past the end of an array reaches other
-declarations' blocks.  Memory is kept per declaration, so a thread's
-footprint covers every interleaving unless another thread stores to a
-declaration the thread accesses; without the critical thread's, no
-access counts as unobserved.
+critical blocks come from the critical thread's footprint (below), not
+from declaration extents: an index past the end of an array reaches
+other declarations' blocks.
+
+A thread's footprint lists the addresses it computes running alone
+over every feasible branch arm.  Memory is kept per declaration, so it
+covers every interleaving unless another thread stores to a
+declaration the thread accesses (the store rule), and then the thread
+has none.  Each thread's footprint is built once, before the search,
+into one table by thread position (``_footprints``).  The observer
+rule reads the critical thread's entry and needs a fixed placement on
+the access it judges; settling (below) reads every entry and needs a
+fixed placement on every access of the other threads.
 
 A state's sleep set holds accesses
 whose orders a sibling subtree already covered: each child keeps the
@@ -67,8 +73,8 @@ at a higher position (every earlier statement of the thread) can touch
 its block.  The cache starts empty, so it misses under every secret,
 on every path and in every order, with any associativity.  A site
 settles when all its accesses are cold misses.  The accesses come from
-each thread's footprint, so nothing settles unless every thread has
-one.  Nor does anything settle when another thread accesses a
+the footprint table, so nothing settles unless every thread has a
+footprint.  Nor does anything settle when another thread accesses a
 declaration with a symbolic base, which may lie on any block.  With
 one thread settling closes no state early, so a single-thread search
 runs no thread alone.
@@ -85,6 +91,8 @@ bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 from .cache import (CacheConfig, Geometry, hit_constraint,
                     hit_constraint_assoc, may_same_line, may_touch_blocks)
@@ -250,13 +258,22 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
     crit = st0.thread_pos(p.critical_tid)
     ahead = _Ahead(st0.code[crit])
     geo = Geometry(cfg)
-    observers = _Observers(st0, backend, geo)
-    # The bits in ``ahead`` of the sites settled or reported.  Settling
-    # closes nothing early with one thread, so a single-thread search
-    # runs no thread alone.
-    reported = (_cold_sites(st0, crit, ahead, observers, backend, geo)
-                if len(st0.code) > 1 else 0)
+    table = _footprints(st0, crit, cfg, backend)
+    # The bits in ``ahead`` of the sites settled or reported.
+    reported = (_cold_sites(st0, crit, ahead, table, backend, geo)
+                if table is not None else 0)
     stats.sites_settled = reported.bit_count()
+    seen: dict[Expr, bool] = {}  # per address: unobserved?
+
+    def unobserved(ev: AccessEvent) -> bool:
+        if (table is None or ev.tid == p.critical_tid
+                or not isinstance(ev.decl.placement, Fixed)):
+            return False
+        if ev.addr not in seen:
+            seen[ev.addr] = not any(
+                may_touch_blocks(addr, pcon, ev.addr, geo, backend)
+                for _, addr, pcon in table[crit])
+        return seen[ev.addr]
 
     def closes(choices: tuple[int, ...], st: SymbolicState) -> bool:
         """Does ``st`` end its interleaving?  It does once every site
@@ -298,7 +315,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
         dep = deps.get(key)
         if dep is None:
             dep = deps[key] = _has_dependent_pair(st, a, b, backend,
-                                                  observers, geo)
+                                                  unobserved, geo)
         return dep
 
     stack: list[_Frame] = []
@@ -359,7 +376,8 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
 
 
 def _has_dependent_pair(st: SymbolicState, a: AccessEvent, b: AccessEvent,
-                        backend: SolverBackend, observers: _Observers,
+                        backend: SolverBackend,
+                        unobserved: Callable[[AccessEvent], bool],
                         geo: Geometry) -> bool:
     """May the order of two enabled accesses of different threads matter
     in ``st``?  They are dependent when they touch the same declaration
@@ -374,77 +392,42 @@ def _has_dependent_pair(st: SymbolicState, a: AccessEvent, b: AccessEvent,
         return True
     if not may_same_line(a.addr, b.addr, st.pcon, geo, backend):
         return False
-    return not observers.commute(a, b)
+    return not (unobserved(a) and unobserved(b))
 
 
-class _Observers:
-    """Which non-critical accesses no check can observe, for one search
-    from ``st0``.  The critical thread's footprint is built on first
-    use, here or by ``_cold_sites``; without one, every access counts as
-    observed."""
+Footprint = list[tuple[int, Expr, Expr]]
 
-    __slots__ = ("st0", "backend", "geo", "built", "footprint", "seen")
 
-    def __init__(self, st0: SymbolicState, backend: SolverBackend,
-                 geo: Geometry) -> None:
-        self.st0 = st0
-        self.geo = geo
-        self.backend = backend
-        self.built = False
-        self.footprint: list[tuple[int, Expr, Expr]] | None = None
-        self.seen: dict[Expr, bool] = {}  # per address: unobserved?
-
-    def critical_footprint(self) -> list[tuple[int, Expr, Expr]] | None:
-        if not self.built:
-            st0 = self.st0
-            self.footprint = _footprint(
-                st0, st0.thread_pos(st0.program.critical_tid), self.geo.cfg,
-                self.backend)
-            self.built = True
-        return self.footprint
-
-    def commute(self, a: AccessEvent, b: AccessEvent) -> bool:
-        """Are ``a`` and ``b`` unobserved accesses of different
-        non-critical threads and different declarations?"""
-        if (self.st0.program.critical_tid in (a.tid, b.tid) or a.tid == b.tid
-                or a.decl.name == b.decl.name):
-            return False
-        return self._unobserved(a) and self._unobserved(b)
-
-    def _unobserved(self, ev: AccessEvent) -> bool:
-        if not isinstance(ev.decl.placement, Fixed):
-            return False
-        footprint = self.critical_footprint()
-        if footprint is None:
-            return False
-        hit = self.seen.get(ev.addr)
-        if hit is None:
-            hit = self.seen[ev.addr] = not any(
-                may_touch_blocks(addr, pcon, ev.addr, self.geo, self.backend)
-                for _, addr, pcon in footprint)
-        return hit
+def _footprints(st0: SymbolicState, crit: int, cfg: CacheConfig,
+                backend: SolverBackend) -> list[Footprint | None] | None:
+    """Every thread's footprint by position in ``st0.code``, None for a
+    thread that fails the store rule (module docstring).  No table when
+    neither rule could read one: the critical thread fails the rule, or
+    no access of another thread has a fixed placement (one thread)."""
+    p, code = st0.program, st0.code
+    used = [{s.decl for s, _ in c if isinstance(s, (Load, Store))}
+            for c in code]
+    stored = [{s.decl for s, _ in c if isinstance(s, Store)} for c in code]
+    alone = [not any(stored[o] & used[pos] for o in range(len(code))
+                     if o != pos) for pos in range(len(code))]
+    if not alone[crit] or not any(
+            isinstance(p.decl(d).placement, Fixed)
+            for pos in range(len(code)) if pos != crit for d in used[pos]):
+        return None
+    return [_footprint(st0, pos, cfg, backend) if alone[pos] else None
+            for pos in range(len(code))]
 
 
 def _footprint(st0: SymbolicState, pos: int, cfg: CacheConfig,
-               backend: SolverBackend) -> list[tuple[int, Expr, Expr]] | None:
+               backend: SolverBackend) -> Footprint:
     """Run the thread at position ``pos`` alone from ``st0`` over every
     feasible branch arm and collect (position in its numbered body,
     address, path constraint) of its accesses.  A branch arm whose
-    feasibility is undecided is run.
-
-    None when another thread stores to a declaration this thread
-    accesses: memory is kept per declaration, so only then can the
-    thread load other values, and compute other addresses, than alone.
-    """
+    feasibility is undecided is run."""
     p = st0.program
-    touched = {s.decl for s, _ in st0.code[pos] if isinstance(s, (Load, Store))}
-    for other, code in enumerate(st0.code):
-        if other != pos and any(isinstance(s, Store) and s.decl in touched
-                                for s, _ in code):
-            return None
     t = p.threads[pos]
     alone = Program(p.decls, p.secret_inputs, p.public_inputs, (t,), t.tid)
-    out: list[tuple[int, Expr, Expr]] = []
+    out: Footprint = []
     todo = [initial_state(alone, cfg)]
     while todo:
         st = todo.pop()
@@ -461,32 +444,24 @@ def _footprint(st0: SymbolicState, pos: int, cfg: CacheConfig,
 
 
 def _cold_sites(st0: SymbolicState, crit: int, ahead: _Ahead,
-                observers: _Observers, backend: SolverBackend,
+                table: list[Footprint | None], backend: SolverBackend,
                 geo: Geometry) -> int:
     """The bits in ``ahead`` of the sites to settle: those all of whose
-    accesses are cold misses (module docstring).  The critical thread's
-    footprint is the one ``observers`` reads.  Two accesses cannot share
-    a block when either, under its path constraint, cannot touch the
-    other's block range.  An earlier critical access on the same path
-    has a path constraint the later one's implies, so its query takes
-    both, which rules out the other arm of a branch.  A site's bit
-    drops at its first warm access."""
+    accesses are cold misses (module docstring), read off ``table``.
+    Two accesses cannot share a block when either, under its path
+    constraint, cannot touch the other's block range.  An earlier
+    critical access on the same path has a path constraint the later
+    one's implies, so its query takes both, which rules out the other
+    arm of a branch.  A site's bit drops at its first warm access."""
     p = st0.program
-    if any(isinstance(s, (Load, Store))
-           and not isinstance(p.decl(s.decl).placement, Fixed)
-           for pos, code in enumerate(st0.code) if pos != crit
-           for s, _ in code):
+    if any(fp is None for fp in table) or any(
+            isinstance(s, (Load, Store))
+            and not isinstance(p.decl(s.decl).placement, Fixed)
+            for pos, code in enumerate(st0.code) if pos != crit
+            for s, _ in code):
         return 0
-    footprint = observers.critical_footprint()
-    if footprint is None:
-        return 0
-    others: list[tuple[int, Expr, Expr]] = []
-    for pos in range(len(st0.code)):
-        if pos != crit:
-            fp = _footprint(st0, pos, geo.cfg, backend)
-            if fp is None:
-                return 0
-            others += fp
+    footprint = table[crit]
+    others = [e for pos, fp in enumerate(table) if pos != crit for e in fp]
 
     def may_share(a: Expr, pa: Expr, b: Expr, pb: Expr) -> bool:
         return a is b or (may_touch_blocks(a, pa, b, geo, backend)

@@ -179,13 +179,11 @@ Stmt = Assign | Load | Store | If | For
 
 
 class Thread(Value, Frozen):
-    __slots__ = ("tid", "body", "critical")
+    __slots__ = ("tid", "body")
 
-    def __init__(self, tid: int, body: tuple[Stmt, ...],
-                 critical: bool = False) -> None:
+    def __init__(self, tid: int, body: tuple[Stmt, ...]) -> None:
         set_field(self, "tid", tid)
         set_field(self, "body", body)
-        set_field(self, "critical", critical)
 
 
 class Program(Value, Frozen):

@@ -80,6 +80,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.marked: list[int] = []  # tids of the threads marked critical
 
     # -- token helpers ----------------------------------------------------
 
@@ -135,7 +136,7 @@ class _Parser:
             else:
                 raise ParseError(f"expected declaration, input or thread, found {tok.text!r}",
                                  tok.line, tok.col)
-        return _validate(decls, secrets, publics, threads)
+        return _validate(decls, secrets, publics, threads, self.marked)
 
     def parse_decl(self) -> Declaration:
         kw = self.next()
@@ -193,13 +194,11 @@ class _Parser:
     def parse_thread(self) -> Thread:
         self.expect("thread")
         tid = self.expect_num()
-        critical = False
         if self.at("critical"):
             self.next()
-            critical = True
+            self.marked.append(tid)
         self.expect("{")
-        body = self.parse_block()
-        return Thread(tid, body, critical)
+        return Thread(tid, self.parse_block())
 
     def parse_block(self) -> tuple[Stmt, ...]:
         stmts: list[Stmt] = []
@@ -362,7 +361,8 @@ def _check_uses(e: IRExpr, live: set[str], known: set[str],
 
 
 def _validate(decls: list[Declaration], secrets: list[SecretInput],
-              publics: list[PublicInput], threads: list[Thread]) -> Program:
+              publics: list[PublicInput], threads: list[Thread],
+              marked: list[int]) -> Program:
     names: set[str] = set()
     for d in decls:
         if d.name in names:
@@ -386,7 +386,6 @@ def _validate(decls: list[Declaration], secrets: list[SecretInput],
     tids = [t.tid for t in threads]
     if len(set(tids)) != len(tids):
         raise ParseError("duplicate thread id")
-    marked = [t.tid for t in threads if t.critical]
     if len(threads) == 1:
         critical_tid = marked[0] if marked else threads[0].tid
     elif len(marked) == 1:

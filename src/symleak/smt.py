@@ -64,7 +64,7 @@ def _smt_node(node: Expr, args: list[str]) -> str:
     raise AssertionError(f"unhandled op {op}")
 
 
-def emit_query(formula: Expr, logic: str = "QF_BV", get_model: bool = True) -> str:
+def emit_query(formula: Expr) -> str:
     """Serialise a width-1 formula as an SMT-LIB2 script.
 
     One ``expr.postorder`` of the formula serves to count each node's
@@ -83,7 +83,7 @@ def emit_query(formula: Expr, logic: str = "QF_BV", get_model: bool = True) -> s
             widths[node.name] = node.width
         for a in node.args:
             parents[a] = parents.get(a, 0) + 1
-    lines = [f"(set-logic {logic})"]
+    lines = ["(set-logic QF_BV)"]
     for n in sorted(widths):
         lines.append(f"(declare-fun {n} () (_ BitVec {widths[n]}))")
     text: dict[Expr, str] = {}
@@ -96,9 +96,7 @@ def emit_query(formula: Expr, logic: str = "QF_BV", get_model: bool = True) -> s
             defined += 1
         text[node] = body
     lines.append(f"(assert (= {text[formula]} #b1))")
-    lines.append("(check-sat)")
-    if get_model:
-        lines.append("(get-model)")
+    lines += ["(check-sat)", "(get-model)"]
     return "\n".join(lines) + "\n"
 
 
@@ -138,14 +136,17 @@ class SmtProcessBackend(SolverBackend):
                          distinct: list[str]) -> DivergenceResult:
         """Instantiates the constraint twice over renamed variable families
         and solves the combined formula through ``check``, whose memo
-        answers a repeat.  The result is read-only, as ``check``'s is.
+        answers a repeat.  A duplicated variable that the constraint does
+        not name reads 0 in both models, as in ``EnumerativeBackend``.
+        The result is read-only, as ``check``'s is.
         """
         widths = ex.var_widths(tau) | ex.var_widths(pcon)
-        fam_a = {n: ex.var(f"{n}__1", widths[n]) for n in duplicated}
-        fam_b = {n: ex.var(f"{n}__2", widths[n]) for n in duplicated}
+        fam_a = {n: ex.var(f"{n}__1", widths[n]) for n in duplicated if n in widths}
+        fam_b = {n: ex.var(f"{n}__2", widths[n]) for n in fam_a}
         parts = [ex.substitute(pcon, fam_a), ex.substitute(pcon, fam_b)]
         if distinct:
-            parts.append(ex.disj([ex.ne(fam_a[n], fam_b[n]) for n in sorted(distinct)]))
+            parts.append(ex.disj([ex.ne(fam_a[n], fam_b[n])
+                                  for n in sorted(distinct) if n in fam_a]))
         parts.append(ex.xor(ex.substitute(tau, fam_a), ex.substitute(tau, fam_b)))
         res = self.check(ex.conj(parts))
         if res.status != "sat":

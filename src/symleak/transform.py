@@ -58,7 +58,7 @@ def unroll_loops(p: Program, bound: int) -> Program:
     loop free; applying the transform again is an identity.  Raises
     UnrollError when any trip count exceeds ``bound``.
     """
-    threads = tuple(Thread(t.tid, _unroll_body(t.body, bound, {}), t.critical)
+    threads = tuple(Thread(t.tid, _unroll_body(t.body, bound, {}))
                     for t in p.threads)
     if threads == p.threads:
         return p

@@ -345,7 +345,16 @@ def test_out_of_bounds_index_is_an_observer():
     assert stats.complete
 
 
-def test_unobserved_probes_commute(fig3_cfg):
+@pytest.mark.parametrize("shared,interleavings", [
+    ("", 1000),
+    # Threads 2 and 3 also load and store one scalar ``s``, block 10000,
+    # which no critical access touches.  Neither thread then has a
+    # footprint, but the critical thread still does, so the probes still
+    # commute; only the orders around ``s`` add to the count.  A search
+    # that built no footprint when some thread had none read 94,978.
+    ("s", 1819),
+], ids=["probes", "shared-scalar"])
+def test_unobserved_probes_commute(fig3_cfg, shared, interleavings):
     # bench/gen.py's probe shape at three threads of three probes, every
     # probe on set 5 with its own tag.  ``p[k]`` (k == 5) lies on set 5
     # too, and ``q`` covers sets 257..511 and 0, so a probe can evict
@@ -360,16 +369,20 @@ def test_unobserved_probes_commute(fig3_cfg):
             "array q[256] elem 1 at 257\n")
     text += "".join(f"scalar w{i} elem 1 at {(2 + i) * 512 + 5}\n"
                     for i in range(9))
+    if shared:
+        text += "scalar s elem 1 at 10000\n"
     text += ("thread 1 critical { if (k <= 127) {\nload reg2, q[255 - k]\n"
              "} else {\nload reg2, q[k - 128]\n} load reg1, p[k]\n"
              "reg1 := reg1 + reg2\nstore p[k], reg1\n}\n")
     for t in range(3):
         text += f"thread {t + 2} {{\n"
         text += "".join(f"load r{j}, w{3 * t + j}\n" for j in range(3))
+        if shared:
+            text += ("load r9, s\n", "store s, 1\n", "")[t]
         text += "}\n"
     p, (reports, stats) = explore_source(text, fig3_cfg)
     assert reports == []
-    assert stats.interleavings_explored == 1000
+    assert stats.interleavings_explored == interleavings
     assert stats.complete
 
 
@@ -461,8 +474,8 @@ def test_no_cold_site_leaves_the_search_as_it_was(fig3_cfg):
     # The critical thread's one access, the load of ``c``, hits after
     # thread 3's load of ``c``.  Settling runs and settles nothing, and
     # the counters are those of the search without it: the critical
-    # thread's run alone is the one the observers build anyway, and
-    # equal addresses need no query.
+    # thread's run alone is the table entry the observers read anyway,
+    # and equal addresses need no query.
     p = load_program("conc_path_dependent_alias.ir")
     _, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
     assert (stats.interleavings_explored, stats.leak_checks,

@@ -155,6 +155,14 @@ def test_single_thread_is_implicitly_critical():
     assert p.critical_tid == 7
 
 
+def test_printing_a_marked_single_thread_keeps_the_program():
+    # ``pretty`` drops the redundant mark on a lone thread; the program
+    # it prints is still the one parsed, with the same critical thread.
+    p = parse_program("array p[256] elem 1 at 0\ninput k width 4 secret\n"
+                      "thread 1 critical {\n  load r1, p[k]\n}\n")
+    assert parse_program(pretty(p)) == p
+
+
 def test_undeclared_and_unassigned_names_rejected():
     with pytest.raises(ParseError, match="undeclared memory"):
         parse_program("thread 1 { load r, nowhere[0] }")

@@ -572,6 +572,13 @@ def test_generic_divergence_through_process_backend():
     again = be.check_divergence(tau, ex.TRUE, ["k"], ["k"])
     assert (again.model_a, again.model_b) == (res.model_a, res.model_b)
     assert (be.calls, be.memo_hits) == (2, 1)
+    # A duplicated name the query does not mention reads 0 in both
+    # models, as in the enumerative backend, and leaves the query as it
+    # was: the memo answers it.
+    unused = be.check_divergence(tau, ex.TRUE, ["k", "j"], ["k", "j"])
+    assert unused.model_a == {**res.model_a, "j": 0}
+    assert unused.model_b == {**res.model_b, "j": 0}
+    assert (be.calls, be.memo_hits) == (3, 2)
 
 
 def test_process_backend_failure_modes():
