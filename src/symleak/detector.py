@@ -72,10 +72,9 @@ def classify(p: Program, st: SymbolicState) -> VarClasses:
     return VarClasses(dup, shared)
 
 
-def verdicts(tau: Expr, pcon: Expr, result: DivergenceResult) -> tuple[str, str]:
+def verdicts(tau: Expr, result: DivergenceResult) -> tuple[str, str]:
     """Hit/miss verdict of each model of a sat divergence result; a
-    variable of tau that a model leaves out reads 0.  Only tau is
-    evaluated, so ``pcon`` is not read."""
+    variable of tau that a model leaves out reads 0."""
     names = ex.free_vars(tau)
     a, b = (ex.evaluate(tau, {n: m.get(n, 0) for n in names})
             for m in (result.model_a, result.model_b))

@@ -28,10 +28,11 @@ over every feasible branch arm.  Memory is kept per declaration, so it
 covers every interleaving unless another thread stores to a
 declaration the thread accesses (the store rule), and then the thread
 has none.  Each thread's footprint is built once, before the search,
-into one table by thread position (``_footprints``).  The observer
-rule reads the critical thread's entry and needs a fixed placement on
-the access it judges; settling (below) reads every entry and needs a
-fixed placement on every access of the other threads.
+into one table by thread position (``_footprints``), run from the
+search's initial state, so its positions are those ``_Ahead`` indexes.
+The observer rule reads the critical thread's entry and needs a fixed
+placement on the access it judges; settling (below) reads every entry
+and needs a fixed placement on every access of the other threads.
 
 A state's sleep set holds accesses
 whose orders a sibling subtree already covered: each child keeps the
@@ -234,7 +235,7 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
         return None
     if res.status != "sat":
         return None
-    v1, v2 = verdicts(tau, st.pcon, res)
+    v1, v2 = verdicts(tau, res)
     bases = [d.placement.var for d in p.decls
              if isinstance(d.placement, SymbolicBase)]
     shared = {n: res.model_a.get(n, 0) for n in bases[1:]}
@@ -258,7 +259,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
     crit = st0.thread_pos(p.critical_tid)
     ahead = _Ahead(st0.code[crit])
     geo = Geometry(cfg)
-    table = _footprints(st0, crit, cfg, backend)
+    table = _footprints(st0, crit, backend)
     # The bits in ``ahead`` of the sites settled or reported.
     reported = (_cold_sites(st0, crit, ahead, table, backend, geo)
                 if table is not None else 0)
@@ -398,7 +399,7 @@ def _has_dependent_pair(st: SymbolicState, a: AccessEvent, b: AccessEvent,
 Footprint = list[tuple[int, Expr, Expr]]
 
 
-def _footprints(st0: SymbolicState, crit: int, cfg: CacheConfig,
+def _footprints(st0: SymbolicState, crit: int,
                 backend: SolverBackend) -> list[Footprint | None] | None:
     """Every thread's footprint by position in ``st0.code``, None for a
     thread that fails the store rule (module docstring).  No table when
@@ -414,31 +415,27 @@ def _footprints(st0: SymbolicState, crit: int, cfg: CacheConfig,
             isinstance(p.decl(d).placement, Fixed)
             for pos in range(len(code)) if pos != crit for d in used[pos]):
         return None
-    return [_footprint(st0, pos, cfg, backend) if alone[pos] else None
+    return [_footprint(st0, pos, backend) if alone[pos] else None
             for pos in range(len(code))]
 
 
-def _footprint(st0: SymbolicState, pos: int, cfg: CacheConfig,
-               backend: SolverBackend) -> Footprint:
+def _footprint(st0: SymbolicState, pos: int, backend: SolverBackend) -> Footprint:
     """Run the thread at position ``pos`` alone from ``st0`` over every
-    feasible branch arm and collect (position in its numbered body,
+    feasible branch arm and collect (position in ``st0.code[pos]``,
     address, path constraint) of its accesses.  A branch arm whose
     feasibility is undecided is run."""
-    p = st0.program
-    t = p.threads[pos]
-    alone = Program(p.decls, p.secret_inputs, p.public_inputs, (t,), t.tid)
     out: Footprint = []
-    todo = [initial_state(alone, cfg)]
+    todo = [st0]
     while todo:
         st = todo.pop()
-        ev = st.next_events[0]
+        ev = st.next_events[pos]
         if isinstance(ev, BranchEvent):
             for arm in (True, False):
                 nxt = take_branch(st, ev, arm)
                 if backend.check(nxt.pcon).status != "unsat":
                     todo.append(nxt)
         elif ev is not None:
-            out.append((st.cursors[0], ev.addr, st.pcon))
+            out.append((st.cursors[pos], ev.addr, st.pcon))
             todo.append(perform_access(st, ev))
     return out
 

@@ -15,7 +15,10 @@ operand and a child of the same operator with a constant operand, and
 a table-lookup round such as ``r := r ^ c`` repeated keeps alternating
 between two interned nodes instead of growing a chain.  ``x - c`` is
 built as ``x + (-c)``, so a base and a subtracted constant fold into
-one.  Each rule is exact modulo 2**w.
+one.  Each rule is exact modulo 2**w.  Commutative operators (ADD, AND,
+OR, XOR, EQ, NE) put a constant operand first and otherwise keep the
+caller's order, so a node depends only on how it was built, never on
+what the process built before it.
 
 Widths are in bits.  All arithmetic is unsigned and wraps modulo 2**w.
 Comparisons produce width-1 values, and the usual bitwise operators
@@ -54,28 +57,21 @@ class Op(enum.Enum):
     __hash__ = object.__hash__
 
 
-_COMMUTATIVE = {Op.ADD, Op.AND, Op.OR, Op.XOR, Op.EQ, Op.NE}
-
-
 class Expr(Frozen):
     """One interned DAG node.  Do not construct directly; use the builders.
 
     Equality is identity: interning makes equal nodes the same object."""
 
-    __slots__ = ("op", "width", "args", "value", "name", "serial", "is_const")
+    __slots__ = ("op", "width", "args", "value", "name", "is_const")
 
     def __init__(self, op: Op, width: int, args: tuple[Expr, ...] = (),
-                 value: int | None = None, name: str | None = None,
-                 serial: int = 0) -> None:
+                 value: int | None = None, name: str | None = None) -> None:
         set_field(self, "op", op)
         set_field(self, "width", width)
         set_field(self, "args", args)
         # CONST value, MULC factor or EXTRACT low bit; unused otherwise.
         set_field(self, "value", value)
         set_field(self, "name", name)
-        # Creation serial; stable within a process, used for canonical
-        # ordering.
-        set_field(self, "serial", serial)
         set_field(self, "is_const", op is Op.CONST)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -88,17 +84,16 @@ class Expr(Frozen):
 
 
 _table: dict[tuple, Expr] = {}
-_serial = 0
 
 
 def _intern(op: Op, width: int, args: tuple[Expr, ...] = (),
             value: int | None = None, name: str | None = None) -> Expr:
-    global _serial
-    key = (op, width, value, name, tuple(id(a) for a in args))
+    # Nodes hash and compare by identity, so the argument tuple itself
+    # keys its node.
+    key = (op, width, value, name, args)
     node = _table.get(key)
     if node is None:
-        _serial += 1
-        node = Expr(op, width, args, value, name, _serial)
+        node = Expr(op, width, args, value, name)
         _table[key] = node
     return node
 
@@ -128,20 +123,11 @@ def _require_same_width(a: Expr, b: Expr, what: str) -> None:
         raise ValueError(f"{what}: width mismatch {a.width} vs {b.width}")
 
 
-def _binary(op: Op, a: Expr, b: Expr) -> Expr:
-    if op in _COMMUTATIVE and b.serial < a.serial:
-        a, b = b, a
-    return _intern(op, a.width, (a, b))
-
-
 def _split_const(e: Expr, op: Op) -> tuple[Expr, int] | None:
-    """``(y, c)`` when e is ``y op c`` for a constant c, else None."""
-    if e.op is op:
-        x, y = e.args
-        if y.is_const:
-            return x, y.value
-        if x.is_const:
-            return y, x.value
+    """``(y, c)`` when e is ``c op y`` for a constant c, else None; a
+    constant operand of a commutative node is always its first."""
+    if e.op is op and e.args[0].is_const:
+        return e.args[1], e.args[0].value
     return None
 
 
@@ -157,7 +143,7 @@ def add(a: Expr, b: Expr) -> Expr:
         inner = _split_const(b, Op.ADD)
         if inner is not None:
             return add(inner[0], const(inner[1] + a.value, a.width))
-    return _binary(Op.ADD, a, b)
+    return _intern(Op.ADD, a.width, (a, b))
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -185,7 +171,7 @@ def and_(a: Expr, b: Expr) -> Expr:
             return and_(inner[0], const(inner[1] & a.value, a.width))
     if a is b:
         return a
-    return _binary(Op.AND, a, b)
+    return _intern(Op.AND, a.width, (a, b))
 
 
 def or_(a: Expr, b: Expr) -> Expr:
@@ -204,7 +190,7 @@ def or_(a: Expr, b: Expr) -> Expr:
             return or_(inner[0], const(inner[1] | a.value, a.width))
     if a is b:
         return a
-    return _binary(Op.OR, a, b)
+    return _intern(Op.OR, a.width, (a, b))
 
 
 def xor(a: Expr, b: Expr) -> Expr:
@@ -221,7 +207,7 @@ def xor(a: Expr, b: Expr) -> Expr:
             return xor(inner[0], const(inner[1] ^ a.value, a.width))
     if a is b:
         return const(0, a.width)
-    return _binary(Op.XOR, a, b)
+    return _intern(Op.XOR, a.width, (a, b))
 
 
 def not_(a: Expr) -> Expr:
@@ -276,7 +262,7 @@ def eq(a: Expr, b: Expr) -> Expr:
         return const(int(a.value == b.value), 1)
     if a is b:
         return const(1, 1)
-    if b.serial < a.serial:
+    if b.is_const:
         a, b = b, a
     return _intern(Op.EQ, 1, (a, b))
 
@@ -287,7 +273,7 @@ def ne(a: Expr, b: Expr) -> Expr:
         return const(int(a.value != b.value), 1)
     if a is b:
         return const(0, 1)
-    if b.serial < a.serial:
+    if b.is_const:
         a, b = b, a
     return _intern(Op.NE, 1, (a, b))
 

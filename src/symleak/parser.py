@@ -360,6 +360,20 @@ def _check_uses(e: IRExpr, live: set[str], known: set[str],
         raise ParseError(f"use of unassigned register or undeclared input {ident!r}", line)
 
 
+def _generated_owner(name: str, decls: set[str]) -> str | None:
+    """The declaration in ``decls`` after which the analysis names a
+    variable ``name``: ``<d>_base``, ``cell_<d>_<i>`` or ``ld<n>_<d>``."""
+    if name.endswith("_base") and name[:-5] in decls:
+        return name[:-5]
+    decl, _, cell = name[5:].rpartition("_")
+    if name.startswith("cell_") and cell.isdigit() and decl in decls:
+        return decl
+    n, _, decl = name[2:].partition("_")
+    if name.startswith("ld") and n.isdigit() and decl in decls:
+        return decl
+    return None
+
+
 def _validate(decls: list[Declaration], secrets: list[SecretInput],
               publics: list[PublicInput], threads: list[Thread],
               marked: list[int]) -> Program:
@@ -368,10 +382,15 @@ def _validate(decls: list[Declaration], secrets: list[SecretInput],
         if d.name in names:
             raise ParseError(f"duplicate declaration {d.name!r}")
         names.add(d.name)
+    decl_names = set(names)
     for inp in [*secrets, *publics]:
         if inp.name in names:
             raise ParseError(f"duplicate name {inp.name!r}")
         names.add(inp.name)
+        owner = _generated_owner(inp.name, decl_names)
+        if owner is not None:  # it would be the same solver variable
+            raise ParseError(f"input name {inp.name!r} is reserved for "
+                             f"a variable of declaration {owner!r}")
 
     placed = sorted(
         (d.placement.base, d.placement.base + d.byte_size, d.name)

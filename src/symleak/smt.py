@@ -4,13 +4,11 @@ SmtProcessBackend prints each query as SMT-LIB2 (QF_BV) and pipes it
 through an external solver executable such as ``z3 -in``, one process
 per query, killed once it outlives the backend's ``timeout_ms`` (the
 query then answers "unknown"; None: no deadline).  A query's shared
-nodes are numbered define-funs in ``expr.postorder``'s order, so within
-one process one formula always prints the same bytes.  Across processes
-it may not yet: ``expr`` orders the arguments of a commutative node by
-the process-global order in which nodes were interned (``_serial``), so
-the bytes of a query depend on what the process built before it.
-ROADMAP item 6 plans a structural order that makes the text a function
-of the formula alone.
+nodes are numbered define-funs in ``expr.postorder``'s order, so one
+formula always prints the same bytes.  The names it invents, ``$e<n>``
+for a shared node and ``<var>$1``, ``<var>$2`` for the two copies of a
+duplicated variable, hold a ``$``, which no IR identifier can, in
+different places: none names a program variable or another.
 
 The divergence query has no solver-side shortcut here: the backend
 instantiates the path condition and tau over two renamed copies of the
@@ -70,8 +68,7 @@ def emit_query(formula: Expr) -> str:
     One ``expr.postorder`` of the formula serves to count each node's
     parents, collect the variables to declare and build each node's
     text from its arguments' text.  Shared internal nodes are numbered
-    define-funs in that order, each defined before any use.  Argument
-    order follows ``expr``'s process-global serials (module docstring).
+    define-funs in that order, each defined before any use.
     """
     if formula.width != 1:
         raise ValueError("emit_query expects a width-1 formula")
@@ -91,8 +88,8 @@ def emit_query(formula: Expr) -> str:
     for node in order:
         body = _smt_node(node, [text[a] for a in node.args])
         if node.args and parents.get(node, 0) > 1:
-            lines.append(f"(define-fun e{defined} () (_ BitVec {node.width}) {body})")
-            body = f"e{defined}"
+            lines.append(f"(define-fun $e{defined} () (_ BitVec {node.width}) {body})")
+            body = f"$e{defined}"
             defined += 1
         text[node] = body
     lines.append(f"(assert (= {text[formula]} #b1))")
@@ -141,8 +138,8 @@ class SmtProcessBackend(SolverBackend):
         The result is read-only, as ``check``'s is.
         """
         widths = ex.var_widths(tau) | ex.var_widths(pcon)
-        fam_a = {n: ex.var(f"{n}__1", widths[n]) for n in duplicated if n in widths}
-        fam_b = {n: ex.var(f"{n}__2", widths[n]) for n in fam_a}
+        fam_a = {n: ex.var(f"{n}$1", widths[n]) for n in duplicated if n in widths}
+        fam_b = {n: ex.var(f"{n}$2", widths[n]) for n in fam_a}
         parts = [ex.substitute(pcon, fam_a), ex.substitute(pcon, fam_b)]
         if distinct:
             parts.append(ex.disj([ex.ne(fam_a[n], fam_b[n])
@@ -152,12 +149,12 @@ class SmtProcessBackend(SolverBackend):
         if res.status != "sat":
             return DivergenceResult(res.status)
         model = res.model or {}
-        shared = {n: v for n, v in model.items() if not n.endswith(("__1", "__2"))}
+        shared = {n: v for n, v in model.items() if "$" not in n}
         m_a = dict(shared)
         m_b = dict(shared)
         for n in duplicated:
-            m_a[n] = model.get(f"{n}__1", 0)
-            m_b[n] = model.get(f"{n}__2", 0)
+            m_a[n] = model.get(f"{n}$1", 0)
+            m_b[n] = model.get(f"{n}$2", 0)
         return DivergenceResult("sat", m_a, m_b)
 
     def _solve(self, formula: Expr) -> SolveResult:

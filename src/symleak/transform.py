@@ -79,7 +79,7 @@ def synthesize_adversary(p: Program, cfg: CacheConfig) -> Program:
         | {q.name for q in p.public_inputs}
     name = "adv"
     n = 1
-    while name in taken:
+    while name in taken or f"{name}_base" in taken:
         n += 1
         name = f"adv{n}"
     decl = Declaration(name, "scalar", cfg.line_size, 1, SymbolicBase(f"{name}_base"),

@@ -437,6 +437,23 @@ def test_witness_carries_uninitialised_public_memory(capsys, solver):
 
 
 @pytest.mark.parametrize("solver", [None, STUB], ids=["builtin", "external"])
+def test_input_named_like_a_shared_query_node(capsys, solver):
+    # ``e0`` is an input and ``e0 + 1`` a shared node of the queries;
+    # the external solver's script must name them apart, or it prunes
+    # the feasible arm ``e0 == 15`` and misses the leak.
+    prog = PROGRAMS_DIR / "smt_name_clash.ir"
+    flags = ["--solver", solver] if solver else []
+    code, out, err = run_cli(capsys, "analyze", str(prog), *FIG3, *flags)
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert [leak["site"] for leak in doc["leaks"]] == ["t1:L9:load:p"]
+    assert doc["stats"]["solver_calls"] == 5
+    p = load_program(prog.name)
+    assert {s for s, _ in brute_force_leaks(p, CacheConfig(512, 1, 1))} == {
+        "t1:L9:load:p"}
+
+
+@pytest.mark.parametrize("solver", [None, STUB], ids=["builtin", "external"])
 def test_backend_for_defaults_to_the_cli_deadline(solver):
     # The README recipe builds the backend ``analyze`` builds.
     p, cfg = load_program("seq_leaky_reuse.ir"), CacheConfig(512, 1, 1)

@@ -55,7 +55,7 @@ def test_solve_precise_finds_flip():
     be = EnumerativeBackend()
     res = solve_precise(be, tau, st.pcon, classes)
     assert res.status == "sat"
-    v1, v2 = verdicts(tau, st.pcon, res)
+    v1, v2 = verdicts(tau, res)
     assert {v1, v2} == {"hit", "miss"}
     assert res.model_a["k"] != res.model_b["k"]
     # The reuse hits exactly when k = 1 lands q on p[1]'s line.
@@ -81,8 +81,8 @@ def test_solve_two_step_agrees_on_fig3():
     be = EnumerativeBackend()
     res = solve_two_step(be, tau, st.pcon, classes)
     assert res.status == "sat"
-    assert {verdicts(tau, st.pcon, res)[0],
-            verdicts(tau, st.pcon, res)[1]} == {"hit", "miss"}
+    assert {verdicts(tau, res)[0],
+            verdicts(tau, res)[1]} == {"hit", "miss"}
     # model_a is always the hit side by construction.
     assert ex.evaluate(tau, res.model_a | {"k": res.model_a["k"]}) == 1
 
@@ -158,7 +158,7 @@ def test_two_step_contained_in_precise_on_random_formulas():
         if approx.status == "sat":
             hits += 1
             assert precise.status == "sat"
-            va, vb = verdicts(tau, pcon, approx)
+            va, vb = verdicts(tau, approx)
             assert {va, vb} == {"hit", "miss"}
             for n in classes.shared:
                 if n in approx.model_a or n in approx.model_b:
@@ -171,4 +171,4 @@ def test_verdict_evaluation_defaults_missing_names():
     tau = ex.eq(k, ex.const(0, 4))
     from symleak.solver import DivergenceResult
     res = DivergenceResult("sat", {}, {"k": 3})
-    assert verdicts(tau, ex.TRUE, res) == ("hit", "miss")
+    assert verdicts(tau, res) == ("hit", "miss")

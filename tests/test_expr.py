@@ -18,13 +18,16 @@ def test_interning_returns_identical_objects():
     assert ex.const(5, 8) is not ex.const(5, 16)
 
 
-def test_commutative_argument_order_is_canonical():
+def test_commutative_arguments_keep_the_builders_order_with_constants_first():
     a = ex.var("a", 8)
     b = ex.var("b", 8)
-    assert ex.add(a, b) is ex.add(b, a)
-    assert ex.xor(a, b) is ex.xor(b, a)
-    assert ex.eq(a, b) is ex.eq(b, a)
-    assert ex.ne(a, b) is ex.ne(b, a)
+    c = ex.const(3, 8)
+    for build in (ex.add, ex.and_, ex.or_, ex.xor, ex.eq, ex.ne):
+        assert build(a, b).args == (a, b)
+        assert build(b, a).args == (b, a)
+        assert build(a, c).args == (c, a)
+        assert build(c, a).args == (c, a)
+        assert build(a, b) is build(a, b)
 
 
 def test_constant_masking_and_folding():

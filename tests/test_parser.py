@@ -139,6 +139,19 @@ def test_duplicate_names_rejected():
                       "thread 1 { load r, a[0] }")
 
 
+@pytest.mark.parametrize("name", ["t_base", "cell_t_0", "ld3_t"],
+                         ids=["base", "cell", "ld"])
+def test_input_named_like_an_analysis_variable_rejected(name):
+    # The analysis names a symbolic base, a never-written cell and an
+    # unknown read after their declaration; an input of that name would
+    # be the same solver variable.
+    rest = f"input {name} width 4 secret\nthread 1 {{ load r, p[{name}] }}"
+    with pytest.raises(ParseError, match=f"{name!r} is reserved .* 't'"):
+        parse_program(f"array p[16] elem 1 at 0\narray t[4] elem 1 at symbolic\n{rest}")
+    # The same name is an ordinary input when no declaration owns it.
+    parse_program(f"array p[16] elem 1 at 0\narray u[4] elem 1 at symbolic\n{rest}")
+
+
 def test_thread_validation():
     with pytest.raises(ParseError, match="no threads"):
         parse_program("array a[2] elem 1 at 0")

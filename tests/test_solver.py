@@ -8,20 +8,25 @@ backend's packed lanes are checked lane by lane against scalar
 takes one assignment at a time.
 """
 
+import hashlib
 import itertools
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import symleak.smt
 from symleak import expr as ex
+from symleak.cache import CacheConfig
 from symleak.errors import SolverProcessError
+from symleak.explorer import ExploreOptions, explore
 from symleak.smt import SmtProcessBackend, emit_query, parse_model
 from symleak.solver import EnumerativeBackend, SolveResult, _Lanes, _lane_bits
 
-from conftest import late_clock
+from conftest import late_clock, load_program
 
 STUB = [sys.executable, str(Path(__file__).resolve().parent / "smtstub.py")]
 
@@ -223,7 +228,7 @@ def test_emit_query_is_deterministic_and_shares_subterms():
     q1 = emit_query(f)
     q2 = emit_query(f)
     assert q1 == q2
-    assert q1.count("define-fun e0") == 1
+    assert q1.count("define-fun $e0 ") == 1
     assert "(set-logic QF_BV)" in q1
     assert "(check-sat)" in q1 and "(get-model)" in q1
     with pytest.raises(ValueError, match="width-1"):
@@ -257,9 +262,65 @@ def test_emit_query_prints_each_node_once():
     for line in q.splitlines():
         if line.startswith("(define-fun "):
             name, body = line.split(" ", 2)[1], line.split(")", 2)[2]
-            assert set(re.findall(r"\be\d+\b", body)) <= set(defined)
+            assert set(re.findall(r"\$e\d+", body)) <= set(defined)
             defined.append(name)
-    assert defined == [f"e{i}" for i in range(199)]
+    assert defined == [f"$e{i}" for i in range(199)]
+
+
+def test_emit_query_names_clash_with_no_program_variable(monkeypatch):
+    # ``e0``, ``e`` and ``e0__1`` are valid IR input names.  The names
+    # the module invents for a shared node and for a variable's two
+    # copies must differ from them and from each other, or a script both
+    # declares and defines one name.
+    texts = []
+    real = symleak.smt.emit_query
+    monkeypatch.setattr(symleak.smt, "emit_query",
+                        lambda f: texts.append(real(f)) or texts[-1])
+    e0, e = ex.var("e0", 4), ex.var("e", 4)
+    shared = ex.add(e0, ex.const(1, 4))
+    texts.append(real(ex.and_(ex.eq(shared, ex.const(0, 4)), ex.ult(shared, e0))))
+    # ``e0 + e`` is in pcon and in tau, so each copy of it is shared.
+    pcon = ex.ult(ex.add(e0, e), ex.const(12, 4))
+    tau = ex.ult(ex.add(ex.add(e0, e), ex.var("e0__1", 4)), ex.const(8, 4))
+    res = _stub().check_divergence(tau, pcon, ["e0", "e"], ["e0", "e"])
+    assert res.status == "sat"
+    assert res.model_a["e0__1"] == res.model_b["e0__1"]
+    assert ex.evaluate(tau, res.model_a) != ex.evaluate(tau, res.model_b)
+    assert len(texts) == 2
+    for q in texts:
+        declared = set(re.findall(r"\(declare-fun (\S+) ", q))
+        defined = set(re.findall(r"\(define-fun (\S+) ", q))
+        assert defined and not declared & defined, q
+
+
+def _query_digest(names: list[str]) -> str:
+    """sha256 of the SMT-LIB texts sent to the stub solver while the
+    last of ``names`` is explored, after the others in this process."""
+    texts: list[str] = []
+    real = symleak.smt.emit_query
+    symleak.smt.emit_query = lambda f: texts.append(real(f)) or texts[-1]
+    try:
+        for name in names:
+            texts.clear()
+            explore(load_program(name), CacheConfig(512, 1, 1),
+                    ExploreOptions(), _stub())
+    finally:
+        symleak.smt.emit_query = real
+    return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+
+def test_query_text_does_not_depend_on_earlier_analyses():
+    # The bytes of a query are a function of the search that built it:
+    # exploring another program first changes none of them.
+    second = "conc_path_dependent_alias.ir"
+    after = _query_digest(["conc_tmp_fixed.ir", second])
+    tests = Path(__file__).resolve().parent
+    code = (f"import sys; sys.path[:0] = {[str(tests.parent / 'src'), str(tests)]!r}; "
+            f"from test_solver import _query_digest; "
+            f"print(_query_digest([{second!r}]))")
+    alone = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, check=True, timeout=300).stdout.strip()
+    assert after == alone
 
 
 def test_parse_model_accepts_all_value_forms():

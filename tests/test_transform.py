@@ -95,6 +95,16 @@ def test_synthesize_avoids_name_collision():
     """)
     q = synthesize_adversary(p, CacheConfig(512, 1, 1))
     assert q.decls[-1].name == "adv2"
+    # An input named ``adv_base`` would be the probe's base variable
+    # too, so the probe takes the next free name there as well.
+    p = parse_program("""
+        array s[16] elem 1 at 0
+        input adv_base width 4 secret
+        thread 1 { load r, s[adv_base] }
+    """)
+    probe = synthesize_adversary(p, CacheConfig(512, 1, 1)).decls[-1]
+    assert probe.name == "adv2"
+    assert probe.placement == SymbolicBase("adv2_base")
 
 
 def test_synthesize_refuses_existing_second_thread():
