@@ -6,18 +6,20 @@ cache-hit constraint per memory access, and ask a solver for two secret
 valuations that schedule the same accesses but disagree on a hit.  A
 concrete LRU oracle replays every witness before it is reported.
 
-``brute_force_leaks``, ``SmtProcessBackend`` and ``pretty`` load their
-modules on first use (PEP 562), so importing the package or its command
-line compiles only the analysis pipeline.
+``brute_force_leaks``, ``SmtProcessBackend``, ``pretty`` and the
+concrete oracle's ``replay``, ``empty_cache``, ``simulate_access`` and
+``ConcreteCacheState`` load their modules on first use (PEP 562), so
+importing the package or its command line compiles only the analysis
+pipeline.
 """
 
 from .cache import CacheConfig, Site, hit_constraint, hit_constraint_assoc
 from .detector import LeakReport
-from .errors import (AdversaryError, BruteForceCapError, ParseError,
-                     ReplayError, SolverProcessError, SymleakError, UnrollError)
+from .errors import (AdversaryError, BruteForceCapError, ConfigError,
+                     ParseError, ReplayError, SolverProcessError, SymleakError,
+                     UnrollError)
 from .explorer import ExploreOptions, ExploreStats, explore
 from .ir import Program
-from .oracle import ConcreteCacheState, empty_cache, replay, simulate_access
 from .parser import parse_program
 from .solver import EnumerativeBackend, SolverBackend
 from .transform import synthesize_adversary, unroll_loops
@@ -29,6 +31,7 @@ __all__ = [
     "BruteForceCapError",
     "CacheConfig",
     "ConcreteCacheState",
+    "ConfigError",
     "EnumerativeBackend",
     "ExploreOptions",
     "ExploreStats",
@@ -61,6 +64,10 @@ _LAZY = {
     "brute_force_leaks": "bruteforce",
     "SmtProcessBackend": "smt",
     "pretty": "printer",
+    "replay": "oracle",
+    "empty_cache": "oracle",
+    "simulate_access": "oracle",
+    "ConcreteCacheState": "oracle",
 }
 
 

@@ -17,7 +17,7 @@ from copy import copy
 from itertools import product
 
 from .cache import CacheConfig, probe_window
-from .errors import BruteForceCapError
+from .errors import BruteForceCapError, ConfigError
 from .ir import Fixed, Program, Sensitivity, SymbolicBase
 from .oracle import _numbered, _Run
 
@@ -137,9 +137,9 @@ def brute_force_leaks(p: Program, cfg: CacheConfig, key_bits: int = 16,
     so far.
     """
     if key_bits < 0:
-        raise ValueError(f"key_bits must be at least 0, got {key_bits}")
+        raise ConfigError(f"key_bits must be at least 0, got {key_bits}")
     if max_orders < 1:
-        raise ValueError(f"max_orders must be at least 1, got {max_orders}")
+        raise ConfigError(f"max_orders must be at least 1, got {max_orders}")
     sym = [d for d in p.decls if isinstance(d.placement, SymbolicBase)]
     if len(sym) > 1:
         raise BruteForceCapError("at most one symbolic-base declaration supported")

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from . import expr as ex
+from .errors import ConfigError
 from .expr import Expr
 from .records import Frozen, Value, set_field
 
@@ -40,9 +41,9 @@ class CacheConfig(Value, Frozen):
     def __init__(self, cache_size: int = 65536, line_size: int = 64,
                  assoc: int = 1) -> None:
         if not (_is_pow2(cache_size) and _is_pow2(line_size) and _is_pow2(assoc)):
-            raise ValueError("cache_size, line_size and assoc must be powers of two")
+            raise ConfigError("cache_size, line_size and assoc must be powers of two")
         if line_size * assoc > cache_size:
-            raise ValueError("cache smaller than one set")
+            raise ConfigError("cache smaller than one set")
         set_field(self, "cache_size", cache_size)
         set_field(self, "line_size", line_size)
         set_field(self, "assoc", assoc)

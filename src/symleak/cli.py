@@ -17,9 +17,13 @@ exits 4.  ``brute-force`` exits 0, 1, 2 and 4 alike, and 3 when it hits
 ``--key-bits`` or ``--max-orders``, with the sites found so far on
 stdout and the bound on stderr.
 
-``brute-force`` and ``print-ir``, and ``analyze`` only under
-``--solver``, import the modules they need when they run, so that
-``analyze`` loads only its own pipeline.
+``brute-force``, ``print-ir`` and ``replay``, and ``analyze`` only under
+``--solver`` or to replay a witness, import the modules they need when
+they run, so that a leak-free ``analyze`` loads only its own pipeline.
+Exit 2 is bad input: a ``SymleakError`` (settings out of range and
+files that are not UTF-8 included) or an ``OSError``; any other
+exception, a ``ValueError`` from the pipeline's own invariants
+included, exits 4.
 
 The report has one entry per leaky site, the first witness the search
 found for it, replay-confirmed before it is printed.
@@ -46,10 +50,10 @@ import time
 
 from .cache import CacheConfig, probe_window
 from .detector import LeakReport
-from .errors import BruteForceCapError, ReplayError, SymleakError
+from .errors import (BruteForceCapError, ConfigError, ParseError, ReplayError,
+                     SymleakError)
 from .explorer import ExploreOptions, ExploreStats, explore
 from .ir import Program, SymbolicBase
-from .oracle import replay, replay_trace, schedule_from_lines
 from .parser import parse_program
 from .records import Frozen, set_field
 from .solver import DEFAULT_TIMEOUT_MS, EnumerativeBackend, SolverBackend
@@ -86,7 +90,11 @@ class RunConfig(Frozen):
 
 def _load(path: str) -> Program:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 ({e.reason} at byte "
+                             f"{e.start})") from None
     return unroll_loops(parse_program(text), _UNROLL_BOUND)
 
 
@@ -128,6 +136,7 @@ def _witness_inputs(p: Program, report: LeakReport, k: dict[str, int]) -> dict[s
 def confirm_report(p: Program, cfg: CacheConfig, report: LeakReport) -> bool:
     """Replay both witness valuations; the final access must reproduce
     the reported verdicts and they must differ."""
+    from .oracle import replay
     tids = [tid for tid, _ in report.schedule]
     try:
         seq1 = replay(p, _witness_inputs(p, report, report.k1), tids, cfg)
@@ -168,6 +177,7 @@ def write_report(rc: RunConfig, reports: list[LeakReport],
         "stats": {"interleavings": stats.interleavings_explored,
                   "leak_checks": stats.leak_checks,
                   "solver_calls": stats.solver_calls,
+                  "solver_memo_hits": stats.solver_memo_hits,
                   "states_forked": stats.states_forked,
                   "indeterminate": stats.indeterminate,
                   "sites_settled": stats.sites_settled,
@@ -181,7 +191,7 @@ def run(rc: RunConfig) -> int:
     """parse, unroll, place adversary, explore, confirm, report."""
     t0 = time.monotonic()
     if rc.mode not in ("precise", "two-step"):
-        raise ValueError(f"mode must be one of precise, two-step, got {rc.mode!r}")
+        raise ConfigError(f"mode must be one of precise, two-step, got {rc.mode!r}")
     opts = ExploreOptions(mode=rc.mode.replace("-", "_"),
                           max_interleavings=rc.max_interleavings)
     p = _apply_adversary(_load(rc.program), rc.cache, rc.adversary)
@@ -297,6 +307,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from .oracle import replay_trace, schedule_from_lines
     p = _load(args.file)
     cfg = _cache_from(args)
     inputs = _parse_inputs(args.input)
@@ -348,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (SymleakError, OSError, ValueError) as e:
+    except (SymleakError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception:

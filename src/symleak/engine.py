@@ -424,7 +424,7 @@ def perform_access(st: SymbolicState, ev: AccessEvent) -> SymbolicState:
 def run_schedule(p: Program, cfg: CacheConfig, tids, arms=()) -> SymbolicState:
     """Drive one complete execution: take branch arms from ``arms`` (true
     when exhausted) and accesses in ``tids`` order (lowest enabled tid when
-    exhausted).  Intended for tests and trace replay, not search."""
+    exhausted).  Intended for tests, not search."""
     st = initial_state(p, cfg)
     arm_iter = iter(arms)
     tid_iter = iter(tids)

@@ -7,6 +7,12 @@ class SymleakError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ConfigError(SymleakError, ValueError):
+    """A setting is out of range: a cache shape, a bound or a deadline.
+    Bad input like a parse error, and still a ``ValueError`` for callers
+    that catch one."""
+
+
 class ParseError(SymleakError):
     """Source program is syntactically or semantically malformed."""
 

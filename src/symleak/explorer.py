@@ -102,6 +102,7 @@ from .detector import (LeakReport, VarClasses, classify, solve_precise,
 from .engine import (AccessEvent, BranchEvent, Code, SymbolicState,
                      branch_events, enabled_events, initial_state,
                      perform_access, take_branch)
+from .errors import ConfigError
 from . import expr as ex
 from .expr import Expr
 from .ir import Fixed, If, Load, Program, Store, SymbolicBase
@@ -118,13 +119,13 @@ class ExploreOptions(Frozen):
     def __init__(self, mode: str = "precise",
                  max_interleavings: int | None = None) -> None:
         if mode not in MODES:
-            raise ValueError(f"mode must be one of {', '.join(MODES)}, "
-                             f"got {mode!r}")
+            raise ConfigError(f"mode must be one of {', '.join(MODES)}, "
+                              f"got {mode!r}")
         # A bound below one would stop the search before it starts and
         # pass bad input off as an incomplete search.
         if max_interleavings is not None and max_interleavings < 1:
-            raise ValueError("max_interleavings must be at least 1, "
-                             f"got {max_interleavings}")
+            raise ConfigError("max_interleavings must be at least 1, "
+                              f"got {max_interleavings}")
         set_field(self, "mode", mode)
         set_field(self, "max_interleavings", max_interleavings)
 

@@ -55,6 +55,13 @@ class Token(Frozen):
         set_field(self, "col", col)
 
 
+def _number(tok: Token) -> int:
+    try:
+        return int(tok.text, 0)
+    except ValueError:  # a decimal with a leading zero, such as 08
+        raise ParseError(f"bad number {tok.text!r}", tok.line, tok.col) from None
+
+
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line, col, pos = 1, 1, 0
@@ -112,7 +119,7 @@ class _Parser:
         if tok.kind != "num":
             raise ParseError(f"expected number, found {tok.text or 'end of input'!r}",
                              tok.line, tok.col)
-        return int(tok.text, 0)
+        return _number(tok)
 
     def at(self, text: str) -> bool:
         return self.peek().text == text
@@ -280,7 +287,7 @@ class _Parser:
     def parse_primary(self) -> IRExpr:
         tok = self.next()
         if tok.kind == "num":
-            return Num(int(tok.text, 0))
+            return Num(_number(tok))
         if tok.kind == "ident" and tok.text not in _KEYWORDS:
             return Name(tok.text)
         if tok.text == "(":

@@ -16,10 +16,10 @@ the widest node.  A domain is any sequence of ints below 2**64; a
 ``range`` stays lazy.  One ``expr.postorder`` of the query gives both
 the order the nodes are evaluated in and the variables to enumerate.
 The backend is exact, needs nothing outside the standard library and
-is fast for the small key spaces this tool targets.  A query whose combined domain exceeds a configurable bit
-budget is not enumerated and answers "unknown".  The backend that pipes
-SMT-LIB2 through an external solver lives in ``symleak.smt``, loaded
-only by a run that asks for one.
+is fast for the small key spaces this tool targets.  A query whose
+combined domain exceeds a configurable bit budget is not enumerated and
+answers "unknown".  The backend that pipes SMT-LIB2 through an external
+solver lives in ``symleak.smt``, loaded only by a run that asks for one.
 
 Every backend memoizes its answers for its own lifetime.
 ``SolverBackend.check`` counts the query, folds constant formulas, looks
@@ -41,6 +41,7 @@ from array import array
 from collections.abc import Sequence
 
 from . import expr as ex
+from .errors import ConfigError
 from .expr import Expr
 
 
@@ -76,7 +77,7 @@ class SolverBackend(ABC):
 
     def __init__(self, timeout_ms: int | None = None) -> None:
         if timeout_ms is not None and timeout_ms < 1:
-            raise ValueError(f"timeout_ms must be at least 1, got {timeout_ms}")
+            raise ConfigError(f"timeout_ms must be at least 1, got {timeout_ms}")
         self.timeout_ms = timeout_ms
         self.calls = 0
         self.memo_hits = 0

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import symleak.cli
+import symleak.explorer
+from symleak import expr as ex
 from symleak.bruteforce import brute_force_leaks
 from symleak.cache import CacheConfig
 from symleak.cli import RunConfig, backend_for, confirm_report, main
@@ -70,13 +72,35 @@ def test_analyze_unreadable_file_exits_2(capsys):
     assert err == "error: [Errno 2] No such file or directory: '/nonexistent.ir'\n"
 
 
+def test_analyze_non_utf8_file_exits_2(capsys, tmp_path):
+    src = tmp_path / "utf16.ir"
+    src.write_bytes(b"\xff\xfe" + "thread 1 { }\n".encode("utf-16-le"))
+    code, out, err = run_cli(capsys, "analyze", str(src), *FIG3)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
+def _recursion_crash(*args, **kwargs):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+def _width_mismatch(*args, **kwargs):
+    # A pipeline bug: an expression builder's invariant fails.
+    return ex.add(ex.var("x", 8), ex.var("y", 32))
+
+
 def test_analyze_internal_error_exits_4(capsys, monkeypatch):
-    def crash(*args, **kwargs):
-        raise RecursionError("maximum recursion depth exceeded")
-    monkeypatch.setattr(symleak.cli, "explore", crash)
-    code, out, err = run_cli(capsys, "analyze", SEQ, *FIG3)
-    assert code == 4 and out == ""
-    assert "RecursionError" in err
+    # Exit 2 is for bad input only: a ValueError raised inside the
+    # pipeline is a crash too, with its traceback.
+    for owner, attr, fake, name in (
+            (symleak.cli, "explore", _recursion_crash, "RecursionError"),
+            (symleak.explorer, "hit_constraint", _width_mismatch,
+             "ValueError: add: width mismatch 8 vs 32")):
+        with monkeypatch.context() as m:
+            m.setattr(owner, attr, fake)
+            code, out, err = run_cli(capsys, "analyze", SEQ, *FIG3)
+        assert code == 4 and out == ""
+        assert err.startswith("Traceback") and name in err
 
 
 def test_unconfirmed_witness_exits_4(capsys, monkeypatch):
@@ -196,6 +220,19 @@ def test_every_symbolic_base_replays(capsys, assoc):
     assert sorted(leak["site"] for leak in leaks) == ["t1:L6:load:p", "t1:L7:load:p"]
     assert all(set(leak["shared"]) == {"b_base"} and "adversary_addr" in leak
                for leak in leaks)
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((3, 1, 1), "cache_size, line_size and assoc must be powers of two"),
+    ((512, 1024, 1), "cache smaller than one set"),
+], ids=["not-a-power-of-two", "smaller-than-a-set"])
+def test_cache_shape_out_of_range_exits_2(capsys, shape, message):
+    # CacheConfig raises ConfigError, a SymleakError as well as the
+    # ValueError library callers catch, so main reads it as bad input.
+    flags = [f"--{name}={value}" for name, value
+             in zip(("cache-size", "line-size", "assoc"), shape)]
+    code, out, err = run_cli(capsys, "analyze", CONC, *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_public_input_wider_than_its_width_exits_2(capsys, tmp_path):
@@ -332,7 +369,8 @@ def test_analyze_synthesized_adversary(capsys):
                    ("t1:L6:load:acc", 612)]
     assert [tid for tid, _ in doc["leaks"][0]["schedule"]] == [1, 1, 1]
     assert doc["stats"] == {"interleavings": 4, "leak_checks": 6,
-                            "solver_calls": 5, "states_forked": 3,
+                            "solver_calls": 5, "solver_memo_hits": 0,
+                            "states_forked": 3,
                             "indeterminate": 0, "sites_settled": 0,
                             "wall_ms": doc["stats"]["wall_ms"]}
 
@@ -353,7 +391,8 @@ def test_one_replayed_report_per_leak_site(capsys, monkeypatch):
     doc = json.loads(out)
     assert [l["site"] for l in doc["leaks"]] == ["t1:L11:store:p"]
     assert doc["stats"] == {"interleavings": 6, "leak_checks": 2,
-                            "solver_calls": 10, "states_forked": 5,
+                            "solver_calls": 10, "solver_memo_hits": 3,
+                            "states_forked": 5,
                             "indeterminate": 0, "sites_settled": 3,
                             "wall_ms": doc["stats"]["wall_ms"]}
     assert replays == ["t1:L11:store:p"]
@@ -586,10 +625,11 @@ def test_cli_import_loads_no(module):
 
 
 def test_cli_import_compiles_only_the_analysis():
-    # ``analyze`` runs no brute force, SMT-LIB or printing, so importing
-    # the command line loads none of the modules that hold them, and no
-    # module it loads defines them.
-    held = ("brute_force_leaks", "SmtProcessBackend", "emit_query", "pretty")
+    # ``analyze`` runs no brute force, SMT-LIB or printing, and replays
+    # only a witness, so importing the command line loads none of the
+    # modules that hold them, and no module it loads defines them.
+    held = ("brute_force_leaks", "SmtProcessBackend", "emit_query", "pretty",
+            "replay", "replay_trace", "schedule_from_lines", "_Run")
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, symleak.cli; "
          "mods = {m: v for m, v in sys.modules.items() "
@@ -601,9 +641,40 @@ def test_cli_import_compiles_only_the_analysis():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     loaded, defined = proc.stdout.splitlines()
-    for module in ("symleak.bruteforce", "symleak.smt", "symleak.printer"):
-        assert f"'{module}'" not in loaded
+    assert loaded == repr(sorted(
+        ["symleak"] + [f"symleak.{m}" for m in (
+            "cache", "cli", "detector", "engine", "errors", "explorer",
+            "expr", "ir", "parser", "records", "solver", "transform")]))
     assert defined == "[]"
+
+
+_ORACLE_ON_DEMAND = """
+import contextlib, io, json, sys
+from symleak.cli import main
+
+def analyze(path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["analyze", path, "--preset", "paper-fig3"])
+    return code, json.loads(out.getvalue())["leaks"], "symleak.oracle" in sys.modules
+
+print(json.dumps([analyze(sys.argv[1]), analyze(sys.argv[2])]))
+"""
+
+
+def test_analyze_loads_the_oracle_on_the_first_witness():
+    # A fresh interpreter: a leak-free run replays nothing and leaves the
+    # concrete oracle unloaded; the first witness loads it for replay.
+    proc = subprocess.run(
+        [sys.executable, "-c", _ORACLE_ON_DEMAND, REPAIRED, SEQ],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    clean, leaky = json.loads(proc.stdout)
+    assert clean == [0, [], False]
+    code, leaks, loaded = leaky
+    assert (code, loaded) == (1, True)
+    assert [leak["replay_confirmed"] for leak in leaks] == [True]
 
 
 _LAZY_EXPORTS = """
@@ -613,12 +684,14 @@ assert names <= set(dir(symleak)), names - set(dir(symleak))
 star = {}
 exec("from symleak import *", star)
 assert names <= set(star), names - set(star)
-from symleak import bruteforce, printer, smt
+from symleak import bruteforce, oracle, printer, smt
 for name in names:
     assert getattr(symleak, name) is star[name], name
 assert symleak.brute_force_leaks is bruteforce.brute_force_leaks
 assert symleak.SmtProcessBackend is smt.SmtProcessBackend
 assert symleak.pretty is printer.pretty
+for name in ("replay", "empty_cache", "simulate_access", "ConcreteCacheState"):
+    assert getattr(symleak, name) is getattr(oracle, name), name
 try:
     symleak.no_such_name
 except AttributeError:

@@ -78,6 +78,14 @@ def test_comments_and_hex_literals():
     assert p.threads[0].body[0].expr == Num(255)
 
 
+@pytest.mark.parametrize("number", ["08", "007"])
+def test_malformed_number_rejected(number):
+    # Python's int() rejects a decimal with a leading zero; the parser
+    # reports it as a parse error, not a ValueError.
+    with pytest.raises(ParseError, match=f"line 1, col 20: bad number '{number}'"):
+        parse_program(f"scalar a elem 1 at {number} thread 1 critical {{ load r, a }}")
+
+
 def test_expression_precedence():
     p = parse_program("input k width 8 secret\nthread 1 { r := k + 1 << 2 & 3 }")
     e = p.threads[0].body[0].expr
