@@ -17,7 +17,7 @@ from copy import copy
 from itertools import product
 
 from .cache import CacheConfig, probe_window
-from .errors import BruteForceCapError, ConfigError
+from .errors import BruteForceCapError, ConfigError, SymleakError
 from .ir import Fixed, Program, Sensitivity, SymbolicBase
 from .oracle import _numbered, _Run
 
@@ -142,7 +142,7 @@ def brute_force_leaks(p: Program, cfg: CacheConfig, key_bits: int = 16,
         raise ConfigError(f"max_orders must be at least 1, got {max_orders}")
     sym = [d for d in p.decls if isinstance(d.placement, SymbolicBase)]
     if len(sym) > 1:
-        raise BruteForceCapError("at most one symbolic-base declaration supported")
+        raise SymleakError("at most one symbolic-base declaration supported")
     placements = ([{sym[0].placement.var: base}
                    for base in _candidate_bases(p, cfg)] if sym else [{}])
     code = _numbered(p)

@@ -50,11 +50,10 @@ import time
 
 from .cache import CacheConfig, probe_window
 from .detector import LeakReport
-from .errors import (BruteForceCapError, ConfigError, ParseError, ReplayError,
-                     SymleakError)
+from .errors import BruteForceCapError, ParseError, ReplayError, SymleakError
 from .explorer import ExploreOptions, ExploreStats, explore
 from .ir import Program, SymbolicBase
-from .parser import parse_program
+from .parser import _generated_owner, parse_program
 from .records import Frozen, set_field
 from .solver import DEFAULT_TIMEOUT_MS, EnumerativeBackend, SolverBackend
 from .transform import synthesize_adversary, unroll_loops
@@ -70,17 +69,16 @@ _UNROLL_BOUND = 4096
 class RunConfig(Frozen):
     """Everything one analyze invocation depends on; no hidden state."""
 
-    __slots__ = ("program", "cache", "mode", "adversary", "max_interleavings",
+    __slots__ = ("program", "cache", "adversary", "max_interleavings",
                  "timeout_ms", "solver", "out")
 
     def __init__(self, program: str, cache: CacheConfig = CacheConfig(),
-                 mode: str = "precise", adversary: str = "fixed",
+                 adversary: str = "fixed",
                  max_interleavings: int | None = None,
                  timeout_ms: int = DEFAULT_TIMEOUT_MS, solver: str | None = None,
                  out: str | None = None) -> None:
         set_field(self, "program", program)
         set_field(self, "cache", cache)
-        set_field(self, "mode", mode)  # "precise" | "two-step"
         set_field(self, "adversary", adversary)  # "fixed" | "synthesize" | "none"
         set_field(self, "max_interleavings", max_interleavings)
         set_field(self, "timeout_ms", timeout_ms)
@@ -172,7 +170,6 @@ def write_report(rc: RunConfig, reports: list[LeakReport],
         "program": rc.program,
         "cache": {"size": rc.cache.cache_size, "line": rc.cache.line_size,
                   "assoc": rc.cache.assoc},
-        "mode": rc.mode,
         "leaks": leaks,
         "stats": {"interleavings": stats.interleavings_explored,
                   "leak_checks": stats.leak_checks,
@@ -190,10 +187,7 @@ def write_report(rc: RunConfig, reports: list[LeakReport],
 def run(rc: RunConfig) -> int:
     """parse, unroll, place adversary, explore, confirm, report."""
     t0 = time.monotonic()
-    if rc.mode not in ("precise", "two-step"):
-        raise ConfigError(f"mode must be one of precise, two-step, got {rc.mode!r}")
-    opts = ExploreOptions(mode=rc.mode.replace("-", "_"),
-                          max_interleavings=rc.max_interleavings)
+    opts = ExploreOptions(max_interleavings=rc.max_interleavings)
     p = _apply_adversary(_load(rc.program), rc.cache, rc.adversary)
     backend = backend_for(p, rc.cache, rc.solver, rc.timeout_ms)
     reports, stats = explore(p, rc.cache, opts, backend)
@@ -246,6 +240,27 @@ def _parse_inputs(pairs: list[str]) -> dict[str, int]:
     return out
 
 
+def _check_inputs(p: Program, inputs: dict[str, int]) -> None:
+    """Refuse a replay input that the run would mask or ignore: a secret
+    input's value past its width, and a name that is no secret input,
+    no symbolic base and no ``cell_<d>_<i>`` or ``ld<n>_<d>`` variable
+    (a public input's value is fixed by the program)."""
+    widths = {s.name: s.width for s in p.secret_inputs}
+    bases = {d.placement.var for d in p.decls
+             if isinstance(d.placement, SymbolicBase)}
+    decls = {d.name for d in p.decls}
+    for name, value in inputs.items():
+        if name in widths:
+            if not 0 <= value < 1 << widths[name]:
+                raise SymleakError(f"--input {name}={value} does not fit in "
+                                   f"{widths[name]} bits")
+            continue
+        owner = _generated_owner(name, decls)
+        if name not in bases and (owner is None or name == owner + "_base"):
+            raise SymleakError(f"--input {name!r} names no secret input, "
+                               "symbolic base or memory variable")
+
+
 def _parse_schedule(text: str) -> list[int]:
     items = [s for s in text.replace("-", ",").split(",") if s]
     try:
@@ -263,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="explore paths and interleavings for leaks")
     an.add_argument("file")
     _add_cache_flags(an)
-    an.add_argument("--mode", choices=("precise", "two-step"), default="precise")
     an.add_argument("--adversary", choices=("fixed", "synthesize", "none"),
                     default="fixed")
     an.add_argument("--max-interleavings", type=int, default=None)
@@ -296,7 +310,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     rc = RunConfig(
         program=args.file,
         cache=_cache_from(args),
-        mode=args.mode,
         adversary=args.adversary,
         max_interleavings=args.max_interleavings,
         timeout_ms=args.timeout_ms,
@@ -311,6 +324,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     p = _load(args.file)
     cfg = _cache_from(args)
     inputs = _parse_inputs(args.input)
+    _check_inputs(p, inputs)
     lines = _parse_schedule(args.schedule)
     tids = schedule_from_lines(p, inputs, lines, cfg)
     for tid, site, verdict in replay_trace(p, inputs, tids, cfg):

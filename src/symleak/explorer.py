@@ -97,8 +97,7 @@ from collections.abc import Callable
 
 from .cache import (CacheConfig, Geometry, hit_constraint,
                     hit_constraint_assoc, may_same_line, may_touch_blocks)
-from .detector import (LeakReport, VarClasses, classify, solve_precise,
-                       solve_two_step, verdicts)
+from .detector import LeakReport, classify, solve_precise, verdicts
 from .engine import (AccessEvent, BranchEvent, Code, SymbolicState,
                      branch_events, enabled_events, initial_state,
                      perform_access, take_branch)
@@ -110,23 +109,20 @@ from .records import Frozen, Value, set_field
 from .solver import SolverBackend
 
 
-MODES = ("precise", "two_step")
+# ``bench/child.py --trace 1`` looks this name up to wrap it; nothing
+# calls it.  ROADMAP item 6a deletes it together with ``Tracer.wrap``.
+solve_two_step = None
 
 
 class ExploreOptions(Frozen):
-    __slots__ = ("mode", "max_interleavings")
+    __slots__ = ("max_interleavings",)
 
-    def __init__(self, mode: str = "precise",
-                 max_interleavings: int | None = None) -> None:
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {', '.join(MODES)}, "
-                              f"got {mode!r}")
+    def __init__(self, max_interleavings: int | None = None) -> None:
         # A bound below one would stop the search before it starts and
         # pass bad input off as an incomplete search.
         if max_interleavings is not None and max_interleavings < 1:
             raise ConfigError("max_interleavings must be at least 1, "
                               f"got {max_interleavings}")
-        set_field(self, "mode", mode)
         set_field(self, "max_interleavings", max_interleavings)
 
 
@@ -214,9 +210,8 @@ def adversarial_access(p: Program, ev: AccessEvent) -> bool:
 
 
 def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
-                             opts: ExploreOptions, backend: SolverBackend,
-                             stats: ExploreStats, geo: Geometry
-                             ) -> LeakReport | None:
+                             backend: SolverBackend, stats: ExploreStats,
+                             geo: Geometry) -> LeakReport | None:
     """Build the hit constraint for ``ev`` over the trace so far and ask
     whether two secret valuations can disagree on it; on a divergence,
     return the witness.  An undecided query counts in
@@ -228,9 +223,9 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
     """
     tr = st.trace + (ev,)
     i = len(st.trace)
-    classes = classify(p, st)
+    duplicated = classify(p, st)
     tau = _tau([e.addr for e in tr], i, geo)
-    res = _solve(backend, tau, st.pcon, classes, opts)
+    res = solve_precise(backend, tau, st.pcon, duplicated)
     if res.status == "unknown":
         stats.indeterminate += 1
         return None
@@ -244,7 +239,8 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
     return LeakReport(
         site=str(ev.site), access_index=i,
         schedule=tuple((e.tid, str(e.site)) for e in tr),
-        k1=_project(res.model_a, classes), k2=_project(res.model_b, classes),
+        k1=_project(res.model_a, duplicated),
+        k2=_project(res.model_b, duplicated),
         adversary_addr=res.model_a.get(bases[0], 0) if bases else None,
         verdict1=v1, verdict2=v2, shared=shared,
     )
@@ -355,8 +351,8 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
                     own = ahead.own[f.st.cursors[crit]]
                     if not own & reported:
                         stats.leak_checks += 1
-                        leak = divergent_cache_behavior(p, f.st, ev, opts,
-                                                        backend, stats, geo)
+                        leak = divergent_cache_behavior(p, f.st, ev, backend,
+                                                        stats, geo)
                         if leak is not None:
                             reports.append(leak)
                             reported |= own
@@ -484,12 +480,6 @@ def _tau(addrs: list[Expr], i: int, geo: Geometry) -> Expr:
     return hit_constraint_assoc(addrs, i, geo)
 
 
-def _solve(backend: SolverBackend, tau, pcon, classes: VarClasses,
-           opts: ExploreOptions):
-    if opts.mode == "two_step":
-        return solve_two_step(backend, tau, pcon, classes)
-    return solve_precise(backend, tau, pcon, classes)
-
-
-def _project(model: dict[str, int], classes: VarClasses) -> dict[str, int]:
-    return {n: model.get(n, 0) for n in classes.duplicated}
+def _project(model: dict[str, int],
+             duplicated: tuple[str, ...]) -> dict[str, int]:
+    return {n: model.get(n, 0) for n in duplicated}

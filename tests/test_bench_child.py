@@ -32,3 +32,7 @@ def test_traced_bench_child_runs(tmp_path):
     layers = doc["layers"]
     assert layers["explorer.leak_checks"] == doc["spans"]["explorer.divergence"]
     assert layers["explorer.fork_dep_calls"] > 0
+    # The explorer's ``solve_two_step`` binding is only looked up: no
+    # call, so every divergence call counted is a precise query.
+    assert "detector.solve_two_step" not in doc["spans"]
+    assert layers["detector.divergence_calls"] == doc["spans"]["detector.solve_precise"]

@@ -40,10 +40,9 @@ def test_analyze_reports_leak_with_exit_1(capsys):
     code, out, err = run_cli(capsys, "analyze", SEQ, *FIG3)
     assert code == 1 and err == ""
     doc = json.loads(out)
-    assert list(doc) == ["program", "cache", "mode", "leaks", "stats", "complete"]
+    assert list(doc) == ["program", "cache", "leaks", "stats", "complete"]
     assert doc["program"] == SEQ
     assert doc["cache"] == {"size": 512, "line": 1, "assoc": 1}
-    assert doc["mode"] == "precise"
     assert doc["complete"] is True
     leak = doc["leaks"][0]
     assert list(leak) == ["site", "access_index", "schedule", "k1", "k2",
@@ -258,15 +257,6 @@ def test_library_run_rejects_bounds_below_one(field):
         symleak.cli.run(rc)
 
 
-@pytest.mark.parametrize("mode", ["two_step", "Precise", ""])
-def test_library_run_rejects_an_unknown_mode(mode):
-    # The search runs the precise mode for anything but "two_step", so
-    # a misspelt mode must fail, not silently run the other one.
-    rc = RunConfig(CONC, cache=CacheConfig(512, 1, 1), mode=mode)
-    with pytest.raises(ValueError, match=f"got {mode!r}"):
-        symleak.cli.run(rc)
-
-
 @pytest.mark.parametrize("body,want", [
     ("  load r1, t[k]\n  store t[k], r1\n", 0),
     ("  load r1, t[k]\n  store t[k], r1\n  load r2, t[3]\n", 1),
@@ -301,10 +291,14 @@ def test_undecided_queries_are_counted_and_exit_3(capsys, monkeypatch):
     assert (doc["stats"]["indeterminate"], doc["stats"]["leak_checks"]) == (3, 5)
 
 
-def test_analyze_two_step_mode_field(capsys):
-    code, out, _ = run_cli(capsys, "analyze", CONC, *FIG3, "--mode", "two-step")
-    assert code == 1
-    assert json.loads(out)["mode"] == "two-step"
+def test_analyze_has_no_mode_option(capsys):
+    # One leak query, so nothing to choose.
+    with pytest.raises(SystemExit) as exit_:
+        main(["analyze", SEQ, "--preset", "paper-fig3", "--mode", "precise"])
+    assert exit_.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    assert "--mode" not in capsys.readouterr().out
 
 
 def test_analyze_byte_determinism_modulo_wall_clock(capsys, tmp_path):
@@ -532,6 +526,50 @@ def test_replay_bad_input_syntax_exits_2(capsys):
     assert code == 2 and "bad schedule" in err
 
 
+def test_replay_takes_a_secret_input_that_fits(capsys):
+    code, out, err = run_cli(capsys, "replay", SEQ, *FIG3,
+                             "--schedule", "5-7-11", "--input", "k=1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "t1:L11:store:p hit"
+
+
+@pytest.mark.parametrize("value", ["257", "-1"])
+def test_replay_rejects_a_secret_value_past_its_width(capsys, value):
+    # Masked to 8 bits, k=257 would replay the verdicts of k=1.
+    code, out, err = run_cli(capsys, "replay", SEQ, *FIG3,
+                             "--schedule", "5-7-11", "--input", f"k={value}")
+    assert (code, out) == (2, "")
+    assert err == f"error: --input k={value} does not fit in 8 bits\n"
+
+
+def test_replay_rejects_names_the_run_would_ignore(capsys, tmp_path):
+    src = tmp_path / "public.ir"
+    src.write_text("array t[4] elem 1 at 0\ninput k width 2 secret\n"
+                   "input n width 2 public = 1\n"
+                   "thread 1 {\nload r, t[k + n]\n}\n")
+    # A misspelt name, a public input (the program fixes its value) and
+    # the base of a declaration placed at a fixed address.
+    for prog, name in ((SEQ, "kk"), (str(src), "n"), (SEQ, "p_base")):
+        code, out, err = run_cli(capsys, "replay", prog, *FIG3, "--schedule",
+                                 "5", "--input", "k=1", "--input", f"{name}=3")
+        assert (code, out) == (2, "")
+        assert err == (f"error: --input {name!r} names no secret input, "
+                       "symbolic base or memory variable\n")
+
+
+@pytest.mark.parametrize("prog,sched,inputs", [
+    (str(PROGRAMS_DIR / "adv_symbolic.ir"), "6-9-13-11", ["k=1", "tmp_base=512"]),
+    (PUBLIC_CELL, "5-6-7", ["k=0", "cell_q_0=200"]),
+    (PUBLIC_CELL, "5-6-7", ["k=0", "ld0_q=200"]),
+], ids=["symbolic-base", "cell", "load"])
+def test_replay_takes_every_witness_name(capsys, prog, sched, inputs):
+    # The names a report's k1, k2, shared and adversary_addr stand for.
+    code, out, err = run_cli(capsys, "replay", prog, *FIG3, "--schedule", sched,
+                             *(a for i in inputs for a in ("--input", i)))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].endswith(" hit")
+
+
 def test_brute_force_finds_the_leaky_schedule(capsys):
     code, out, _ = run_cli(capsys, "brute-force", CONC, *FIG3)
     assert code == 1
@@ -565,6 +603,14 @@ def test_brute_force_bound_below_its_least_exits_2(capsys, flag, value, least):
     code, out, err = run_cli(capsys, "brute-force", CONC, *FIG3, flag, value)
     assert (code, out) == (2, "")
     assert err == f"error: {least}, got {value}\n"
+
+
+def test_brute_force_on_an_unsupported_program_exits_2(capsys):
+    # Two symbolic bases are beyond the enumeration, not a bound it hit.
+    code, out, err = run_cli(capsys, "brute-force",
+                             str(PROGRAMS_DIR / "two_symbolic_bases.ir"), *FIG3)
+    assert (code, out) == (2, "")
+    assert err == "error: at most one symbolic-base declaration supported\n"
 
 
 def test_brute_force_runs_a_thousand_accesses(capsys, tmp_path):

@@ -1,13 +1,8 @@
-"""Divergence queries: variable roles, precise mode, two-step mode."""
-
-import random
-
-import pytest
+"""Divergence queries: variable roles and the joint leak query."""
 
 from symleak import expr as ex
 from symleak.cache import CacheConfig, Geometry, hit_constraint
-from symleak.detector import (VarClasses, classify, solve_precise,
-                              solve_two_step, verdicts)
+from symleak.detector import classify, solve_precise, verdicts
 from symleak.engine import initial_state, run_schedule
 from symleak.parser import parse_program
 from symleak.solver import EnumerativeBackend
@@ -30,15 +25,15 @@ def test_classify_roles():
     p = parse_program(src)
     cfg = CacheConfig(512, 64, 1)
     st = run_schedule(p, cfg, [1, 1])
-    classes = classify(p, st)
+    duplicated = classify(p, st)
     # k is a secret input; the value read out of t is a fresh secret.
-    assert "k" in classes.duplicated
-    assert any(n.startswith("ld") and "_t" in n for n in classes.duplicated)
-    # n is public and concrete, so it never becomes a variable at all.
-    assert "n" not in classes.duplicated and "n" not in classes.shared
-    assert "t_base" in classes.shared
+    assert "k" in duplicated
+    assert any(n.startswith("ld") and "_t" in n for n in duplicated)
+    # n is public and concrete, so it never becomes a variable at all;
+    # the symbolic base is shared by both runs.
+    assert "n" not in duplicated and "t_base" not in duplicated
     # pub has concrete contents, so its load produced no fresh variable.
-    assert all("_pub" not in n for n in classes.shared)
+    assert st.fresh_public == ()
 
 
 def _fig3_setup():
@@ -65,105 +60,15 @@ def test_solve_precise_finds_flip():
 
 def test_solve_precise_skips_without_secret_dependence():
     be = EnumerativeBackend()
-    classes = VarClasses(("k",), ())
-    assert solve_precise(be, ex.TRUE, ex.TRUE, classes).status == "unsat"
+    dup = ("k",)
+    assert solve_precise(be, ex.TRUE, ex.TRUE, dup).status == "unsat"
     tau = ex.ult(ex.var("adv_base", 8), ex.const(3, 8))
-    assert solve_precise(be, tau, ex.TRUE, classes).status == "unsat"
+    assert solve_precise(be, tau, ex.TRUE, dup).status == "unsat"
     assert be.calls == 0
     # Secret dependence present: the query goes to the backend.
     dep = ex.ult(ex.var("k", 8), ex.const(3, 8))
-    assert solve_precise(be, dep, ex.TRUE, classes).status == "sat"
+    assert solve_precise(be, dep, ex.TRUE, dup).status == "sat"
     assert be.calls == 1
-
-
-def test_solve_two_step_agrees_on_fig3():
-    st, classes, tau = _fig3_setup()
-    be = EnumerativeBackend()
-    res = solve_two_step(be, tau, st.pcon, classes)
-    assert res.status == "sat"
-    assert {verdicts(tau, res)[0],
-            verdicts(tau, res)[1]} == {"hit", "miss"}
-    # model_a is always the hit side by construction.
-    assert ex.evaluate(tau, res.model_a | {"k": res.model_a["k"]}) == 1
-
-
-def test_solve_two_step_pins_shared_variables():
-    # tau: hit iff k equals the adversary base.  A divergent pair exists
-    # for every base, and both models must report the same base.
-    k = ex.var("k", 4)
-    base = ex.var("adv", 4)
-    tau = ex.eq(k, base)
-    classes = VarClasses(("k",), ("adv",))
-    res = solve_two_step(EnumerativeBackend(), tau, ex.TRUE, classes)
-    assert res.status == "sat"
-    assert res.model_a["adv"] == res.model_b["adv"]
-    assert res.model_a["k"] != res.model_b["k"]
-    assert ex.evaluate(tau, res.model_a) == 1
-    assert ex.evaluate(tau, res.model_b) == 0
-
-
-def test_solve_two_step_miss_side_fallback():
-    # No hit exists under pcon, so step one must pivot to the miss side
-    # and step two look for the hit.
-    k = ex.var("k", 4)
-    tau = ex.eq(k, ex.const(5, 4))
-    pcon = ex.ne(k, ex.const(5, 4))
-    classes = VarClasses(("k",), ())
-    res = solve_two_step(EnumerativeBackend(), tau, pcon, classes)
-    assert res.status == "unsat"
-    res = solve_two_step(EnumerativeBackend(), tau, ex.TRUE, classes)
-    assert res.status == "sat"
-    # Without the fallback the same query dies at step one.
-    be = EnumerativeBackend()
-    flipped = ex.and_(ex.ne(k, ex.const(5, 4)), ex.TRUE)
-    dead = solve_two_step(be, ex.FALSE, flipped, classes, fallback=False)
-    assert dead.status == "unsat"
-    assert be.calls == 0  # constant tau short-circuits before any call
-
-
-def test_solve_two_step_single_iteration_can_miss():
-    # Layout l gates which secret comparison drives tau.  Step one picks
-    # some concrete l; if the flip lives under the other l value only,
-    # the single iteration misses it.  This pins the approximation
-    # direction: two-step sat implies precise sat, never the converse.
-    k = ex.var("k", 2)
-    l = ex.var("l", 2)
-    tau = ex.ite(ex.eq(l, ex.const(3, 2)), ex.eq(k, ex.const(1, 2)), ex.TRUE)
-    classes = VarClasses(("k",), ("l",))
-    precise = solve_precise(EnumerativeBackend(), tau, ex.TRUE, classes)
-    assert precise.status == "sat"
-    approx = solve_two_step(EnumerativeBackend(), tau, ex.TRUE, classes)
-    # Step one lands on l=0 (tau constant true there), step two inherits
-    # that l and finds no miss.
-    assert approx.status == "unsat"
-
-
-def test_two_step_contained_in_precise_on_random_formulas():
-    rng = random.Random(99)
-    k = ex.var("k", 3)
-    j = ex.var("j", 3)
-    s = ex.var("s", 3)
-    classes = VarClasses(("k", "j"), ("s",))
-    hits = 0
-    for _ in range(60):
-        consts = [ex.const(rng.randrange(8), 3) for _ in range(4)]
-        atoms = [ex.eq(ex.add(k, s), consts[0]), ex.ult(j, consts[1]),
-                 ex.ule(ex.xor(k, j), consts[2]), ex.ne(s, consts[3])]
-        tau = rng.choice(atoms)
-        for _ in range(rng.randrange(3)):
-            tau = rng.choice([ex.and_, ex.or_])(tau, rng.choice(atoms))
-        pcon = rng.choice([ex.TRUE, ex.ult(s, ex.const(6, 3))])
-        approx = solve_two_step(EnumerativeBackend(), tau, pcon, classes)
-        precise = solve_precise(EnumerativeBackend(), tau, pcon, classes)
-        if approx.status == "sat":
-            hits += 1
-            assert precise.status == "sat"
-            va, vb = verdicts(tau, approx)
-            assert {va, vb} == {"hit", "miss"}
-            for n in classes.shared:
-                if n in approx.model_a or n in approx.model_b:
-                    assert approx.model_a.get(n, 0) == approx.model_b.get(n, 0)
-    assert hits > 10  # the sweep must actually exercise the sat path
 
 
 def test_verdict_evaluation_defaults_missing_names():

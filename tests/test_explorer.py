@@ -142,16 +142,6 @@ def test_dependence_is_decided_per_path(fig3_cfg):
     confirm_witness(p, fig3_cfg, reports[0])
 
 
-def test_two_step_mode_agrees_here(fig3_cfg):
-    p = load_program("conc_tmp_fixed.ir")
-    opts = ExploreOptions(mode="two_step")
-    reports, stats = explore(p, fig3_cfg, opts, backend_for(p, fig3_cfg))
-    assert [r.site for r in reports] == ["t1:L11:store:p"]
-    assert lines_of(reports[0]) == [6, 9, 13, 11]
-    assert stats.solver_calls == 11
-    confirm_witness(p, fig3_cfg, reports[0])
-
-
 def test_symbolic_probe_placement(fig3_cfg):
     p = load_program("adv_symbolic.ir")
     reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
@@ -199,13 +189,6 @@ def test_interval_pruning_folds_every_check():
     reports, stats = explore(p, cfg, DEFAULTS, backend_for(p, cfg))
     assert (stats.leak_checks, stats.solver_calls) == (4, 0)
     assert {r.site for r in reports} == {s for s, _ in brute_force_leaks(p, cfg)}
-
-
-@pytest.mark.parametrize("mode", ["two-step", "precise ", "exact"])
-def test_unknown_mode_is_rejected(mode):
-    # ``two-step`` is the command line's spelling, not the library's.
-    with pytest.raises(ValueError, match=f"got {mode!r}"):
-        ExploreOptions(mode=mode)
 
 
 def test_exploration_is_deterministic(fig3_cfg):
