@@ -167,6 +167,17 @@ def _set_offsets(a: tuple[int, int], b: tuple[int, int],
     return -((b[1] - a[0]) // num_sets), (a[1] - b[0]) // num_sets
 
 
+def may_displace(a: tuple[int, int], b: tuple[int, int],
+                 num_sets: int) -> bool:
+    """Can an access in block range ``a`` put into the set of a block in
+    range ``b`` a block other than that one?  Not when no block of ``a``
+    shares a set with one of ``b``, nor when two that share one are
+    always the same block (``_set_offsets`` is (0, 0)).  An access that
+    cannot displace a block, at any associativity, leaves it cached."""
+    lo, hi = _set_offsets(a, b, num_sets)
+    return lo <= hi and (lo, hi) != (0, 0)
+
+
 class Geometry:
     """Tag, set index and block range of each address under one cache
     configuration, each computed once, with the interval bounds behind
@@ -206,8 +217,9 @@ def hit_constraint(addrs: Sequence[Expr], i: int, geo: Geometry) -> Expr:
     the cache starts empty.  Predecessors are scanned most recent first
     and the scan stops at the first whose set equality is literally
     true, since nothing older can reach access i.  A predecessor that
-    can never share the set is skipped, and one that provably touches
-    another block gets a false block equality.
+    can never share the set is skipped, one that provably touches
+    another block gets a false block equality, and one that cannot
+    displace access i's block (``may_displace``) a true one.
     """
     n = geo.num_sets
     t_i, l_i, b_i = geo.of(addrs[i])
@@ -220,7 +232,12 @@ def hit_constraint(addrs: Sequence[Expr], i: int, geo: Geometry) -> Expr:
         same_set = ex.eq(l_j, l_i)
         if same_set is ex.FALSE:
             continue
-        same_block = ex.eq(t_j, t_i) if lo <= 0 <= hi else ex.FALSE
+        if not may_displace(b_j, b_i, n):
+            same_block = ex.TRUE  # within one set the blocks are equal
+        elif lo <= 0 <= hi:
+            same_block = ex.eq(t_j, t_i)
+        else:
+            same_block = ex.FALSE
         links.append((same_set, same_block))
         if same_set is ex.TRUE:
             break
@@ -248,7 +265,7 @@ def hit_constraint_assoc(addrs: Sequence[Expr], i: int,
 
     A predecessor that provably touches another block is no candidate
     for j, and an access that can never put a different block into
-    access i's set is no intermediate.
+    access i's set (``may_displace``) is no intermediate.
     """
     n = geo.num_sets
     w = geo.cfg.assoc
@@ -266,7 +283,7 @@ def hit_constraint_assoc(addrs: Sequence[Expr], i: int,
                              else ex.and_(tag_eq, ex.ult(count, ex.const(w, cw))))
         if tag_eq is ex.TRUE:
             break
-        if lo > hi or lo == hi == 0:
+        if not may_displace(b_j, b_i, n):
             continue
         last = [ex.eq(l_j, s_i), ex.ne(t_j, t_i)]
         last += [ex.ne(t, t_j) for t in kept]

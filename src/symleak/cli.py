@@ -261,6 +261,21 @@ def _check_inputs(p: Program, inputs: dict[str, int]) -> None:
                                "symbolic base or memory variable")
 
 
+def _check_load_positions(p: Program, inputs: dict[str, int],
+                          trace: list[tuple[int, str, str]]) -> None:
+    """Refuse an ``ld<n>_<d>`` input unless the replayed access at
+    schedule position n loads from ``d``: only that load reads it."""
+    decls = {d.name for d in p.decls}
+    for name in inputs:
+        if not name.startswith("ld") or _generated_owner(name, decls) is None:
+            continue
+        n, _, decl = name[2:].partition("_")
+        site = trace[int(n)][1] if int(n) < len(trace) else None
+        if site is None or site.split(":")[2:] != ["load", decl]:
+            raise SymleakError(f"--input {name!r}: schedule position {n} "
+                               f"is no load of {decl!r}")
+
+
 def _parse_schedule(text: str) -> list[int]:
     items = [s for s in text.replace("-", ",").split(",") if s]
     try:
@@ -327,7 +342,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     _check_inputs(p, inputs)
     lines = _parse_schedule(args.schedule)
     tids = schedule_from_lines(p, inputs, lines, cfg)
-    for tid, site, verdict in replay_trace(p, inputs, tids, cfg):
+    trace = replay_trace(p, inputs, tids, cfg)
+    _check_load_positions(p, inputs, trace)
+    for tid, site, verdict in trace:
         if args.critical_only and tid != p.critical_tid:
             continue
         print(f"{site} {verdict}")

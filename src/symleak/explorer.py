@@ -24,7 +24,8 @@ from declaration extents: an index past the end of an array reaches
 other declarations' blocks.
 
 A thread's footprint lists the addresses it computes running alone
-over every feasible branch arm.  Memory is kept per declaration, so it
+over every feasible branch arm, each access with the one before it on
+its path.  Memory is kept per declaration, so it
 covers every interleaving unless another thread stores to a
 declaration the thread accesses (the store rule), and then the thread
 has none.  Each thread's footprint is built once, before the search,
@@ -68,17 +69,29 @@ the thread's cursor in the state.
 
 A site that can never leak would keep every state before it open, so
 such sites are settled before the search: their bits join the reported
-ones, with no report and no check (``_cold_sites``).  A critical access
-is a cold miss when no access of another thread and no critical access
-at a higher position (every earlier statement of the thread) can touch
-its block.  The cache starts empty, so it misses under every secret,
-on every path and in every order, with any associativity.  A site
-settles when all its accesses are cold misses.  The accesses come from
-the footprint table, so nothing settles unless every thread has a
-footprint.  Nor does anything settle when another thread accesses a
-declaration with a symbolic base, which may lie on any block.  With
-one thread settling closes no state early, so a single-thread search
-runs no thread alone.
+ones, with no report and no check (``_settled_sites``).  A critical
+access is fixed when its verdict is the same in every order and under
+every secret that takes its path:
+- a cold miss, when no access of another thread and no earlier
+  critical access on its path can touch its block.  The cache starts
+  empty, so the access misses.
+- a must-hit, when an earlier critical access on its path has the
+  identical address, or earlier accesses confined to one block each
+  hold every block its range can touch, and neither a critical access in between
+  nor any access of another thread can put another block into that
+  block's set (``cache.may_displace``; Ferdinand and Wilhelm's must
+  analysis, Real-Time Systems 1999, without ages).  Nothing then
+  evicts the block, so the access hits, with any associativity.
+A site settles when all its accesses on every path are fixed; a leak
+asks for two secrets on one path, so a site may miss on one path and hit
+on another.  The accesses come from the footprint table, so nothing
+settles unless every thread has a footprint.  Nor does anything settle
+when another thread accesses a declaration with a symbolic base, which
+may lie on any block.  A one-thread search builds its critical entry
+only when the thread accesses some declaration at two positions:
+otherwise no access can be a must-hit short of an index past a
+declaration's end, and the run alone would mostly settle first
+accesses, whose checks ask no query.
 
 Interleavings are identified by the sequence of thread choices taken at
 states with more than one enabled access, up to the state that closed.
@@ -96,7 +109,8 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .cache import (CacheConfig, Geometry, hit_constraint,
-                    hit_constraint_assoc, may_same_line, may_touch_blocks)
+                    hit_constraint_assoc, may_displace, may_same_line,
+                    may_touch_blocks)
 from .detector import LeakReport, classify, solve_precise, verdicts
 from .engine import (AccessEvent, BranchEvent, Code, SymbolicState,
                      branch_events, enabled_events, initial_state,
@@ -142,7 +156,8 @@ class ExploreStats(Value):
         self.solver_memo_hits = solver_memo_hits
         self.states_forked = states_forked
         self.indeterminate = indeterminate
-        # Critical sites that can never leak, never checked (_cold_sites).
+        # Critical sites that can never leak, never checked
+        # (_settled_sites).
         self.sites_settled = sites_settled
         self.complete = complete
 
@@ -258,7 +273,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
     geo = Geometry(cfg)
     table = _footprints(st0, crit, backend)
     # The bits in ``ahead`` of the sites settled or reported.
-    reported = (_cold_sites(st0, crit, ahead, table, backend, geo)
+    reported = (_settled_sites(st0, crit, ahead, table, backend, geo)
                 if table is not None else 0)
     stats.sites_settled = reported.bit_count()
     seen: dict[Expr, bool] = {}  # per address: unobserved?
@@ -270,7 +285,7 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
         if ev.addr not in seen:
             seen[ev.addr] = not any(
                 may_touch_blocks(addr, pcon, ev.addr, geo, backend)
-                for _, addr, pcon in table[crit])
+                for _, addr, pcon, _ in table[crit])
         return seen[ev.addr]
 
     def closes(choices: tuple[int, ...], st: SymbolicState) -> bool:
@@ -393,24 +408,31 @@ def _has_dependent_pair(st: SymbolicState, a: AccessEvent, b: AccessEvent,
     return not (unobserved(a) and unobserved(b))
 
 
-Footprint = list[tuple[int, Expr, Expr]]
+# (position in the thread's numbered body, address, path constraint,
+# index of the entry before it on its path or -1) of each access.
+Footprint = list[tuple[int, Expr, Expr, int]]
 
 
 def _footprints(st0: SymbolicState, crit: int,
                 backend: SolverBackend) -> list[Footprint | None] | None:
     """Every thread's footprint by position in ``st0.code``, None for a
     thread that fails the store rule (module docstring).  No table when
-    neither rule could read one: the critical thread fails the rule, or
-    no access of another thread has a fixed placement (one thread)."""
+    the critical thread fails the store rule, or when no rule could use
+    one: no access of another thread has a fixed placement, so the
+    observer rule judges none, and either one has a symbolic base, so
+    nothing settles, or the critical thread accesses no declaration at
+    two positions, so no must-hit (one thread)."""
     p, code = st0.program, st0.code
     used = [{s.decl for s, _ in c if isinstance(s, (Load, Store))}
             for c in code]
     stored = [{s.decl for s, _ in c if isinstance(s, Store)} for c in code]
     alone = [not any(stored[o] & used[pos] for o in range(len(code))
                      if o != pos) for pos in range(len(code))]
-    if not alone[crit] or not any(
-            isinstance(p.decl(d).placement, Fixed)
-            for pos in range(len(code)) if pos != crit for d in used[pos]):
+    fixed = [isinstance(p.decl(d).placement, Fixed)
+             for pos in range(len(code)) if pos != crit for d in used[pos]]
+    accessed = [s.decl for s, _ in code[crit] if isinstance(s, (Load, Store))]
+    if not alone[crit] or not (any(fixed) or (
+            all(fixed) and len(set(accessed)) < len(accessed))):
         return None
     return [_footprint(st0, pos, backend) if alone[pos] else None
             for pos in range(len(code))]
@@ -418,35 +440,49 @@ def _footprints(st0: SymbolicState, crit: int,
 
 def _footprint(st0: SymbolicState, pos: int, backend: SolverBackend) -> Footprint:
     """Run the thread at position ``pos`` alone from ``st0`` over every
-    feasible branch arm and collect (position in ``st0.code[pos]``,
-    address, path constraint) of its accesses.  A branch arm whose
+    feasible branch arm and collect its accesses (``Footprint``), each
+    after the one before it on its path.  A branch arm whose
     feasibility is undecided is run."""
     out: Footprint = []
-    todo = [st0]
+    todo = [(st0, -1)]
     while todo:
-        st = todo.pop()
+        st, prev = todo.pop()
         ev = st.next_events[pos]
         if isinstance(ev, BranchEvent):
             for arm in (True, False):
                 nxt = take_branch(st, ev, arm)
                 if backend.check(nxt.pcon).status != "unsat":
-                    todo.append(nxt)
+                    todo.append((nxt, prev))
         elif ev is not None:
-            out.append((st.cursors[pos], ev.addr, st.pcon))
-            todo.append(perform_access(st, ev))
+            out.append((st.cursors[pos], ev.addr, st.pcon, prev))
+            todo.append((perform_access(st, ev), len(out) - 1))
     return out
 
 
-def _cold_sites(st0: SymbolicState, crit: int, ahead: _Ahead,
-                table: list[Footprint | None], backend: SolverBackend,
-                geo: Geometry) -> int:
+def _settled_sites(st0: SymbolicState, crit: int, ahead: _Ahead,
+                   table: list[Footprint | None], backend: SolverBackend,
+                   geo: Geometry) -> int:
     """The bits in ``ahead`` of the sites to settle: those all of whose
-    accesses are cold misses (module docstring), read off ``table``.
-    Two accesses cannot share a block when either, under its path
-    constraint, cannot touch the other's block range.  An earlier
-    critical access on the same path has a path constraint the later
-    one's implies, so its query takes both, which rules out the other
-    arm of a branch.  A site's bit drops at its first warm access."""
+    accesses, on every path, are cold misses or must-hits (module
+    docstring), read off ``table`` in one forward walk over the
+    critical entry.
+
+    Cold: an earlier access on the same path may touch the block when
+    it is the same address, or the block ranges overlap and the blocks
+    may be equal under the later path constraint, which implies the
+    earlier one.  An access of another thread may when it is the same
+    address or each, under its own path constraint, may touch the
+    other's block range: two threads' entries come from separate runs,
+    whose fresh ``ld<n>_<d>`` names may coincide for different loads,
+    so no query names variables of both.
+
+    Must-hit: ``held`` maps block ranges to the addresses known cached
+    there after the entry walked last; a range of one block holds that
+    block.  An access hits when ``held`` has its very address or every
+    block of its range.  It then drops every range it may displace a
+    block of (``may_displace``) and joins, unless an access of another
+    thread may displace it or its block is held already.  A path that
+    leaves a branch point starts from the state kept there."""
     p = st0.program
     if any(fp is None for fp in table) or any(
             isinstance(s, (Load, Store))
@@ -454,24 +490,73 @@ def _cold_sites(st0: SymbolicState, crit: int, ahead: _Ahead,
             for pos, code in enumerate(st0.code) if pos != crit
             for s, _ in code):
         return 0
+    n = geo.num_sets
     footprint = table[crit]
-    others = [e for pos, fp in enumerate(table) if pos != crit for e in fp]
+    others = [(a, pa) for pos, fp in enumerate(table) if pos != crit
+              for _, a, pa, _ in fp]
+    foreign = {geo.of(a)[2] for a, _ in others}
+    exposed: dict[tuple[int, int], bool] = {}  # per range: may be displaced?
 
-    def may_share(a: Expr, pa: Expr, b: Expr, pb: Expr) -> bool:
-        return a is b or (may_touch_blocks(a, pa, b, geo, backend)
-                          and may_touch_blocks(b, pb, a, geo, backend))
+    def same_block(a: Expr, pa: Expr, b: Expr) -> bool:
+        if a is b:
+            return True
+        (t_a, _, r_a), (t_b, _, r_b) = geo.of(a), geo.of(b)
+        if r_a[1] < r_b[0] or r_b[1] < r_a[0]:
+            return False
+        q = ex.and_(ex.eq(t_a, t_b), pa)
+        if q.is_const:
+            return bool(q.value)
+        return backend.check(q).status != "unsat"
 
-    cold = 0
+    def cold(i: int) -> bool:
+        _, addr, pcon, j = footprint[i]
+        while j >= 0:
+            _, a, _, j_next = footprint[j]
+            if same_block(a, pcon, addr):
+                return False
+            j = j_next
+        return not any(a is addr or (
+            may_touch_blocks(a, pa, addr, geo, backend)
+            and may_touch_blocks(addr, pcon, a, geo, backend))
+            for a, pa in others)
+
+    def holds(held: dict, addr: Expr, r: tuple[int, int]) -> bool:
+        lo, hi = r
+        return addr in held.get(r, ()) or (
+            hi - lo < len(held)
+            and all((b, b) in held for b in range(lo, hi + 1)))
+
+    kids = [0] * len(footprint)
+    for *_, prev in footprint:
+        if prev >= 0:
+            kids[prev] += 1
+    fixed = 0
     for bit in ahead.own:
-        cold |= bit
-    for pos, addr, pcon in footprint:
+        fixed |= bit
+    # ``held`` after each branch point that another path still leaves.
+    held: dict[tuple[int, int], frozenset[Expr]] = {}
+    kept: dict[int, dict[tuple[int, int], frozenset[Expr]]] = {}
+    last = -1
+    for i, (pos, addr, pcon, prev) in enumerate(footprint):
+        if prev < 0 and last >= 0:
+            held = {}
+        elif prev != last:
+            kids[prev] -= 1
+            held = kept.pop(prev) if kids[prev] == 1 else dict(kept[prev])
+        r = geo.of(addr)[2]
         bit = ahead.own[pos]
-        if cold & bit and (
-                any(may_share(a, ex.and_(pa, pcon), addr, pcon)
-                    for q, a, pa in footprint if q > pos)
-                or any(may_share(a, pa, addr, pcon) for _, a, pa in others)):
-            cold &= ~bit
-    return cold
+        if fixed & bit and not holds(held, addr, r) and not cold(i):
+            fixed &= ~bit
+        for gone in [h for h in held if may_displace(r, h, n)]:
+            del held[gone]
+        if r not in exposed:
+            exposed[r] = any(may_displace(f, r, n) for f in foreign)
+        if not (exposed[r] or holds(held, addr, r)):
+            held[r] = held.get(r, frozenset()) | {addr}
+        if kids[i] > 1:
+            kept[i] = dict(held)
+        last = i
+    return fixed
 
 
 def _tau(addrs: list[Expr], i: int, geo: Geometry) -> Expr:

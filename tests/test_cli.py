@@ -55,7 +55,9 @@ def test_analyze_reports_leak_with_exit_1(capsys):
     assert leak["k2"] == {"k": 0} and leak["verdict2"] == "miss"
     assert leak["replay_confirmed"] is True
     assert doc["stats"]["interleavings"] == 1
-    assert doc["stats"]["solver_calls"] == 4
+    # The run alone before the search asks two branch checks, which the
+    # search repeats, and one settling query; the store asks the last.
+    assert doc["stats"]["solver_calls"] == 6
 
 
 def test_analyze_clean_program_exits_0(capsys):
@@ -113,10 +115,17 @@ def test_unconfirmed_witness_exits_4(capsys, monkeypatch):
 
 def test_thousand_access_loop_exits_0(capsys, tmp_path):
     # The search keeps its frames on a heap stack, so trace length is not
-    # bounded by the interpreter's recursion limit.
+    # bounded by the interpreter's recursion limit.  ``t[r0]``, with
+    # ``r0`` read from never-written public memory, may or may not bring
+    # in the block of ``acc``, so the loop's first load of ``acc`` is
+    # neither a cold miss nor a must-hit: its site does not settle, and
+    # every one of its 1,000 accesses is checked.  No secret decides
+    # which, so nothing leaks.
     src = tmp_path / "loop.ir"
-    src.write_text("scalar acc elem 1 at 0\ninput k width 8 secret\n"
-                   "thread 1 { for i in 0..1000 { load reg1, acc } }\n")
+    src.write_text("scalar acc elem 1 at 0\narray t[256] elem 1 at 1\n"
+                   "array q[1] elem 1 at 4096\ninput k width 8 secret\n"
+                   "thread 1 { load r0, q[0] load r1, t[r0]\n"
+                   "for i in 0..1000 { load reg1, acc } }\n")
     code, out, err = run_cli(capsys, "analyze", str(src))
     assert code == 0 and err == ""
     doc = json.loads(out)
@@ -287,8 +296,12 @@ def test_undecided_queries_are_counted_and_exit_3(capsys, monkeypatch):
     assert code == 3
     doc = json.loads(out)
     assert doc["leaks"] == [] and doc["complete"] is False
-    # Three of the five leak checks reach the divergence solver.
-    assert (doc["stats"]["indeterminate"], doc["stats"]["leak_checks"]) == (3, 5)
+    # The loads settle as cold misses, so only the store is checked,
+    # once per path.  Only the then path's check reaches the divergence
+    # solver: on the else path ``q[k - 128]`` can share a set with
+    # ``p[k]`` only as the same block, so the store's constraint is
+    # constant.
+    assert (doc["stats"]["indeterminate"], doc["stats"]["leak_checks"]) == (1, 2)
 
 
 def test_analyze_has_no_mode_option(capsys):
@@ -343,7 +356,7 @@ def test_no_solver_answer_outlives_its_run(capsys, monkeypatch):
     assert second is not first and second.calls == stats.solver_calls
     p, cfg = load_program("conc_multi_probe.ir"), CacheConfig(512, 1, 1)
     _, fresh = explore(p, cfg, ExploreOptions(), backend_for(p, cfg))
-    assert stats.solver_memo_hits == fresh.solver_memo_hits == 3
+    assert stats.solver_memo_hits == fresh.solver_memo_hits == 2
 
 
 def test_analyze_synthesized_adversary(capsys):
@@ -385,7 +398,7 @@ def test_one_replayed_report_per_leak_site(capsys, monkeypatch):
     doc = json.loads(out)
     assert [l["site"] for l in doc["leaks"]] == ["t1:L11:store:p"]
     assert doc["stats"] == {"interleavings": 6, "leak_checks": 2,
-                            "solver_calls": 10, "solver_memo_hits": 3,
+                            "solver_calls": 7, "solver_memo_hits": 2,
                             "states_forked": 5,
                             "indeterminate": 0, "sites_settled": 3,
                             "wall_ms": doc["stats"]["wall_ms"]}
@@ -408,9 +421,10 @@ def test_enumerative_domain_cap_exits_3(capsys, tmp_path):
     assert code == 3 and err == ""
     doc = json.loads(out)
     assert doc["complete"] is False
-    # Each of the 16 paths checks both loads; the second one's query
-    # spans all four keys, 32 bits.
-    assert (doc["stats"]["indeterminate"], doc["stats"]["leak_checks"]) == (16, 32)
+    # The first load is a cold miss on every path and settles; each of
+    # the 16 paths checks the second, whose query spans all four keys,
+    # 32 bits.
+    assert (doc["stats"]["indeterminate"], doc["stats"]["leak_checks"]) == (16, 16)
 
 
 def test_analyze_synthesize_on_concurrent_program_exits_2(capsys):
@@ -480,7 +494,10 @@ def test_input_named_like_a_shared_query_node(capsys, solver):
     assert (code, err) == (1, "")
     doc = json.loads(out)
     assert [leak["site"] for leak in doc["leaks"]] == ["t1:L9:load:p"]
-    assert doc["stats"]["solver_calls"] == 5
+    # The thread's run alone asks the four branch checks the search
+    # repeats, and whether ``p[k]`` can be ``p[0]``'s block; the leak
+    # query is the tenth.
+    assert doc["stats"]["solver_calls"] == 10
     p = load_program(prog.name)
     assert {s for s, _ in brute_force_leaks(p, CacheConfig(512, 1, 1))} == {
         "t1:L9:load:p"}
@@ -568,6 +585,19 @@ def test_replay_takes_every_witness_name(capsys, prog, sched, inputs):
                              *(a for i in inputs for a in ("--input", i)))
     assert (code, err) == (0, "")
     assert out.splitlines()[-1].endswith(" hit")
+
+
+@pytest.mark.parametrize("name,pos", [("ld99_q", 99), ("ld1_q", 1)],
+                         ids=["past-the-end", "another-load"])
+def test_replay_rejects_a_load_name_at_no_load_of_its_declaration(
+        capsys, name, pos):
+    # Position 99 is past the three accesses, and the access at 1 loads
+    # ``t``: no load reads the value, so the run would ignore it.
+    code, out, err = run_cli(capsys, "replay", PUBLIC_CELL, *FIG3, "--schedule",
+                             "5-6-7", "--input", "k=0", "--input", f"{name}=200")
+    assert (code, out) == (2, "")
+    assert err == (f"error: --input {name!r}: schedule position {pos} is no "
+                   "load of 'q'\n")
 
 
 def test_brute_force_finds_the_leaky_schedule(capsys):

@@ -4,7 +4,10 @@ oracle on small generated programs.
 Each program has up to three threads of up to three loads and stores
 and a 4-bit secret ``k``, and may wrap one access of one thread in a
 branch ``if ((k - c) < w)``, which the keys from ``c`` below ``c + w``
-take.  Every program is analysed on a direct-mapped and on a 4-way
+take.  The critical thread may first preload every element of ``t``
+and may end by loading its first access's cell again, so that its
+lookups can be must-hits, which the other threads' accesses may
+evict.  Every program is analysed on a direct-mapped and on a 4-way
 cache.
 """
 
@@ -31,13 +34,15 @@ _access = st.tuples(st.booleans(), _cell).map(
 _branch = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 15),
                     st.integers(1, 8))
 # (base of t, offset of a, offset of b, thread bodies, critical tid,
-# branch or None); a critical tid past the last thread names the last
-# one.
+# branch or None, preload, repeat); a critical tid past the last thread
+# names the last one.  With ``preload`` the critical thread loads
+# t[0..15] first; with ``repeat`` it loads its first access's cell
+# again at its end.  An example without the last two has neither.
 programs = st.tuples(st.sampled_from([0, 4, 8, 16]), st.integers(0, 40),
                      st.integers(0, 40),
                      st.lists(st.lists(_access, min_size=1, max_size=3),
                               min_size=1, max_size=3),
-                     st.integers(1, 3), _branch)
+                     st.integers(1, 3), _branch, st.booleans(), st.booleans())
 
 # A probe of an unrelated set ahead of the conflicting one: ``b`` shares
 # no set with ``t`` or ``a`` on the direct-mapped cache, ``a`` shares one
@@ -97,10 +102,26 @@ ARM = (0, 0, 0, [["store t[5], 1", "load r1, b[0]"], ["load r1, t[k]"]], 2,
 PROBE_ARM = (0, 0, 0, [["load r1, t[k]"], ["store t[5], 1"]], 1, (1, 0, 5, 2))
 
 
+# The critical lookup after the preloads hits for every k, unless
+# thread 2's ``a``, on ``t[3]``'s set of the direct-mapped cache, runs
+# between them: then it misses for k == 3 only.  The repeated lookup
+# hits unless ``a`` runs just before it.
+PRELOADED = (0, 3, 20, [["load r1, t[k]"], ["load r1, a[0]"]], 1, None,
+             True, True)
+
+
 def render(prog) -> str:
-    base, a, b, threads, critical, branch = prog
+    base, a, b, threads, critical, branch = prog[:6]
+    preload, repeat = prog[6:] or (False, False)
     critical = min(critical, len(threads))
     threads = [list(body) for body in threads]
+    body = threads[critical - 1]
+    if repeat:
+        cell = body[0].split(", ")[1] if body[0].startswith("load") \
+            else body[0].split(" ")[1].rstrip(",")
+        body.append(f"load r2, {cell}")
+    if preload:
+        body[:0] = ["for i in 0..16 {", "load r0, t[i]", "}"]
     if branch is not None:
         ti, ai, c, w = branch
         body = threads[min(ti, len(threads) - 1)]
@@ -135,6 +156,7 @@ def oracle_sites(p: Program, cfg: CacheConfig) -> set[str]:
 @example(OOB)
 @example(ARM)
 @example(PROBE_ARM)
+@example(PRELOADED)
 def test_explorer_agrees_with_brute_force(prog):
     p = unroll_loops(parse_program(render(prog)), 16)
     for cfg in CACHES:

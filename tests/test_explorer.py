@@ -54,10 +54,15 @@ def test_sequential_program_single_interleaving(fig3_cfg):
     assert (r.k2, r.verdict2) == ({"k": 0}, "miss")
     assert r.adversary_addr is None
     assert stats.interleavings_explored == 1
-    # The store leaks on the then path, searched first; on the else path
-    # its site is already reported, so it is not checked again.
-    assert stats.leak_checks == 4
-    assert stats.solver_calls == 4
+    # The loads are cold misses, settled before the search.  The store
+    # leaks on the then path, searched first; on the else path its site
+    # is already reported, so it is not checked again.  The run alone
+    # asks the two branch checks the search repeats from the memo, and
+    # one block-equality query: on the else path ``q[k - 128]`` can
+    # reach no block of ``p``.
+    assert stats.leak_checks == 1
+    assert stats.sites_settled == 3
+    assert (stats.solver_calls, stats.solver_memo_hits) == (6, 2)
     assert stats.complete and stats.indeterminate == 0
     confirm_witness(p, fig3_cfg, r)
 
@@ -86,13 +91,14 @@ def test_concurrent_program_schedule_classes(fig3_cfg):
     # (2,) closes before the sleep set that would abandon it is built.
     # In the else arm the same holds right after the branch (), before
     # any choice.  Only the store is checked, in (1, 1, 1) and (1, 1, 2).
-    # The search's two branch checks repeat the settling run's, and one
-    # settling query repeats for the load and the store of p[k].
+    # The search's two branch checks repeat the settling run's, and
+    # settling asks one query: whether ``q[k - 128]`` on the else path
+    # can be the block of ``p[k]`` before it.
     assert stats.interleavings_explored == 5
     assert stats.leak_checks == 2
     assert stats.sites_settled == 3
-    assert stats.solver_calls == 10
-    assert stats.solver_memo_hits == 3
+    assert stats.solver_calls == 7
+    assert stats.solver_memo_hits == 2
     confirm_witness(p, fig3_cfg, r)
 
 
@@ -102,11 +108,11 @@ def test_repeated_queries_are_answered_by_the_memo(fig3_cfg):
     p = load_program("conc_multi_probe.ir")
     be = backend_for(p, fig3_cfg)
     _, stats = explore(p, fig3_cfg, DEFAULTS, be)
-    assert (stats.solver_memo_hits, stats.solver_calls) == (3, 10)
-    assert (be.memo_hits, be.calls) == (3, 10)
+    assert (stats.solver_memo_hits, stats.solver_calls) == (2, 7)
+    assert (be.memo_hits, be.calls) == (2, 7)
     # Counters are per run, taken as differences on the backend.
     _, again = explore(p, fig3_cfg, DEFAULTS, be)
-    assert (again.solver_memo_hits, again.solver_calls) == (10, 10)
+    assert (again.solver_memo_hits, again.solver_calls) == (7, 7)
 
 
 @pytest.mark.parametrize("cfg,site", [
@@ -178,17 +184,26 @@ def test_two_secret_inputs_and_fresh_cells(fig3_cfg):
         confirm_witness(p, fig3_cfg, r)
 
 
-def test_interval_pruning_folds_every_check():
+def test_interval_pruning_folds_every_check(monkeypatch):
     # On 32 sets of 64-byte lines, ``s0[k]`` covers blocks 0..3,
     # ``s1[reg1 + k]`` blocks 16..20 and ``acc`` block 9, so no two of
     # them can share a set, and the final store repeats the address of
-    # ``s0[k]``.  Interval pruning folds every hit constraint to a
-    # constant, so no query reaches the solver; unpruned, three would.
+    # ``s0[k]``.  So the loads are cold misses and the store a must-hit:
+    # every site settles, and nothing is checked.
     cfg = CacheConfig(2048, 64, 1)
     p = load_program("sbox_pair.ir")
+    brute = {s for s, _ in brute_force_leaks(p, cfg)}
+    reports, stats = explore(p, cfg, DEFAULTS, backend_for(p, cfg))
+    assert (stats.leak_checks, stats.solver_calls, stats.sites_settled) == (
+        0, 0, 4)
+    assert {r.site for r in reports} == brute
+    # With nothing settled, interval pruning folds every hit constraint
+    # to a constant, so no query reaches the solver; unpruned, three
+    # would.
+    monkeypatch.setattr(symleak.explorer, "_settled_sites", lambda *a: 0)
     reports, stats = explore(p, cfg, DEFAULTS, backend_for(p, cfg))
     assert (stats.leak_checks, stats.solver_calls) == (4, 0)
-    assert {r.site for r in reports} == {s for s, _ in brute_force_leaks(p, cfg)}
+    assert {r.site for r in reports} == brute
 
 
 def test_exploration_is_deterministic(fig3_cfg):
@@ -415,42 +430,88 @@ def test_a_state_closes_only_when_every_site_ahead_is_reported(body):
         confirm_witness(p, cfg, r)
 
 
-@pytest.mark.parametrize("name,site,settled", [
+@pytest.mark.parametrize("name,sites,settled", [
     # Thread 2's load of p[0] is all that can warm the critical load: a
     # rule that ignored other threads would settle it.
-    ("conc_probe_warms.ir", "t1:L7:load:p", 0),
+    ("conc_probe_warms.ir", ["t1:L7:load:p"], 0),
     # The store to p[k] is warmed by the critical thread's own earlier
     # load of p[k]: a rule that ignored earlier critical accesses would
     # settle it.  The loads of p and q are cold.
-    ("conc_reuse_warms.ir", "t1:L16:store:p", 3),
+    ("conc_reuse_warms.ir", ["t1:L16:store:p"], 3),
     # Thread 2 stores to ``idx``, which the critical thread indexes with:
     # running alone, the critical thread computes other addresses than
     # in the leaking order, so nothing may settle.
-    ("conc_index_store.ir", "t1:L10:load:t", 0),
-], ids=["other-thread", "earlier-access", "store-to-index"])
-def test_settling_keeps_every_leak(fig3_cfg, name, site, settled):
+    ("conc_index_store.ir", ["t1:L10:load:t"], 0),
+    # Thread 2 may evict a preloaded block before the lookup: a must-hit
+    # rule that ignored other threads would settle it.  The preloads
+    # are cold.
+    ("must_evicted_by_thread.ir", ["t1:L13:load:t"], 1),
+    # Each lookup is a must-hit on one path only: a rule that carried
+    # one arm's cache into the other would settle one of them.
+    ("must_one_arm.ir", ["t1:L23:load:t", "t1:L24:load:u"], 5),
+    # The lookup's range is one block wider than the preloads: a rule
+    # that accepted it would settle it.
+    ("must_wider_range.ir", ["t1:L10:load:t"], 1),
+], ids=["other-thread", "earlier-access", "store-to-index",
+        "must-hit-other-thread", "must-hit-one-arm", "must-hit-wider-range"])
+def test_settling_keeps_every_leak(fig3_cfg, name, sites, settled):
     p = load_program(name)
-    assert {s for s, _ in brute_force_leaks(p, fig3_cfg)} == {site}
+    assert sorted(s for s, _ in brute_force_leaks(p, fig3_cfg)) == sites
     reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
-    assert [r.site for r in reports] == [site]
+    assert sorted(r.site for r in reports) == sites
     assert stats.sites_settled == settled
     for r in reports:
         confirm_witness(p, fig3_cfg, r)
 
 
-@pytest.mark.parametrize("name", ["seq_leaky_reuse.ir", "sbox_rounds.ir"])
-def test_one_thread_computes_no_footprint(fig3_cfg, monkeypatch, name):
-    # With one thread, settling closes no state early: a single-thread
-    # search runs no thread alone and asks no settling query.
+@pytest.mark.parametrize("assoc", [1, 4])
+def test_preloaded_rounds_settle_every_site(assoc):
+    # Every lookup after the preloads is a must-hit and every preload a
+    # cold miss: both sites settle, and nothing is checked or asked.
+    cfg = CacheConfig(512, 1, assoc)
+    p = load_program("families/must_preloaded.ir")
+    assert not brute_force_leaks(p, cfg)
+    reports, stats = explore(p, cfg, DEFAULTS, backend_for(p, cfg))
+    assert reports == [] and stats.complete
+    assert (stats.sites_settled, stats.leak_checks, stats.solver_calls) == (
+        2, 0, 0)
+
+
+@pytest.mark.parametrize("body", [
+    "load r1, p[k]\nload r2, q[k]\n",
+    "if (k < 8) {\nload r1, p[k]\n}\nload r2, q[0]\n",
+], ids=["two-tables", "one-arm"])
+def test_one_thread_computes_no_footprint(fig3_cfg, monkeypatch, body):
+    # A thread alone that accesses no declaration twice has no must-hit
+    # to find, so the search runs no thread alone and asks no settling
+    # query.
     calls = []
-    for fn in ("_footprint", "_cold_sites"):
+    for fn in ("_footprint", "_settled_sites"):
         real = getattr(symleak.explorer, fn)
         monkeypatch.setattr(symleak.explorer, fn,
                             lambda *a, real=real, fn=fn: calls.append(fn)
                             or real(*a))
-    p = load_program(name)
-    _, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    _, (_, stats) = explore_source(
+        "array p[256] elem 1 at 0\narray q[256] elem 1 at 256\n"
+        "input k width 4 secret\nthread 1 {\n" + body + "}\n", fig3_cfg)
     assert calls == [] and stats.sites_settled == 0
+
+
+def test_one_thread_settles_its_repeated_accesses(fig3_cfg, monkeypatch):
+    # ``sbox_rounds.ir`` loads ``sb`` and ``acc`` twice each: the thread
+    # runs alone once, and every site settles.  The first lookup and the
+    # first load of ``acc`` are cold, the second lookup too, after one
+    # query shows that ``sb[k ^ 5]`` is never the block of ``sb[k]``,
+    # and the rest repeat an address nothing in between can evict.
+    calls = []
+    real = symleak.explorer._footprint
+    monkeypatch.setattr(symleak.explorer, "_footprint",
+                        lambda *a: calls.append(a[1]) or real(*a))
+    p = load_program("sbox_rounds.ir")
+    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    assert reports == [] and calls == [0]
+    assert (stats.sites_settled, stats.leak_checks, stats.solver_calls) == (
+        3, 0, 1)
 
 
 def test_no_cold_site_leaves_the_search_as_it_was(fig3_cfg):
