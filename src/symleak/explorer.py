@@ -521,6 +521,7 @@ def _settled_sites(st0: SymbolicState, crit: int, ahead: _Ahead,
             for a, pa in others)
 
     def holds(held: dict, addr: Expr, r: tuple[int, int]) -> bool:
+        # Fewer keys than the range has blocks cannot cover it.
         lo, hi = r
         return addr in held.get(r, ()) or (
             hi - lo < len(held)
