@@ -34,19 +34,26 @@ interpreter and the loaded modules live until exit, so neither a
 collection nor the two passes at interpreter exit need walk them.  The
 pipeline builds no reference cycles (interned expressions, immutable
 states and access events only point at older objects), so a run leaves
-nothing for the collector but argparse's parser.  ``main`` restores
-the caller's ``gc.isenabled()`` on every exit, ``SystemExit`` included;
-the frozen objects stay frozen.  Library entry points (``run``,
-``explore``, ``brute_force_leaks``) leave the collector alone.
+nothing for the collector but the closures of ``json``'s indenting
+encoder, 33 objects.  ``main`` restores the caller's
+``gc.isenabled()`` on every exit, ``SystemExit`` included; the frozen
+objects stay frozen.  Library entry points (``run``, ``explore``,
+``brute_force_leaks``) leave the collector alone.
+
+The command line is read against one table, ``_COMMANDS``, by one
+short loop (``_parse_args``).  A process imports no parser library and
+builds no parser objects, which were the largest fixed cost of an
+``analyze`` process that the package controlled
+(``BENCH_cli_parse.json``).
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 from .cache import CacheConfig, probe_window
 from .detector import LeakReport
@@ -212,14 +219,7 @@ def run(rc: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # Argument handling
 
-def _add_cache_flags(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--cache-size", type=int, default=None)
-    ap.add_argument("--line-size", type=int, default=None)
-    ap.add_argument("--assoc", type=int, default=None)
-    ap.add_argument("--preset", choices=sorted(PRESETS), default=None)
-
-
-def _cache_from(args: argparse.Namespace) -> CacheConfig:
+def _cache_from(args: SimpleNamespace) -> CacheConfig:
     base = CacheConfig(*PRESETS[args.preset]) if args.preset else CacheConfig()
     return CacheConfig(
         base.cache_size if args.cache_size is None else args.cache_size,
@@ -284,44 +284,7 @@ def _parse_schedule(text: str) -> list[int]:
         raise SymleakError(f"bad schedule {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="symleak",
-        description="Find concurrency-induced cache-timing leaks in mini-IR programs.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    an = sub.add_parser("analyze", help="explore paths and interleavings for leaks")
-    an.add_argument("file")
-    _add_cache_flags(an)
-    an.add_argument("--adversary", choices=("fixed", "synthesize", "none"),
-                    default="fixed")
-    an.add_argument("--max-interleavings", type=int, default=None)
-    an.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
-    an.add_argument("--solver", default=None,
-                    help="external SMT-LIB2 solver command, e.g. 'z3 -in'")
-    an.add_argument("--out", default=None, help="report path (default stdout)")
-
-    rp = sub.add_parser("replay", help="run one concrete input and schedule")
-    rp.add_argument("file")
-    _add_cache_flags(rp)
-    rp.add_argument("--schedule", required=True,
-                    help="source lines of the accesses in order, e.g. 6-9-13-11")
-    rp.add_argument("--input", action="append", default=[],
-                    metavar="NAME=VALUE")
-    rp.add_argument("--critical-only", action="store_true")
-
-    bf = sub.add_parser("brute-force", help="exhaust small secret spaces")
-    bf.add_argument("file")
-    _add_cache_flags(bf)
-    bf.add_argument("--key-bits", type=int, default=16)
-    bf.add_argument("--max-orders", type=int, default=4096)
-
-    pr = sub.add_parser("print-ir", help="parse, unroll and pretty-print")
-    pr.add_argument("file")
-    return ap
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: SimpleNamespace) -> int:
     rc = RunConfig(
         program=args.file,
         cache=_cache_from(args),
@@ -334,7 +297,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return run(rc)
 
 
-def _cmd_replay(args: argparse.Namespace) -> int:
+def _cmd_replay(args: SimpleNamespace) -> int:
     from .oracle import replay_trace, schedule_from_lines
     p = _load(args.file)
     cfg = _cache_from(args)
@@ -351,7 +314,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_brute_force(args: argparse.Namespace) -> int:
+def _cmd_brute_force(args: SimpleNamespace) -> int:
     from .bruteforce import brute_force_leaks
     p = _load(args.file)
     cfg = _cache_from(args)
@@ -369,18 +332,125 @@ def _cmd_brute_force(args: argparse.Namespace) -> int:
     return 1 if leaks else 0
 
 
-def _cmd_print_ir(args: argparse.Namespace) -> int:
+def _cmd_print_ir(args: SimpleNamespace) -> int:
     from .printer import pretty
     sys.stdout.write(pretty(_load(args.file)))
     return 0
 
 
+_HELP = ("-h", "--help")
+_REQUIRED = object()
+
+_CACHE_OPTIONS = (
+    ("--cache-size", int, None, "cache size in bytes (default 65536)"),
+    ("--line-size", int, None, "line size in bytes (default 64)"),
+    ("--assoc", int, None, "ways per set, LRU (default 1)"),
+    ("--preset", tuple(sorted(PRESETS)), None,
+     "a named cache shape, paper-fig3 is 512/1/1; the three options "
+     "above override its fields"),
+)
+
+# Each command: its handler, a one-line summary and its options besides
+# the one FILE.  An option is (flag, kind, default, help), given as
+# ``--flag VALUE`` or ``--flag=VALUE`` and read into the field of
+# ``args`` that the flag names, ``--max-orders`` into ``max_orders``.
+# Kind ``int`` or ``str`` keeps the last value given, a tuple of strings
+# also lists the values allowed, ``list`` appends every value given and
+# ``bool`` is a flag that takes no value.  An option whose default is
+# ``_REQUIRED`` must be given.
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "replay": _cmd_replay,
-    "brute-force": _cmd_brute_force,
-    "print-ir": _cmd_print_ir,
+    "analyze": (_cmd_analyze, "explore paths and interleavings for leaks", (
+        *_CACHE_OPTIONS,
+        ("--adversary", ("fixed", "synthesize", "none"), "fixed",
+         "keep adversary probes as written, let the solver pick their "
+         "addresses, or strip adversary threads"),
+        ("--max-interleavings", int, None,
+         "stop after this many interleavings and exit 3"),
+        ("--timeout-ms", int, DEFAULT_TIMEOUT_MS,
+         f"per-query solver deadline in ms (default {DEFAULT_TIMEOUT_MS})"),
+        ("--solver", str, None, "external SMT-LIB2 solver command, e.g. 'z3 -in'"),
+        ("--out", str, None, "report path (default stdout)"),
+    )),
+    "replay": (_cmd_replay, "run one concrete input and schedule", (
+        *_CACHE_OPTIONS,
+        ("--schedule", str, _REQUIRED,
+         "source lines of the accesses in order, e.g. 6-9-13-11"),
+        ("--input", list, (), "NAME=VALUE, one input a use"),
+        ("--critical-only", bool, False, "print the critical thread's accesses only"),
+    )),
+    "brute-force": (_cmd_brute_force, "exhaust small secret spaces", (
+        *_CACHE_OPTIONS,
+        ("--key-bits", int, 16, "largest secret space in bits (default 16)"),
+        ("--max-orders", int, 4096, "most schedules one search closes (default 4096)"),
+    )),
+    "print-ir": (_cmd_print_ir, "parse, unroll and pretty-print", ()),
 }
+
+
+def _field(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _fail(command: str | None, message: str) -> None:
+    from .usage import usage
+    sys.stderr.write(f"{usage(command)}\nsymleak: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read ``argv``, the words after ``symleak``, against ``_COMMANDS``.
+    ``-h``/``--help`` prints help and raises ``SystemExit(0)``; a usage
+    error prints the usage and an ``error:`` line to stderr and raises
+    ``SystemExit(2)``."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS and command not in _HELP:
+        _fail(None, f"unknown command {command!r}" if argv
+              else "a command is required")
+    if any(word in _HELP for word in argv):
+        from .usage import help_text
+        sys.stdout.write(help_text(command))
+        raise SystemExit(0)
+    options = {opt[0]: opt for opt in _COMMANDS[command][2]}
+    args = SimpleNamespace(command=command, file=None)
+    for flag, kind, default, _ in options.values():
+        setattr(args, _field(flag), list(default) if kind is list else default)
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if args.file is not None:
+                _fail(command, f"unexpected argument {word!r}: one FILE only")
+            args.file = word
+            continue
+        flag, eq, value = word.partition("=")
+        if flag not in options:
+            _fail(command, f"unknown option {flag}")
+        kind = options[flag][1]
+        if kind is bool:
+            if eq:
+                _fail(command, f"{flag} takes no value")
+            value = True
+        elif not eq:
+            value = next(words, None)
+            # A negative number is a value; any other word of a dash is not.
+            if value is None or (value.startswith("-")
+                                 and not value[1:].isdigit()):
+                _fail(command, f"{flag} expects a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(command, f"{flag} expects an integer, got {value!r}")
+        elif kind is list:
+            value = [*getattr(args, _field(flag)), value]
+        elif isinstance(kind, tuple) and value not in kind:
+            _fail(command, f"{flag} expects one of {', '.join(kind)}, "
+                  f"got {value!r}")
+        setattr(args, _field(flag), value)
+    missing = ["FILE"] * (args.file is None) + [
+        flag for flag in options if getattr(args, _field(flag)) is _REQUIRED]
+    if missing:
+        _fail(command, f"missing {', '.join(missing)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -388,8 +458,8 @@ def main(argv: list[str] | None = None) -> int:
     gc.freeze()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        return _COMMANDS[args.command][0](args)
     except (SymleakError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -663,6 +663,93 @@ def test_print_ir_round_trips(capsys):
     assert pretty(parse_program(out)) == out
 
 
+REPORT = "{report}"  # replaced by a fresh report path per spelling
+
+
+def _help_names(command):
+    return ["FILE"] + [flag for flag, *_ in symleak.cli._COMMANDS[command][2]]
+
+
+@pytest.mark.parametrize("spellings, code, names", [
+    pytest.param(
+        [["analyze", SEQ, *FIG3, "--out", REPORT],
+         ["analyze", "--assoc=4", f"--out={REPORT}", "--preset=paper-fig3",
+          "--assoc", "1", SEQ]],
+        1, ['"site": "t1:L11:store:p"'], id="analyze"),
+    pytest.param(
+        [["replay", PUBLIC_CELL, *FIG3, "--schedule", "5-6-7",
+          "--input", "k=0", "--input", "ld0_q=200"],
+         ["replay", "--input=k=0", "--schedule=5,6,7", "--input=ld0_q=200",
+          "--preset=paper-fig3", PUBLIC_CELL]],
+        0, ["t1:L7:load:t hit"], id="replay-two-inputs"),
+    pytest.param(
+        [["replay", CONC, *FIG3, "--schedule", "6-9-13-11", "--input", "k=0",
+          "--critical-only"],
+         ["replay", "--critical-only", "--input=k=0", "--schedule",
+          "6-9-13-11", *FIG3, CONC]],
+        0, ["t1:L9:load:p miss\nt1:L11:store:p hit\n"],
+        id="replay-critical-only"),
+    pytest.param(
+        [["brute-force", CONC, *FIG3, "--max-orders", "1"],
+         ["brute-force", "--max-orders=1", "--preset=paper-fig3", CONC]],
+        3, ["t1:L11:store:p schedule=1,1,2,1"], id="brute-force"),
+    pytest.param([[]], 2, ["command"], id="no-command"),
+    pytest.param([["analyse", SEQ]], 2, ["'analyse'"], id="unknown-command"),
+    pytest.param([["replay", CONC, "--schedule", "6", "--out", "r.json"]],
+                 2, ["--out"], id="unknown-option"),
+    pytest.param([["analyze", SEQ, "--max-inter", "5"]], 2, ["--max-inter"],
+                 id="prefix"),
+    pytest.param([["brute-force", CONC, "--assoc"]], 2, ["--assoc"],
+                 id="no-value"),
+    pytest.param([["analyze", SEQ, "--assoc", "x"]], 2, ["--assoc", "'x'"],
+                 id="not-an-integer"),
+    pytest.param([["replay", CONC, "--schedule", "6", "--preset", "nope"]],
+                 2, ["--preset", "'nope'"], id="preset-choice"),
+    pytest.param([["analyze", "--adversary=nope", SEQ]],
+                 2, ["--adversary", "'nope'"], id="adversary-choice"),
+    pytest.param([["print-ir"]], 2, ["FILE"], id="no-file"),
+    pytest.param([["print-ir", SEQ, CONC]], 2, [CONC], id="two-files"),
+    pytest.param([["replay", CONC, "--input", "k=1"]], 2, ["--schedule"],
+                 id="no-schedule"),
+    pytest.param([["--help"], ["-h", "analyze"]], 0, list(symleak.cli._COMMANDS),
+                 id="help"),
+    *(pytest.param([[command, "--help"], [command, SEQ, "-h"]], 0,
+                   _help_names(command), id=f"{command}-help")
+      for command in symleak.cli._COMMANDS),
+])
+def test_command_line_usage(capsys, tmp_path, spellings, code, names):
+    # Every spelling of a run has the same outcome: ``--name value`` or
+    # ``--name=value``, options before or after the file, the last value
+    # of a repeated option, every value of a repeated ``--input``.  A
+    # usage error exits 2 with the usage and an ``error:`` line naming
+    # what is wrong; help exits 0 and names every command, or the file
+    # and every option of its command.
+    outcomes = []
+    for n, argv in enumerate(spellings):
+        report = tmp_path / f"{n}.json"
+        try:
+            got = main([word.replace(REPORT, str(report)) for word in argv])
+        except SystemExit as exit_:
+            got = exit_.code
+        out, err = capsys.readouterr()
+        if report.exists():
+            doc = json.loads(report.read_text())
+            doc["stats"]["wall_ms"] = 0
+            out = json.dumps(doc, indent=2)
+        outcomes.append((got, out, err))
+    assert outcomes == [outcomes[0]] * len(outcomes)
+    got, out, err = outcomes[0]
+    assert got == code
+    if code == 2:
+        assert out == ""
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: symleak")
+        assert error.startswith("symleak: error: ")
+        out = error
+    for name in names:
+        assert name in out
+
+
 def test_confirm_report_rejects_doctored_witness():
     cfg = CacheConfig(512, 1, 1)
     from symleak.cli import _load
@@ -686,11 +773,13 @@ def test_confirm_report_rejects_doctored_witness():
     assert not confirm_report(p, cfg, same)
 
 
-@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect",
+                                    "argparse", "gettext", "locale"])
 def test_cli_import_loads_no(module):
-    # The package has no runtime dependencies, and its records are plain
-    # slotted classes: importing the command line in a fresh interpreter
-    # loads neither numpy nor the dataclass machinery and what it imports.
+    # The package has no runtime dependencies, its records are plain
+    # slotted classes and its command line is read from its own table:
+    # importing the command line in a fresh interpreter loads neither
+    # numpy nor the dataclass machinery nor argparse, nor what they import.
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, symleak.cli; "
          f"print(sorted(m for m in sys.modules if m.split('.')[0] == {module!r}))"],
@@ -701,11 +790,13 @@ def test_cli_import_loads_no(module):
 
 
 def test_cli_import_compiles_only_the_analysis():
-    # ``analyze`` runs no brute force, SMT-LIB or printing, and replays
-    # only a witness, so importing the command line loads none of the
-    # modules that hold them, and no module it loads defines them.
+    # ``analyze`` runs no brute force, SMT-LIB or printing, replays only
+    # a witness and prints help only when asked, so importing the command
+    # line loads none of the modules that hold them, and no module it
+    # loads defines them.
     held = ("brute_force_leaks", "SmtProcessBackend", "emit_query", "pretty",
-            "replay", "replay_trace", "schedule_from_lines", "_Run")
+            "replay", "replay_trace", "schedule_from_lines", "_Run",
+            "help_text")
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, symleak.cli; "
          "mods = {m: v for m, v in sys.modules.items() "
@@ -833,7 +924,7 @@ def collector(request):
 def test_main_runs_without_the_collector_and_restores_it(
         capsys, monkeypatch, collector, argv, code):
     # ``main`` runs its command with the collector off and hands the
-    # caller back the state it had, on every exit path, argparse's
+    # caller back the state it had, on every exit path, a usage error's
     # ``SystemExit`` included.  Exit 4 is a crash inside ``explore``.
     during = []
     real_explore = symleak.cli.explore
@@ -875,8 +966,9 @@ def test_analyze_leaves_no_cyclic_garbage_of_its_own(capsys):
     # ``main`` may run with the collector off only because everything
     # the pipeline builds is freed by reference counting.  Collecting
     # after each run keeps its garbage in ``gc.garbage`` before the next
-    # run's ``gc.freeze`` could hide it; argparse's parser is the only
-    # cyclic garbage expected.
+    # run's ``gc.freeze`` could hide it.  The only cyclic garbage
+    # expected is the closures of ``json``'s indenting encoder, 33
+    # objects a run.
     programs = sorted(CORPUS_DIR.glob("*.ir")) + sorted(PROGRAMS_DIR.glob("*.ir"))
     was, flags = gc.isenabled(), gc.get_debug()
     gc.collect()
