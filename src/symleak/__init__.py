@@ -8,9 +8,12 @@ concrete LRU oracle replays every witness before it is reported.
 
 ``brute_force_leaks``, ``SmtProcessBackend``, ``pretty`` and the
 concrete oracle's ``replay``, ``empty_cache``, ``simulate_access`` and
-``ConcreteCacheState`` load their modules on first use (PEP 562), so
-importing the package or its command line compiles only the analysis
-pipeline.
+``ConcreteCacheState`` load their modules on first use (PEP 562).  The
+built-in solver loads its divergence scan (``symleak.scan``) at the
+first divergence query it enumerates, and the command line loads the
+``replay``, ``brute-force`` and ``print-ir`` handlers
+(``symleak.commands``) only for those commands.  So importing the
+package or its command line compiles only the analysis pipeline.
 """
 
 from .cache import CacheConfig, Site, hit_constraint, hit_constraint_assoc

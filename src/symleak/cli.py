@@ -17,9 +17,14 @@ exits 4.  ``brute-force`` exits 0, 1, 2 and 4 alike, and 3 when it hits
 ``--key-bits`` or ``--max-orders``, with the sites found so far on
 stdout and the bound on stderr.
 
-``brute-force``, ``print-ir`` and ``replay``, and ``analyze`` only under
-``--solver`` or to replay a witness, import the modules they need when
-they run, so that a leak-free ``analyze`` loads only its own pipeline.
+The handlers of ``replay``, ``brute-force`` and ``print-ir``, and the
+checks of their inputs, live in ``symleak.commands``, which ``main``
+loads only for those commands; each imports the module it drives when
+it runs.  ``analyze`` loads ``symleak.smt`` only under ``--solver``,
+``symleak.oracle`` only to replay a witness and ``symleak.scan`` only
+at a divergence query that the built-in solver enumerates.  So
+importing this module compiles only the analysis pipeline, and a run
+whose sites all settle before the search compiles nothing more.
 Exit 2 is bad input: a ``SymleakError`` (settings out of range and
 files that are not UTF-8 included) or an ``OSError``; any other
 exception, a ``ValueError`` from the pipeline's own invariants
@@ -57,10 +62,10 @@ from types import SimpleNamespace
 
 from .cache import CacheConfig, probe_window
 from .detector import LeakReport
-from .errors import BruteForceCapError, ParseError, ReplayError, SymleakError
+from .errors import ParseError, ReplayError, SymleakError
 from .explorer import ExploreOptions, ExploreStats, explore
 from .ir import Program, SymbolicBase
-from .parser import _generated_owner, parse_program
+from .parser import parse_program
 from .records import Frozen, set_field
 from .solver import DEFAULT_TIMEOUT_MS, EnumerativeBackend, SolverBackend
 from .transform import synthesize_adversary, unroll_loops
@@ -227,63 +232,6 @@ def _cache_from(args: SimpleNamespace) -> CacheConfig:
         base.assoc if args.assoc is None else args.assoc)
 
 
-def _parse_inputs(pairs: list[str]) -> dict[str, int]:
-    out = {}
-    for item in pairs:
-        name, sep, value = item.partition("=")
-        if not sep or not name:
-            raise SymleakError(f"bad --input {item!r}, expected name=value")
-        try:
-            out[name] = int(value, 0)
-        except ValueError:
-            raise SymleakError(f"bad --input value {value!r}") from None
-    return out
-
-
-def _check_inputs(p: Program, inputs: dict[str, int]) -> None:
-    """Refuse a replay input that the run would mask or ignore: a secret
-    input's value past its width, and a name that is no secret input,
-    no symbolic base and no ``cell_<d>_<i>`` or ``ld<n>_<d>`` variable
-    (a public input's value is fixed by the program)."""
-    widths = {s.name: s.width for s in p.secret_inputs}
-    bases = {d.placement.var for d in p.decls
-             if isinstance(d.placement, SymbolicBase)}
-    decls = {d.name for d in p.decls}
-    for name, value in inputs.items():
-        if name in widths:
-            if not 0 <= value < 1 << widths[name]:
-                raise SymleakError(f"--input {name}={value} does not fit in "
-                                   f"{widths[name]} bits")
-            continue
-        owner = _generated_owner(name, decls)
-        if name not in bases and (owner is None or name == owner + "_base"):
-            raise SymleakError(f"--input {name!r} names no secret input, "
-                               "symbolic base or memory variable")
-
-
-def _check_load_positions(p: Program, inputs: dict[str, int],
-                          trace: list[tuple[int, str, str]]) -> None:
-    """Refuse an ``ld<n>_<d>`` input unless the replayed access at
-    schedule position n loads from ``d``: only that load reads it."""
-    decls = {d.name for d in p.decls}
-    for name in inputs:
-        if not name.startswith("ld") or _generated_owner(name, decls) is None:
-            continue
-        n, _, decl = name[2:].partition("_")
-        site = trace[int(n)][1] if int(n) < len(trace) else None
-        if site is None or site.split(":")[2:] != ["load", decl]:
-            raise SymleakError(f"--input {name!r}: schedule position {n} "
-                               f"is no load of {decl!r}")
-
-
-def _parse_schedule(text: str) -> list[int]:
-    items = [s for s in text.replace("-", ",").split(",") if s]
-    try:
-        return [int(s) for s in items]
-    except ValueError:
-        raise SymleakError(f"bad schedule {text!r}") from None
-
-
 def _cmd_analyze(args: SimpleNamespace) -> int:
     rc = RunConfig(
         program=args.file,
@@ -297,45 +245,13 @@ def _cmd_analyze(args: SimpleNamespace) -> int:
     return run(rc)
 
 
-def _cmd_replay(args: SimpleNamespace) -> int:
-    from .oracle import replay_trace, schedule_from_lines
-    p = _load(args.file)
-    cfg = _cache_from(args)
-    inputs = _parse_inputs(args.input)
-    _check_inputs(p, inputs)
-    lines = _parse_schedule(args.schedule)
-    tids = schedule_from_lines(p, inputs, lines, cfg)
-    trace = replay_trace(p, inputs, tids, cfg)
-    _check_load_positions(p, inputs, trace)
-    for tid, site, verdict in trace:
-        if args.critical_only and tid != p.critical_tid:
-            continue
-        print(f"{site} {verdict}")
-    return 0
-
-
-def _cmd_brute_force(args: SimpleNamespace) -> int:
-    from .bruteforce import brute_force_leaks
-    p = _load(args.file)
-    cfg = _cache_from(args)
-    cap = None
-    try:
-        leaks = brute_force_leaks(p, cfg, key_bits=args.key_bits,
-                                  max_orders=args.max_orders)
-    except BruteForceCapError as e:
-        leaks, cap = e.leaks, e
-    for site, order in sorted(leaks):
-        print(f"{site} schedule={','.join(map(str, order))}")
-    if cap is not None:
-        print(f"incomplete: {cap}", file=sys.stderr)
-        return 3
-    return 1 if leaks else 0
-
-
-def _cmd_print_ir(args: SimpleNamespace) -> int:
-    from .printer import pretty
-    sys.stdout.write(pretty(_load(args.file)))
-    return 0
+def _elsewhere(name: str):
+    """The handler ``name`` of ``symleak.commands``, which loads only when
+    that handler runs."""
+    def handler(args: SimpleNamespace) -> int:
+        from . import commands
+        return getattr(commands, name)(args)
+    return handler
 
 
 _HELP = ("-h", "--help")
@@ -351,9 +267,10 @@ _CACHE_OPTIONS = (
 )
 
 # Each command: its handler, a one-line summary and its options besides
-# the one FILE.  An option is (flag, kind, default, help), given as
-# ``--flag VALUE`` or ``--flag=VALUE`` and read into the field of
-# ``args`` that the flag names, ``--max-orders`` into ``max_orders``.
+# the one FILE.  Every handler but analyze's is in ``symleak.commands``.
+# An option is (flag, kind, default, help), given as ``--flag VALUE`` or
+# ``--flag=VALUE`` and read into the field of ``args`` that the flag
+# names, ``--max-orders`` into ``max_orders``.
 # Kind ``int`` or ``str`` keeps the last value given, a tuple of strings
 # also lists the values allowed, ``list`` appends every value given and
 # ``bool`` is a flag that takes no value.  An option whose default is
@@ -371,19 +288,19 @@ _COMMANDS = {
         ("--solver", str, None, "external SMT-LIB2 solver command, e.g. 'z3 -in'"),
         ("--out", str, None, "report path (default stdout)"),
     )),
-    "replay": (_cmd_replay, "run one concrete input and schedule", (
+    "replay": (_elsewhere("_cmd_replay"), "run one concrete input and schedule", (
         *_CACHE_OPTIONS,
         ("--schedule", str, _REQUIRED,
          "source lines of the accesses in order, e.g. 6-9-13-11"),
         ("--input", list, (), "NAME=VALUE, one input a use"),
         ("--critical-only", bool, False, "print the critical thread's accesses only"),
     )),
-    "brute-force": (_cmd_brute_force, "exhaust small secret spaces", (
+    "brute-force": (_elsewhere("_cmd_brute_force"), "exhaust small secret spaces", (
         *_CACHE_OPTIONS,
         ("--key-bits", int, 16, "largest secret space in bits (default 16)"),
         ("--max-orders", int, 4096, "most schedules one search closes (default 4096)"),
     )),
-    "print-ir": (_cmd_print_ir, "parse, unroll and pretty-print", ()),
+    "print-ir": (_elsewhere("_cmd_print_ir"), "parse, unroll and pretty-print", ()),
 }
 
 

@@ -443,60 +443,5 @@ def free_vars(e: Expr) -> frozenset[str]:
     return frozenset(var_widths(e))
 
 
-def substitute(e: Expr, env: dict[str, Expr]) -> Expr:
-    """Replace free variables by expressions, rebuilding through the folders."""
-    memo: dict[Expr, Expr] = {}
-    for node in postorder([e]):
-        memo[node] = _subst_node(node, env, memo)
-    return memo[e]
-
-
-def _subst_node(e: Expr, env: dict[str, Expr], memo: dict[Expr, Expr]) -> Expr:
-    op = e.op
-    if op is Op.CONST:
-        return e
-    if op is Op.VAR:
-        repl = env.get(e.name)
-        if repl is None:
-            return e
-        if repl.width != e.width:
-            raise ValueError(f"substitute {e.name!r}: width {repl.width} != {e.width}")
-        return repl
-    args = tuple(memo[a] for a in e.args)
-    if args == e.args:
-        return e
-    if op is Op.ADD:
-        return add(*args)
-    if op is Op.SUB:
-        return sub(*args)
-    if op is Op.AND:
-        return and_(*args)
-    if op is Op.OR:
-        return or_(*args)
-    if op is Op.XOR:
-        return xor(*args)
-    if op is Op.SHL:
-        return shl(*args)
-    if op is Op.LSHR:
-        return lshr(*args)
-    if op is Op.MULC:
-        return mulc(args[0], e.value)
-    if op is Op.EQ:
-        return eq(*args)
-    if op is Op.NE:
-        return ne(*args)
-    if op is Op.ULT:
-        return ult(*args)
-    if op is Op.ULE:
-        return ule(*args)
-    if op is Op.ITE:
-        return ite(*args)
-    if op is Op.ZEXT:
-        return zext(args[0], e.width)
-    if op is Op.EXTRACT:
-        return extract(args[0], e.value, e.width)
-    raise AssertionError(f"unhandled op {op}")
-
-
 TRUE = const(1, 1)
 FALSE = const(0, 1)

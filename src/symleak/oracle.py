@@ -227,24 +227,3 @@ def replay_trace(p: Program, inputs: dict[str, int], schedule,
     """Like replay, but keeps (tid, site, verdict) per access."""
     run = _Run(p, cfg, inputs)
     return [(tid, *run.step(tid)) for tid in schedule]
-
-
-def schedule_from_lines(p: Program, inputs: dict[str, int], lines,
-                        cfg: CacheConfig) -> list[int]:
-    """Turn a sequence of source line numbers into a thread schedule.
-
-    At each step exactly one thread must have its pending access on the
-    requested line; branch outcomes (hence which line is pending) come
-    from ``inputs``.
-    """
-    run = _Run(p, cfg, inputs)
-    for want in lines:
-        here = [tid for tid, s in run.pending().items() if s.line == want]
-        if not here:
-            pend = sorted(s.line for s in run.pending().values())
-            raise ReplayError(
-                f"no pending access on line {want}; pending lines are {pend}")
-        if len(here) > 1:
-            raise ReplayError(f"line {want} is pending in threads {sorted(here)}")
-        run.step(here[0])
-    return list(run.schedule)

@@ -118,6 +118,61 @@ def parse_model(text: str, wanted: set[str]) -> dict[str, int]:
     return model
 
 
+def substitute(e: Expr, env: dict[str, Expr]) -> Expr:
+    """Replace free variables by expressions, rebuilding through the folders."""
+    memo: dict[Expr, Expr] = {}
+    for node in ex.postorder([e]):
+        memo[node] = _subst_node(node, env, memo)
+    return memo[e]
+
+
+def _subst_node(e: Expr, env: dict[str, Expr], memo: dict[Expr, Expr]) -> Expr:
+    op = e.op
+    if op is ex.Op.CONST:
+        return e
+    if op is ex.Op.VAR:
+        repl = env.get(e.name)
+        if repl is None:
+            return e
+        if repl.width != e.width:
+            raise ValueError(f"substitute {e.name!r}: width {repl.width} != {e.width}")
+        return repl
+    args = tuple(memo[a] for a in e.args)
+    if args == e.args:
+        return e
+    if op is ex.Op.ADD:
+        return ex.add(*args)
+    if op is ex.Op.SUB:
+        return ex.sub(*args)
+    if op is ex.Op.AND:
+        return ex.and_(*args)
+    if op is ex.Op.OR:
+        return ex.or_(*args)
+    if op is ex.Op.XOR:
+        return ex.xor(*args)
+    if op is ex.Op.SHL:
+        return ex.shl(*args)
+    if op is ex.Op.LSHR:
+        return ex.lshr(*args)
+    if op is ex.Op.MULC:
+        return ex.mulc(args[0], e.value)
+    if op is ex.Op.EQ:
+        return ex.eq(*args)
+    if op is ex.Op.NE:
+        return ex.ne(*args)
+    if op is ex.Op.ULT:
+        return ex.ult(*args)
+    if op is ex.Op.ULE:
+        return ex.ule(*args)
+    if op is ex.Op.ITE:
+        return ex.ite(*args)
+    if op is ex.Op.ZEXT:
+        return ex.zext(args[0], e.width)
+    if op is ex.Op.EXTRACT:
+        return ex.extract(args[0], e.value, e.width)
+    raise AssertionError(f"unhandled op {op}")
+
+
 class SmtProcessBackend(SolverBackend):
     """Drives an external SMT-LIB2 solver process, e.g. ``z3 -in``."""
 
@@ -140,11 +195,11 @@ class SmtProcessBackend(SolverBackend):
         widths = ex.var_widths(tau) | ex.var_widths(pcon)
         fam_a = {n: ex.var(f"{n}$1", widths[n]) for n in duplicated if n in widths}
         fam_b = {n: ex.var(f"{n}$2", widths[n]) for n in fam_a}
-        parts = [ex.substitute(pcon, fam_a), ex.substitute(pcon, fam_b)]
+        parts = [substitute(pcon, fam_a), substitute(pcon, fam_b)]
         if distinct:
             parts.append(ex.disj([ex.ne(fam_a[n], fam_b[n])
                                   for n in sorted(distinct) if n in fam_a]))
-        parts.append(ex.xor(ex.substitute(tau, fam_a), ex.substitute(tau, fam_b)))
+        parts.append(ex.xor(substitute(tau, fam_a), substitute(tau, fam_b)))
         res = self.check(ex.conj(parts))
         if res.status != "sat":
             return DivergenceResult(res.status)

@@ -17,13 +17,13 @@ from symleak.bruteforce import brute_force_leaks, secret_bits
 from symleak.cache import (CacheConfig, Geometry, hit_constraint,
                            hit_constraint_assoc, line, probe_window, tag)
 from symleak.cli import backend_for, main
-from symleak.engine import run_schedule
 from symleak.explorer import ExploreOptions, explore
 from symleak.ir import If, Load, Store
 from symleak.oracle import empty_cache, replay, simulate_access
 from symleak.solver import EnumerativeBackend
 
 from conftest import CORPUS_DIR, CORPUS_GEOMETRY, load_program
+from engine_runs import run_schedule
 
 FIG3 = CacheConfig(512, 1, 1)
 

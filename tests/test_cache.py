@@ -16,12 +16,12 @@ from symleak.cache import (Geometry, _set_offsets, hit_constraint,
                            hit_constraint_assoc, line, may_same_line,
                            probe_window, tag)
 from symleak.cli import backend_for
-from symleak.engine import run_schedule
 from symleak.explorer import ExploreOptions, explore
 from symleak.oracle import empty_cache, simulate_access
 from symleak.solver import EnumerativeBackend
 
 from conftest import load_program
+from engine_runs import run_schedule
 
 
 def _trace(*addrs):

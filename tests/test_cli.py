@@ -791,12 +791,16 @@ def test_cli_import_loads_no(module):
 
 def test_cli_import_compiles_only_the_analysis():
     # ``analyze`` runs no brute force, SMT-LIB or printing, replays only
-    # a witness and prints help only when asked, so importing the command
-    # line loads none of the modules that hold them, and no module it
-    # loads defines them.
+    # a witness, scans for a divergence only when a site is checked,
+    # prints help only when asked and runs no other command, so importing
+    # the command line loads none of the modules that hold them, and no
+    # module it loads defines them.  Nor does it define what only the
+    # tests run.
     held = ("brute_force_leaks", "SmtProcessBackend", "emit_query", "pretty",
             "replay", "replay_trace", "schedule_from_lines", "_Run",
-            "help_text")
+            "help_text", "_DivergenceScan", "_Block", "substitute",
+            "run_schedule", "_check_inputs", "_check_load_positions",
+            "_parse_inputs", "_parse_schedule", "_cmd_replay")
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, symleak.cli; "
          "mods = {m: v for m, v in sys.modules.items() "
@@ -815,7 +819,7 @@ def test_cli_import_compiles_only_the_analysis():
     assert defined == "[]"
 
 
-_ORACLE_ON_DEMAND = """
+_ON_DEMAND = """
 import contextlib, io, json, sys
 from symleak.cli import main
 
@@ -823,25 +827,80 @@ def analyze(path):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["analyze", path, "--preset", "paper-fig3"])
-    return code, json.loads(out.getvalue())["leaks"], "symleak.oracle" in sys.modules
+    return (code, json.loads(out.getvalue()),
+            [m in sys.modules for m in ("symleak.oracle", "symleak.scan")])
 
-print(json.dumps([analyze(sys.argv[1]), analyze(sys.argv[2])]))
+print(json.dumps([analyze(path) for path in sys.argv[1:]]))
 """
 
 
-def test_analyze_loads_the_oracle_on_the_first_witness():
-    # A fresh interpreter: a leak-free run replays nothing and leaves the
-    # concrete oracle unloaded; the first witness loads it for replay.
+def _analyze_fresh(*paths):
+    """``analyze --preset paper-fig3`` of each path in turn, in one fresh
+    interpreter: the exit code, the report, and whether ``symleak.oracle``
+    and ``symleak.scan`` are loaded after it."""
     proc = subprocess.run(
-        [sys.executable, "-c", _ORACLE_ON_DEMAND, REPAIRED, SEQ],
+        [sys.executable, "-c", _ON_DEMAND, *paths],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
-    clean, leaky = json.loads(proc.stdout)
-    assert clean == [0, [], False]
-    code, leaks, loaded = leaky
-    assert (code, loaded) == (1, True)
-    assert [leak["replay_confirmed"] for leak in leaks] == [True]
+    return json.loads(proc.stdout)
+
+
+def test_analyze_loads_the_oracle_on_the_first_witness():
+    # A leak-free run replays nothing and leaves the concrete oracle
+    # unloaded; the first witness loads it for replay.
+    (code, report, (oracle, _)), leaky = _analyze_fresh(REPAIRED, SEQ)
+    assert (code, report["leaks"], oracle) == (0, [], False)
+    code, report, (oracle, _) = leaky
+    assert (code, oracle) == (1, True)
+    assert [leak["replay_confirmed"] for leak in report["leaks"]] == [True]
+
+
+def test_analyze_loads_the_scan_at_its_first_divergence_query():
+    # Both leak-free programs settle every site before the search, so
+    # they check none and load neither the divergence scan nor the
+    # oracle.  The concurrent one checks two sites, which loads the scan,
+    # and replays its witness, which loads the oracle; its report is the
+    # one the scan gave inside ``symleak.solver``.
+    preloaded = str(PROGRAMS_DIR / "families" / "must_preloaded.ir")
+    *clean, conc = _analyze_fresh(preloaded, REPAIRED, CONC)
+    for code, report, loaded in clean:
+        assert (code, report["stats"]["leak_checks"], loaded) == (0, 0, [False, False])
+    code, report, loaded = conc
+    assert (code, loaded) == (1, [True, True])
+    del report["stats"]["wall_ms"]
+    assert report == {
+        "program": CONC,
+        "cache": {"size": 512, "line": 1, "assoc": 1},
+        "leaks": [{
+            "site": "t1:L11:store:p",
+            "access_index": 3,
+            "schedule": [[1, "t1:L6:load:q"], [1, "t1:L9:load:p"],
+                         [2, "t2:L13:load:tmp"], [1, "t1:L11:store:p"]],
+            "k1": {"k": 0},
+            "k2": {"k": 1},
+            "verdict1": "hit",
+            "verdict2": "miss",
+            "replay_confirmed": True,
+        }],
+        "stats": {"interleavings": 5, "leak_checks": 2, "solver_calls": 7,
+                  "solver_memo_hits": 2, "states_forked": 4,
+                  "indeterminate": 0, "sites_settled": 3},
+        "complete": True,
+    }
+
+
+@pytest.mark.parametrize("module", ["commands", "scan", "smt", "oracle",
+                                    "bruteforce", "printer", "usage"])
+def test_on_demand_module_imports_first(module):
+    # Each module that loads on demand also loads first in a fresh
+    # interpreter, so no import cycle (``commands`` imports ``cli``,
+    # ``scan`` imports ``solver``) needs the other side loaded before it.
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import symleak.{module}"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
 
 
 _LAZY_EXPORTS = """

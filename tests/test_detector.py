@@ -3,12 +3,12 @@
 from symleak import expr as ex
 from symleak.cache import CacheConfig, Geometry, hit_constraint
 from symleak.detector import classify, solve_precise, verdicts
-from symleak.engine import initial_state, run_schedule
 from symleak.parser import parse_program
 from symleak.solver import EnumerativeBackend
 from symleak.transform import unroll_loops
 
 from conftest import load_program
+from engine_runs import run_schedule
 
 
 def test_classify_roles():

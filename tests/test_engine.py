@@ -16,13 +16,14 @@ from symleak import expr as ex
 from symleak.cli import backend_for
 from symleak.engine import (branch_events, enabled_events, initial_state,
                             lower, next_event, number_body, perform_access,
-                            run_schedule, take_branch)
+                            take_branch)
 from symleak.errors import UnrollError
 from symleak.explorer import ExploreOptions, explore
 from symleak.ir import BinOp, Declaration, If, Name, Num, Program
 from symleak.oracle import _eval as oracle_eval
 
 from conftest import CORPUS_GEOMETRY, load_program
+from engine_runs import run_schedule
 
 
 def _program(src):

@@ -15,7 +15,8 @@ from symleak.cache import CacheConfig
 from symleak.cli import backend_for
 from symleak.explorer import ExploreOptions, explore
 from symleak.ir import SymbolicBase
-from symleak.oracle import replay_trace, schedule_from_lines
+from symleak.commands import schedule_from_lines
+from symleak.oracle import replay_trace
 from symleak.solver import DivergenceResult, EnumerativeBackend
 
 from conftest import late_clock, load_program

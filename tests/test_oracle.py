@@ -16,8 +16,8 @@ from symleak.bruteforce import brute_force_leaks, secret_bits
 from symleak.cache import CacheConfig
 from symleak.errors import BruteForceCapError, ReplayError
 from symleak.explorer import ExploreOptions, explore
-from symleak.oracle import (empty_cache, replay, replay_trace,
-                            schedule_from_lines, simulate_access)
+from symleak.commands import schedule_from_lines
+from symleak.oracle import empty_cache, replay, replay_trace, simulate_access
 from symleak.parser import parse_program
 from symleak.solver import EnumerativeBackend
 from symleak.transform import unroll_loops
