@@ -5,6 +5,8 @@ execute every path and every relevant thread interleaving, build a
 cache-hit constraint per memory access, and ask a solver for two secret
 valuations that schedule the same accesses but disagree on a hit.  A
 concrete LRU oracle replays every witness before it is reported.
+``explore`` runs the search and its leak query on one program, and
+``symleak.cli.run`` the whole ``analyze`` pipeline on one file.
 
 ``brute_force_leaks``, ``SmtProcessBackend``, ``pretty`` and the
 concrete oracle's ``replay``, ``empty_cache``, ``simulate_access`` and
@@ -17,11 +19,10 @@ package or its command line compiles only the analysis pipeline.
 """
 
 from .cache import CacheConfig, Site, hit_constraint, hit_constraint_assoc
-from .detector import LeakReport
 from .errors import (AdversaryError, BruteForceCapError, ConfigError,
                      ParseError, ReplayError, SolverProcessError, SymleakError,
                      UnrollError)
-from .explorer import ExploreOptions, ExploreStats, explore
+from .explorer import ExploreStats, LeakReport, explore
 from .ir import Program
 from .parser import parse_program
 from .solver import EnumerativeBackend, SolverBackend
@@ -36,7 +37,6 @@ __all__ = [
     "ConcreteCacheState",
     "ConfigError",
     "EnumerativeBackend",
-    "ExploreOptions",
     "ExploreStats",
     "LeakReport",
     "ParseError",

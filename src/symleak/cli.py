@@ -3,7 +3,8 @@
 Subcommands: ``analyze`` runs the full pipeline and writes a report,
 ``replay`` executes one concrete (inputs, schedule) pair, ``brute-force``
 exhausts small key spaces, ``print-ir`` shows a program after loop
-unrolling.
+unrolling.  ``run`` is ``analyze`` for a library caller: its arguments
+are the command's options, under the same names and defaults.
 
 Exit codes for analyze: 0 no leaks, 1 leaks found, 2 error, 3 search
 incomplete (a bound or an undecided solver query), 4 internal error (an
@@ -61,12 +62,10 @@ import time
 from types import SimpleNamespace
 
 from .cache import CacheConfig, probe_window
-from .detector import LeakReport
 from .errors import ParseError, ReplayError, SymleakError
-from .explorer import ExploreOptions, ExploreStats, explore
+from .explorer import ExploreStats, LeakReport, explore
 from .ir import Program, SymbolicBase
 from .parser import parse_program
-from .records import Frozen, set_field
 from .solver import DEFAULT_TIMEOUT_MS, EnumerativeBackend, SolverBackend
 from .transform import synthesize_adversary, unroll_loops
 
@@ -76,26 +75,6 @@ PRESETS: dict[str, tuple[int, int, int]] = {
 }
 
 _UNROLL_BOUND = 4096
-
-
-class RunConfig(Frozen):
-    """Everything one analyze invocation depends on; no hidden state."""
-
-    __slots__ = ("program", "cache", "adversary", "max_interleavings",
-                 "timeout_ms", "solver", "out")
-
-    def __init__(self, program: str, cache: CacheConfig = CacheConfig(),
-                 adversary: str = "fixed",
-                 max_interleavings: int | None = None,
-                 timeout_ms: int = DEFAULT_TIMEOUT_MS, solver: str | None = None,
-                 out: str | None = None) -> None:
-        set_field(self, "program", program)
-        set_field(self, "cache", cache)
-        set_field(self, "adversary", adversary)  # "fixed" | "synthesize" | "none"
-        set_field(self, "max_interleavings", max_interleavings)
-        set_field(self, "timeout_ms", timeout_ms)
-        set_field(self, "solver", solver)
-        set_field(self, "out", out)
 
 
 def _load(path: str) -> Program:
@@ -159,7 +138,7 @@ def confirm_report(p: Program, cfg: CacheConfig, report: LeakReport) -> bool:
             and report.verdict1 != report.verdict2)
 
 
-def write_report(rc: RunConfig, reports: list[LeakReport],
+def write_report(program: str, cache: CacheConfig, reports: list[LeakReport],
                  stats: ExploreStats, wall_ms: int, complete: bool) -> str:
     leaks = []
     for r in reports:
@@ -179,9 +158,9 @@ def write_report(rc: RunConfig, reports: list[LeakReport],
         entry["replay_confirmed"] = True
         leaks.append(entry)
     doc = {
-        "program": rc.program,
-        "cache": {"size": rc.cache.cache_size, "line": rc.cache.line_size,
-                  "assoc": rc.cache.assoc},
+        "program": program,
+        "cache": {"size": cache.cache_size, "line": cache.line_size,
+                  "assoc": cache.assoc},
         "leaks": leaks,
         "stats": {"interleavings": stats.interleavings_explored,
                   "leak_checks": stats.leak_checks,
@@ -196,23 +175,26 @@ def write_report(rc: RunConfig, reports: list[LeakReport],
     return json.dumps(doc, indent=2) + "\n"
 
 
-def run(rc: RunConfig) -> int:
-    """parse, unroll, place adversary, explore, confirm, report."""
+def run(program: str, cache: CacheConfig = CacheConfig(),
+        adversary: str = "fixed", max_interleavings: int | None = None,
+        timeout_ms: int = DEFAULT_TIMEOUT_MS, solver: str | None = None,
+        out: str | None = None) -> int:
+    """``symleak analyze`` on the IR file ``program``, each option an
+    argument of the same name; returns the exit code."""
     t0 = time.monotonic()
-    opts = ExploreOptions(max_interleavings=rc.max_interleavings)
-    p = _apply_adversary(_load(rc.program), rc.cache, rc.adversary)
-    backend = backend_for(p, rc.cache, rc.solver, rc.timeout_ms)
-    reports, stats = explore(p, rc.cache, opts, backend)
+    p = _apply_adversary(_load(program), cache, adversary)
+    backend = backend_for(p, cache, solver, timeout_ms)
+    reports, stats = explore(p, cache, backend, max_interleavings)
     for r in reports:
-        if not confirm_report(p, rc.cache, r):
+        if not confirm_report(p, cache, r):
             print(f"error: witness at {r.site} failed replay confirmation",
                   file=sys.stderr)
             return 4
     wall_ms = int((time.monotonic() - t0) * 1000)
     complete = stats.complete and stats.indeterminate == 0
-    text = write_report(rc, reports, stats, wall_ms, complete)
-    if rc.out:
-        with open(rc.out, "w", encoding="utf-8") as fh:
+    text = write_report(program, cache, reports, stats, wall_ms, complete)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -233,16 +215,8 @@ def _cache_from(args: SimpleNamespace) -> CacheConfig:
 
 
 def _cmd_analyze(args: SimpleNamespace) -> int:
-    rc = RunConfig(
-        program=args.file,
-        cache=_cache_from(args),
-        adversary=args.adversary,
-        max_interleavings=args.max_interleavings,
-        timeout_ms=args.timeout_ms,
-        solver=args.solver,
-        out=args.out,
-    )
-    return run(rc)
+    return run(args.file, _cache_from(args), args.adversary,
+               args.max_interleavings, args.timeout_ms, args.solver, args.out)
 
 
 def _elsewhere(name: str):

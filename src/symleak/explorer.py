@@ -1,4 +1,14 @@
-"""Depth-first search over paths and thread interleavings.
+"""Depth-first search over paths and thread interleavings, and the leak
+query it asks at each checked access.
+
+A leak at an access means: two runs that share the memory layout and the
+thread schedule, but differ in secret data, disagree on whether the
+access hits the cache.  One query asks the backend that question
+directly with two copies of the secret variables.  Variable roles:
+secret inputs and values read out of secret-typed memory are duplicated
+per run and at least one must differ.  Every other variable (adversary
+base addresses, values read out of non-secret memory) describes the
+shared environment, so both runs see one copy.
 
 Branches fork unconditionally (both feasible arms are paths).  Every
 state with more than one enabled access forks over the enabled threads,
@@ -111,7 +121,6 @@ from collections.abc import Callable
 from .cache import (CacheConfig, Geometry, hit_constraint,
                     hit_constraint_assoc, may_displace, may_same_line,
                     may_touch_blocks)
-from .detector import LeakReport, classify, solve_precise, verdicts
 from .engine import (AccessEvent, BranchEvent, Code, SymbolicState,
                      branch_events, enabled_events, initial_state,
                      perform_access, take_branch)
@@ -120,7 +129,7 @@ from . import expr as ex
 from .expr import Expr
 from .ir import Fixed, If, Load, Program, Store, SymbolicBase
 from .records import Frozen, Value, set_field
-from .solver import SolverBackend
+from .solver import DivergenceResult, SolverBackend
 
 
 # ``bench/child.py --trace 1`` looks this name up to wrap it; nothing
@@ -128,16 +137,33 @@ from .solver import SolverBackend
 solve_two_step = None
 
 
-class ExploreOptions(Frozen):
-    __slots__ = ("max_interleavings",)
+class LeakReport(Value, Frozen):
+    """One confirmed divergence: at ``site``, under ``schedule``, secret
+    valuation ``k1`` behaves as ``verdict1`` and ``k2`` as ``verdict2``.
+    The schedule lists (tid, site) per executed access, the reported
+    access last.  ``adversary_addr`` is the chosen value of the first
+    symbolic base when the program places something symbolically.
+    ``shared`` holds the values of the other symbolic bases and those
+    both runs read from never-written public memory (the state's
+    ``fresh_public`` variables the model names)."""
 
-    def __init__(self, max_interleavings: int | None = None) -> None:
-        # A bound below one would stop the search before it starts and
-        # pass bad input off as an incomplete search.
-        if max_interleavings is not None and max_interleavings < 1:
-            raise ConfigError("max_interleavings must be at least 1, "
-                              f"got {max_interleavings}")
-        set_field(self, "max_interleavings", max_interleavings)
+    __slots__ = ("site", "access_index", "schedule", "k1", "k2",
+                 "adversary_addr", "verdict1", "verdict2", "shared")
+
+    def __init__(self, site: str, access_index: int,
+                 schedule: tuple[tuple[int, str], ...], k1: dict[str, int],
+                 k2: dict[str, int], adversary_addr: int | None,
+                 verdict1: str, verdict2: str,
+                 shared: dict[str, int] | None = None) -> None:
+        set_field(self, "site", site)
+        set_field(self, "access_index", access_index)
+        set_field(self, "schedule", schedule)
+        set_field(self, "k1", k1)
+        set_field(self, "k2", k2)
+        set_field(self, "adversary_addr", adversary_addr)
+        set_field(self, "verdict1", verdict1)
+        set_field(self, "verdict2", verdict2)
+        set_field(self, "shared", {} if shared is None else shared)
 
 
 class ExploreStats(Value):
@@ -224,6 +250,31 @@ def adversarial_access(p: Program, ev: AccessEvent) -> bool:
     return ev.tid == p.critical_tid
 
 
+def classify(p: Program, st: SymbolicState) -> tuple[str, ...]:
+    """The duplicated variables of ``st``: one copy per compared run,
+    and the pair must differ."""
+    return tuple(s.name for s in p.secret_inputs) + st.fresh_secret
+
+
+def verdicts(tau: Expr, result: DivergenceResult) -> tuple[str, str]:
+    """Hit/miss verdict of each model of a sat divergence result; a
+    variable of tau that a model leaves out reads 0."""
+    names = ex.free_vars(tau)
+    a, b = (ex.evaluate(tau, {n: m.get(n, 0) for n in names})
+            for m in (result.model_a, result.model_b))
+    return ("hit" if a else "miss", "hit" if b else "miss")
+
+
+def solve_precise(backend: SolverBackend, tau: Expr, pcon: Expr,
+                  duplicated: tuple[str, ...]) -> DivergenceResult:
+    """Joint query: pcon holds for both runs, the duplicated variables
+    differ, and tau disagrees.  Skipped without a solver call when tau
+    cannot depend on any duplicated variable."""
+    if tau.is_const or ex.free_vars(tau).isdisjoint(duplicated):
+        return DivergenceResult("unsat")
+    return backend.check_divergence(tau, pcon, duplicated, duplicated)
+
+
 def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
                              backend: SolverBackend, stats: ExploreStats,
                              geo: Geometry) -> LeakReport | None:
@@ -239,7 +290,9 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
     tr = st.trace + (ev,)
     i = len(st.trace)
     duplicated = classify(p, st)
-    tau = _tau([e.addr for e in tr], i, geo)
+    addrs = [e.addr for e in tr]
+    tau = (hit_constraint(addrs, i, geo) if geo.cfg.assoc == 1
+           else hit_constraint_assoc(addrs, i, geo))
     res = solve_precise(backend, tau, st.pcon, duplicated)
     if res.status == "unknown":
         stats.indeterminate += 1
@@ -254,15 +307,23 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
     return LeakReport(
         site=str(ev.site), access_index=i,
         schedule=tuple((e.tid, str(e.site)) for e in tr),
-        k1=_project(res.model_a, duplicated),
-        k2=_project(res.model_b, duplicated),
+        k1={n: res.model_a.get(n, 0) for n in duplicated},
+        k2={n: res.model_b.get(n, 0) for n in duplicated},
         adversary_addr=res.model_a.get(bases[0], 0) if bases else None,
         verdict1=v1, verdict2=v2, shared=shared,
     )
 
 
-def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
-            backend: SolverBackend) -> tuple[list[LeakReport], ExploreStats]:
+def explore(p: Program, cfg: CacheConfig, backend: SolverBackend,
+            max_interleavings: int | None = None
+            ) -> tuple[list[LeakReport], ExploreStats]:
+    """Search ``p`` on ``cfg`` for leaks, asking ``backend``; stop when
+    one more interleaving past ``max_interleavings`` would close."""
+    # A bound below one would stop the search before it starts and pass
+    # bad input off as an incomplete search.
+    if max_interleavings is not None and max_interleavings < 1:
+        raise ConfigError("max_interleavings must be at least 1, "
+                          f"got {max_interleavings}")
     stats = ExploreStats()
     reports: list[LeakReport] = []  # per site, its first witness
     classes_seen: set[tuple] = set()
@@ -271,10 +332,10 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
     crit = st0.thread_pos(p.critical_tid)
     ahead = _Ahead(st0.code[crit])
     geo = Geometry(cfg)
-    table = _footprints(st0, crit, backend)
+    table, settles = _footprints(st0, crit, backend)
     # The bits in ``ahead`` of the sites settled or reported.
-    reported = (_settled_sites(st0, crit, ahead, table, backend, geo)
-                if table is not None else 0)
+    reported = (_settled_sites(crit, ahead, table, backend, geo)
+                if settles else 0)
     stats.sites_settled = reported.bit_count()
     seen: dict[Expr, bool] = {}  # per address: unobserved?
 
@@ -296,8 +357,8 @@ def explore(p: Program, cfg: CacheConfig, opts: ExploreOptions,
         if ahead.sites[st.cursors[crit]] & ~reported:
             return False
         if choices not in classes_seen:
-            if (opts.max_interleavings is not None
-                    and len(classes_seen) >= opts.max_interleavings):
+            if (max_interleavings is not None
+                    and len(classes_seen) >= max_interleavings):
                 raise _Bounded
             classes_seen.add(choices)
         return True
@@ -413,15 +474,17 @@ def _has_dependent_pair(st: SymbolicState, a: AccessEvent, b: AccessEvent,
 Footprint = list[tuple[int, Expr, Expr, int]]
 
 
-def _footprints(st0: SymbolicState, crit: int,
-                backend: SolverBackend) -> list[Footprint | None] | None:
+def _footprints(st0: SymbolicState, crit: int, backend: SolverBackend
+                ) -> tuple[list[Footprint | None] | None, bool]:
     """Every thread's footprint by position in ``st0.code``, None for a
-    thread that fails the store rule (module docstring).  No table when
-    the critical thread fails the store rule, or when no rule could use
-    one: no access of another thread has a fixed placement, so the
-    observer rule judges none, and either one has a symbolic base, so
-    nothing settles, or the critical thread accesses no declaration at
-    two positions, so no must-hit (one thread)."""
+    thread that fails the store rule (module docstring), and whether
+    settling applies: every thread has a footprint and every access of
+    another thread has a fixed placement.  No table when the critical
+    thread fails the store rule, or when no rule could use one: no
+    access of another thread has a fixed placement, so the observer rule
+    judges none, and either one has a symbolic base, so nothing settles,
+    or the critical thread accesses no declaration at two positions, so
+    no must-hit (one thread)."""
     p, code = st0.program, st0.code
     used = [{s.decl for s, _ in c if isinstance(s, (Load, Store))}
             for c in code]
@@ -433,9 +496,9 @@ def _footprints(st0: SymbolicState, crit: int,
     accessed = [s.decl for s, _ in code[crit] if isinstance(s, (Load, Store))]
     if not alone[crit] or not (any(fixed) or (
             all(fixed) and len(set(accessed)) < len(accessed))):
-        return None
-    return [_footprint(st0, pos, backend) if alone[pos] else None
-            for pos in range(len(code))]
+        return None, False
+    return ([_footprint(st0, pos, backend) if alone[pos] else None
+             for pos in range(len(code))], all(fixed) and all(alone))
 
 
 def _footprint(st0: SymbolicState, pos: int, backend: SolverBackend) -> Footprint:
@@ -459,9 +522,8 @@ def _footprint(st0: SymbolicState, pos: int, backend: SolverBackend) -> Footprin
     return out
 
 
-def _settled_sites(st0: SymbolicState, crit: int, ahead: _Ahead,
-                   table: list[Footprint | None], backend: SolverBackend,
-                   geo: Geometry) -> int:
+def _settled_sites(crit: int, ahead: _Ahead, table: list[Footprint],
+                   backend: SolverBackend, geo: Geometry) -> int:
     """The bits in ``ahead`` of the sites to settle: those all of whose
     accesses, on every path, are cold misses or must-hits (module
     docstring), read off ``table`` in one forward walk over the
@@ -483,13 +545,6 @@ def _settled_sites(st0: SymbolicState, crit: int, ahead: _Ahead,
     block of (``may_displace``) and joins, unless an access of another
     thread may displace it or its block is held already.  A path that
     leaves a branch point starts from the state kept there."""
-    p = st0.program
-    if any(fp is None for fp in table) or any(
-            isinstance(s, (Load, Store))
-            and not isinstance(p.decl(s.decl).placement, Fixed)
-            for pos, code in enumerate(st0.code) if pos != crit
-            for s, _ in code):
-        return 0
     n = geo.num_sets
     footprint = table[crit]
     others = [(a, pa) for pos, fp in enumerate(table) if pos != crit
@@ -558,14 +613,3 @@ def _settled_sites(st0: SymbolicState, crit: int, ahead: _Ahead,
             kept[i] = dict(held)
         last = i
     return fixed
-
-
-def _tau(addrs: list[Expr], i: int, geo: Geometry) -> Expr:
-    if geo.cfg.assoc == 1:
-        return hit_constraint(addrs, i, geo)
-    return hit_constraint_assoc(addrs, i, geo)
-
-
-def _project(model: dict[str, int],
-             duplicated: tuple[str, ...]) -> dict[str, int]:
-    return {n: model.get(n, 0) for n in duplicated}

@@ -17,7 +17,7 @@ from symleak.bruteforce import brute_force_leaks, secret_bits
 from symleak.cache import (CacheConfig, Geometry, hit_constraint,
                            hit_constraint_assoc, line, probe_window, tag)
 from symleak.cli import backend_for, main
-from symleak.explorer import ExploreOptions, explore
+from symleak.explorer import explore
 from symleak.ir import If, Load, Store
 from symleak.oracle import empty_cache, replay, simulate_access
 from symleak.solver import EnumerativeBackend
@@ -38,8 +38,7 @@ def wall_clock_under(seconds):
 
 def explored(name, cfg):
     p = load_program(name)
-    reports, stats = explore(p, cfg, ExploreOptions(),
-                             backend_for(p, cfg))
+    reports, stats = explore(p, cfg, backend_for(p, cfg))
     return {r.site for r in reports}, stats
 
 
@@ -86,7 +85,7 @@ INTERLEAVING_ROWS = [
 def test_concurrent_leak_needs_probe_between_load_and_store(capsys):
     with wall_clock_under(60):
         p = load_program("conc_tmp_fixed.ir")
-        reports, _ = explore(p, FIG3, ExploreOptions(), backend_for(p, FIG3))
+        reports, _ = explore(p, FIG3, backend_for(p, FIG3))
         assert len(reports) == 1
         r = reports[0]
         assert r.site == "t1:L11:store:p"

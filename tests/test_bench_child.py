@@ -3,7 +3,8 @@
 ``bench/child.py --trace 1`` wraps pipeline functions by the names their
 callers look up (``adversarial_access``, ``_has_dependent_pair``,
 ``divergent_cache_behavior``, ...).  Running it here makes a rename of
-one of them fail this suite, not only the benchmark's own tests.
+one of them, or a call that bypasses the binding the tracer wraps, fail
+this suite, not only the benchmark's own tests.
 """
 
 import json
@@ -36,3 +37,13 @@ def test_traced_bench_child_runs(tmp_path):
     # call, so every divergence call counted is a precise query.
     assert "detector.solve_two_step" not in doc["spans"]
     assert layers["detector.divergence_calls"] == doc["spans"]["detector.solve_precise"]
+    # Each checked access classifies its variables, builds one
+    # direct-mapped hit constraint and asks one query, each through the
+    # explorer's module binding; each witness reads its verdicts.
+    spans = doc["spans"]
+    checks = spans["explorer.divergence"]
+    assert checks > 0
+    assert (spans.get("detector.classify"), spans.get("cache.hit_constraint"),
+            spans["detector.solve_precise"]) == (checks, checks, checks)
+    leaks = json.loads(proc.stdout)["leaks"]
+    assert spans.get("detector.verdicts") == len(leaks) == 1

@@ -16,7 +16,7 @@ from symleak.cache import (Geometry, _set_offsets, hit_constraint,
                            hit_constraint_assoc, line, may_same_line,
                            probe_window, tag)
 from symleak.cli import backend_for
-from symleak.explorer import ExploreOptions, explore
+from symleak.explorer import explore
 from symleak.oracle import empty_cache, simulate_access
 from symleak.solver import EnumerativeBackend
 
@@ -319,7 +319,7 @@ def test_a_search_leaves_no_state_in_the_cache_module():
     # so nothing of it survives the search at module level.
     p = load_program("conc_tmp_fixed.ir")
     cfg = CacheConfig(512, 1, 1)
-    reports, _ = explore(p, cfg, ExploreOptions(), backend_for(p, cfg))
+    reports, _ = explore(p, cfg, backend_for(p, cfg))
     assert reports
     held = {name: len(v) for name, v in vars(symleak.cache).items()
             if isinstance(v, dict) and v and not name.startswith("__")}

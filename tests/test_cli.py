@@ -14,9 +14,8 @@ import symleak.explorer
 from symleak import expr as ex
 from symleak.bruteforce import brute_force_leaks
 from symleak.cache import CacheConfig
-from symleak.cli import RunConfig, backend_for, confirm_report, main
-from symleak.detector import LeakReport
-from symleak.explorer import ExploreOptions, explore
+from symleak.cli import backend_for, confirm_report, main
+from symleak.explorer import LeakReport, explore
 from symleak.solver import DEFAULT_TIMEOUT_MS, DivergenceResult
 
 from conftest import CORPUS_DIR, PROGRAMS_DIR, ROOT, load_program
@@ -212,7 +211,7 @@ def test_library_recipe_finds_what_the_cli_finds(capsys):
     assert cli_sites == ["t1:L11:store:p", "t1:L9:load:p", "t1:L6:load:q",
                          "t1:L8:load:q"]
     p, cfg = load_program("adv_symbolic.ir"), CacheConfig(512, 1, 1)
-    reports, stats = explore(p, cfg, ExploreOptions(), backend_for(p, cfg))
+    reports, stats = explore(p, cfg, backend_for(p, cfg))
     assert [r.site for r in reports] == cli_sites
     assert stats.indeterminate == 0 and stats.complete
 
@@ -260,10 +259,15 @@ def test_public_input_wider_than_its_width_exits_2(capsys, tmp_path):
 @pytest.mark.parametrize("field", ["max_interleavings", "timeout_ms"])
 def test_library_run_rejects_bounds_below_one(field):
     # The bounds are checked where the search takes them, so a library
-    # caller cannot turn bad input into an incomplete search either.
-    rc = RunConfig(CONC, cache=CacheConfig(512, 1, 1), **{field: 0})
+    # caller cannot turn bad input into an incomplete search either,
+    # through ``run`` or through ``explore`` itself.
+    cfg = CacheConfig(512, 1, 1)
     with pytest.raises(ValueError, match="must be at least 1, got 0"):
-        symleak.cli.run(rc)
+        symleak.cli.run(CONC, cfg, **{field: 0})
+    if field == "max_interleavings":
+        p = load_program("conc_tmp_fixed.ir")
+        with pytest.raises(ValueError, match="must be at least 1, got 0"):
+            explore(p, cfg, backend_for(p, cfg), max_interleavings=0)
 
 
 @pytest.mark.parametrize("body,want", [
@@ -333,8 +337,8 @@ def test_no_solver_answer_outlives_its_run(capsys, monkeypatch):
     # hits show where its answers came from.
     runs = []
 
-    def recording_explore(p, cfg, opts, backend):
-        reports, stats = explore(p, cfg, opts, backend)
+    def recording_explore(p, cfg, backend, max_interleavings):
+        reports, stats = explore(p, cfg, backend, max_interleavings)
         runs.append((backend, stats))
         return reports, stats
 
@@ -355,7 +359,7 @@ def test_no_solver_answer_outlives_its_run(capsys, monkeypatch):
     (first, _), (second, stats) = runs
     assert second is not first and second.calls == stats.solver_calls
     p, cfg = load_program("conc_multi_probe.ir"), CacheConfig(512, 1, 1)
-    _, fresh = explore(p, cfg, ExploreOptions(), backend_for(p, cfg))
+    _, fresh = explore(p, cfg, backend_for(p, cfg))
     assert stats.solver_memo_hits == fresh.solver_memo_hits == 2
 
 
@@ -473,7 +477,7 @@ def test_witness_carries_uninitialised_public_memory(capsys, solver):
     assert leak["shared"] == {"cell_q_0": 200}
     assert leak["replay_confirmed"] is True
     p, cfg = load_program("public_cell.ir"), CacheConfig(512, 1, 1)
-    report, = explore(p, cfg, ExploreOptions(), backend_for(p, cfg, solver))[0]
+    report, = explore(p, cfg, backend_for(p, cfg, solver))[0]
     assert report.shared == {"cell_q_0": 200}
     assert confirm_report(p, cfg, report)
     # Without the shared value, replay reads 0 there and the hit is gone.
@@ -795,12 +799,14 @@ def test_cli_import_compiles_only_the_analysis():
     # prints help only when asked and runs no other command, so importing
     # the command line loads none of the modules that hold them, and no
     # module it loads defines them.  Nor does it define what only the
-    # tests run.
+    # tests run, or a record of settings: ``run`` and ``explore`` take
+    # theirs as arguments.
     held = ("brute_force_leaks", "SmtProcessBackend", "emit_query", "pretty",
             "replay", "replay_trace", "schedule_from_lines", "_Run",
             "help_text", "_DivergenceScan", "_Block", "substitute",
             "run_schedule", "_check_inputs", "_check_load_positions",
-            "_parse_inputs", "_parse_schedule", "_cmd_replay")
+            "_parse_inputs", "_parse_schedule", "_cmd_replay",
+            "ExploreOptions", "RunConfig")
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, symleak.cli; "
          "mods = {m: v for m, v in sys.modules.items() "
@@ -814,8 +820,8 @@ def test_cli_import_compiles_only_the_analysis():
     loaded, defined = proc.stdout.splitlines()
     assert loaded == repr(sorted(
         ["symleak"] + [f"symleak.{m}" for m in (
-            "cache", "cli", "detector", "engine", "errors", "explorer",
-            "expr", "ir", "parser", "records", "solver", "transform")]))
+            "cache", "cli", "engine", "errors", "explorer", "expr", "ir",
+            "parser", "records", "solver", "transform")]))
     assert defined == "[]"
 
 
@@ -1008,7 +1014,7 @@ def test_library_explore_leaves_the_collector_alone(collector):
     p = load_program("conc_tmp_fixed.ir")
     cfg = CacheConfig(512, 1, 1)
     frozen = gc.get_freeze_count()
-    reports, _ = explore(p, cfg, ExploreOptions(), backend_for(p, cfg))
+    reports, _ = explore(p, cfg, backend_for(p, cfg))
     assert reports
     assert gc.isenabled() is collector
     assert gc.get_freeze_count() == frozen

@@ -2,7 +2,7 @@
 
 from symleak import expr as ex
 from symleak.cache import CacheConfig, Geometry, hit_constraint
-from symleak.detector import classify, solve_precise, verdicts
+from symleak.explorer import classify, solve_precise, verdicts
 from symleak.parser import parse_program
 from symleak.solver import EnumerativeBackend
 from symleak.transform import unroll_loops

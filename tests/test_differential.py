@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from symleak import parse_program, unroll_loops
 from symleak.bruteforce import brute_force_leaks
 from symleak.cache import CacheConfig
-from symleak.explorer import ExploreOptions, explore
+from symleak.explorer import explore
 from symleak.ir import Program
 from symleak.solver import EnumerativeBackend
 
@@ -137,7 +137,7 @@ def render(prog) -> str:
 
 
 def explored_sites(p: Program, cfg: CacheConfig) -> set[str]:
-    reports, stats = explore(p, cfg, ExploreOptions(), EnumerativeBackend())
+    reports, stats = explore(p, cfg, EnumerativeBackend())
     assert stats.complete
     return {r.site for r in reports}
 

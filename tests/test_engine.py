@@ -18,7 +18,7 @@ from symleak.engine import (branch_events, enabled_events, initial_state,
                             lower, next_event, number_body, perform_access,
                             take_branch)
 from symleak.errors import UnrollError
-from symleak.explorer import ExploreOptions, explore
+from symleak.explorer import explore
 from symleak.ir import BinOp, Declaration, If, Name, Num, Program
 from symleak.oracle import _eval as oracle_eval
 
@@ -341,7 +341,7 @@ def test_carried_events_match_events_built_from_scratch(monkeypatch, name,
     monkeypatch.setattr(symleak.explorer, "branch_events",
                         recording_branch_events)
     p, cfg = load_program(name), CacheConfig(*geometry)
-    explore(p, cfg, ExploreOptions(), backend_for(p, cfg))
+    explore(p, cfg, backend_for(p, cfg))
     assert states
     for st in states:
         fresh = [next_event(p, t.tid, st.code[i][st.cursors[i]][0], st.regs[i])

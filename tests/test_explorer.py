@@ -13,15 +13,13 @@ from symleak import parse_program, unroll_loops
 from symleak.bruteforce import brute_force_leaks
 from symleak.cache import CacheConfig
 from symleak.cli import backend_for
-from symleak.explorer import ExploreOptions, explore
+from symleak.explorer import explore
 from symleak.ir import SymbolicBase
 from symleak.commands import schedule_from_lines
 from symleak.oracle import replay_trace
 from symleak.solver import DivergenceResult, EnumerativeBackend
 
 from conftest import late_clock, load_program
-
-DEFAULTS = ExploreOptions()
 
 
 def lines_of(report):
@@ -46,7 +44,7 @@ def confirm_witness(p, cfg, report):
 
 def test_sequential_program_single_interleaving(fig3_cfg):
     p = load_program("seq_leaky_reuse.ir")
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, backend_for(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L11:store:p"]
     r = reports[0]
     assert r.access_index == 2
@@ -70,13 +68,13 @@ def test_sequential_program_single_interleaving(fig3_cfg):
 
 def test_repaired_program_is_clean(fig3_cfg):
     p = load_program("seq_repaired.ir")
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, backend_for(p, fig3_cfg))
     assert reports == [] and stats.complete
 
 
 def test_concurrent_program_schedule_classes(fig3_cfg):
     p = load_program("conc_tmp_fixed.ir")
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, backend_for(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L11:store:p"]
     r = reports[0]
     assert r.access_index == 3
@@ -108,11 +106,11 @@ def test_repeated_queries_are_answered_by_the_memo(fig3_cfg):
     # again; the backend decides each distinct one once.
     p = load_program("conc_multi_probe.ir")
     be = backend_for(p, fig3_cfg)
-    _, stats = explore(p, fig3_cfg, DEFAULTS, be)
+    _, stats = explore(p, fig3_cfg, be)
     assert (stats.solver_memo_hits, stats.solver_calls) == (2, 7)
     assert (be.memo_hits, be.calls) == (2, 7)
     # Counters are per run, taken as differences on the backend.
-    _, again = explore(p, fig3_cfg, DEFAULTS, be)
+    _, again = explore(p, fig3_cfg, be)
     assert (again.solver_memo_hits, again.solver_calls) == (7, 7)
 
 
@@ -127,7 +125,7 @@ def test_unrelated_probe_does_not_hide_a_later_conflict(cfg, site):
     p = load_program("conc_far_probe.ir")
     brute = {s for s, _ in brute_force_leaks(p, cfg)}
     assert brute == {site}
-    reports, stats = explore(p, cfg, DEFAULTS, backend_for(p, cfg))
+    reports, stats = explore(p, cfg, backend_for(p, cfg))
     assert {r.site for r in reports} == brute
     assert stats.complete
     for r in reports:
@@ -143,7 +141,7 @@ def test_dependence_is_decided_per_path(fig3_cfg):
     p = load_program("conc_path_dependent_alias.ir")
     brute = {s for s, _ in brute_force_leaks(p, fig3_cfg)}
     assert brute == {"t1:L10:load:c"}
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, backend_for(p, fig3_cfg))
     assert {r.site for r in reports} == brute
     assert [tid for tid, _ in reports[0].schedule] == [3, 2, 1]
     confirm_witness(p, fig3_cfg, reports[0])
@@ -151,7 +149,7 @@ def test_dependence_is_decided_per_path(fig3_cfg):
 
 def test_symbolic_probe_placement(fig3_cfg):
     p = load_program("adv_symbolic.ir")
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, backend_for(p, fig3_cfg))
     found = {r.site: r.adversary_addr for r in reports}
     # The probe can be placed to alias the store reuse (512), p itself
     # (0), or either arm's q access (385 / 257).
@@ -168,7 +166,7 @@ def test_symbolic_probe_placement(fig3_cfg):
 
 def test_two_secret_inputs_and_fresh_cells(fig3_cfg):
     p = load_program("sbox16.ir")
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, backend_for(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L7:load:sb", "t1:L9:store:sb"]
     assert reports[0].k1 == {"klo": 4, "khi": 0}
     assert reports[0].k2 == {"klo": 0, "khi": 0}
@@ -176,7 +174,7 @@ def test_two_secret_inputs_and_fresh_cells(fig3_cfg):
         confirm_witness(p, fig3_cfg, r)
 
     p = load_program("sbox_feedback.ir")
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, backend_for(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L9:store:key"]
     # The diverging value is one read out of secret memory, not an input.
     assert set(reports[0].k1) == {"j", "ld0_key"}
@@ -194,7 +192,7 @@ def test_interval_pruning_folds_every_check(monkeypatch):
     cfg = CacheConfig(2048, 64, 1)
     p = load_program("sbox_pair.ir")
     brute = {s for s, _ in brute_force_leaks(p, cfg)}
-    reports, stats = explore(p, cfg, DEFAULTS, backend_for(p, cfg))
+    reports, stats = explore(p, cfg, backend_for(p, cfg))
     assert (stats.leak_checks, stats.solver_calls, stats.sites_settled) == (
         0, 0, 4)
     assert {r.site for r in reports} == brute
@@ -202,14 +200,14 @@ def test_interval_pruning_folds_every_check(monkeypatch):
     # to a constant, so no query reaches the solver; unpruned, three
     # would.
     monkeypatch.setattr(symleak.explorer, "_settled_sites", lambda *a: 0)
-    reports, stats = explore(p, cfg, DEFAULTS, backend_for(p, cfg))
+    reports, stats = explore(p, cfg, backend_for(p, cfg))
     assert (stats.leak_checks, stats.solver_calls) == (4, 0)
     assert {r.site for r in reports} == brute
 
 
 def test_exploration_is_deterministic(fig3_cfg):
     p = load_program("adv_symbolic.ir")
-    runs = [explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    runs = [explore(p, fig3_cfg, backend_for(p, fig3_cfg))
             for _ in range(2)]
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
@@ -226,7 +224,7 @@ def test_early_termination_needs_a_dependent_fork():
     p = load_program("conc_independent_forks.ir")
     brute = {s for s, _ in brute_force_leaks(p, cfg)}
     assert brute == {"t2:L9:load:t", "t2:L10:load:a"}
-    reports, stats = explore(p, cfg, DEFAULTS, backend_for(p, cfg))
+    reports, stats = explore(p, cfg, backend_for(p, cfg))
     assert {r.site for r in reports} == brute
     assert stats.complete
     for r in reports:
@@ -239,7 +237,7 @@ def test_schedule_classes_cover_all_order_behaviors(fig3_cfg):
     # representative schedules plus the common non-leaky one.
     p = load_program("conc_tmp_fixed.ir")
     raw_orders = [(2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2)]
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, backend_for(p, fig3_cfg))
     leak_lines = lines_of(reports[0])
     for k in (0, 1, 64, 130):
         raw = set()
@@ -256,8 +254,8 @@ def test_schedule_classes_cover_all_order_behaviors(fig3_cfg):
 
 def test_interleaving_budget_marks_incomplete(fig3_cfg):
     p = load_program("conc_tmp_fixed.ir")
-    opts = ExploreOptions(max_interleavings=1)
-    reports, stats = explore(p, fig3_cfg, opts, backend_for(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, backend_for(p, fig3_cfg),
+                             max_interleavings=1)
     assert not stats.complete
     assert stats.interleavings_explored <= 1
 
@@ -269,7 +267,7 @@ def test_unknown_solver_counts_indeterminate(fig3_cfg):
             return DivergenceResult("unknown")
 
     p = load_program("seq_leaky_reuse.ir")
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, Inconclusive())
+    reports, stats = explore(p, fig3_cfg, Inconclusive())
     assert reports == []
     assert stats.indeterminate > 0
     assert stats.complete  # search finished; the verdicts did not
@@ -288,12 +286,12 @@ def test_past_deadline_counts_each_undecided_check(fig3_cfg, monkeypatch):
 
     be.check_divergence = recorded
     late_clock(monkeypatch)
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, be)
+    reports, stats = explore(p, fig3_cfg, be)
     assert reports == [] and stats.complete
     assert answers and set(answers) == {"unknown"}
     assert stats.indeterminate == len(answers)
     monkeypatch.undo()
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, be)
+    reports, stats = explore(p, fig3_cfg, be)
     assert [r.site for r in reports] == ["t1:L11:store:p"]
     assert stats.indeterminate == 0
 
@@ -311,7 +309,7 @@ def test_interleaving_ends_with_the_critical_thread(fig3_cfg):
     # two classes.  Running threads 2 and 3 to their ends as well gives
     # six sequences and ten forks.
     p = load_program("conc_tail.ir")
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, backend_for(p, fig3_cfg))
     assert [r.site for r in reports] == ["t1:L5:load:t"]
     assert stats.interleavings_explored == 5
     assert stats.states_forked == 4
@@ -323,7 +321,7 @@ def test_interleaving_ends_with_the_critical_thread(fig3_cfg):
 
 def explore_source(text, cfg):
     p = unroll_loops(parse_program(text), 16)
-    return p, explore(p, cfg, DEFAULTS, backend_for(p, cfg))
+    return p, explore(p, cfg, backend_for(p, cfg))
 
 
 def test_out_of_bounds_index_is_an_observer():
@@ -458,7 +456,7 @@ def test_a_state_closes_only_when_every_site_ahead_is_reported(body):
 def test_settling_keeps_every_leak(fig3_cfg, name, sites, settled):
     p = load_program(name)
     assert sorted(s for s, _ in brute_force_leaks(p, fig3_cfg)) == sites
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, backend_for(p, fig3_cfg))
     assert sorted(r.site for r in reports) == sites
     assert stats.sites_settled == settled
     for r in reports:
@@ -472,7 +470,7 @@ def test_preloaded_rounds_settle_every_site(assoc):
     cfg = CacheConfig(512, 1, assoc)
     p = load_program("families/must_preloaded.ir")
     assert not brute_force_leaks(p, cfg)
-    reports, stats = explore(p, cfg, DEFAULTS, backend_for(p, cfg))
+    reports, stats = explore(p, cfg, backend_for(p, cfg))
     assert reports == [] and stats.complete
     assert (stats.sites_settled, stats.leak_checks, stats.solver_calls) == (
         2, 0, 0)
@@ -509,7 +507,7 @@ def test_one_thread_settles_its_repeated_accesses(fig3_cfg, monkeypatch):
     monkeypatch.setattr(symleak.explorer, "_footprint",
                         lambda *a: calls.append(a[1]) or real(*a))
     p = load_program("sbox_rounds.ir")
-    reports, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    reports, stats = explore(p, fig3_cfg, backend_for(p, fig3_cfg))
     assert reports == [] and calls == [0]
     assert (stats.sites_settled, stats.leak_checks, stats.solver_calls) == (
         3, 0, 1)
@@ -522,7 +520,7 @@ def test_no_cold_site_leaves_the_search_as_it_was(fig3_cfg):
     # thread's run alone is the table entry the observers read anyway,
     # and equal addresses need no query.
     p = load_program("conc_path_dependent_alias.ir")
-    _, stats = explore(p, fig3_cfg, DEFAULTS, backend_for(p, fig3_cfg))
+    _, stats = explore(p, fig3_cfg, backend_for(p, fig3_cfg))
     assert (stats.interleavings_explored, stats.leak_checks,
             stats.solver_calls, stats.states_forked,
             stats.sites_settled) == (5, 8, 10, 7, 0)

@@ -15,7 +15,7 @@ import pytest
 from symleak.bruteforce import brute_force_leaks, secret_bits
 from symleak.cache import CacheConfig
 from symleak.errors import BruteForceCapError, ReplayError
-from symleak.explorer import ExploreOptions, explore
+from symleak.explorer import explore
 from symleak.commands import schedule_from_lines
 from symleak.oracle import empty_cache, replay, replay_trace, simulate_access
 from symleak.parser import parse_program
@@ -234,8 +234,7 @@ def test_brute_force_follows_unbalanced_branch_arms(fig3_cfg):
     # one-access order, which no key in {5, 6} completes, and finds none.
     p = load_program("branch_unbalanced.ir")
     assert {s for s, _ in brute_force_leaks(p, fig3_cfg)} == {"t1:L7:load:t"}
-    reports, stats = explore(p, fig3_cfg, ExploreOptions(),
-                             EnumerativeBackend())
+    reports, stats = explore(p, fig3_cfg, EnumerativeBackend())
     assert stats.complete
     assert {r.site for r in reports} == {"t1:L7:load:t"}
 

@@ -22,7 +22,7 @@ import symleak.smt
 from symleak import expr as ex
 from symleak.cache import CacheConfig
 from symleak.errors import SolverProcessError
-from symleak.explorer import ExploreOptions, explore
+from symleak.explorer import explore
 from symleak.smt import SmtProcessBackend, emit_query, parse_model
 from symleak.solver import EnumerativeBackend, SolveResult, _Lanes, _lane_bits
 
@@ -302,8 +302,7 @@ def _query_digest(names: list[str]) -> str:
     try:
         for name in names:
             texts.clear()
-            explore(load_program(name), CacheConfig(512, 1, 1),
-                    ExploreOptions(), _stub())
+            explore(load_program(name), CacheConfig(512, 1, 1), _stub())
     finally:
         symleak.smt.emit_query = real
     return hashlib.sha256("".join(texts).encode()).hexdigest()
