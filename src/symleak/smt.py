@@ -12,10 +12,10 @@ different places: none names a program variable or another.
 
 The divergence query has no solver-side shortcut here: the backend
 instantiates the path condition and tau over two renamed copies of the
-duplicated variables, asks for the copies to differ on a distinct
-variable and for tau to differ, and solves that one formula.  It needs
-no memo of its own, since a repeat rebuilds the same interned formula
-and ``check`` answers it.
+duplicated variables, asks for the copies to differ somewhere and for
+tau to differ, and solves that one formula.  It needs no memo of its
+own, since a repeat rebuilds the same interned formula and ``check``
+answers it.
 
 The command line loads this module only for ``analyze --solver``.
 """
@@ -118,59 +118,19 @@ def parse_model(text: str, wanted: set[str]) -> dict[str, int]:
     return model
 
 
-def substitute(e: Expr, env: dict[str, Expr]) -> Expr:
-    """Replace free variables by expressions, rebuilding through the folders."""
+def _renamed(e: Expr, names: dict[str, str]) -> Expr:
+    """``e`` with each variable in ``names`` renamed.  The new names are
+    fresh, so no node folds or becomes equal to another: every node is
+    interned again as it was, over its renamed arguments."""
     memo: dict[Expr, Expr] = {}
     for node in ex.postorder([e]):
-        memo[node] = _subst_node(node, env, memo)
+        if node.op is ex.Op.VAR and node.name in names:
+            memo[node] = ex.var(names[node.name], node.width)
+        else:
+            memo[node] = ex._intern(node.op, node.width,
+                                    tuple(memo[a] for a in node.args),
+                                    node.value, node.name)
     return memo[e]
-
-
-def _subst_node(e: Expr, env: dict[str, Expr], memo: dict[Expr, Expr]) -> Expr:
-    op = e.op
-    if op is ex.Op.CONST:
-        return e
-    if op is ex.Op.VAR:
-        repl = env.get(e.name)
-        if repl is None:
-            return e
-        if repl.width != e.width:
-            raise ValueError(f"substitute {e.name!r}: width {repl.width} != {e.width}")
-        return repl
-    args = tuple(memo[a] for a in e.args)
-    if args == e.args:
-        return e
-    if op is ex.Op.ADD:
-        return ex.add(*args)
-    if op is ex.Op.SUB:
-        return ex.sub(*args)
-    if op is ex.Op.AND:
-        return ex.and_(*args)
-    if op is ex.Op.OR:
-        return ex.or_(*args)
-    if op is ex.Op.XOR:
-        return ex.xor(*args)
-    if op is ex.Op.SHL:
-        return ex.shl(*args)
-    if op is ex.Op.LSHR:
-        return ex.lshr(*args)
-    if op is ex.Op.MULC:
-        return ex.mulc(args[0], e.value)
-    if op is ex.Op.EQ:
-        return ex.eq(*args)
-    if op is ex.Op.NE:
-        return ex.ne(*args)
-    if op is ex.Op.ULT:
-        return ex.ult(*args)
-    if op is ex.Op.ULE:
-        return ex.ule(*args)
-    if op is ex.Op.ITE:
-        return ex.ite(*args)
-    if op is ex.Op.ZEXT:
-        return ex.zext(args[0], e.width)
-    if op is ex.Op.EXTRACT:
-        return ex.extract(args[0], e.value, e.width)
-    raise AssertionError(f"unhandled op {op}")
 
 
 class SmtProcessBackend(SolverBackend):
@@ -192,14 +152,15 @@ class SmtProcessBackend(SolverBackend):
         not name reads 0 in both models, as in ``EnumerativeBackend``.
         The result is read-only, as ``check``'s is.
         """
+        self._check_distinct(duplicated, distinct)
         widths = ex.var_widths(tau) | ex.var_widths(pcon)
-        fam_a = {n: ex.var(f"{n}$1", widths[n]) for n in duplicated if n in widths}
-        fam_b = {n: ex.var(f"{n}$2", widths[n]) for n in fam_a}
-        parts = [substitute(pcon, fam_a), substitute(pcon, fam_b)]
-        if distinct:
-            parts.append(ex.disj([ex.ne(fam_a[n], fam_b[n])
-                                  for n in sorted(distinct) if n in fam_a]))
-        parts.append(ex.xor(substitute(tau, fam_a), substitute(tau, fam_b)))
+        fam = sorted(n for n in duplicated if n in widths)
+        fam_a = {n: f"{n}$1" for n in fam}
+        fam_b = {n: f"{n}$2" for n in fam}
+        parts = [_renamed(pcon, fam_a), _renamed(pcon, fam_b),
+                 ex.disj([ex.ne(ex.var(fam_a[n], widths[n]), ex.var(fam_b[n], widths[n]))
+                          for n in fam]),
+                 ex.xor(_renamed(tau, fam_a), _renamed(tau, fam_b))]
         res = self.check(ex.conj(parts))
         if res.status != "sat":
             return DivergenceResult(res.status)

@@ -117,10 +117,21 @@ class SolverBackend(ABC):
     def check_divergence(self, tau: Expr, pcon: Expr, duplicated: list[str],
                          distinct: list[str]) -> DivergenceResult:
         """Find two valuations, agreeing on every non-duplicated variable,
-        that satisfy the path condition, differ somewhere on ``distinct``
-        and drive ``tau`` to opposite values.  The result is read-only,
-        as ``check``'s is.
+        that satisfy the path condition and drive ``tau`` to opposite
+        values; they then differ on a duplicated variable.  ``distinct``
+        must name the same variables as ``duplicated`` (see
+        ``_check_distinct``).  The result is read-only, as ``check``'s
+        is.
         """
+
+    @staticmethod
+    def _check_distinct(duplicated: Sequence[str], distinct: Sequence[str]) -> None:
+        """Raise ValueError unless ``distinct`` names exactly the
+        duplicated variables: the one query a backend answers asks the
+        two runs to differ somewhere on all of them."""
+        if distinct is not duplicated and set(distinct) != set(duplicated):
+            raise ValueError(f"check_divergence: distinct {sorted(distinct)} "
+                             f"is not duplicated {sorted(duplicated)}")
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +457,12 @@ class EnumerativeBackend(SolverBackend):
         ms = self.timeout_ms
         return None if ms is None else time.monotonic() + ms / 1000
 
+    @staticmethod
+    def _past(deadline: float | None) -> bool:
+        """Whether ``deadline`` has passed, on the clock ``_deadline``
+        reads."""
+        return deadline is not None and time.monotonic() > deadline
+
     def _solve(self, formula: Expr) -> SolveResult:
         deadline = self._deadline()
         order = ex.postorder([formula])
@@ -455,7 +472,7 @@ class EnumerativeBackend(SolverBackend):
         bits = _lane_bits(order)
         limit = self._block_lanes(bits)
         for lo, hi in _blocks(plan.total, min(limit, _FIRST_BLOCK), limit):
-            if deadline is not None and time.monotonic() > deadline:
+            if self._past(deadline):
                 return SolveResult("unknown")
             lanes = self._words(hi - lo, bits)
             sat = lanes.evaluate(order, plan.env(lo, lanes))[formula]
@@ -472,39 +489,36 @@ class EnumerativeBackend(SolverBackend):
         of tau survive the path condition.  Variables outside
         ``duplicated`` are enumerated outermost, so the assignments
         sharing their values form one run of lanes (a group) and the two
-        returned models agree on them; see ``symleak.scan``.
-        Equivalent to the two-family formula that
+        returned models agree on them; see ``symleak.scan``.  With no
+        duplicated variable, each group is one assignment and no pair
+        exists.  Equivalent to the two-family formula that
         ``symleak.smt.SmtProcessBackend`` solves, but enumerates the
         variable space once instead of squaring it.  Answers are
         memoized on the arguments, as ``check``'s are, and read-only.
         """
+        self._check_distinct(duplicated, distinct)
         self.calls += 1
-        if not distinct:
-            return DivergenceResult("unsat")
-        return self._memoized(
-            (tau, pcon, tuple(duplicated), tuple(distinct)),
-            lambda: self._divergence(tau, pcon, duplicated, distinct))
+        return self._memoized((tau, pcon, tuple(duplicated)),
+                              lambda: self._divergence(tau, pcon, duplicated))
 
-    def _divergence(self, tau: Expr, pcon: Expr, duplicated: list[str],
-                    distinct: list[str]) -> DivergenceResult:
+    def _divergence(self, tau: Expr, pcon: Expr,
+                    duplicated: list[str]) -> DivergenceResult:
         from .scan import _DivergenceScan, _Timeout
         order = ex.postorder([pcon, tau])
         widths = {e.name: e.width for e in order if e.op is _VAR}
-        missing = [n for n in duplicated if n not in widths]
         names = sorted(widths)
         plan = self._plan(widths, [n for n in names if n not in duplicated]
                           + [n for n in names if n in duplicated])
         if plan is None:
             return DivergenceResult("unknown")
         try:
-            found = _DivergenceScan(self, plan, order, tau, pcon, widths,
-                                    duplicated, distinct).run()
+            found = _DivergenceScan(self, plan, order, tau, pcon, duplicated).run()
         except _Timeout:
             return DivergenceResult("unknown")
         if found is None:
             return DivergenceResult("unsat")
         hit, miss = found
-        for n in missing:
+        for n in duplicated:  # a name neither formula reads is 0
             hit.setdefault(n, 0)
             miss.setdefault(n, 0)
         return DivergenceResult("sat", hit, miss)

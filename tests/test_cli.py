@@ -803,7 +803,7 @@ def test_cli_import_compiles_only_the_analysis():
     # theirs as arguments.
     held = ("brute_force_leaks", "SmtProcessBackend", "emit_query", "pretty",
             "replay", "replay_trace", "schedule_from_lines", "_Run",
-            "help_text", "_DivergenceScan", "_Block", "substitute",
+            "help_text", "_DivergenceScan", "_Block", "_renamed",
             "run_schedule", "_check_inputs", "_check_load_positions",
             "_parse_inputs", "_parse_schedule", "_cmd_replay",
             "ExploreOptions", "RunConfig")

@@ -23,7 +23,7 @@ from symleak import expr as ex
 from symleak.cache import CacheConfig
 from symleak.errors import SolverProcessError
 from symleak.explorer import explore
-from symleak.smt import SmtProcessBackend, emit_query, parse_model
+from symleak.smt import SmtProcessBackend, _renamed, emit_query, parse_model
 from symleak.solver import EnumerativeBackend, SolveResult, _Lanes, _lane_bits
 
 from conftest import late_clock, load_program
@@ -159,19 +159,40 @@ def test_deadline_below_one_ms_is_rejected(make):
 
 
 def test_divergence_memo_keys_on_every_argument():
+    # The memo key is (tau, pcon, duplicated): a repeat is answered from
+    # the memo, and changing any one of the three asks again.
     x = ex.var("x", 2)
     k = ex.var("k", 2)
     tau = ex.eq(x, ex.const(0, 2))
     pcon = ex.ule(k, ex.const(2, 2))
     be = EnumerativeBackend()
-    a = be.check_divergence(tau, pcon, ["x", "k"], ["k"])
-    again = be.check_divergence(tau, pcon, ["x", "k"], ["k"])
+    a = be.check_divergence(tau, pcon, ["x", "k"], ["x", "k"])
+    again = be.check_divergence(tau, pcon, ["x", "k"], ["k", "x"])
     assert (again.status, again.model_a, again.model_b) == (
         a.status, a.model_a, a.model_b)
     assert (be.calls, be.memo_hits) == (2, 1)
-    b = be.check_divergence(tau, pcon, ["x", "k"], ["x", "k"])
+    b = be.check_divergence(tau, pcon, ["x"], ["x"])
+    assert b.status == "sat" and b.model_a["k"] == b.model_b["k"]
     assert (be.calls, be.memo_hits) == (3, 1)
-    assert b.status == "sat" and b.model_a["x"] != b.model_b["x"]
+    be.check_divergence(tau, ex.TRUE, ["x", "k"], ["x", "k"])
+    be.check_divergence(ex.eq(x, ex.const(1, 2)), pcon, ["x", "k"], ["x", "k"])
+    assert (be.calls, be.memo_hits) == (5, 1)
+
+
+@pytest.mark.parametrize("make", [EnumerativeBackend, _stub],
+                         ids=["enumerative", "process"])
+def test_divergence_distinct_must_name_the_duplicated_variables(make):
+    # Both backends answer only the query in which the two runs differ
+    # somewhere on the duplicated variables; a fourth argument naming
+    # other variables is refused before any query is counted.
+    tau, pcon, _, _ = _divergence_query()
+    be = make()
+    for duplicated, distinct in ((["x"], []), (["x"], ["k"]),
+                                 (["x", "k"], ["k"]), ([], ["x"])):
+        with pytest.raises(ValueError, match="distinct"):
+            be.check_divergence(tau, pcon, duplicated, distinct)
+    assert be.calls == 0
+    assert be.check_divergence(tau, pcon, ["x", "k"], ["k", "x"]).status == "sat"
 
 
 def test_check_divergence_enumerative():
@@ -199,26 +220,16 @@ def test_check_divergence_respects_shared_variables():
 
 
 def test_check_divergence_needs_a_distinct_variable():
+    # With no duplicated variable each group of the scan is one
+    # assignment, and the two-copy formula folds to false.
     k = ex.var("k", 4)
     be = EnumerativeBackend()
     assert be.check_divergence(ex.ult(k, ex.const(3, 4)), ex.TRUE, [], []).status == "unsat"
+    stub = _stub()
+    assert stub.check_divergence(ex.ult(k, ex.const(3, 4)), ex.TRUE, [], []).status == "unsat"
+    assert (stub.calls, stub.memo_hits) == (1, 0)
     # Constant tau can never diverge.
     assert be.check_divergence(ex.TRUE, ex.TRUE, ["k"], ["k"]).status == "unsat"
-
-
-def test_check_divergence_unconstrained_load_projection():
-    # tau is driven by x alone; k merely must differ somewhere.  The
-    # earliest hit and miss agree on k, so the second scan phase must
-    # find a pair differing in k anyway.
-    x = ex.var("x", 2)
-    k = ex.var("k", 2)
-    tau = ex.eq(x, ex.const(0, 2))
-    pcon = ex.ule(k, ex.const(2, 2))
-    be = EnumerativeBackend()
-    res = be.check_divergence(tau, pcon, ["x", "k"], ["k"])
-    assert res.status == "sat"
-    assert res.model_a["k"] != res.model_b["k"]
-    assert ex.evaluate(tau, res.model_a) != ex.evaluate(tau, res.model_b)
 
 
 def test_emit_query_is_deterministic_and_shares_subterms():
@@ -419,6 +430,23 @@ def _random_expr(rng, leaves, width, depth):
     return ex.xor(sub(), sub())
 
 
+def test_renamed_is_the_formula_built_over_the_new_names():
+    # Each formula is built twice from one seed: over k and x, and over
+    # k$1 and x$1, with the shared s in both.  Renaming the first gives
+    # the very node of the second, since fresh names make no builder
+    # rule fire that did not fire before.
+    renamed = 0
+    for seed in range(300):
+        built = []
+        for k, x in (("k", "x"), ("k$1", "x$1")):
+            kv, xv, sv = ex.var(k, 4), ex.var(x, 6), ex.var("s", 4)
+            leaves = {4: [kv, sv], 6: [xv], 1: [ex.extract(xv, 5, 1)]}
+            built.append(_random_expr(random.Random(seed), leaves, 1, 5))
+        assert _renamed(built[0], {"k": "k$1", "x": "x$1"}) is built[1]
+        renamed += {"k", "s"} <= ex.free_vars(built[0])
+    assert renamed > 50
+
+
 def _random_formula(rng):
     a = ex.var("a", 4)
     b = ex.var("b", 6)
@@ -550,46 +578,28 @@ def test_packed_lanes_every_operator():
                     assert got == ex.evaluate(node, env), (node, env)
 
 
-def _reference_divergence(tau, pcon, duplicated, distinct, domains, chunk):
+def _reference_divergence(tau, pcon, duplicated, domains):
     """The enumerative divergence query, one assignment at a time: per
-    shared assignment in order, the first hit and the first miss; if
-    they agree on the keys, the first ``chunk``-window of the group
-    holding either side at other key values, its hit first.  Duplicated
-    variables neither formula mentions are 0 in both models.  Returns
-    the pair, or None, and whether the second pass found it."""
-    pair, rescanned = _reference_pair(tau, pcon, duplicated, distinct, domains, chunk)
-    for model in pair or ():
-        for n in duplicated:
-            model.setdefault(n, 0)
-    return pair, rescanned
-
-
-def _reference_pair(tau, pcon, duplicated, distinct, domains, chunk):
+    shared assignment in order, the first hit and the first miss, which
+    differ on a duplicated variable.  Duplicated variables neither
+    formula mentions are 0 in both models.  Returns the pair, or None."""
     names = sorted(ex.var_widths(tau) | ex.var_widths(pcon))
     shared = [n for n in names if n not in duplicated]
     fam = [n for n in names if n in duplicated]
-    keys = [n for n in fam if n in distinct]
     for outer in _enumeration(shared, domains):
         group = [{n: (outer | inner)[n] for n in names}
                  for inner in _enumeration(fam, domains)]
         sides = [(ex.evaluate(pcon, a), ex.evaluate(tau, a)) for a in group]
-        hits = [i for i, (p, t) in enumerate(sides) if p and t]
-        misses = [i for i, (p, t) in enumerate(sides) if p and not t]
-        if not hits or not misses:
-            continue
-        hit, miss = group[hits[0]], group[misses[0]]
-        if any(hit[k] != miss[k] for k in keys):
-            return (hit, miss), False
-        for w in range(0, len(group), chunk):
-            apart = [i for i in range(w, min(w + chunk, len(group)))
-                     if any(group[i][k] != hit[k] for k in keys)]
-            for i in apart:
-                if i in hits:
-                    return (group[i], miss), True
-            for i in apart:
-                if i in misses:
-                    return (hit, group[i]), True
-    return None, False
+        hits = [a for a, (p, t) in zip(group, sides) if p and t]
+        misses = [a for a, (p, t) in zip(group, sides) if p and not t]
+        if hits and misses:
+            hit, miss = hits[0], misses[0]
+            assert any(hit[n] != miss[n] for n in fam)
+            for n in duplicated:
+                hit.setdefault(n, 0)
+                miss.setdefault(n, 0)
+            return hit, miss
+    return None
 
 
 @pytest.mark.parametrize("chunk", [3, 45, 1 << 18])
@@ -601,21 +611,21 @@ def test_divergence_matches_reference(chunk):
     s, k, x = ex.var("s", 3), ex.var("k", 4), ex.var("x", 2)
     domains = {"s": [6, 1, 3], "k": range(3, 13, 2), "x": range(4)}
     leaves = {1: [ex.extract(x, 1, 1)], 2: [x], 3: [s], 4: [k]}
-    kinds = {"sat": 0, "unsat": 0, "rescan": 0}
+    kinds = {"sat": 0, "unsat": 0}
     for _ in range(120):
         tau = _random_expr(rng, leaves, 1, 3)
         pcon = ex.conj([_random_expr(rng, leaves, 1, 2)
                         for _ in range(rng.randrange(2))])
-        want, rescanned = _reference_divergence(tau, pcon, ["k", "x"], ["k"], domains, chunk)
+        want = _reference_divergence(tau, pcon, ["k", "x"], domains)
         res = EnumerativeBackend(domains=domains, chunk=chunk).check_divergence(
-            tau, pcon, ["k", "x"], ["k"])
+            tau, pcon, ["k", "x"], ["k", "x"])
         if want is None:
             assert res.status == "unsat", (tau, pcon)
             kinds["unsat"] += 1
         else:
             assert res.status == "sat", (tau, pcon)
             assert (res.model_a, res.model_b) == want, (tau, pcon)
-            kinds["rescan" if rescanned else "sat"] += 1
+            kinds["sat"] += 1
     assert all(kinds.values()), kinds
 
 
