@@ -8,14 +8,16 @@ concrete LRU oracle replays every witness before it is reported.
 ``explore`` runs the search and its leak query on one program, and
 ``symleak.cli.run`` the whole ``analyze`` pipeline on one file.
 
-``brute_force_leaks``, ``SmtProcessBackend``, ``pretty`` and the
-concrete oracle's ``replay``, ``empty_cache``, ``simulate_access`` and
-``ConcreteCacheState`` load their modules on first use (PEP 562).  The
-built-in solver loads its divergence scan (``symleak.scan``) at the
-first divergence query it enumerates, and the command line loads the
-``replay``, ``brute-force`` and ``print-ir`` handlers
-(``symleak.commands``) only for those commands.  So importing the
-package or its command line compiles only the analysis pipeline.
+``brute_force_leaks``, ``SmtProcessBackend``, ``pretty``,
+``synthesize_adversary`` and the concrete oracle's ``replay``,
+``empty_cache``, ``simulate_access`` and ``ConcreteCacheState`` load
+their modules on first use (PEP 562).  The built-in solver loads its
+divergence query (``symleak.scan``) at its first ``check_divergence``,
+and the command line loads ``symleak.adversary`` only under
+``--adversary synthesize`` and the ``replay``, ``brute-force`` and
+``print-ir`` handlers (``symleak.commands``) only for those commands.
+So importing the package or its command line compiles only the
+analysis pipeline.
 """
 
 from .cache import CacheConfig, Site, hit_constraint, hit_constraint_assoc
@@ -26,7 +28,7 @@ from .explorer import ExploreStats, LeakReport, explore
 from .ir import Program
 from .parser import parse_program
 from .solver import EnumerativeBackend, SolverBackend
-from .transform import synthesize_adversary, unroll_loops
+from .transform import unroll_loops
 
 __version__ = "0.1.0"
 
@@ -71,6 +73,7 @@ _LAZY = {
     "empty_cache": "oracle",
     "simulate_access": "oracle",
     "ConcreteCacheState": "oracle",
+    "synthesize_adversary": "adversary",
 }
 
 

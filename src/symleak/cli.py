@@ -21,7 +21,8 @@ stdout and the bound on stderr.
 The handlers of ``replay``, ``brute-force`` and ``print-ir``, and the
 checks of their inputs, live in ``symleak.commands``, which ``main``
 loads only for those commands; each imports the module it drives when
-it runs.  ``analyze`` loads ``symleak.smt`` only under ``--solver``,
+it runs.  ``analyze`` loads ``symleak.adversary`` only under
+``--adversary synthesize``, ``symleak.smt`` only under ``--solver``,
 ``symleak.oracle`` only to replay a witness and ``symleak.scan`` only
 at a divergence query that the built-in solver enumerates.  So
 importing this module compiles only the analysis pipeline, and a run
@@ -67,7 +68,7 @@ from .explorer import ExploreStats, LeakReport, explore
 from .ir import Program, SymbolicBase
 from .parser import parse_program
 from .solver import DEFAULT_TIMEOUT_MS, EnumerativeBackend, SolverBackend
-from .transform import synthesize_adversary, unroll_loops
+from .transform import unroll_loops
 
 # Named cache shapes from the evaluation writeups.
 PRESETS: dict[str, tuple[int, int, int]] = {
@@ -103,6 +104,7 @@ def backend_for(p: Program, cfg: CacheConfig, solver: str | None = None,
 
 def _apply_adversary(p: Program, cfg: CacheConfig, which: str) -> Program:
     if which == "synthesize":
+        from .adversary import synthesize_adversary
         return synthesize_adversary(p, cfg)
     if which == "none":
         crit = tuple(t for t in p.threads if t.tid == p.critical_tid)

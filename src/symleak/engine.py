@@ -156,10 +156,6 @@ class SymbolicState(Frozen):
         # it has finished (``next_event``).
         set_field(self, "next_events", next_events)
 
-    @property
-    def finished(self) -> bool:
-        return all(not c for c in self.cursors)
-
     def thread_pos(self, tid: int) -> int:
         for i, t in enumerate(self.program.threads):
             if t.tid == tid:

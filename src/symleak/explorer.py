@@ -129,7 +129,7 @@ from . import expr as ex
 from .expr import Expr
 from .ir import Fixed, If, Load, Program, Store, SymbolicBase
 from .records import Frozen, Value, set_field
-from .solver import DivergenceResult, SolverBackend
+from .solver import DivergenceResult, SolverBackend, evaluate
 
 
 # ``bench/child.py --trace 1`` looks this name up to wrap it; nothing
@@ -260,7 +260,7 @@ def verdicts(tau: Expr, result: DivergenceResult) -> tuple[str, str]:
     """Hit/miss verdict of each model of a sat divergence result; a
     variable of tau that a model leaves out reads 0."""
     names = ex.free_vars(tau)
-    a, b = (ex.evaluate(tau, {n: m.get(n, 0) for n in names})
+    a, b = (evaluate(tau, {n: m.get(n, 0) for n in names})
             for m in (result.model_a, result.model_b))
     return ("hit" if a else "miss", "hit" if b else "miss")
 

@@ -27,13 +27,15 @@ double as boolean connectives at width 1.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Container
 
 from .records import Frozen, set_field
 
 
-class Op(enum.Enum):
+class Op:
+    """The operator tags of ``Expr`` nodes: one interned string each,
+    compared by identity and used as dict keys."""
+
     CONST = "const"
     VAR = "var"
     ADD = "add"
@@ -52,10 +54,6 @@ class Op(enum.Enum):
     ZEXT = "zext"
     EXTRACT = "extract"
 
-    # Members are singletons, so identity is a cheaper hash than the
-    # name's, which ``Enum`` uses; interning hashes an ``Op`` per node.
-    __hash__ = object.__hash__
-
 
 class Expr(Frozen):
     """One interned DAG node.  Do not construct directly; use the builders.
@@ -64,7 +62,7 @@ class Expr(Frozen):
 
     __slots__ = ("op", "width", "args", "value", "name", "is_const")
 
-    def __init__(self, op: Op, width: int, args: tuple[Expr, ...] = (),
+    def __init__(self, op: str, width: int, args: tuple[Expr, ...] = (),
                  value: int | None = None, name: str | None = None) -> None:
         set_field(self, "op", op)
         set_field(self, "width", width)
@@ -80,13 +78,13 @@ class Expr(Frozen):
         if self.op is Op.VAR:
             return f"{self.name}:{self.width}"
         extra = f" {self.value}" if self.value is not None else ""
-        return f"({self.op.value}{extra} " + " ".join(map(repr, self.args)) + ")"
+        return f"({self.op}{extra} " + " ".join(map(repr, self.args)) + ")"
 
 
 _table: dict[tuple, Expr] = {}
 
 
-def _intern(op: Op, width: int, args: tuple[Expr, ...] = (),
+def _intern(op: str, width: int, args: tuple[Expr, ...] = (),
             value: int | None = None, name: str | None = None) -> Expr:
     # Nodes hash and compare by identity, so the argument tuple itself
     # keys its node.
@@ -123,7 +121,7 @@ def _require_same_width(a: Expr, b: Expr, what: str) -> None:
         raise ValueError(f"{what}: width mismatch {a.width} vs {b.width}")
 
 
-def _split_const(e: Expr, op: Op) -> tuple[Expr, int] | None:
+def _split_const(e: Expr, op: str) -> tuple[Expr, int] | None:
     """``(y, c)`` when e is ``c op y`` for a constant c, else None; a
     constant operand of a commutative node is always its first."""
     if e.op is op and e.args[0].is_const:
@@ -376,61 +374,6 @@ def postorder(roots: list[Expr], done: Container[Expr] = ()) -> list[Expr]:
             stack.append(None)
             stack.extend(node.args)
     return order
-
-
-def evaluate(e: Expr, env: dict[str, int], _memo: dict[Expr, int] | None = None) -> int:
-    """Evaluate under a complete valuation of the free variables.  A node
-    already in ``_memo`` keeps its value there."""
-    memo: dict[Expr, int] = {} if _memo is None else _memo
-    for node in postorder([e]):
-        if node not in memo:
-            memo[node] = _eval_node(node, env, memo)
-    return memo[e]
-
-
-def _eval_node(e: Expr, env: dict[str, int], memo: dict[Expr, int]) -> int:
-    m = _mask(e.width)
-    op = e.op
-    if op is Op.CONST:
-        return e.value
-    if op is Op.VAR:
-        try:
-            return env[e.name] & m
-        except KeyError:
-            raise KeyError(f"no value for variable {e.name!r}") from None
-    a = memo[e.args[0]]
-    if op is Op.ZEXT:
-        return a
-    if op is Op.EXTRACT:
-        return (a >> e.value) & m
-    if op is Op.MULC:
-        return (a * e.value) & m
-    if op is Op.ITE:
-        return memo[e.args[1]] if a else memo[e.args[2]]
-    b = memo[e.args[1]]
-    if op is Op.ADD:
-        return (a + b) & m
-    if op is Op.SUB:
-        return (a - b) & m
-    if op is Op.AND:
-        return a & b
-    if op is Op.OR:
-        return a | b
-    if op is Op.XOR:
-        return a ^ b
-    if op is Op.SHL:
-        return (a << b) & m if b < e.width else 0
-    if op is Op.LSHR:
-        return (a >> b) & m if b < e.width else 0
-    if op is Op.EQ:
-        return int(a == b)
-    if op is Op.NE:
-        return int(a != b)
-    if op is Op.ULT:
-        return int(a < b)
-    if op is Op.ULE:
-        return int(a <= b)
-    raise AssertionError(f"unhandled op {op}")
 
 
 def var_widths(e: Expr) -> dict[str, int]:

@@ -9,12 +9,12 @@ compare structurally, which the round-trip tests rely on.
 
 from __future__ import annotations
 
-import enum
-
 from .records import Frozen, Value, set_field
 
 
-class Sensitivity(enum.Enum):
+class Sensitivity:
+    """A declaration's sensitivity tags, compared by identity."""
+
     SECRET = "secret"
     PUBLIC = "public"
     DERIVED = "derived"
@@ -43,7 +43,7 @@ class Declaration(Value, Frozen):
 
     def __init__(self, name: str, kind: str, elem_size: int, length: int,
                  placement: Placement,
-                 sensitivity: Sensitivity = Sensitivity.DERIVED,
+                 sensitivity: str = Sensitivity.DERIVED,
                  contents: tuple[int, ...] | None = None) -> None:
         set_field(self, "name", name)
         set_field(self, "kind", kind)  # "array" | "scalar"

@@ -2,16 +2,45 @@
 for a feasible tau-true and a feasible tau-false assignment that agree
 on every shared variable.
 
-``EnumerativeBackend._divergence`` builds the plan and imports this
-module at its first query, so a run whose every site settles before
-the search, or that asks no divergence query at all, never compiles it.
+``EnumerativeBackend.check_divergence`` imports this module at its
+first query and hands each query it does not find in its memo to
+``divergence``, which builds the plan and runs the scan.  So a run
+whose every site settles before the search, or that asks no divergence
+query at all, never compiles it.
 """
 
 from __future__ import annotations
 
-from .expr import Expr
-from .solver import (_FIRST_BLOCK, EnumerativeBackend, _blocks, _Lanes,
-                     _lane_bits, _Plan)
+from .expr import Expr, postorder
+from .solver import (_FIRST_BLOCK, _VAR, DivergenceResult, EnumerativeBackend,
+                     _blocks, _Lanes, _lane_bits, _Plan)
+
+
+def divergence(backend: EnumerativeBackend, tau: Expr, pcon: Expr,
+               duplicated: list[str]) -> DivergenceResult:
+    """``backend``'s answer to one divergence query, asked anew: the
+    first group, in enumeration order, that holds a feasible hit and a
+    feasible miss.  "unknown" when the domains pass the backend's cap or
+    the scan its deadline.  A duplicated name that neither formula reads
+    is 0 in both models."""
+    order = postorder([pcon, tau])
+    widths = {e.name: e.width for e in order if e.op is _VAR}
+    names = sorted(widths)
+    plan = backend._plan(widths, [n for n in names if n not in duplicated]
+                         + [n for n in names if n in duplicated])
+    if plan is None:
+        return DivergenceResult("unknown")
+    try:
+        found = _DivergenceScan(backend, plan, order, tau, pcon, duplicated).run()
+    except _Timeout:
+        return DivergenceResult("unknown")
+    if found is None:
+        return DivergenceResult("unsat")
+    hit, miss = found
+    for n in duplicated:
+        hit.setdefault(n, 0)
+        miss.setdefault(n, 0)
+    return DivergenceResult("sat", hit, miss)
 
 
 class _Timeout(Exception):

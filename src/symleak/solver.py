@@ -18,11 +18,13 @@ the order the nodes are evaluated in and the variables to enumerate.
 The backend is exact, needs nothing outside the standard library and
 is fast for the small key spaces this tool targets.  A query whose
 combined domain exceeds a configurable bit budget is not enumerated and
-answers "unknown".  The scan behind ``check_divergence`` lives in
-``symleak.scan``, loaded at the first divergence query that reaches the
-enumeration, so a run whose sites all settle never compiles it.  The
-backend that pipes SMT-LIB2 through an external solver lives in
-``symleak.smt``, loaded only by a run that asks for one.
+answers "unknown".  ``evaluate`` runs the same lanes on a block of one
+assignment; it is the package's one evaluator of a formula.  The
+divergence query's plan and scan live in ``symleak.scan``, which
+``check_divergence`` loads at its first query, so a run whose sites all
+settle never compiles it.  The backend that pipes SMT-LIB2 through an
+external solver lives in ``symleak.smt``, loaded only by a run that
+asks for one.
 
 Every backend memoizes its answers for its own lifetime.
 ``SolverBackend.check`` counts the query, folds constant formulas, looks
@@ -303,6 +305,14 @@ class _Lanes:
         return out
 
 
+def evaluate(e: Expr, env: dict[str, int]) -> int:
+    """The value of ``e`` where each variable has its value in ``env``,
+    taken modulo ``2**width``: a block of one assignment."""
+    order = ex.postorder([e])
+    lanes = _Lanes(1, _lane_bits(order))
+    return lanes.evaluate(order, env)[e]
+
+
 def _cyclic(dom, start: int, count: int):
     """``count`` values of ``dom`` from index ``start`` on, wrapping
     around; a slice that does not wrap stays a lazy range."""
@@ -409,15 +419,24 @@ class EnumerativeBackend(SolverBackend):
     modulo ``2**width`` when evaluated and reported as given.  Other
     variables range over all ``2**width`` values.  Total enumerated
     width is capped at ``cap_bits``: a wider query answers "unknown",
-    as a timed-out one does, rather than running forever.
+    as a timed-out one does, rather than running forever.  A domain
+    value outside ``[0, 2**64)`` or a ``chunk`` below 1 raises
+    ``ConfigError``.
     """
 
     def __init__(self, domains: dict[str, Sequence[int]] | None = None,
                  timeout_ms: int | None = None, cap_bits: int = 24,
                  chunk: int = 1 << 18):
         super().__init__(timeout_ms)
+        if chunk < 1:
+            raise ConfigError(f"chunk must be at least 1, got {chunk}")
         self.domains = {n: d if isinstance(d, range) else [int(v) for v in d]
                         for n, d in (domains or {}).items()}
+        for n, d in self.domains.items():
+            ends = (d[0], d[-1]) if isinstance(d, range) and d else d
+            if any(not 0 <= v < 1 << 64 for v in ends):
+                raise ConfigError(f"domain of {n!r} holds a value outside "
+                                  f"[0, 2**64)")
         self.cap_bits = cap_bits
         self.chunk = chunk
         self._lanes: dict[tuple[int, int], _Lanes] = {}
@@ -489,36 +508,16 @@ class EnumerativeBackend(SolverBackend):
         of tau survive the path condition.  Variables outside
         ``duplicated`` are enumerated outermost, so the assignments
         sharing their values form one run of lanes (a group) and the two
-        returned models agree on them; see ``symleak.scan``.  With no
-        duplicated variable, each group is one assignment and no pair
-        exists.  Equivalent to the two-family formula that
-        ``symleak.smt.SmtProcessBackend`` solves, but enumerates the
-        variable space once instead of squaring it.  Answers are
-        memoized on the arguments, as ``check``'s are, and read-only.
+        returned models agree on them; see ``symleak.scan``, which this
+        method imports at its first query.  With no duplicated variable,
+        each group is one assignment and no pair exists.  Equivalent to
+        the two-family formula that ``symleak.smt.SmtProcessBackend``
+        solves, but enumerates the variable space once instead of
+        squaring it.  Answers are memoized on the arguments, as
+        ``check``'s are, and read-only.
         """
         self._check_distinct(duplicated, distinct)
         self.calls += 1
+        from .scan import divergence
         return self._memoized((tau, pcon, tuple(duplicated)),
-                              lambda: self._divergence(tau, pcon, duplicated))
-
-    def _divergence(self, tau: Expr, pcon: Expr,
-                    duplicated: list[str]) -> DivergenceResult:
-        from .scan import _DivergenceScan, _Timeout
-        order = ex.postorder([pcon, tau])
-        widths = {e.name: e.width for e in order if e.op is _VAR}
-        names = sorted(widths)
-        plan = self._plan(widths, [n for n in names if n not in duplicated]
-                          + [n for n in names if n in duplicated])
-        if plan is None:
-            return DivergenceResult("unknown")
-        try:
-            found = _DivergenceScan(self, plan, order, tau, pcon, duplicated).run()
-        except _Timeout:
-            return DivergenceResult("unknown")
-        if found is None:
-            return DivergenceResult("unsat")
-        hit, miss = found
-        for n in duplicated:  # a name neither formula reads is 0
-            hit.setdefault(n, 0)
-            miss.setdefault(n, 0)
-        return DivergenceResult("sat", hit, miss)
+                              lambda: divergence(self, tau, pcon, duplicated))

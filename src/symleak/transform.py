@@ -1,14 +1,15 @@
-"""Source-level transforms: bounded loop unrolling and adversary synthesis."""
+"""Source-level transform: bounded loop unrolling.
+
+Adversary synthesis, the other transform ``analyze`` can apply, lives
+in ``symleak.adversary``, which loads only under ``--adversary
+synthesize``.
+"""
 
 from __future__ import annotations
 
-from .cache import CacheConfig
-from .errors import AdversaryError, UnrollError
-from .ir import (Assign, BinOp, Declaration, For, If, IRExpr, Load, Name, Num,
-                 Program, Sensitivity, Stmt, Store, SymbolicBase, Thread)
-
-# Name of the register the synthesized adversary loads into.
-ADV_REG = "adv_r"
+from .errors import UnrollError
+from .ir import (Assign, BinOp, For, If, IRExpr, Load, Name, Num, Program,
+                 Stmt, Store, Thread)
 
 
 def _subst_expr(e: IRExpr, env: dict[str, int]) -> IRExpr:
@@ -63,28 +64,3 @@ def unroll_loops(p: Program, bound: int) -> Program:
     if threads == p.threads:
         return p
     return Program(p.decls, p.secret_inputs, p.public_inputs, threads, p.critical_tid)
-
-
-def synthesize_adversary(p: Program, cfg: CacheConfig) -> Program:
-    """Add a one-load adversary thread whose address is left symbolic.
-
-    The new scalar's base is a fresh 32-bit variable, so the analysis
-    searches over adversary placements instead of requiring the caller
-    to pick one.  Refuses when the program already has a thread besides
-    the critical one: that thread is the adversary, given, not made.
-    """
-    if any(t.tid != p.critical_tid for t in p.threads):
-        raise AdversaryError("program already contains an adversary thread")
-    taken = {d.name for d in p.decls} | {s.name for s in p.secret_inputs} \
-        | {q.name for q in p.public_inputs}
-    name = "adv"
-    n = 1
-    while name in taken or f"{name}_base" in taken:
-        n += 1
-        name = f"adv{n}"
-    decl = Declaration(name, "scalar", cfg.line_size, 1, SymbolicBase(f"{name}_base"),
-                       Sensitivity.PUBLIC, (0,))
-    tid = max(t.tid for t in p.threads) + 1
-    thread = Thread(tid, (Load(ADV_REG, name, Num(0), 0),))
-    return Program(p.decls + (decl,), p.secret_inputs, p.public_inputs,
-                   p.threads + (thread,), p.critical_tid)

@@ -9,6 +9,11 @@ from symleak.engine import (SymbolicState, branch_events, enabled_events,
 from symleak.ir import Program
 
 
+def finished(st: SymbolicState) -> bool:
+    """Whether every thread of ``st`` has run to its end."""
+    return all(not c for c in st.cursors)
+
+
 def run_schedule(p: Program, cfg: CacheConfig, tids, arms=()) -> SymbolicState:
     """Drive one complete execution: take branch arms from ``arms`` (true
     when exhausted) and accesses in ``tids`` order (lowest enabled tid when
@@ -16,7 +21,7 @@ def run_schedule(p: Program, cfg: CacheConfig, tids, arms=()) -> SymbolicState:
     st = initial_state(p, cfg)
     arm_iter = iter(arms)
     tid_iter = iter(tids)
-    while not st.finished:
+    while not finished(st):
         bes = branch_events(st)
         if bes:
             st = take_branch(st, bes[0], next(arm_iter, True))

@@ -24,6 +24,7 @@ from symleak.solver import EnumerativeBackend
 
 from conftest import CORPUS_DIR, CORPUS_GEOMETRY, load_program
 from engine_runs import run_schedule
+from reference_eval import evaluate
 
 FIG3 = CacheConfig(512, 1, 1)
 
@@ -145,8 +146,8 @@ def test_hit_constraint_rows_for_the_probe_interleaving():
         k_not_1 = ex.ne(ex.zext(ex.var("k", 8), 32), ex.const(1, 32))
         q = ex.and_(st.pcon, ex.xor(tau3, k_not_1))
         assert be.check(q).status == "unsat"
-        assert ex.evaluate(tau3, {"k": 0}) == 1
-        assert ex.evaluate(tau3, {"k": 1}) == 0
+        assert evaluate(tau3, {"k": 0}) == 1
+        assert evaluate(tau3, {"k": 1}) == 0
 
 
 def _gamma_count(p):
@@ -200,12 +201,12 @@ def _random_probe_sweep(total, same_set):
         st = empty_cache()
         verdict = ""
         for addr in addrs[:pos + 1]:
-            st, verdict = simulate_access(st, ex.evaluate(addr, {"k": kval}), cfg)
+            st, verdict = simulate_access(st, evaluate(addr, {"k": kval}), cfg)
         if cfg.assoc == 1:
             tau = hit_constraint(addrs, pos, Geometry(cfg))
         else:
             tau = hit_constraint_assoc(addrs, pos, Geometry(cfg))
-        symbolic = bool(ex.evaluate(tau, {"k": kval}))
+        symbolic = bool(evaluate(tau, {"k": kval}))
         assert symbolic == (verdict == "hit"), (geoms.index(cfg), addrs, pos, kval)
 
 

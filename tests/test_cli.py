@@ -292,7 +292,7 @@ def test_analyze_reads_wide_cells_as_brute_force_does(capsys, tmp_path, body,
 
 def test_undecided_queries_are_counted_and_exit_3(capsys, monkeypatch):
     class Undecided(symleak.cli.EnumerativeBackend):
-        def _divergence(self, *args):
+        def check_divergence(self, *args):
             return DivergenceResult("unknown")
 
     monkeypatch.setattr(symleak.cli, "EnumerativeBackend", Undecided)
@@ -793,59 +793,86 @@ def test_cli_import_loads_no(module):
     assert proc.stdout.strip() == "[]"
 
 
+_IMPORT_CHECK = """
+import enum, sys, symleak.cli
+mods = {m: v for m, v in sys.modules.items() if m.split('.')[0] == 'symleak'}
+print(sorted(mods))
+# The namespace of each module and of each class it defines, by
+# qualified name, and the Enum classes among those.
+scopes, enums = {}, []
+for m, v in mods.items():
+    scopes[m] = vars(v)
+    for k, c in vars(v).items():
+        if isinstance(c, type) and c.__module__ == m:
+            scopes[m + '.' + k] = vars(c)
+            if issubclass(c, enum.Enum):
+                enums.append(m + '.' + k)
+# A held name ``outer.name`` counts only in scopes whose qualified name
+# ends in ``.outer``, a bare one in every scope.
+print(sorted(s + '.' + n for outer, _, n in (h.rpartition('.') for h in sys.argv[1:])
+             for s, ns in scopes.items()
+             if n in ns and (not outer or s.endswith('.' + outer))))
+print(sorted(enums))
+"""
+
+
 def test_cli_import_compiles_only_the_analysis():
-    # ``analyze`` runs no brute force, SMT-LIB or printing, replays only
-    # a witness, scans for a divergence only when a site is checked,
-    # prints help only when asked and runs no other command, so importing
-    # the command line loads none of the modules that hold them, and no
-    # module it loads defines them.  Nor does it define what only the
-    # tests run, or a record of settings: ``run`` and ``explore`` take
-    # theirs as arguments.
+    # ``analyze`` runs no brute force, SMT-LIB, printing or adversary
+    # synthesis, replays only a witness, scans for a divergence only
+    # when a site is checked, prints help only when asked and runs no
+    # other command, so importing the command line loads none of the
+    # modules that hold them, and no module it loads, nor a class there,
+    # defines them.  Nor does it define what only the tests run (the
+    # scalar reference evaluator, whose one-lane stand-in is
+    # ``solver.evaluate``), or a record of settings: ``run`` and
+    # ``explore`` take theirs as arguments.  Operator and sensitivity
+    # tags are plain strings, so no ``Enum`` class is built.
     held = ("brute_force_leaks", "SmtProcessBackend", "emit_query", "pretty",
             "replay", "replay_trace", "schedule_from_lines", "_Run",
             "help_text", "_DivergenceScan", "_Block", "_renamed",
             "run_schedule", "_check_inputs", "_check_load_positions",
             "_parse_inputs", "_parse_schedule", "_cmd_replay",
-            "ExploreOptions", "RunConfig")
+            "ExploreOptions", "RunConfig", "synthesize_adversary",
+            "expr.evaluate", "_eval_node", "_divergence",
+            "SymbolicState.finished")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, symleak.cli; "
-         "mods = {m: v for m, v in sys.modules.items() "
-         "if m.split('.')[0] == 'symleak'}; "
-         "print(sorted(mods)); "
-         f"print(sorted(m + '.' + n for m, v in mods.items() for n in {held!r} "
-         "if n in vars(v)))"],
+        [sys.executable, "-c", _IMPORT_CHECK, *held],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
-    loaded, defined = proc.stdout.splitlines()
+    loaded, defined, enums = proc.stdout.splitlines()
     assert loaded == repr(sorted(
         ["symleak"] + [f"symleak.{m}" for m in (
             "cache", "cli", "engine", "errors", "explorer", "expr", "ir",
             "parser", "records", "solver", "transform")]))
     assert defined == "[]"
+    assert enums == "[]"
 
 
 _ON_DEMAND = """
 import contextlib, io, json, sys
 from symleak.cli import main
 
-def analyze(path):
+def analyze(args):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["analyze", path, "--preset", "paper-fig3"])
+        code = main(["analyze", *args, "--preset", "paper-fig3"])
     return (code, json.loads(out.getvalue()),
-            [m in sys.modules for m in ("symleak.oracle", "symleak.scan")])
+            [m in sys.modules for m in ("symleak.oracle", "symleak.scan",
+                                        "symleak.adversary")])
 
-print(json.dumps([analyze(path) for path in sys.argv[1:]]))
+print(json.dumps([analyze(args) for args in json.loads(sys.argv[1])]))
 """
 
 
-def _analyze_fresh(*paths):
-    """``analyze --preset paper-fig3`` of each path in turn, in one fresh
-    interpreter: the exit code, the report, and whether ``symleak.oracle``
-    and ``symleak.scan`` are loaded after it."""
+def _analyze_fresh(*runs):
+    """``analyze --preset paper-fig3`` of each run in turn, in one fresh
+    interpreter: the exit code, the report, and whether ``symleak.oracle``,
+    ``symleak.scan`` and ``symleak.adversary`` are loaded after it.  A
+    run is a path, or a list of a path and further options."""
+    runs = [[run] if isinstance(run, str) else run for run in runs]
     proc = subprocess.run(
-        [sys.executable, "-c", _ON_DEMAND, *paths],
+        [sys.executable, "-c", _ON_DEMAND, json.dumps(runs)],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
@@ -855,9 +882,9 @@ def _analyze_fresh(*paths):
 def test_analyze_loads_the_oracle_on_the_first_witness():
     # A leak-free run replays nothing and leaves the concrete oracle
     # unloaded; the first witness loads it for replay.
-    (code, report, (oracle, _)), leaky = _analyze_fresh(REPAIRED, SEQ)
+    (code, report, (oracle, _, _)), leaky = _analyze_fresh(REPAIRED, SEQ)
     assert (code, report["leaks"], oracle) == (0, [], False)
-    code, report, (oracle, _) = leaky
+    code, report, (oracle, _, _) = leaky
     assert (code, oracle) == (1, True)
     assert [leak["replay_confirmed"] for leak in report["leaks"]] == [True]
 
@@ -871,9 +898,10 @@ def test_analyze_loads_the_scan_at_its_first_divergence_query():
     preloaded = str(PROGRAMS_DIR / "families" / "must_preloaded.ir")
     *clean, conc = _analyze_fresh(preloaded, REPAIRED, CONC)
     for code, report, loaded in clean:
-        assert (code, report["stats"]["leak_checks"], loaded) == (0, 0, [False, False])
+        assert (code, report["stats"]["leak_checks"], loaded) == (
+            0, 0, [False, False, False])
     code, report, loaded = conc
-    assert (code, loaded) == (1, [True, True])
+    assert (code, loaded) == (1, [True, True, False])
     del report["stats"]["wall_ms"]
     assert report == {
         "program": CONC,
@@ -896,8 +924,19 @@ def test_analyze_loads_the_scan_at_its_first_divergence_query():
     }
 
 
+def test_analyze_loads_the_adversary_only_to_synthesize():
+    # The fixed adversary leaves ``symleak.adversary`` unloaded; the
+    # first run that synthesizes a probe thread loads it.
+    fixed, synthesized = _analyze_fresh(SEQ, [SEQ, "--adversary", "synthesize"])
+    assert (fixed[0], fixed[2][2]) == (1, False)
+    code, report, (_, _, adversary) = synthesized
+    assert (code, adversary) == (1, True)
+    assert report["leaks"][0]["site"] == fixed[1]["leaks"][0]["site"]
+
+
 @pytest.mark.parametrize("module", ["commands", "scan", "smt", "oracle",
-                                    "bruteforce", "printer", "usage"])
+                                    "bruteforce", "printer", "usage",
+                                    "adversary"])
 def test_on_demand_module_imports_first(module):
     # Each module that loads on demand also loads first in a fresh
     # interpreter, so no import cycle (``commands`` imports ``cli``,
@@ -916,12 +955,13 @@ assert names <= set(dir(symleak)), names - set(dir(symleak))
 star = {}
 exec("from symleak import *", star)
 assert names <= set(star), names - set(star)
-from symleak import bruteforce, oracle, printer, smt
+from symleak import adversary, bruteforce, oracle, printer, smt
 for name in names:
     assert getattr(symleak, name) is star[name], name
 assert symleak.brute_force_leaks is bruteforce.brute_force_leaks
 assert symleak.SmtProcessBackend is smt.SmtProcessBackend
 assert symleak.pretty is printer.pretty
+assert symleak.synthesize_adversary is adversary.synthesize_adversary
 for name in ("replay", "empty_cache", "simulate_access", "ConcreteCacheState"):
     assert getattr(symleak, name) is getattr(oracle, name), name
 try:

@@ -23,7 +23,8 @@ from symleak.ir import BinOp, Declaration, If, Name, Num, Program
 from symleak.oracle import _eval as oracle_eval
 
 from conftest import CORPUS_GEOMETRY, load_program
-from engine_runs import run_schedule
+from engine_runs import finished, run_schedule
+from reference_eval import evaluate
 
 
 def _program(src):
@@ -38,8 +39,8 @@ def test_lower_comparisons_widen_to_32_bits():
     env = {"k": ex.var("k", 32)}
     e = lower(BinOp("<=", Name("k"), Num(127)), env)
     assert e.width == 32
-    assert ex.evaluate(e, {"k": 127}) == 1
-    assert ex.evaluate(e, {"k": 128}) == 0
+    assert evaluate(e, {"k": 127}) == 1
+    assert evaluate(e, {"k": 128}) == 0
 
 
 def test_lower_rejects_unbound_names():
@@ -60,7 +61,7 @@ def test_lowering_agrees_with_concrete_evaluator():
     for _ in range(500):
         e = _random_irexpr(rng, 4)
         k = rng.randrange(0, 1 << 32)
-        symbolic = ex.evaluate(lower(e, env), {"k": k})
+        symbolic = evaluate(lower(e, env), {"k": k})
         concrete = oracle_eval(e, {"k": k})
         assert symbolic == concrete, f"{e} at k={k}"
 
@@ -75,7 +76,7 @@ def test_initial_state_binds_inputs():
     st = initial_state(p, _cfg())
     # Leading assignments already ran; r mentions only the secret.
     assert ex.free_vars(st.regs[0]["r"]) == {"k"}
-    assert ex.evaluate(st.regs[0]["r"], {"k": 2}) == 7
+    assert evaluate(st.regs[0]["r"], {"k": 2}) == 7
     assert st.pcon is ex.TRUE
 
 
@@ -85,9 +86,9 @@ def test_symbolic_placement_constrains_path_condition():
     st = initial_state(p, cfg)
     pc = st.pcon
     assert ex.free_vars(pc) == {"w_base"}
-    assert ex.evaluate(pc, {"w_base": 8}) == 1
-    assert ex.evaluate(pc, {"w_base": 9}) == 0      # misaligned for elem 4
-    assert ex.evaluate(pc, {"w_base": 4096}) == 0   # outside the probe window
+    assert evaluate(pc, {"w_base": 8}) == 1
+    assert evaluate(pc, {"w_base": 9}) == 0      # misaligned for elem 4
+    assert evaluate(pc, {"w_base": 4096}) == 0   # outside the probe window
 
 
 def test_load_forwards_last_concrete_store():
@@ -150,7 +151,7 @@ def test_non_uniform_contents_read_through_an_index_chain():
                 p.critical_tid)
     r = run_schedule(q, _cfg(), ()).regs[0]["r"]
     # Masked to the element size; indices past the end read the last cell.
-    assert [ex.evaluate(r, {"k": i}) for i in range(6)] == [3, 1, 4, 0xFF, 0xFF, 0xFF]
+    assert [evaluate(r, {"k": i}) for i in range(6)] == [3, 1, 4, 0xFF, 0xFF, 0xFF]
 
 
 def test_fresh_loads_classified_by_declaration_sensitivity():
@@ -196,12 +197,12 @@ def test_branch_blocks_accesses_until_resolved():
     (be,) = branch_events(st)
     assert be.tid == 1
     then_st = take_branch(st, be, True)
-    assert ex.evaluate(then_st.pcon, {"k": 0}) == 1
-    assert ex.evaluate(then_st.pcon, {"k": 3}) == 0
+    assert evaluate(then_st.pcon, {"k": 0}) == 1
+    assert evaluate(then_st.pcon, {"k": 3}) == 0
     assert [e.tid for e in enabled_events(then_st)] == [1, 2]
     else_st = take_branch(st, be, False)
-    assert ex.evaluate(else_st.pcon, {"k": 3}) == 1
-    assert ex.evaluate(else_st.pcon, {"k": 0}) == 0
+    assert evaluate(else_st.pcon, {"k": 3}) == 1
+    assert evaluate(else_st.pcon, {"k": 0}) == 0
     # The then-arm body is skipped: only the other thread's load remains.
     assert [e.tid for e in enabled_events(else_st)] == [2]
 
@@ -214,7 +215,7 @@ def test_addresses_scale_by_element_size():
     """)
     st = initial_state(p, _cfg())
     (ev,) = enabled_events(st)
-    assert ex.evaluate(ev.addr, {"k": 3}) == 0x40 + 12
+    assert evaluate(ev.addr, {"k": 3}) == 0x40 + 12
 
 
 def test_trace_records_accumulate_in_schedule_order():
@@ -230,7 +231,7 @@ def test_trace_records_accumulate_in_schedule_order():
         (1, "load", "t1:L4:load:a"),
         (1, "store", "t1:L4:store:a"),
     ]
-    assert st.finished
+    assert finished(st)
 
 
 def test_run_schedule_rejects_disabled_thread():

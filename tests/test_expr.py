@@ -1,4 +1,9 @@
-"""Expression layer: interning, folding and evaluation."""
+"""Expression layer: interning, folding and evaluation.
+
+The scalar evaluator the tests check against lives in
+``tests/reference_eval.py``; the package evaluates in packed lanes
+(``symleak.solver``).
+"""
 
 import operator
 
@@ -9,6 +14,8 @@ from hypothesis import strategies as st
 from symleak import expr as ex
 from symleak.cache import interval
 from symleak.smt import _renamed
+
+from reference_eval import evaluate
 
 
 def test_interning_returns_identical_objects():
@@ -85,7 +92,7 @@ def test_shifts_saturate_at_width():
     assert ex.shl(k, ex.const(8, 8)) is ex.const(0, 8)
     assert ex.lshr(k, ex.const(200, 8)) is ex.const(0, 8)
     assert ex.shl(k, ex.const(0, 8)) is k
-    assert ex.evaluate(ex.shl(ex.var("x", 8), ex.var("s", 8)), {"x": 1, "s": 9}) == 0
+    assert evaluate(ex.shl(ex.var("x", 8), ex.var("s", 8)), {"x": 1, "s": 9}) == 0
 
 
 def test_width_mismatch_rejected():
@@ -104,7 +111,7 @@ def test_ite_folding():
     assert ex.ite(ex.TRUE, t, f) is t
     assert ex.ite(ex.FALSE, t, f) is f
     assert ex.ite(c, t, t) is t
-    assert ex.evaluate(ex.ite(c, t, f), {"c": 1}) == 1
+    assert evaluate(ex.ite(c, t, f), {"c": 1}) == 1
 
 
 def test_zext_and_extract():
@@ -130,22 +137,22 @@ def test_conj_disj():
     assert ex.disj([p, ex.TRUE]) is ex.TRUE
     assert ex.not_(ex.TRUE) is ex.FALSE
     for k in (0, 1):
-        assert ex.evaluate(ex.not_(ex.not_(p)), {"k": k}) == ex.evaluate(p, {"k": k})
+        assert evaluate(ex.not_(ex.not_(p)), {"k": k}) == evaluate(p, {"k": k})
 
 
 def test_evaluate_matches_uint_semantics():
     k = ex.var("k", 8)
     e = ex.add(ex.mulc(k, 3), ex.const(250, 8))
-    assert ex.evaluate(e, {"k": 10}) == (30 + 250) % 256
-    assert ex.evaluate(ex.sub(ex.const(0, 8), k), {"k": 1}) == 255
-    assert ex.evaluate(ex.ule(k, ex.const(127, 8)), {"k": 128}) == 0
+    assert evaluate(e, {"k": 10}) == (30 + 250) % 256
+    assert evaluate(ex.sub(ex.const(0, 8), k), {"k": 1}) == 255
+    assert evaluate(ex.ule(k, ex.const(127, 8)), {"k": 128}) == 0
     with pytest.raises(KeyError):
-        ex.evaluate(e, {})
+        evaluate(e, {})
 
 
 def test_evaluate_masks_oversized_env_values():
     k = ex.var("k", 8)
-    assert ex.evaluate(k, {"k": 0x1FF}) == 0xFF
+    assert evaluate(k, {"k": 0x1FF}) == 0xFF
 
 
 def test_free_vars_and_widths():
@@ -161,7 +168,7 @@ def _chain(k):
 
 
 @pytest.mark.parametrize("walk", [
-    lambda e: (ex.evaluate(e, {"k": 3999}), ex.evaluate(e, {"k": 4001})) == (1, 0),
+    lambda e: (evaluate(e, {"k": 3999}), evaluate(e, {"k": 4001})) == (1, 0),
     lambda e: _renamed(e, {"k": "k$1"}) is _chain(ex.var("k$1", 16)),
     lambda e: ex.var_widths(e) == {"k": 16},
     lambda e: ex.free_vars(e) == {"k"},
@@ -247,7 +254,7 @@ def _reference(recipe, width, env):
 def test_folding_agrees_with_unfolded_arithmetic(recipe, width, x, y):
     env = {"x": x, "y": y}
     e = _build(recipe, width)
-    assert ex.evaluate(e, env) == _reference(recipe, width, env)
+    assert evaluate(e, env) == _reference(recipe, width, env)
     # No reassociable pair is left: a constant operand never sits next
     # to a child of the same operator that has a constant operand too.
     stack, seen = [e], set()

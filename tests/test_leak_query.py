@@ -4,7 +4,7 @@ from symleak import expr as ex
 from symleak.cache import CacheConfig, Geometry, hit_constraint
 from symleak.explorer import classify, solve_precise, verdicts
 from symleak.parser import parse_program
-from symleak.solver import EnumerativeBackend
+from symleak.solver import DivergenceResult, EnumerativeBackend
 from symleak.transform import unroll_loops
 
 from conftest import load_program
@@ -77,3 +77,16 @@ def test_verdict_evaluation_defaults_missing_names():
     from symleak.solver import DivergenceResult
     res = DivergenceResult("sat", {}, {"k": 3})
     assert verdicts(tau, res) == ("hit", "miss")
+
+
+def test_verdicts_read_each_model_in_its_order():
+    # The external solver's models come in no fixed order, so the
+    # verdicts are evaluated, never assumed: here the first model
+    # misses.  A model value wider than its variable is taken modulo
+    # 2**width, and a variable a model leaves out reads 0.
+    k, s = ex.var("k", 4), ex.var("s", 8)
+    tau = ex.ult(ex.add(k, ex.extract(s, 0, 4)), ex.const(3, 4))
+    assert verdicts(tau, DivergenceResult("sat", {"k": 7, "s": 0},
+                                          {"k": 1, "s": 0})) == ("miss", "hit")
+    assert verdicts(tau, DivergenceResult("sat", {"k": 0x12, "s": 0x100},
+                                          {"k": 5})) == ("hit", "miss")

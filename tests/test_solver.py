@@ -3,9 +3,10 @@
 The process backend is driven through tests/smtstub.py, a minimal
 SMT-LIB2 evaluator, so these tests need no solver installed.  Random
 formulas are checked on both backends and must agree.  The enumerative
-backend's packed lanes are checked lane by lane against scalar
-``expr.evaluate``, and its divergence scan against a reference that
-takes one assignment at a time.
+backend's packed lanes, and ``solver.evaluate``, are checked lane by
+lane against the scalar evaluator of ``tests/reference_eval.py``, and
+its divergence scan against a reference that takes one assignment at a
+time.
 """
 
 import hashlib
@@ -21,12 +22,14 @@ import pytest
 import symleak.smt
 from symleak import expr as ex
 from symleak.cache import CacheConfig
-from symleak.errors import SolverProcessError
+from symleak.errors import ConfigError, SolverProcessError
 from symleak.explorer import explore
 from symleak.smt import SmtProcessBackend, _renamed, emit_query, parse_model
-from symleak.solver import EnumerativeBackend, SolveResult, _Lanes, _lane_bits
+from symleak.solver import (EnumerativeBackend, SolveResult, _Lanes, _lane_bits,
+                            evaluate as lane_evaluate)
 
 from conftest import late_clock, load_program
+from reference_eval import evaluate
 
 STUB = [sys.executable, str(Path(__file__).resolve().parent / "smtstub.py")]
 
@@ -42,7 +45,7 @@ def test_enumerative_sat_returns_valid_model():
     be = EnumerativeBackend()
     res = be.check(f)
     assert res.status == "sat"
-    assert ex.evaluate(f, res.model) == 1
+    assert evaluate(f, res.model) == 1
     assert be.calls == 1
 
 
@@ -64,6 +67,39 @@ def test_enumerative_cap_and_domains():
     res = be.check(f)
     assert res.status == "sat" and res.model == {"addr": 512}
     assert be.check(ex.eq(wide, ex.const(100, 32))).status == "unsat"
+
+
+@pytest.mark.parametrize("chunk", [0, -5])
+def test_enumerative_chunk_below_one_is_rejected(chunk):
+    # Taken, chunk -5 made the scan skip every group, so k=3 and k=4
+    # read as no divergence ("unsat"), and chunk 0 crashed the scan.
+    with pytest.raises(ConfigError, match=f"chunk must be at least 1, got {chunk}"):
+        EnumerativeBackend(chunk=chunk)
+    k = ex.var("k", 4)
+    res = EnumerativeBackend(chunk=1).check_divergence(
+        ex.eq(k, ex.const(3, 4)), ex.TRUE, ["k"], ["k"])
+    assert res.status == "sat"
+
+
+@pytest.mark.parametrize("values", [
+    [-1, 3], [2**64], range(-1, 3), range(2**64 - 2, 2**64 + 1),
+    range(2**64, 0, -1),
+], ids=["negative", "too-wide", "range-negative", "range-too-wide",
+        "range-descending"])
+def test_enumerative_domain_outside_64_bits_is_rejected(values):
+    # Taken, such a value overflowed the packed lanes at the first query
+    # that enumerated x.
+    with pytest.raises(ConfigError, match="domain of 'x' holds a value outside"):
+        EnumerativeBackend(domains={"x": values})
+
+
+def test_enumerative_domain_bounds_are_kept():
+    x = ex.var("x", 64)
+    be = EnumerativeBackend(domains={"x": [0, 2**64 - 1]})
+    res = be.check(ex.eq(x, ex.const(2**64 - 1, 64)))
+    assert res.status == "sat" and res.model == {"x": 2**64 - 1}
+    assert EnumerativeBackend(domains={"x": range(0)}).check(
+        ex.eq(x, ex.const(0, 64))).status == "unsat"
 
 
 def test_enumerative_chunked_scan_finds_late_witness():
@@ -201,7 +237,7 @@ def test_check_divergence_enumerative():
     be = EnumerativeBackend()
     res = be.check_divergence(tau, ex.TRUE, ["k"], ["k"])
     assert res.status == "sat"
-    assert ex.evaluate(tau, res.model_a) != ex.evaluate(tau, res.model_b)
+    assert evaluate(tau, res.model_a) != evaluate(tau, res.model_b)
     assert res.model_a["k"] != res.model_b["k"]
 
 
@@ -215,8 +251,8 @@ def test_check_divergence_respects_shared_variables():
     res = be.check_divergence(tau, ex.TRUE, ["k"], ["k"])
     assert res.status == "sat"
     assert res.model_a["base"] == res.model_b["base"]
-    assert ex.evaluate(tau, res.model_a) == 1
-    assert ex.evaluate(tau, res.model_b) == 0
+    assert evaluate(tau, res.model_a) == 1
+    assert evaluate(tau, res.model_b) == 0
 
 
 def test_check_divergence_needs_a_distinct_variable():
@@ -296,7 +332,7 @@ def test_emit_query_names_clash_with_no_program_variable(monkeypatch):
     res = _stub().check_divergence(tau, pcon, ["e0", "e"], ["e0", "e"])
     assert res.status == "sat"
     assert res.model_a["e0__1"] == res.model_b["e0__1"]
-    assert ex.evaluate(tau, res.model_a) != ex.evaluate(tau, res.model_b)
+    assert evaluate(tau, res.model_a) != evaluate(tau, res.model_b)
     assert len(texts) == 2
     for q in texts:
         declared = set(re.findall(r"\(declare-fun (\S+) ", q))
@@ -351,7 +387,7 @@ def test_process_backend_roundtrip():
     be = _stub()
     res = be.check(f)
     assert res.status == "sat"
-    assert res.model is not None and ex.evaluate(f, res.model) == 1
+    assert res.model is not None and evaluate(f, res.model) == 1
     assert be.check(ex.and_(f, ex.eq(k, ex.const(5, 8)))).status == "unsat"
 
 
@@ -384,7 +420,7 @@ def test_process_backend_handles_every_operator():
     enum_res = EnumerativeBackend().check(f)
     proc_res = _stub().check(f)
     assert enum_res.status == proc_res.status == "sat"
-    assert ex.evaluate(f, proc_res.model) == 1
+    assert evaluate(f, proc_res.model) == 1
 
 
 def _random_expr(rng, leaves, width, depth):
@@ -465,7 +501,7 @@ def test_backends_agree_on_random_formulas():
         r2 = stub.check(f)
         assert r1.status == r2.status, emit_query(f)
         if r2.status == "sat":
-            assert ex.evaluate(f, r1.model) == ex.evaluate(f, r2.model) == 1
+            assert evaluate(f, r1.model) == evaluate(f, r2.model) == 1
 
 
 # Domains per variable width, enumerated in sorted name order: lists and
@@ -528,7 +564,7 @@ def test_packed_lanes_match_evaluate(spec, widths, chunk):
             for g in range(lo, hi):
                 memo = {}
                 for r in roots:
-                    ex.evaluate(r, assignments[g], memo)
+                    evaluate(r, assignments[g], memo)
                 for node in order:
                     lane = (words[node] >> ((g - lo) * bits)) & ((1 << bits) - 1)
                     assert lane == memo[node], (node, assignments[g])
@@ -538,7 +574,7 @@ def test_packed_lanes_match_evaluate(spec, widths, chunk):
                 continue
             names = ex.var_widths(f)
             expected = next((a for a in _enumeration(names, domains)
-                             if ex.evaluate(f, a)), None)
+                             if evaluate(f, a)), None)
             res = EnumerativeBackend(domains=domains, chunk=chunk).check(f)
             if expected is None:
                 assert res.status == "unsat"
@@ -575,7 +611,34 @@ def test_packed_lanes_every_operator():
                 env = plan.model(lo + i)
                 for node in nodes:
                     got = (words[node] >> (i * bits)) & ((1 << bits) - 1)
-                    assert got == ex.evaluate(node, env), (node, env)
+                    assert got == evaluate(node, env), (node, env)
+
+
+def test_one_lane_evaluate_matches_the_reference():
+    # ``solver.evaluate`` is the package's one evaluator of a single
+    # assignment.  Random formulas over narrow and wide variables (lanes
+    # of 64 and 128 bits), with symbolic shifts and ite; model values
+    # are often wider than their variable, which the VAR mask drops.
+    rng = random.Random(23)
+    seen = {"bits128": 0, "symbolic_shift": 0, "ite": 0, "wide_value": 0}
+    for spec, widths in ((_NARROW, (1, 3, 8, 13, 17, 32)),
+                         (_WIDE, (1, 33, 40, 50, 64))):
+        variables = [ex.var(n, w) for n, (w, _) in spec.items()]
+        for _ in range(150):
+            leaves = _leaves(rng, variables, widths)
+            e = _random_expr(rng, leaves, rng.choice(widths), 4)
+            env = {v.name: rng.getrandbits(v.width + rng.choice((0, 0, 5, 70)))
+                   for v in variables}
+            assert lane_evaluate(e, env) == evaluate(e, env), (e, env)
+            order = ex.postorder([e])
+            seen["bits128"] += _lane_bits(order) == 128
+            seen["symbolic_shift"] += any(
+                n.op in (ex.Op.SHL, ex.Op.LSHR) and not n.args[1].is_const
+                for n in order)
+            seen["ite"] += any(n.op is ex.Op.ITE for n in order)
+            seen["wide_value"] += any(n.op is ex.Op.VAR and env[n.name] >> n.width
+                                      for n in order)
+    assert min(seen.values()) >= 20, seen
 
 
 def _reference_divergence(tau, pcon, duplicated, domains):
@@ -589,7 +652,7 @@ def _reference_divergence(tau, pcon, duplicated, domains):
     for outer in _enumeration(shared, domains):
         group = [{n: (outer | inner)[n] for n in names}
                  for inner in _enumeration(fam, domains)]
-        sides = [(ex.evaluate(pcon, a), ex.evaluate(tau, a)) for a in group]
+        sides = [(evaluate(pcon, a), evaluate(tau, a)) for a in group]
         hits = [a for a, (p, t) in zip(group, sides) if p and t]
         misses = [a for a, (p, t) in zip(group, sides) if p and not t]
         if hits and misses:
@@ -637,7 +700,7 @@ def test_generic_divergence_through_process_backend():
     res = be.check_divergence(tau, ex.TRUE, ["k"], ["k"])
     assert res.status == "sat"
     assert res.model_a["base"] == res.model_b["base"]
-    assert ex.evaluate(tau, res.model_a) != ex.evaluate(tau, res.model_b)
+    assert evaluate(tau, res.model_a) != evaluate(tau, res.model_b)
     # The repeat rebuilds the same interned formula; check's memo answers.
     again = be.check_divergence(tau, ex.TRUE, ["k"], ["k"])
     assert (again.model_a, again.model_b) == (res.model_a, res.model_b)

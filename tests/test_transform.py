@@ -5,7 +5,7 @@ import pytest
 from symleak import CacheConfig, parse_program, unroll_loops
 from symleak.errors import AdversaryError, UnrollError
 from symleak.ir import BinOp, Load, Num, Sensitivity, Store, SymbolicBase
-from symleak.transform import synthesize_adversary
+from symleak.adversary import synthesize_adversary
 
 
 def _body(p, tid=0):
