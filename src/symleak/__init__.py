@@ -20,7 +20,7 @@ So importing the package or its command line compiles only the
 analysis pipeline.
 """
 
-from .cache import CacheConfig, Site, hit_constraint, hit_constraint_assoc
+from .cache import CacheConfig, hit_constraint, hit_constraint_assoc
 from .errors import (AdversaryError, BruteForceCapError, ConfigError,
                      ParseError, ReplayError, SolverProcessError, SymleakError,
                      UnrollError)
@@ -44,7 +44,6 @@ __all__ = [
     "ParseError",
     "Program",
     "ReplayError",
-    "Site",
     "SmtProcessBackend",
     "SolverBackend",
     "SolverProcessError",

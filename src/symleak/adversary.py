@@ -10,7 +10,7 @@ from __future__ import annotations
 from .cache import CacheConfig
 from .errors import AdversaryError
 from .ir import (Declaration, Load, Num, Program, Sensitivity, SymbolicBase,
-                 Thread)
+                 Thread, base_var)
 
 # Name of the register the synthesized adversary loads into.
 ADV_REG = "adv_r"
@@ -30,10 +30,10 @@ def synthesize_adversary(p: Program, cfg: CacheConfig) -> Program:
         | {q.name for q in p.public_inputs}
     name = "adv"
     n = 1
-    while name in taken or f"{name}_base" in taken:
+    while name in taken or base_var(name) in taken:
         n += 1
         name = f"adv{n}"
-    decl = Declaration(name, "scalar", cfg.line_size, 1, SymbolicBase(f"{name}_base"),
+    decl = Declaration(name, "scalar", cfg.line_size, 1, SymbolicBase(base_var(name)),
                        Sensitivity.PUBLIC, (0,))
     tid = max(t.tid for t in p.threads) + 1
     thread = Thread(tid, (Load(ADV_REG, name, Num(0), 0),))

@@ -18,18 +18,18 @@ from itertools import product
 
 from .cache import CacheConfig, probe_window
 from .errors import BruteForceCapError, ConfigError, SymleakError
-from .ir import Fixed, Program, Sensitivity, SymbolicBase
+from .ir import Fixed, Program, Sensitivity, SymbolicBase, cell_var
 from .oracle import _numbered, _Run
 
 
 def _secret_names(p: Program) -> list[tuple[str, int]]:
     """Secret dimensions and their widths: declared inputs plus every
-    cell of an uninitialised secret declaration (spelled cell_<decl>_<i>
+    cell of an uninitialised secret declaration (named by ``cell_var``
     so replay picks the values up directly)."""
     dims = [(s.name, s.width) for s in p.secret_inputs]
     for d in p.decls:
         if d.sensitivity is Sensitivity.SECRET and d.contents is None:
-            dims.extend((f"cell_{d.name}_{i}", 8 * d.elem_size)
+            dims.extend((cell_var(d.name, i), 8 * d.elem_size)
                         for i in range(d.length))
     return dims
 

@@ -57,21 +57,6 @@ class CacheConfig(Value, Frozen):
         return self.line_size.bit_length() - 1
 
 
-class Site(Value, Frozen):
-    """A static access site: thread, source line, kind and target."""
-
-    __slots__ = ("tid", "line", "kind", "decl")
-
-    def __init__(self, tid: int, line: int, kind: str, decl: str) -> None:
-        set_field(self, "tid", tid)
-        set_field(self, "line", line)
-        set_field(self, "kind", kind)  # "load" | "store"
-        set_field(self, "decl", decl)
-
-    def __str__(self) -> str:
-        return f"t{self.tid}:L{self.line}:{self.kind}:{self.decl}"
-
-
 def probe_window(cfg: CacheConfig) -> int:
     """Upper bound for symbolically placed base addresses.
 

@@ -16,8 +16,7 @@ from types import SimpleNamespace
 from .cache import CacheConfig
 from .cli import _cache_from, _load
 from .errors import BruteForceCapError, ReplayError, SymleakError
-from .ir import Program, SymbolicBase
-from .parser import _generated_owner
+from .ir import Program, SymbolicBase, parse_site, parse_var
 
 
 def _parse_inputs(pairs: list[str]) -> dict[str, int]:
@@ -36,7 +35,7 @@ def _parse_inputs(pairs: list[str]) -> dict[str, int]:
 def _check_inputs(p: Program, inputs: dict[str, int]) -> None:
     """Refuse a replay input that the run would mask or ignore: a secret
     input's value past its width, and a name that is no secret input,
-    no symbolic base and no ``cell_<d>_<i>`` or ``ld<n>_<d>`` variable
+    no symbolic base and no ``cell_var`` or ``load_var`` of a declaration
     (a public input's value is fixed by the program)."""
     widths = {s.name: s.width for s in p.secret_inputs}
     bases = {d.placement.var for d in p.decls
@@ -48,23 +47,21 @@ def _check_inputs(p: Program, inputs: dict[str, int]) -> None:
                 raise SymleakError(f"--input {name}={value} does not fit in "
                                    f"{widths[name]} bits")
             continue
-        owner = _generated_owner(name, decls)
-        if name not in bases and (owner is None or name == owner + "_base"):
+        var = parse_var(name, decls)
+        if name not in bases and (var is None or var[0] == "base"):
             raise SymleakError(f"--input {name!r} names no secret input, "
                                "symbolic base or memory variable")
 
 
 def _check_load_positions(p: Program, inputs: dict[str, int],
                           trace: list[tuple[int, str, str]]) -> None:
-    """Refuse an ``ld<n>_<d>`` input unless the replayed access at
+    """Refuse a ``load_var(n, d)`` input unless the replayed access at
     schedule position n loads from ``d``: only that load reads it."""
     decls = {d.name for d in p.decls}
     for name in inputs:
-        if not name.startswith("ld") or _generated_owner(name, decls) is None:
-            continue
-        n, _, decl = name[2:].partition("_")
-        site = trace[int(n)][1] if int(n) < len(trace) else None
-        if site is None or site.split(":")[2:] != ["load", decl]:
+        kind, decl, n = parse_var(name, decls) or ("", "", 0)
+        if kind == "ld" and (n >= len(trace)
+                             or parse_site(trace[n][1])[2:] != ("load", decl)):
             raise SymleakError(f"--input {name!r}: schedule position {n} "
                                f"is no load of {decl!r}")
 

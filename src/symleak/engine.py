@@ -37,7 +37,7 @@ the end of an initialised array clamp to its last element.
 from __future__ import annotations
 
 from . import expr as ex
-from .cache import ADDR_WIDTH, CacheConfig, Site, probe_window
+from .cache import ADDR_WIDTH, CacheConfig, probe_window
 from .errors import UnrollError
 from .expr import Expr
 from .ir import (
@@ -56,6 +56,8 @@ from .ir import (
     Stmt,
     Store,
     SymbolicBase,
+    cell_var,
+    load_var,
 )
 from .records import Frozen, set_field
 
@@ -99,19 +101,16 @@ class AccessEvent(Frozen):
     evaluated in the issuing thread's registers.  A state's next events
     are the accesses ready to run, and its trace the ones that ran."""
 
-    __slots__ = ("tid", "kind", "decl", "addr", "value", "stmt", "site",
-                 "index")
+    __slots__ = ("tid", "decl", "addr", "value", "stmt", "index")
 
-    def __init__(self, tid: int, kind: str, decl: Declaration, addr: Expr,
-                 value: Expr | None, stmt: Stmt, site: Site,
+    def __init__(self, tid: int, decl: Declaration, addr: Expr,
+                 value: Expr | None, stmt: Load | Store,
                  index: Expr) -> None:
         set_field(self, "tid", tid)
-        set_field(self, "kind", kind)  # "load" | "store"
         set_field(self, "decl", decl)
         set_field(self, "addr", addr)
-        set_field(self, "value", value)
+        set_field(self, "value", value)  # None for a load
         set_field(self, "stmt", stmt)
-        set_field(self, "site", site)
         set_field(self, "index", index)
 
 
@@ -279,14 +278,9 @@ def next_event(p: Program, tid: int, s: Stmt | None,
         return None
     d = p.decl(s.decl)
     index = lower(s.index, env)
-    addr = _address(d, index)
-    if isinstance(s, Load):
-        return AccessEvent(tid, "load", d, addr, None, s,
-                           Site(tid, s.line, "load", d.name), index)
-    assert isinstance(s, Store)
-    val = _truncate(lower(s.value, env), d.elem_size)
-    return AccessEvent(tid, "store", d, addr, val, s,
-                       Site(tid, s.line, "store", d.name), index)
+    val = (None if isinstance(s, Load)
+           else _truncate(lower(s.value, env), d.elem_size))
+    return AccessEvent(tid, d, _address(d, index), val, s, index)
 
 
 def _moved(st: SymbolicState, pos: int, cur: int,
@@ -355,9 +349,10 @@ def _load_value(st: SymbolicState, d: Declaration,
     reads, if any.
 
     The stores are scanned newest-first; a clobber or a may-alias
-    against a symbolic index gives up and reads an unconstrained value.
-    A never-written cell reads ``cell_<decl>_<i>``, the same variable
-    at every read.
+    against a symbolic index gives up.  An unknown value reads as a
+    fresh variable: the cell's ``cell_var`` when the cell was never
+    written and its index is constant, the same variable at every read,
+    else the read's ``load_var``.
     """
     cell = index.value if index.is_const else None
     for store in reversed(st.stores):
@@ -369,21 +364,18 @@ def _load_value(st: SymbolicState, d: Declaration,
             continue  # definitely a different cell
         # Symbolic store index, or symbolic load index over any store:
         # the cell's content is unknown here.
-        name = f"ld{len(st.trace)}_{d.name}"
-        return _fresh(d, name), name
+        return _fresh(d, load_var(len(st.trace), d.name))
     if d.contents is not None:
         return _contents_value(d, index), None
     if cell is not None:
-        name = f"cell_{d.name}_{cell}"
-        return _fresh(d, name), name
-    name = f"ld{len(st.trace)}_{d.name}"
-    return _fresh(d, name), name
+        return _fresh(d, cell_var(d.name, cell))
+    return _fresh(d, load_var(len(st.trace), d.name))
 
 
-def _fresh(d: Declaration, name: str) -> Expr:
+def _fresh(d: Declaration, name: str) -> tuple[Expr, str]:
     # A register holds 32 bits, so a wider cell reads as its low 32, as
     # stores (``_truncate``) and initial contents already treat it.
-    return ex.zext(ex.var(name, min(8 * d.elem_size, 32)), 32)
+    return ex.zext(ex.var(name, min(8 * d.elem_size, 32)), 32), name
 
 
 def perform_access(st: SymbolicState, ev: AccessEvent) -> SymbolicState:
@@ -395,8 +387,7 @@ def perform_access(st: SymbolicState, ev: AccessEvent) -> SymbolicState:
     fresh_secret = st.fresh_secret
     fresh_public = st.fresh_public
 
-    if ev.kind == "load":
-        assert isinstance(ev.stmt, Load)
+    if isinstance(ev.stmt, Load):
         value, fresh_name = _load_value(st, ev.decl, ev.index)
         if fresh_name is not None and fresh_name not in fresh_secret + fresh_public:
             if ev.decl.sensitivity is Sensitivity.SECRET:

@@ -127,36 +127,34 @@ from .engine import (AccessEvent, BranchEvent, Code, SymbolicState,
 from .errors import ConfigError
 from . import expr as ex
 from .expr import Expr
-from .ir import Fixed, If, Load, Program, Store, SymbolicBase
+from .ir import Fixed, If, Load, Program, Store, SymbolicBase, site
 from .records import Frozen, Value, set_field
 from .solver import DivergenceResult, SolverBackend, evaluate
 
 
 # ``bench/child.py --trace 1`` looks this name up to wrap it; nothing
-# calls it.  ROADMAP item 6a deletes it together with ``Tracer.wrap``.
+# calls it.  ROADMAP item 1a deletes it together with ``Tracer.wrap``.
 solve_two_step = None
 
 
 class LeakReport(Value, Frozen):
-    """One confirmed divergence: at ``site``, under ``schedule``, secret
-    valuation ``k1`` behaves as ``verdict1`` and ``k2`` as ``verdict2``.
-    The schedule lists (tid, site) per executed access, the reported
-    access last.  ``adversary_addr`` is the chosen value of the first
-    symbolic base when the program places something symbolically.
-    ``shared`` holds the values of the other symbolic bases and those
-    both runs read from never-written public memory (the state's
-    ``fresh_public`` variables the model names)."""
+    """One confirmed divergence: under ``schedule``, secret valuation
+    ``k1`` behaves as ``verdict1`` and ``k2`` as ``verdict2`` at the
+    reported access.  The schedule lists (tid, site) per executed
+    access (``ir.site``), the reported access last, which gives
+    ``site`` and ``access_index``.  ``adversary_addr`` is the chosen
+    value of the first symbolic base when the program places something
+    symbolically.  ``shared`` holds the values of the other symbolic
+    bases and those both runs read from never-written public memory
+    (the state's ``fresh_public`` variables the model names)."""
 
-    __slots__ = ("site", "access_index", "schedule", "k1", "k2",
-                 "adversary_addr", "verdict1", "verdict2", "shared")
+    __slots__ = ("schedule", "k1", "k2", "adversary_addr", "verdict1",
+                 "verdict2", "shared")
 
-    def __init__(self, site: str, access_index: int,
-                 schedule: tuple[tuple[int, str], ...], k1: dict[str, int],
-                 k2: dict[str, int], adversary_addr: int | None,
-                 verdict1: str, verdict2: str,
+    def __init__(self, schedule: tuple[tuple[int, str], ...],
+                 k1: dict[str, int], k2: dict[str, int],
+                 adversary_addr: int | None, verdict1: str, verdict2: str,
                  shared: dict[str, int] | None = None) -> None:
-        set_field(self, "site", site)
-        set_field(self, "access_index", access_index)
         set_field(self, "schedule", schedule)
         set_field(self, "k1", k1)
         set_field(self, "k2", k2)
@@ -164,6 +162,14 @@ class LeakReport(Value, Frozen):
         set_field(self, "verdict1", verdict1)
         set_field(self, "verdict2", verdict2)
         set_field(self, "shared", {} if shared is None else shared)
+
+    @property
+    def site(self) -> str:
+        return self.schedule[-1][1]
+
+    @property
+    def access_index(self) -> int:
+        return len(self.schedule) - 1
 
 
 class ExploreStats(Value):
@@ -216,19 +222,20 @@ class _Frame:
 
 
 class _Ahead:
-    """The access sites the critical thread can still reach, for one
-    search, by position in the engine's numbering of its body
-    (``engine.number_body``).  Sites are bits: ``own[pos]`` is the bit
-    of the access at ``pos`` (0 elsewhere), and ``sites[pos]`` the bits
-    of every access from ``pos`` on, both arms of each branch counted,
-    so it over-approximates what any path from there reaches.  Every
-    successor lies below its position, so one ascending pass fills
-    both.  Bit sets keep the table linear in the body's length."""
+    """The access sites (``ir.site``) the critical thread ``tid`` can
+    still reach, for one search, by position in the engine's numbering
+    of its body ``code`` (``engine.number_body``).  Sites are bits:
+    ``own[pos]`` is the bit of the access at ``pos`` (0 elsewhere), and
+    ``sites[pos]`` the bits of every access from ``pos`` on, both arms
+    of each branch counted, so it over-approximates what any path from
+    there reaches.  Every successor lies below its position, so one
+    ascending pass fills both.  Bit sets keep the table linear in the
+    body's length."""
 
     __slots__ = ("own", "sites")
 
-    def __init__(self, code: Code) -> None:
-        bits: dict[tuple, int] = {}  # a site, less its thread -> its bit
+    def __init__(self, tid: int, code: Code) -> None:
+        bits: dict[str, int] = {}  # a site -> its bit
         self.own = own = [0] * len(code)
         self.sites = sites = [0] * len(code)
         for pos in range(1, len(code)):
@@ -237,8 +244,7 @@ class _Ahead:
                 sites[pos] = sites[succ[0]] | sites[succ[1]]
                 continue
             if isinstance(s, (Load, Store)):
-                own[pos] = bits.setdefault((s.line, type(s), s.decl),
-                                           1 << len(bits))
+                own[pos] = bits.setdefault(site(tid, s), 1 << len(bits))
             sites[pos] = own[pos] | sites[succ]
 
 
@@ -305,8 +311,7 @@ def divergent_cache_behavior(p: Program, st: SymbolicState, ev: AccessEvent,
     shared = {n: res.model_a.get(n, 0) for n in bases[1:]}
     shared.update((n, res.model_a[n]) for n in st.fresh_public if n in res.model_a)
     return LeakReport(
-        site=str(ev.site), access_index=i,
-        schedule=tuple((e.tid, str(e.site)) for e in tr),
+        schedule=tuple((e.tid, site(e.tid, e.stmt)) for e in tr),
         k1={n: res.model_a.get(n, 0) for n in duplicated},
         k2={n: res.model_b.get(n, 0) for n in duplicated},
         adversary_addr=res.model_a.get(bases[0], 0) if bases else None,
@@ -330,7 +335,7 @@ def explore(p: Program, cfg: CacheConfig, backend: SolverBackend,
     calls_before, hits_before = backend.calls, backend.memo_hits
     st0 = initial_state(p, cfg)
     crit = st0.thread_pos(p.critical_tid)
-    ahead = _Ahead(st0.code[crit])
+    ahead = _Ahead(p.critical_tid, st0.code[crit])
     geo = Geometry(cfg)
     table, settles = _footprints(st0, crit, backend)
     # The bits in ``ahead`` of the sites settled or reported.
@@ -423,7 +428,7 @@ def explore(p: Program, cfg: CacheConfig, backend: SolverBackend,
                 earlier = f.sleep[:]
                 f.sleep.append(ev)
                 if adversarial_access(p, ev):
-                    # The bit of ``ev.site``.
+                    # The bit of ``ev``'s site.
                     own = ahead.own[f.st.cursors[crit]]
                     if not own & reported:
                         stats.leak_checks += 1
@@ -535,7 +540,7 @@ def _settled_sites(crit: int, ahead: _Ahead, table: list[Footprint],
     earlier one.  An access of another thread may when it is the same
     address or each, under its own path constraint, may touch the
     other's block range: two threads' entries come from separate runs,
-    whose fresh ``ld<n>_<d>`` names may coincide for different loads,
+    whose fresh ``load_var`` names may coincide for different loads,
     so no query names variables of both.
 
     Must-hit: ``held`` maps block ranges to the addresses known cached

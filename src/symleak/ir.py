@@ -205,3 +205,51 @@ class Program(Value, Frozen):
             if d.name == name:
                 return d
         raise KeyError(name)
+
+
+# ---------------------------------------------------------------------------
+# Names that carry a witness from analysis to replay.  The analysis names
+# its fresh variables and its access sites with these, a report carries
+# the names, and replay reads them back, so each is spelled here only.
+
+def base_var(decl: str) -> str:
+    """The base address of ``decl`` when it is placed ``at symbolic``."""
+    return f"{decl}_base"
+
+
+def cell_var(decl: str, index: int) -> str:
+    """What cell ``index`` of ``decl`` holds before any write."""
+    return f"cell_{decl}_{index}"
+
+
+def load_var(pos: int, decl: str) -> str:
+    """What the load at trace position ``pos`` reads from ``decl`` when
+    its index, or that of an earlier store to ``decl``, is symbolic."""
+    return f"ld{pos}_{decl}"
+
+
+def parse_var(name: str, decls: set[str]) -> tuple[str, str, int] | None:
+    """Which of the names above ``name`` is, for a declaration in
+    ``decls``: ("base", decl, 0), ("cell", decl, index) or
+    ("ld", decl, pos); None for any other name."""
+    head, _, tail = name.rpartition("_")
+    if tail == "base" and head in decls:
+        return "base", head, 0
+    if name.startswith("cell_") and tail.isdigit() and head[5:] in decls:
+        return "cell", head[5:], int(tail)
+    n, _, decl = name[2:].partition("_")
+    if name.startswith("ld") and n.isdigit() and decl in decls:
+        return "ld", decl, int(n)
+    return None
+
+
+def site(tid: int, s: Load | Store) -> str:
+    """The access site of ``s`` in thread ``tid``."""
+    kind = "load" if isinstance(s, Load) else "store"
+    return f"t{tid}:L{s.line}:{kind}:{s.decl}"
+
+
+def parse_site(text: str) -> tuple[int, int, str, str]:
+    """The thread, line, kind and declaration of a ``site`` name."""
+    tid, line, kind, decl = text.split(":")
+    return int(tid[1:]), int(line[1:]), kind, decl

@@ -17,11 +17,12 @@ element, as the symbolic ladder does.
 
 from __future__ import annotations
 
-from .cache import CacheConfig, Site
+from .cache import CacheConfig
 from .engine import Code, number_body
 from .errors import ReplayError, UnrollError
 from .ir import (Assign, BinOp, Declaration, Fixed, If, IRExpr, Load, Name,
-                 Num, Program, Stmt, Store, SymbolicBase)
+                 Num, Program, Stmt, Store, SymbolicBase, cell_var, load_var,
+                 site)
 from .records import Frozen, set_field
 
 MASK32 = (1 << 32) - 1
@@ -155,7 +156,7 @@ class _Run:
         return (self.cursors, tuple(frozenset(e.items()) for e in self.envs),
                 frozenset(self.memory.items()),
                 frozenset(self.cache.sets.items()), self.profile,
-                len(self.schedule))  # names ld<pos> reads
+                len(self.schedule))  # names load_var reads
 
     def _base(self, d: Declaration) -> int:
         if isinstance(d.placement, Fixed):
@@ -168,17 +169,13 @@ class _Run:
                 f"no concrete value for symbolic base {d.placement.var!r}") from None
 
     def _initial_cell(self, d: Declaration, idx: int, pos: int) -> int:
-        """First-read value of an unwritten cell.
-
-        Witness models name such reads either per trace position
-        (ld<pos>_<decl>, symbolic index during analysis) or per cell
-        (cell_<decl>_<idx>); honour both spellings, then zero.
-        """
+        """First-read value of an unwritten cell: the input named by the
+        read's ``load_var``, else by the cell's ``cell_var``, else zero."""
         mask = (1 << (8 * d.elem_size)) - 1
         if d.contents is not None:
             cell = idx if idx < d.length else d.length - 1
             return d.contents[cell] & mask
-        for name in (f"ld{pos}_{d.name}", f"cell_{d.name}_{idx}"):
+        for name in (load_var(pos, d.name), cell_var(d.name, idx)):
             if name in self.inputs:
                 return self.inputs[name] & mask
         return 0
@@ -207,8 +204,7 @@ class _Run:
         self.cache, verdict = simulate_access(self.cache, addr, self.cfg)
         self.schedule += (tid,)
         self._settle(pos, succ, env)
-        return str(Site(tid, s.line, "load" if isinstance(s, Load) else "store",
-                        d.name)), verdict
+        return site(tid, s), verdict
 
 
 def replay(p: Program, inputs: dict[str, int], schedule,

@@ -28,7 +28,8 @@ import re
 from .errors import ParseError
 from .ir import (Assign, BinOp, Declaration, Fixed, For, If, IRExpr, Load,
                  Name, Num, PRECEDENCE, Program, PublicInput, SecretInput,
-                 Sensitivity, Stmt, Store, SymbolicBase, Thread)
+                 Sensitivity, Stmt, Store, SymbolicBase, Thread, base_var,
+                 parse_var)
 from .records import Frozen, set_field
 
 _TOKEN_RE = re.compile(r"""
@@ -163,7 +164,7 @@ class _Parser:
         self.expect("at")
         if self.at("symbolic"):
             self.next()
-            placement: Fixed | SymbolicBase = SymbolicBase(f"{name}_base")
+            placement: Fixed | SymbolicBase = SymbolicBase(base_var(name))
         else:
             placement = Fixed(self.expect_num())
         sensitivity = Sensitivity.DERIVED
@@ -367,20 +368,6 @@ def _check_uses(e: IRExpr, live: set[str], known: set[str],
         raise ParseError(f"use of unassigned register or undeclared input {ident!r}", line)
 
 
-def _generated_owner(name: str, decls: set[str]) -> str | None:
-    """The declaration in ``decls`` after which the analysis names a
-    variable ``name``: ``<d>_base``, ``cell_<d>_<i>`` or ``ld<n>_<d>``."""
-    if name.endswith("_base") and name[:-5] in decls:
-        return name[:-5]
-    decl, _, cell = name[5:].rpartition("_")
-    if name.startswith("cell_") and cell.isdigit() and decl in decls:
-        return decl
-    n, _, decl = name[2:].partition("_")
-    if name.startswith("ld") and n.isdigit() and decl in decls:
-        return decl
-    return None
-
-
 def _validate(decls: list[Declaration], secrets: list[SecretInput],
               publics: list[PublicInput], threads: list[Thread],
               marked: list[int]) -> Program:
@@ -394,10 +381,10 @@ def _validate(decls: list[Declaration], secrets: list[SecretInput],
         if inp.name in names:
             raise ParseError(f"duplicate name {inp.name!r}")
         names.add(inp.name)
-        owner = _generated_owner(inp.name, decl_names)
-        if owner is not None:  # it would be the same solver variable
+        var = parse_var(inp.name, decl_names)
+        if var is not None:  # it would be the same solver variable
             raise ParseError(f"input name {inp.name!r} is reserved for "
-                             f"a variable of declaration {owner!r}")
+                             f"a variable of declaration {var[1]!r}")
 
     placed = sorted(
         (d.placement.base, d.placement.base + d.byte_size, d.name)

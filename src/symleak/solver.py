@@ -420,8 +420,8 @@ class EnumerativeBackend(SolverBackend):
     variables range over all ``2**width`` values.  Total enumerated
     width is capped at ``cap_bits``: a wider query answers "unknown",
     as a timed-out one does, rather than running forever.  A domain
-    value outside ``[0, 2**64)`` or a ``chunk`` below 1 raises
-    ``ConfigError``.
+    value outside ``[0, 2**64)``, or a ``chunk`` or ``cap_bits`` below 1,
+    raises ``ConfigError``.
     """
 
     def __init__(self, domains: dict[str, Sequence[int]] | None = None,
@@ -430,6 +430,8 @@ class EnumerativeBackend(SolverBackend):
         super().__init__(timeout_ms)
         if chunk < 1:
             raise ConfigError(f"chunk must be at least 1, got {chunk}")
+        if cap_bits < 1:
+            raise ConfigError(f"cap_bits must be at least 1, got {cap_bits}")
         self.domains = {n: d if isinstance(d, range) else [int(v) for v in d]
                         for n, d in (domains or {}).items()}
         for n, d in self.domains.items():

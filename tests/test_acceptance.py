@@ -18,7 +18,7 @@ from symleak.cache import (CacheConfig, Geometry, hit_constraint,
                            hit_constraint_assoc, line, probe_window, tag)
 from symleak.cli import backend_for, main
 from symleak.explorer import explore
-from symleak.ir import If, Load, Store
+from symleak.ir import If, Load, Store, parse_site
 from symleak.oracle import empty_cache, replay, simulate_access
 from symleak.solver import EnumerativeBackend
 
@@ -90,7 +90,7 @@ def test_concurrent_leak_needs_probe_between_load_and_store(capsys):
         assert len(reports) == 1
         r = reports[0]
         assert r.site == "t1:L11:store:p"
-        got_lines = [int(s.split(":")[1][1:]) for _, s in r.schedule]
+        got_lines = [parse_site(s)[1] for _, s in r.schedule]
         assert got_lines == [6, 9, 13, 11]
         vals = {r.k1["k"], r.k2["k"]}
         assert 1 in vals

@@ -16,6 +16,7 @@ from symleak.bruteforce import brute_force_leaks
 from symleak.cache import CacheConfig
 from symleak.cli import backend_for, confirm_report, main
 from symleak.explorer import LeakReport, explore
+from symleak.ir import SymbolicBase, parse_site, parse_var
 from symleak.solver import DEFAULT_TIMEOUT_MS, DivergenceResult
 
 from conftest import CORPUS_DIR, PROGRAMS_DIR, ROOT, load_program
@@ -481,9 +482,9 @@ def test_witness_carries_uninitialised_public_memory(capsys, solver):
     assert report.shared == {"cell_q_0": 200}
     assert confirm_report(p, cfg, report)
     # Without the shared value, replay reads 0 there and the hit is gone.
-    unshared = LeakReport(report.site, report.access_index, report.schedule,
-                          report.k1, report.k2, report.adversary_addr,
-                          report.verdict1, report.verdict2)
+    unshared = LeakReport(report.schedule, report.k1, report.k2,
+                          report.adversary_addr, report.verdict1,
+                          report.verdict2)
     assert not confirm_report(p, cfg, unshared)
 
 
@@ -602,6 +603,54 @@ def test_replay_rejects_a_load_name_at_no_load_of_its_declaration(
     assert (code, out) == (2, "")
     assert err == (f"error: --input {name!r}: schedule position {pos} is no "
                    "load of 'q'\n")
+
+
+def test_replay_takes_the_base_of_a_declaration_named_ld(capsys, tmp_path):
+    # ``ld_base`` starts like a load's name ``ld<n>_<d>`` but is the base
+    # of ``ld``: replay takes it as a base, with no position to check.
+    src = tmp_path / "ld.ir"
+    src.write_text("array t[4] elem 1 at 0\nscalar ld elem 1 at symbolic\n"
+                   "input k width 1 secret\nthread 1 critical {\n"
+                   "load r, t[k]\n}\nthread 2 {\nload q, ld\n}\n")
+    code, out, err = run_cli(capsys, "replay", str(src), *FIG3, "--schedule",
+                             "5-8", "--input", "k=1", "--input", "ld_base=64")
+    assert (code, err) == (0, "")
+    assert out == "t1:L5:load:t miss\nt2:L8:load:ld miss\n"
+
+
+@pytest.mark.parametrize("prog,kind", [
+    (PUBLIC_CELL, "cell"),
+    (str(PROGRAMS_DIR / "two_symbolic_bases.ir"), "base"),
+    (str(CORPUS_DIR / "sbox_feedback.ir"), "ld"),
+], ids=["cell", "base", "load"])
+def test_replay_takes_every_name_analyze_reports(capsys, prog, kind):
+    # The analysis names a witness's variables and sites, and replay
+    # reads them back: each name in k1, k2, shared and the adversary
+    # base must be one that replay takes, and replaying either
+    # valuation down the reported schedule must give its verdict at the
+    # reported site.
+    code, out, err = run_cli(capsys, "analyze", prog, *FIG3)
+    assert (code, err) == (1, "")
+    p = load_program(Path(prog).name)
+    decls = {d.name for d in p.decls}
+    bases = [d.placement.var for d in p.decls
+             if isinstance(d.placement, SymbolicBase)]
+    kinds = set()
+    for leak in json.loads(out)["leaks"]:
+        shared = dict(leak.get("shared", {}))
+        if "adversary_addr" in leak:
+            shared[bases[0]] = leak["adversary_addr"]
+        lines = "-".join(str(parse_site(site)[1]) for _, site in leak["schedule"])
+        for k, verdict in ((leak["k1"], leak["verdict1"]),
+                           (leak["k2"], leak["verdict2"])):
+            inputs = {**shared, **k}
+            kinds |= {(parse_var(n, decls) or ("input",))[0] for n in inputs}
+            code, out, err = run_cli(
+                capsys, "replay", prog, *FIG3, "--schedule", lines,
+                *(a for n, v in inputs.items() for a in ("--input", f"{n}={v}")))
+            assert (code, err) == (0, "")
+            assert out.splitlines()[-1] == f"{leak['site']} {verdict}"
+    assert kind in kinds
 
 
 def test_brute_force_finds_the_leaky_schedule(capsys):
@@ -759,19 +808,18 @@ def test_confirm_report_rejects_doctored_witness():
     from symleak.cli import _load
     p = _load(SEQ)
     good = LeakReport(
-        site="t1:L11:store:p", access_index=2,
         schedule=((1, "t1:L5:load:p"), (1, "t1:L7:load:q"),
                   (1, "t1:L11:store:p")),
         k1={"k": 1}, k2={"k": 0}, adversary_addr=None,
         verdict1="hit", verdict2="miss")
     assert confirm_report(p, cfg, good)
     swapped = LeakReport(
-        site=good.site, access_index=2, schedule=good.schedule,
+        schedule=good.schedule,
         k1=good.k2, k2=good.k1, adversary_addr=None,
         verdict1="hit", verdict2="miss")
     assert not confirm_report(p, cfg, swapped)
     same = LeakReport(
-        site=good.site, access_index=2, schedule=good.schedule,
+        schedule=good.schedule,
         k1=good.k1, k2=good.k1, adversary_addr=None,
         verdict1="hit", verdict2="hit")
     assert not confirm_report(p, cfg, same)

@@ -19,7 +19,7 @@ from symleak.engine import (branch_events, enabled_events, initial_state,
                             take_branch)
 from symleak.errors import UnrollError
 from symleak.explorer import explore
-from symleak.ir import BinOp, Declaration, If, Name, Num, Program
+from symleak.ir import BinOp, Declaration, If, Name, Num, Program, site
 from symleak.oracle import _eval as oracle_eval
 
 from conftest import CORPUS_GEOMETRY, load_program
@@ -226,11 +226,8 @@ def test_trace_records_accumulate_in_schedule_order():
         thread 2 { load q, w }
     """)
     st = run_schedule(p, _cfg(), (2, 1, 1))
-    assert [(r.tid, r.kind, str(r.site)) for r in st.trace] == [
-        (2, "load", "t2:L5:load:w"),
-        (1, "load", "t1:L4:load:a"),
-        (1, "store", "t1:L4:store:a"),
-    ]
+    assert [site(r.tid, r.stmt) for r in st.trace] == [
+        "t2:L5:load:w", "t1:L4:load:a", "t1:L4:store:a"]
     assert finished(st)
 
 

@@ -14,7 +14,7 @@ from symleak.bruteforce import brute_force_leaks
 from symleak.cache import CacheConfig
 from symleak.cli import backend_for
 from symleak.explorer import explore
-from symleak.ir import SymbolicBase
+from symleak.ir import SymbolicBase, parse_site
 from symleak.commands import schedule_from_lines
 from symleak.oracle import replay_trace
 from symleak.solver import DivergenceResult, EnumerativeBackend
@@ -23,7 +23,7 @@ from conftest import late_clock, load_program
 
 
 def lines_of(report):
-    return [int(site.split(":")[1][1:]) for (_, site) in report.schedule]
+    return [parse_site(site)[1] for (_, site) in report.schedule]
 
 
 def confirm_witness(p, cfg, report):

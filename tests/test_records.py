@@ -1,16 +1,17 @@
 """Value semantics of the slotted records.
 
-Parsed programs compare structurally and ``Site`` and ``CacheConfig``
-are compared as values, but a record never equals one of another class,
-and the read-only records refuse assignment once built.
+Parsed programs compare structurally and ``CacheConfig`` is compared
+as a value, but a record never equals one of another class, and the
+read-only records refuse assignment once built.
 """
 
 import pytest
 
 from symleak import expr as ex
-from symleak.cache import CacheConfig, Site
+from symleak.cache import CacheConfig
 from symleak.ir import (BinOp, Fixed, Load, Name, Num, PublicInput,
                         SecretInput, SymbolicBase)
+from symleak.parser import Token
 
 
 def test_records_of_different_classes_never_compare_equal():
@@ -24,18 +25,17 @@ def test_equal_records_hash_equal():
     pairs = [
         (Load("r", "t", BinOp("+", Name("k"), Num(1)), 3),
          Load("r", "t", BinOp("+", Name("k"), Num(1)), 3)),
-        (Site(1, 3, "load", "t"), Site(1, 3, "load", "t")),
         (CacheConfig(512, 1, 1), CacheConfig(512, 1, 1)),
     ]
     for a, b in pairs:
         assert a == b and a is not b
         assert hash(a) == hash(b)
-    assert len({Site(1, 3, "load", "t"), Site(1, 3, "load", "t")}) == 1
+    assert len({CacheConfig(512, 1, 1), CacheConfig(512, 1, 1)}) == 1
 
 
 @pytest.mark.parametrize("record, field", [
     (ex.var("k", 8), "width"),
-    (Site(1, 3, "load", "t"), "line"),
+    (Token("ident", "k", 3, 1), "line"),
     (CacheConfig(), "assoc"),
     (Num(0), "value"),
     (Load("r", "t", Num(0), 3), "line"),

@@ -81,6 +81,18 @@ def test_enumerative_chunk_below_one_is_rejected(chunk):
     assert res.status == "sat"
 
 
+@pytest.mark.parametrize("cap_bits", [0, -1])
+def test_enumerative_cap_below_one_bit_is_rejected(cap_bits):
+    # Taken, such a cap answered "unknown" to every query with a free
+    # variable, so every check of a search read as undecided.
+    with pytest.raises(ConfigError,
+                       match=f"cap_bits must be at least 1, got {cap_bits}"):
+        EnumerativeBackend(cap_bits=cap_bits)
+    k = ex.var("k", 1)
+    assert EnumerativeBackend(cap_bits=1).check(
+        ex.eq(k, ex.const(1, 1))).status == "sat"
+
+
 @pytest.mark.parametrize("values", [
     [-1, 3], [2**64], range(-1, 3), range(2**64 - 2, 2**64 + 1),
     range(2**64, 0, -1),
